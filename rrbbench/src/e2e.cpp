@@ -30,16 +30,21 @@ namespace fs = std::filesystem;
 using Samples = std::map<std::string, std::vector<double>>;
 
 /// One kind of timed command in the mix. `run` executes one chunk with
-/// the given campaign seed, appends its wall time to the samples and
+/// the given campaign seed, appends its CPU time to the samples and
 /// records the chunk's output check.
 struct Probe {
     Workload owner;
+    /// Chunks per round, on average, in another workload's run: two for
+    /// the short single-thread commands (pwcet --jobs 1, attribution),
+    /// whose quartiles need the samples; one every fourth round for the
+    /// farm, the longest chunk, whose 256 slices are samples enough.
+    double guest_chunks;
     std::function<void(std::uint64_t seed, Samples&, Ledger&)> run;
     std::uint64_t chunks = 0;
 };
 
-constexpr int kSetups = 15;  // set-up repetitions per run (median)
-constexpr int kRounds = 8;  // every probe runs at least once per round
+constexpr int kSetups = 15;  // set-up repetitions per run
+constexpr int kRounds = 8;
 
 std::string str(std::uint64_t v) { return std::to_string(v); }
 
@@ -48,11 +53,43 @@ std::uint64_t held_out_seed(std::uint64_t seed) {
     return derive_seed(seed, 0x686f6c646f7574ULL, 0);
 }
 
+/// CPU seconds used by every thread of this process so far.
+double process_cpu_s() {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// CPU time of one call, all threads included. Every command is timed
+/// this way, not by wall clock: on a host whose cores other tenants
+/// share, a thread spends a varying share of its time runnable but not
+/// running, and fsync waits are set by the same tenants. Over 20
+/// repeats of one command the wall time's quartiles spread by 17-32% of
+/// the median, its CPU time's by 4-8%.
+template <typename Call>
+double cpu_time(Call&& call) {
+    const double start = process_cpu_s();
+    call();
+    return process_cpu_s() - start;
+}
+
+/// The estimator of every timed metric: the upper quartile of a
+/// series' chunk CPU times. On a host whose cores other tenants share,
+/// chunk times are bimodal: most run at one speed, and a share that
+/// changes from minute to minute runs up to 1.5x faster, when the
+/// tenants leave the core's shared resources idle. The median flips
+/// between the two modes as that share nears a half; the upper quartile
+/// stays on the common one. Over 12 runs of all four workloads, the
+/// spread of a series' upper quartile between runs was 5-12% of its
+/// value, that of its median 6-20%.
+double typical(const std::vector<double>& series) {
+    return quantile(series, 0.75);
+}
+
 double timed_cli(const std::vector<std::string>& args, int* code,
                  std::string* out = nullptr) {
-    const auto start = Clock::now();
-    *code = run_cli(args, out);
-    return seconds_since(start);
+    return cpu_time([&] { *code = run_cli(args, out); });
 }
 
 /// Equation 1 for the platform an estimate config builds.
@@ -83,25 +120,6 @@ bool batch_rows_ok(const std::string& report) {
     return ok_rows == kBatchScenarios;
 }
 
-/// CPU seconds used by every thread of this process so far.
-double process_cpu_s() {
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/// CPU time of one call, all threads included. The farm is timed this
-/// way so that its fsync waits stay out: their latency on a shared disk
-/// is set by other tenants, and in one measured period the slices' wall
-/// time doubled for minutes while CPU-bound commands slowed by 15%.
-template <typename Call>
-double cpu_time(Call&& call) {
-    const double start = process_cpu_s();
-    call();
-    return process_cpu_s() - start;
-}
-
 /// Part (b) of batch-farm: a campaign run as kFarmSlices checkpointed
 /// `pwcet --shard` slices, one `merge` of all of them, then Session
 /// resume after every kFarmDeleteEvery-th slice file is lost.
@@ -115,14 +133,15 @@ struct FarmOutcome {
     double resume_cpu_s = 0.0;
 };
 
-FarmOutcome run_farm(std::uint64_t seed, const fs::path& dir, bool deep) {
+FarmOutcome run_farm(std::uint64_t seed, std::size_t runs,
+                     const fs::path& dir, bool deep) {
     FarmOutcome out;
     std::vector<std::string> paths;
     for (std::size_t i = 0; i < kFarmSlices; ++i) {
         paths.push_back((dir / ("slice-" + str(i) + ".ckpt")).string());
         out.slice_cpu_s.push_back(cpu_time([&] {
             out.commands_ok &=
-                run_cli({"pwcet", "--runs", str(kFarmRuns), "--seed",
+                run_cli({"pwcet", "--runs", str(runs), "--seed",
                          str(seed), "--jobs", "1", "--shard",
                          str(i) + "/" + str(kFarmSlices), "--checkpoint-out",
                          paths.back()}) == 0;
@@ -147,7 +166,7 @@ FarmOutcome run_farm(std::uint64_t seed, const fs::path& dir, bool deep) {
     out.resume_cpu_s = cpu_time([&] {
         rrb::Session session;
         session.jobs(full_width());
-        out.resumed = session.resume(cli_scenario(40, kFarmRuns, seed),
+        out.resumed = session.resume(cli_scenario(40, runs, seed),
                                      rrb::PwcetSpec{}, kept);
     });
     return out;
@@ -156,7 +175,7 @@ FarmOutcome run_farm(std::uint64_t seed, const fs::path& dir, bool deep) {
 std::vector<Probe> make_probes(const Workspace& workspace) {
     const std::string width = str(full_width());
     std::vector<Probe> probes;
-    probes.push_back({Workload::kPwcetStream,
+    probes.push_back({Workload::kPwcetStream, 2.0,
                       [](std::uint64_t seed, Samples& samples, Ledger& ledger) {
                           int code = 0;
                           samples["pwcet-j1"].push_back(timed_cli(
@@ -165,7 +184,7 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
                               &code));
                           ledger.record(code == 0, "pwcet --jobs 1 exit code");
                       }});
-    probes.push_back({Workload::kPwcetStream,
+    probes.push_back({Workload::kPwcetStream, 1.0,
                       [width](std::uint64_t seed, Samples& samples,
                               Ledger& ledger) {
                           int code = 0;
@@ -176,7 +195,7 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
                           ledger.record(code == 0, "pwcet --jobs N exit code");
                       }});
     probes.push_back(
-        {Workload::kEstimateGrid,
+        {Workload::kEstimateGrid, 1.0,
          [](std::uint64_t, Samples& samples, Ledger& ledger) {
              for (const EstimateConfig& cfg : estimate_grid()) {
                  int code = 0;
@@ -188,7 +207,7 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
              }
          }});
     probes.push_back(
-        {Workload::kBatchFarm,
+        {Workload::kBatchFarm, 1.0,
          [&workspace, width](std::uint64_t seed, Samples& samples,
                              Ledger& ledger) {
              // Two commands per chunk: one batch is short and
@@ -208,11 +227,11 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
              }
          }});
     probes.push_back(
-        {Workload::kBatchFarm,
+        {Workload::kBatchFarm, 0.25,
          [&workspace](std::uint64_t seed, Samples& samples, Ledger& ledger) {
              try {
-                 const FarmOutcome farm =
-                     run_farm(seed, workspace.fresh("farm"), false);
+                 const FarmOutcome farm = run_farm(
+                     seed, kFarmRuns, workspace.fresh("farm"), false);
                  std::vector<double>& slices = samples["farm-slice"];
                  slices.insert(slices.end(), farm.slice_cpu_s.begin(),
                                farm.slice_cpu_s.end());
@@ -225,7 +244,7 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
                  ledger.record(false, std::string("farm: ") + e.what());
              }
          }});
-    probes.push_back({Workload::kAttribution,
+    probes.push_back({Workload::kAttribution, 2.0,
                       [](std::uint64_t seed, Samples& samples, Ledger& ledger) {
                           int code = 0;
                           samples["attribution"].push_back(timed_cli(
@@ -239,8 +258,8 @@ std::vector<Probe> make_probes(const Workspace& workspace) {
     return probes;
 }
 
-/// One set-up, timed on a fresh thread so its machine caches start
-/// cold: the scenarios, batch spec and estimate configs every command
+/// One set-up, in CPU time, run on a fresh thread so its machine caches
+/// start cold: the scenarios, batch spec and estimate configs every command
 /// of the mix needs, a worker pool, and one warm-up run per campaign
 /// config (machine construction, program load, script decode) plus the
 /// delta_nop calibration each estimate config starts with.
@@ -249,7 +268,7 @@ double setup_once(std::uint64_t seed) {
     std::exception_ptr error;
     std::thread worker([&] {
         try {
-            const auto start = Clock::now();
+            const double start = process_cpu_s();
             std::vector<rrb::Scenario> scenarios = {
                 cli_scenario(40, kPwcetJ1Runs, seed),
                 cli_scenario(kAttributionIterations, kAttributionRuns, seed),
@@ -267,7 +286,7 @@ double setup_once(std::uint64_t seed) {
             for (const EstimateConfig& cfg : estimate_grid()) {
                 static_cast<void>(rrb::calibrate_delta_nop(cfg.config()));
             }
-            elapsed = seconds_since(start);
+            elapsed = process_cpu_s() - start;
         } catch (...) {
             error = std::current_exception();
         }
@@ -336,13 +355,16 @@ void check_batch(std::uint64_t seed, const std::string& tag, Ledger& ledger) {
 
 void check_farm(std::uint64_t seed, const std::string& tag,
                 const Workspace& workspace, Ledger& ledger) {
+    // Slicing must not change any result, at any campaign size; a quarter
+    // of the timed farm's runs keeps the checks short.
+    constexpr std::size_t kRuns = kFarmRuns / 4;
     try {
         const FarmOutcome farm =
-            run_farm(seed, workspace.fresh("farm-check"), true);
+            run_farm(seed, kRuns, workspace.fresh("farm-check"), true);
         std::string whole_report;
-        const int code = run_cli(
-            {"pwcet", "--runs", str(kFarmRuns), "--seed", str(seed)},
-            &whole_report);
+        const int code =
+            run_cli({"pwcet", "--runs", str(kRuns), "--seed", str(seed)},
+                    &whole_report);
         ledger.record(farm.commands_ok && code == 0 &&
                           from_line_two(farm.merge_report) ==
                               from_line_two(whole_report),
@@ -350,7 +372,7 @@ void check_farm(std::uint64_t seed, const std::string& tag,
         rrb::Session session;
         session.jobs(full_width());
         const rrb::PwcetCampaignResult whole =
-            session.pwcet(cli_scenario(40, kFarmRuns, seed));
+            session.pwcet(cli_scenario(40, kRuns, seed));
         ledger.record(farm.merged.has_value() &&
                           same_bits(farm.merged->result, whole) &&
                           same_bits(farm.resumed, whole),
@@ -415,27 +437,36 @@ void run_end_to_end(Workload workload, std::uint64_t seed, double seconds,
     std::vector<double> setups;
     for (int i = 0; i < kSetups; ++i) setups.push_back(setup_once(seed));
 
-    // The mix: each round runs every other workload's probe once, then
-    // this workload's own probes until the round's share of `seconds`
-    // is used up, so own metrics get most of the samples and every
-    // metric gets at least kRounds.
+    // The mix: each round runs every other workload's probe its
+    // guest_chunks times (a fraction spreads over rounds), then this
+    // workload's own probes in turn until the round's share of `seconds`
+    // is used up, so own metrics get most of the samples. One own chunk
+    // at a time, so that a round whose guests overran its share ends
+    // after one own chunk, not after one of each (the farm's is 2 s).
     std::vector<Probe> probes = make_probes(workspace);
+    std::vector<std::size_t> own;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        if (probes[i].owner == workload) own.push_back(i);
+    }
     Samples samples;
     const auto step = [&](std::size_t index) {
         Probe& probe = probes[index];
         probe.run(derive_seed(seed, 100 + index, probe.chunks++), samples,
                   ledger);
     };
+    std::size_t turn = 0;
     const auto start = Clock::now();
     for (int round = 0; round < kRounds; ++round) {
         const double deadline = seconds * (round + 1) / kRounds;
         for (std::size_t i = 0; i < probes.size(); ++i) {
-            if (probes[i].owner != workload) step(i);
+            if (probes[i].owner == workload) continue;
+            const double rate = probes[i].guest_chunks;
+            const int due = static_cast<int>((round + 1) * rate) -
+                            static_cast<int>(round * rate);
+            for (int k = 0; k < due; ++k) step(i);
         }
         do {
-            for (std::size_t i = 0; i < probes.size(); ++i) {
-                if (probes[i].owner == workload) step(i);
-            }
+            step(own[turn++ % own.size()]);
         } while (seconds_since(start) < deadline);
     }
     struct rusage usage {};
@@ -446,30 +477,30 @@ void run_end_to_end(Workload workload, std::uint64_t seed, double seconds,
 
     double estimate_s = 0.0;
     for (const EstimateConfig& cfg : estimate_grid()) {
-        estimate_s += median(samples["estimate-" + cfg.name]);
+        estimate_s += typical(samples["estimate-" + cfg.name]);
     }
-    ledger.metric("setup_s", median(setups), "s");
+    ledger.metric("setup_s", typical(setups), "s");
     ledger.metric("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0,
                   "MB");
     ledger.metric("pwcet_runs_per_s_j1",
-                  kPwcetJ1Runs / median(samples["pwcet-j1"]), "1/s");
+                  kPwcetJ1Runs / typical(samples["pwcet-j1"]), "1/s");
     ledger.metric("pwcet_runs_per_s_jN",
-                  kPwcetJNRuns / median(samples["pwcet-jN"]), "1/s");
+                  kPwcetJNRuns / typical(samples["pwcet-jN"]), "1/s");
     ledger.metric("estimate_grid_s", estimate_s, "s");
     ledger.metric("batch_runs_per_s",
                   kBatchScenarios * kBatchRunsPerScenario /
-                      median(samples["batch"]),
+                      typical(samples["batch"]),
                   "1/s");
     // The round trip is 256 slice commands, one merge and one resume;
-    // the slice term uses the median over every slice timed in the run,
-    // which one slow slice cannot move.
+    // the slice term uses every slice timed in the run, which one slow
+    // slice cannot move.
     ledger.metric("farm_s",
-                  kFarmSlices * median(samples["farm-slice"]) +
-                      median(samples["farm-merge"]) +
-                      median(samples["farm-resume"]),
+                  kFarmSlices * typical(samples["farm-slice"]) +
+                      typical(samples["farm-merge"]) +
+                      typical(samples["farm-resume"]),
                   "s");
     ledger.metric("attribution_runs_per_s",
-                  kAttributionRuns / median(samples["attribution"]), "1/s");
+                  kAttributionRuns / typical(samples["attribution"]), "1/s");
     for (const auto& [name, series] : samples) {
         std::cerr << "rrbbench: " << name << ": " << series.size()
                   << " chunks, q1 " << quantile(series, 0.25) << " s, median "

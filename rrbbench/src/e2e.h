@@ -1,5 +1,5 @@
-// The untraced run: end-to-end metrics, wall-clock timed around the
-// commands users run, plus every output check.
+// The untraced run: end-to-end metrics, CPU-timed around the commands
+// users run, plus every output check.
 #pragma once
 
 #include <cstdint>

@@ -25,8 +25,13 @@ inline constexpr std::size_t kPwcetJ1Runs = 4000;      // pwcet --jobs 1
 inline constexpr std::size_t kPwcetJNRuns = 16000;     // pwcet --jobs N
 inline constexpr std::uint64_t kAttributionIterations = 150;
 inline constexpr std::size_t kAttributionRuns = 400;
-inline constexpr std::size_t kFarmRuns = 10000;        // one campaign...
-inline constexpr std::size_t kFarmSlices = 256;        // ...in 256 slices
+// One campaign in 256 slices. At 10^4 runs a slice simulated 39 runs and
+// its fsync'd save was nearly half its CPU time; that kernel path slowed
+// three times as much as simulation when the host's other tenants were
+// busy, and farm_s spread by up to 26% between runs. At 4x10^4 runs the
+// simulation dominates each slice.
+inline constexpr std::size_t kFarmRuns = 40000;
+inline constexpr std::size_t kFarmSlices = 256;
 inline constexpr std::size_t kFarmDeleteEvery = 16;    // lost before resume
 inline constexpr std::size_t kBatchScenarios = 5;
 inline constexpr std::size_t kBatchRunsPerScenario = 4000;
