@@ -68,10 +68,10 @@ void BM_OneCampaign(benchmark::State& state) {
     const Program scua =
         make_autobench(Autobench::kCacheb, 0x0100'0000, 150, 9);
     for (auto _ : state) {
-        HwmCampaignOptions opt;
-        opt.runs = 20;
-        benchmark::DoNotOptimize(run_hwm_campaign(
-            cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), opt));
+        Session session;
+        benchmark::DoNotOptimize(session.jobs(1).hwm(
+            Scenario::on(cfg).scua(scua).rsk_contenders(OpKind::kLoad).runs(
+                20)));
     }
 }
 BENCHMARK(BM_OneCampaign)->Unit(benchmark::kMillisecond)->Iterations(1);

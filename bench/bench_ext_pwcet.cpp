@@ -5,7 +5,7 @@
 // and quotes a pWCET at a tiny exceedance probability — and its
 // confidence argument wants campaigns orders of magnitude larger than a
 // validation bench's 60 runs. This bench streams a 10^5-run randomized
-// campaign through the sharded reduce path (run_pwcet_campaign): no
+// campaign through the sharded reduce path (Session::pwcet): no
 // exec_times vector is ever materialized, live memory is one (max, fill)
 // pair per EVT block, and the numbers are bit-identical at every job
 // count. The checkpoint table shows pWCET(1e-9) converging as runs grow

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -224,11 +225,21 @@ bool mode_enabled(const char* mode) {
     return false;
 }
 
+/// `value` printed with `format`, or `null` when it is not finite: a
+/// mode left out by RRB_HOTPATH_MODES has no rate, and strict JSON has
+/// no NaN or Infinity.
+std::string json_number(const char* format, double value) {
+    if (!std::isfinite(value)) return "null";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, value);
+    return buf;
+}
+
 /// The committed reference's runs/sec for one section ("hot",
 /// "attribution"), for the CI regression gate: finds the section object
 /// in a previous BENCH_hotpath.json and reads its runs_per_sec. Returns
-/// 0 when the file or field is missing (the gate then reports and skips
-/// rather than failing on a fresh repo).
+/// 0 when the file or field is missing, or the field is null (the gate
+/// then reports and skips rather than failing on a fresh repo).
 double baseline_runs_per_sec(const char* path, const char* section) {
     std::FILE* f = std::fopen(path, "r");
     if (f == nullptr) return 0.0;
@@ -245,7 +256,9 @@ double baseline_runs_per_sec(const char* path, const char* section) {
     const std::string key = "\"runs_per_sec\": ";
     const std::size_t at = text.find(key, at_section);
     if (at == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + at + key.size(), nullptr);
+    const char* value = text.c_str() + at + key.size();
+    if (std::strncmp(value, "null", 4) == 0) return 0.0;
+    return std::strtod(value, nullptr);
 }
 
 /// The naive reference: fresh machine, naive stepping, per-run program
@@ -499,27 +512,32 @@ int main(int argc, char** argv) {
         "iterations\",\n"
         "  \"runs\": %llu,\n"
         "  \"warmup_runs\": %llu,\n"
-        "  \"hot\": {\"runs_per_sec\": %.1f, \"cycles_per_sec\": %.3e, "
-        "\"allocations_per_run\": %.4f},\n"
-        "  \"naive\": {\"runs_per_sec\": %.1f, \"cycles_per_sec\": "
-        "%.3e},\n"
-        "  \"speedup_runs_per_sec\": %.2f,\n"
+        "  \"hot\": {\"runs_per_sec\": %s, \"cycles_per_sec\": %s, "
+        "\"allocations_per_run\": %s},\n"
+        "  \"naive\": {\"runs_per_sec\": %s, \"cycles_per_sec\": "
+        "%s},\n"
+        "  \"speedup_runs_per_sec\": %s,\n"
         "  \"hwm_hot\": %llu,\n"
         "  \"differential_mismatches\": %llu,\n"
         "  \"steady_state_allocation_free\": %s,\n"
         "  \"telemetry\": {\n"
-        "    \"runs_per_sec\": %.1f,\n"
-        "    \"overhead_pct\": %.2f,\n"
+        "    \"runs_per_sec\": %s,\n"
+        "    \"overhead_pct\": %s,\n"
         "    \"mismatches_vs_untelemetered\": %llu,\n"
         "    \"counters\": ",
         static_cast<unsigned long long>(runs),
-        static_cast<unsigned long long>(warmup), hot.runs_per_sec(),
-        hot.cycles_per_sec(), hot.allocs_per_run, naive.runs_per_sec(),
-        naive.cycles_per_sec(), speedup,
+        static_cast<unsigned long long>(warmup),
+        json_number("%.1f", hot.runs_per_sec()).c_str(),
+        json_number("%.3e", hot.cycles_per_sec()).c_str(),
+        json_number("%.4f", hot.allocs_per_run).c_str(),
+        json_number("%.1f", naive.runs_per_sec()).c_str(),
+        json_number("%.3e", naive.cycles_per_sec()).c_str(),
+        json_number("%.2f", speedup).c_str(),
         static_cast<unsigned long long>(hot.hwm),
         static_cast<unsigned long long>(mismatches),
         hot.allocs_per_run == 0.0 ? "true" : "false",
-        hot_telemetry.runs_per_sec(), telemetry_overhead_pct,
+        json_number("%.1f", hot_telemetry.runs_per_sec()).c_str(),
+        json_number("%.2f", telemetry_overhead_pct).c_str(),
         static_cast<unsigned long long>(telemetry_mismatches));
     std::string json = head;
     json += obs::render_counters_json(telemetry_counters, "    ");
@@ -528,17 +546,18 @@ int main(int argc, char** argv) {
     std::snprintf(
         attr_json, sizeof(attr_json),
         "  \"attribution\": {\n"
-        "    \"runs_per_sec\": %.1f,\n"
-        "    \"overhead_pct\": %.2f,\n"
+        "    \"runs_per_sec\": %s,\n"
+        "    \"overhead_pct\": %s,\n"
         "    \"mismatches_vs_unarmed\": %llu,\n"
-        "    \"allocations_per_run\": %.4f,\n"
+        "    \"allocations_per_run\": %s,\n"
         "    \"closed_accounting\": %s,\n"
         "    \"machine_cycles\": %llu\n"
         "  }\n"
         "}\n",
-        hot_attributed.runs_per_sec(), attribution_overhead_pct,
+        json_number("%.1f", hot_attributed.runs_per_sec()).c_str(),
+        json_number("%.2f", attribution_overhead_pct).c_str(),
         static_cast<unsigned long long>(attribution_mismatches),
-        hot_attributed.allocs_per_run,
+        json_number("%.4f", hot_attributed.allocs_per_run).c_str(),
         attribution_closed ? "true" : "false",
         static_cast<unsigned long long>(attribution.machine_cycles()));
     json += attr_json;

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -27,6 +26,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_export.h"
 #include "sim/contract.h"
+#include "sim/parse.h"
 
 namespace rrb::cli {
 
@@ -128,16 +128,6 @@ const CommandSpec* find_command(std::string_view name) {
     return nullptr;
 }
 
-std::optional<std::uint64_t> parse_number(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') return std::nullopt;
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value;
-}
-
 /// Splits "a,b,c" into items. An empty text yields no items; a
 /// trailing comma yields a trailing empty item (getline would drop it,
 /// and "2," silently becoming {"2"} is exactly the kind of half-parsed
@@ -151,39 +141,47 @@ std::vector<std::string> split_list(const std::string& text) {
     return items;
 }
 
-/// Comma-separated number list ("2,4,8"), each value capped at `max` —
-/// a value that would truncate on the way into a narrower config field
-/// must fail the parse, not run a grid the user never asked for. On
-/// failure `values` is empty and `error` says which item and why.
-struct NumberListParse {
-    std::vector<std::uint64_t> values;
-    std::string error;
-};
+/// The value after flag `args[i]` as T, advancing `i` past it. A
+/// missing, non-numeric or out-of-range value sets `error`, naming the
+/// flag: a value that would truncate on the way into a narrower field
+/// must fail the parse, not run an experiment the user never asked for.
+template <typename T>
+std::optional<T> next_number(const std::vector<std::string>& args,
+                             std::size_t& i, std::string& error) {
+    const std::string& name = args[i];
+    if (i + 1 >= args.size()) {
+        error = name + " needs a value";
+        return std::nullopt;
+    }
+    const std::optional<T> value = parse_decimal<T>(args[++i]);
+    if (!value) error = name + " needs " + decimal_range<T>();
+    return value;
+}
 
-NumberListParse parse_number_list(const std::string& text,
-                                  std::uint64_t max) {
-    NumberListParse result;
-    const std::vector<std::string> items = split_list(text);
+/// next_number for a comma-separated list ("2,4,8"); empty on error,
+/// which names the flag and the offending item.
+template <typename T>
+std::vector<T> next_number_list(const std::vector<std::string>& args,
+                                std::size_t& i, std::string& error) {
+    const std::string& name = args[i];
+    const std::vector<std::string> items =
+        i + 1 < args.size() ? split_list(args[++i])
+                            : std::vector<std::string>{};
     if (items.empty()) {
-        result.error = "needs a comma-separated list of numbers";
-        return result;
+        error = name + " needs a comma-separated list of numbers";
+        return {};
     }
+    std::vector<T> values;
     for (const std::string& item : items) {
-        const auto value = parse_number(item);
+        const std::optional<T> value = parse_decimal<T>(item);
         if (!value) {
-            result.values.clear();
-            result.error = "has a non-number item '" + item + "'";
-            return result;
+            error = name + " item '" + item + "' is not " +
+                    decimal_range<T>();
+            return {};
         }
-        if (*value > max) {
-            result.values.clear();
-            result.error = "value " + item + " is out of range (max " +
-                           std::to_string(max) + ")";
-            return result;
-        }
-        result.values.push_back(*value);
+        values.push_back(*value);
     }
-    return result;
+    return values;
 }
 
 /// Strict full-string double parse ("1e-9", "0.001"). No partial reads.
@@ -217,8 +215,9 @@ std::optional<SliceSpec> parse_shard(const std::string& text,
         error = "--shard needs the form i/N, e.g. 0/4";
         return std::nullopt;
     }
-    const auto index = parse_number(text.substr(0, slash));
-    const auto count = parse_number(text.substr(slash + 1));
+    const std::string_view view = text;
+    const auto index = parse_decimal<std::size_t>(view.substr(0, slash));
+    const auto count = parse_decimal<std::size_t>(view.substr(slash + 1));
     if (!index || !count) {
         error = "--shard needs the form i/N, e.g. 0/4";
         return std::nullopt;
@@ -232,8 +231,7 @@ std::optional<SliceSpec> parse_shard(const std::string& text,
                 " must be below the slice count " + std::to_string(*count);
         return std::nullopt;
     }
-    return SliceSpec{static_cast<std::size_t>(*index),
-                     static_cast<std::size_t>(*count)};
+    return SliceSpec{*index, *count};
 }
 
 std::optional<ArbiterKind> parse_arbiter(const std::string& text) {
@@ -263,30 +261,6 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
     };
     for (std::size_t i = first; i < args.size(); ++i) {
         const std::string& arg = args[i];
-        auto next_number = [&](const char* name)
-            -> std::optional<std::uint64_t> {
-            if (i + 1 >= args.size()) {
-                flags.error = std::string(name) + " needs a value";
-                return std::nullopt;
-            }
-            const auto value = parse_number(args[++i]);
-            if (!value) flags.error = std::string(name) + " needs a number";
-            return value;
-        };
-        auto next_number_list = [&](const char* name, std::uint64_t max)
-            -> std::optional<std::vector<std::uint64_t>> {
-            if (i + 1 >= args.size()) {
-                flags.error = std::string(name) +
-                              " needs a comma-separated list of numbers";
-                return std::nullopt;
-            }
-            NumberListParse parsed = parse_number_list(args[++i], max);
-            if (!parsed.error.empty()) {
-                flags.error = std::string(name) + " " + parsed.error;
-                return std::nullopt;
-            }
-            return std::move(parsed.values);
-        };
         if (arg.empty() || arg[0] != '-') {
             // Positional argument: a checkpoint file for `merge`, an
             // error anywhere else (a mistyped flag value would
@@ -317,40 +291,44 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
             break;
         }
         if (arg == "--cores") {
-            if (const auto v = next_number("--cores")) {
-                flags.cores = static_cast<CoreId>(*v);
-            }
+            flags.cores = next_number<CoreId>(args, i, flags.error);
         } else if (arg == "--lbus") {
-            if (const auto v = next_number("--lbus")) flags.lbus = *v;
+            flags.lbus = next_number<Cycle>(args, i, flags.error);
         } else if (arg == "--var") {
             flags.variant = true;
         } else if (arg == "--kmax") {
-            if (const auto v = next_number("--kmax")) {
-                flags.k_max = static_cast<std::uint32_t>(*v);
+            if (const auto v = next_number<std::uint32_t>(args, i,
+                                                          flags.error)) {
+                flags.k_max = *v;
             }
         } else if (arg == "--iterations") {
-            if (const auto v = next_number("--iterations")) {
+            if (const auto v = next_number<std::uint64_t>(args, i,
+                                                          flags.error)) {
                 flags.iterations = *v;
             }
         } else if (arg == "--nop-latency") {
-            if (const auto v = next_number("--nop-latency")) {
-                flags.nop_latency = static_cast<std::uint32_t>(*v);
+            if (const auto v = next_number<std::uint32_t>(args, i,
+                                                          flags.error)) {
+                flags.nop_latency = *v;
             }
         } else if (arg == "--store-span") {
             flags.store_span = true;
         } else if (arg == "--runs") {
-            if (const auto v = next_number("--runs")) {
-                flags.runs = static_cast<std::size_t>(*v);
-            }
+            flags.runs = next_number<std::size_t>(args, i, flags.error);
         } else if (arg == "--seed") {
-            if (const auto v = next_number("--seed")) flags.seed = *v;
+            if (const auto v = next_number<std::uint64_t>(args, i,
+                                                          flags.error)) {
+                flags.seed = *v;
+            }
         } else if (arg == "--jobs") {
-            if (const auto v = next_number("--jobs")) {
-                flags.jobs = static_cast<std::size_t>(*v);
+            if (const auto v = next_number<std::size_t>(args, i,
+                                                        flags.error)) {
+                flags.jobs = *v;
             }
         } else if (arg == "--block-size") {
-            if (const auto v = next_number("--block-size")) {
-                flags.block_size = static_cast<std::size_t>(*v);
+            if (const auto v = next_number<std::size_t>(args, i,
+                                                        flags.error)) {
+                flags.block_size = *v;
             }
         } else if (arg == "--shard") {
             if (i + 1 >= args.size()) {
@@ -392,7 +370,8 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
                               "percentage, e.g. 5 or 2.5";
             }
         } else if (arg == "--heartbeat") {
-            if (const auto v = next_number("--heartbeat")) {
+            if (const auto v = next_number<std::uint64_t>(args, i,
+                                                          flags.error)) {
                 if (*v == 0) {
                     flags.error =
                         "--heartbeat needs at least 1 (seconds)";
@@ -416,19 +395,9 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
                 flags.csv_path = args[++i];
             }
         } else if (arg == "--cores-axis") {
-            if (const auto vs = next_number_list(
-                    "--cores-axis", std::numeric_limits<CoreId>::max())) {
-                for (const std::uint64_t v : *vs) {
-                    flags.cores_axis.push_back(static_cast<CoreId>(v));
-                }
-            }
+            flags.cores_axis = next_number_list<CoreId>(args, i, flags.error);
         } else if (arg == "--lbus-axis") {
-            if (const auto vs = next_number_list(
-                    "--lbus-axis", std::numeric_limits<Cycle>::max())) {
-                for (const std::uint64_t v : *vs) {
-                    flags.lbus_axis.push_back(static_cast<Cycle>(v));
-                }
-            }
+            flags.lbus_axis = next_number_list<Cycle>(args, i, flags.error);
         } else if (arg == "--arbiter-axis") {
             if (i + 1 >= args.size()) {
                 flags.error = "--arbiter-axis needs a comma-separated list "
@@ -465,7 +434,10 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
 /// determinism tests diff, is deterministic); with `--heartbeat S` one
 /// line every S seconds regardless of campaign length. Both render
 /// through obs::HeartbeatMeter, so every line carries runs/sec and an
-/// ETA, plus worker utilization when telemetry is enabled.
+/// ETA, plus worker utilization when telemetry is enabled. A batch
+/// passes its per-scenario `campaigns` too: each line then carries one
+/// chip per scenario, so concurrent heterogeneous campaigns report
+/// cleanly on one stderr line instead of interleaving.
 class ProgressReporter {
 public:
     /// Campaigns below this many runs finish faster than a human can
@@ -476,10 +448,11 @@ public:
     ProgressReporter(const engine::ProgressCounter& progress,
                      std::ostream& err, std::size_t total_runs,
                      std::uint64_t heartbeat_sec = 0,
-                     std::size_t workers = 0) {
+                     std::size_t workers = 0,
+                     std::vector<obs::CampaignSample> campaigns = {}) {
         if (heartbeat_sec == 0 && total_runs < kMinRuns) return;
-        thread_ = std::thread([this, &progress, &err, heartbeat_sec,
-                               workers] {
+        thread_ = std::thread([this, &progress, &err, heartbeat_sec, workers,
+                               campaigns = std::move(campaigns)] {
             // Threshold mode prints one line per 5 percentage points
             // (<= 20 lines however long the campaign runs), and is
             // quiet until the campaign announces its batch — the
@@ -496,7 +469,7 @@ public:
             while (!done_cv_.wait_for(lock, interval,
                                       [this] { return stopping_; })) {
                 if (progress.total() == 0) continue;
-                const std::string line = meter.sample(progress);
+                const std::string line = meter.sample(progress, campaigns);
                 if (heartbeat_sec > 0) {
                     err << line << "\n";
                     continue;
@@ -522,66 +495,6 @@ public:
 
     ProgressReporter(const ProgressReporter&) = delete;
     ProgressReporter& operator=(const ProgressReporter&) = delete;
-
-private:
-    std::mutex mutex_;
-    std::condition_variable done_cv_;
-    bool stopping_ = false;
-    std::thread thread_;
-};
-
-/// Batch counterpart of ProgressReporter: renders the aggregate line
-/// plus one per-scenario chip through HeartbeatMeter's multi-campaign
-/// form, so concurrent heterogeneous campaigns report cleanly on one
-/// stderr line instead of interleaving.
-class BatchReporter {
-public:
-    BatchReporter(const sched::BatchProgress& monitor, std::ostream& err,
-                  std::uint64_t heartbeat_sec, std::size_t workers) {
-        if (heartbeat_sec == 0 &&
-            monitor.aggregate().total() < ProgressReporter::kMinRuns) {
-            return;
-        }
-        thread_ = std::thread([this, &monitor, &err, heartbeat_sec,
-                               workers] {
-            obs::HeartbeatMeter meter(workers);
-            const std::vector<obs::CampaignSample> campaigns =
-                monitor.samples();
-            std::size_t next_percent = 5;
-            const auto interval =
-                heartbeat_sec > 0
-                    ? std::chrono::milliseconds(1000 * heartbeat_sec)
-                    : std::chrono::milliseconds(500);
-            std::unique_lock<std::mutex> lock(mutex_);
-            while (!done_cv_.wait_for(lock, interval,
-                                      [this] { return stopping_; })) {
-                const std::string line =
-                    meter.sample(monitor.aggregate(), campaigns);
-                if (heartbeat_sec > 0) {
-                    err << line << "\n";
-                    continue;
-                }
-                const std::size_t percent = static_cast<std::size_t>(
-                    100.0 * monitor.aggregate().fraction());
-                if (percent >= next_percent) {
-                    err << line << "\n";
-                    next_percent = percent + 5;
-                }
-            }
-        });
-    }
-
-    ~BatchReporter() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            stopping_ = true;
-        }
-        done_cv_.notify_all();
-        if (thread_.joinable()) thread_.join();
-    }
-
-    BatchReporter(const BatchReporter&) = delete;
-    BatchReporter& operator=(const BatchReporter&) = delete;
 
 private:
     std::mutex mutex_;
@@ -742,6 +655,46 @@ obs::CampaignInfo whole_campaign_info(const Scenario& scenario,
     return info;
 }
 
+/// The shared run of the whole-campaign commands: `call(session,
+/// telemetry)` under the live progress line, then the telemetry run
+/// report and trace, then the header line "<command>: <runs> runs[ in
+/// blocks of <block_size>] on <jobs> jobs, seed <seed> (<progress>)".
+/// Returns the call's result.
+template <typename Call>
+auto run_whole_campaign(const ParsedFlags& flags, const char* command,
+                        const Scenario& scenario, std::size_t jobs,
+                        std::uint64_t block_size, std::ostream& out,
+                        std::ostream& err, Call&& call) {
+    const std::size_t runs = scenario.run_protocol().runs;
+    engine::ProgressCounter progress;
+    Session session;
+    session.jobs(flags.jobs).progress(&progress);
+
+    TelemetrySession telemetry(flags, command);
+    decltype(call(session, telemetry)) result;
+    {
+        const ProgressReporter reporter(progress, err, runs,
+                                        flags.heartbeat, jobs);
+        result = call(session, telemetry);
+    }
+    telemetry.campaign(whole_campaign_info(scenario, block_size));
+    telemetry.finish(jobs, err);
+    telemetry.write_trace(scenario, err);
+
+    out << command << ": " << runs << " runs";
+    if (block_size != 0) out << " in blocks of " << block_size;
+    out << " on " << jobs << " jobs, seed " << scenario.run_protocol().seed
+        << " (" << engine::render_progress(progress) << ")\n";
+    return result;
+}
+
+/// The reduce engine shards the run range — the width a campaign of
+/// `runs` will actually keep busy.
+std::size_t shard_jobs(const ParsedFlags& flags, std::size_t runs) {
+    return engine::effective_jobs(
+        flags.jobs, engine::ReducePlan::for_count(runs).shards());
+}
+
 int cmd_estimate(const ParsedFlags& flags, std::ostream& out) {
     const MachineConfig config = build_config(flags);
     const UbdEstimatorOptions options = build_options(flags);
@@ -884,30 +837,16 @@ int cmd_campaign(const ParsedFlags& flags, std::ostream& out,
                  std::ostream& err) {
     RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
-    const std::size_t runs = scenario.run_protocol().runs;
-    const std::size_t jobs = engine::effective_jobs(flags.jobs, runs);
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "campaign");
-    HwmCampaignResult hwm;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        hwm = session.hwm(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
-
+    const HwmCampaignResult hwm = run_whole_campaign(
+        flags, "campaign", scenario,
+        engine::effective_jobs(flags.jobs, scenario.run_protocol().runs),
+        /*block_size=*/0, out, err,
+        [&](Session& session, TelemetrySession&) {
+            return session.hwm(scenario);
+        });
     const Cycle ubd = scenario.config().ubd_analytic();
     const Cycle etb = hwm.et_isolation + hwm.nr * ubd;
     const bool bounded = hwm.high_water_mark <= etb;
-    out << "campaign: " << runs << " runs on " << jobs << " jobs, seed "
-        << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
     out << "et_isol = " << hwm.et_isolation << " cycles, nr = " << hwm.nr
         << "\n";
     out << "hwm = " << hwm.high_water_mark << ", lwm = "
@@ -934,31 +873,17 @@ int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
                     std::ostream& err) {
     RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
-    const std::size_t runs = scenario.run_protocol().runs;
-    const std::size_t jobs = engine::effective_jobs(
-        flags.jobs, engine::ReducePlan::for_count(runs).shards());
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "attribution");
-    engine::AttributionCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.attribution(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.attribution(attribution_summary(r.attribution));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
-
+    const engine::AttributionCampaignResult r = run_whole_campaign(
+        flags, "attribution", scenario,
+        shard_jobs(flags, scenario.run_protocol().runs), /*block_size=*/0,
+        out, err, [&](Session& session, TelemetrySession& telemetry) {
+            engine::AttributionCampaignResult result =
+                session.attribution(scenario);
+            telemetry.attribution(attribution_summary(result.attribution));
+            return result;
+        });
     const AttributionAccumulator& acc = r.attribution;
     const CoreId cores = static_cast<CoreId>(acc.num_cores());
-    out << "attribution: " << runs << " runs on " << jobs << " jobs, seed "
-        << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
     out << "et_isol = " << r.et_isolation << " cycles, nr = " << r.nr
         << "\n";
     out << "machine cycles = " << acc.machine_cycles() << " per core over "
@@ -1047,12 +972,14 @@ int report_pwcet(const PwcetCampaignResult& r, Cycle ubd,
     return bounded ? 0 : 2;
 }
 
-/// `pwcet --shard i/N --checkpoint-out FILE`: run one slice of the
-/// campaign's shard plan and persist its accumulator state instead of
-/// fitting — the fit happens at `merge` time, over every slice.
-int cmd_pwcet_checkpoint(const ParsedFlags& flags, const Scenario& scenario,
-                         const PwcetSpec& spec, std::ostream& out,
-                         std::ostream& err) {
+/// `pwcet|whitebox --shard i/N --checkpoint-out FILE`: run one slice of
+/// the campaign's shard plan and persist its accumulator state instead
+/// of reporting — the report happens at `merge_command` time, over every
+/// slice. `run(session, slice)` runs the slice and writes the file.
+template <typename Run>
+int cmd_checkpoint(const ParsedFlags& flags, const char* command,
+                   const char* merge_command, const Scenario& scenario,
+                   std::ostream& out, std::ostream& err, Run&& run) {
     RRB_REQUIRE(!flags.checkpoint_out.empty(),
                 "--shard needs --checkpoint-out to name the slice file");
     const SliceSpec slice = flags.shard.value_or(SliceSpec{0, 1});
@@ -1061,15 +988,14 @@ int cmd_pwcet_checkpoint(const ParsedFlags& flags, const Scenario& scenario,
     Session session;
     session.jobs(flags.jobs).progress(&progress);
 
-    TelemetrySession telemetry(flags, "pwcet");
-    PwcetCheckpoint checkpoint;
+    TelemetrySession telemetry(flags, command);
+    decltype(run(session, slice)) checkpoint;
     {
         const ProgressReporter reporter(progress, err,
                                         scenario.run_protocol().runs,
                                         flags.heartbeat,
                                         session.worker_budget());
-        checkpoint = session.checkpoint(scenario, spec, slice,
-                                        flags.checkpoint_out);
+        checkpoint = run(session, slice);
     }
     // The shard report carries the slice's run range and plan from the
     // checkpoint metadata: collecting every shard's report reconstructs
@@ -1079,13 +1005,15 @@ int cmd_pwcet_checkpoint(const ParsedFlags& flags, const Scenario& scenario,
     telemetry.write_trace(scenario, err);
 
     const CheckpointMeta& meta = checkpoint.meta;
-    out << "pwcet shard " << slice.index << "/" << slice.count << ": runs ["
-        << meta.first_run << ", " << meta.last_run << ") of "
-        << meta.total_runs << " in blocks of " << meta.block_size
-        << ", seed " << meta.seed << "\n";
+    out << command << " shard " << slice.index << "/" << slice.count
+        << ": runs [" << meta.first_run << ", " << meta.last_run << ") of "
+        << meta.total_runs;
+    // Only pwcet slices have an EVT block size; whitebox ones carry 0.
+    if (meta.block_size != 0) out << " in blocks of " << meta.block_size;
+    out << ", seed " << meta.seed << "\n";
     out << "checkpoint written to " << flags.checkpoint_out << " ("
         << checkpoint.shards.size() << " shard accumulators, merge with "
-        << "'rrbtool merge')\n";
+        << "'rrbtool " << merge_command << "')\n";
     return 0;
 }
 
@@ -1103,33 +1031,20 @@ int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
     if (!flags.exceedances.empty()) spec.exceedance = flags.exceedances;
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
-        return cmd_pwcet_checkpoint(flags, scenario, spec, out, err);
+        return cmd_checkpoint(
+            flags, "pwcet", "merge", scenario, out, err,
+            [&](Session& session, const SliceSpec& slice) {
+                return session.checkpoint(scenario, spec, slice,
+                                          flags.checkpoint_out);
+            });
     }
 
-    const std::size_t runs = scenario.run_protocol().runs;
-    // The reduce engine shards the run range — report the width it will
-    // actually keep busy.
-    const std::size_t jobs = engine::effective_jobs(
-        flags.jobs, engine::ReducePlan::for_count(runs).shards());
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "pwcet");
-    PwcetCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.pwcet(scenario, spec);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, spec.block_size));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
-
-    out << "pwcet: " << r.runs << " runs in blocks of " << spec.block_size
-        << " on " << jobs << " jobs, seed " << scenario.run_protocol().seed
-        << " (" << engine::render_progress(progress) << ")\n";
+    const PwcetCampaignResult r = run_whole_campaign(
+        flags, "pwcet", scenario,
+        shard_jobs(flags, scenario.run_protocol().runs), spec.block_size,
+        out, err, [&](Session& session, TelemetrySession&) {
+            return session.pwcet(scenario, spec);
+        });
     // Exit contract, matching `campaign`: 0 = HWM bounded by the ETB,
     // 2 = bound violated; 3 = bounded but no usable fit.
     return report_pwcet(r, scenario.config().ubd_analytic(), out);
@@ -1203,75 +1118,26 @@ int report_whitebox(Cycle et_isolation, std::uint64_t nr,
     return bounded ? 0 : 2;
 }
 
-/// `whitebox --shard i/N --checkpoint-out FILE`: run one slice of the
-/// white-box campaign and persist its accumulator state; the merged
-/// report comes from `merge-whitebox`.
-int cmd_whitebox_checkpoint(const ParsedFlags& flags,
-                            const Scenario& scenario, std::ostream& out,
-                            std::ostream& err) {
-    RRB_REQUIRE(!flags.checkpoint_out.empty(),
-                "--shard needs --checkpoint-out to name the slice file");
-    const SliceSpec slice = flags.shard.value_or(SliceSpec{0, 1});
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "whitebox");
-    WhiteboxCheckpoint checkpoint;
-    {
-        const ProgressReporter reporter(progress, err,
-                                        scenario.run_protocol().runs,
-                                        flags.heartbeat,
-                                        session.worker_budget());
-        checkpoint = session.checkpoint(scenario, slice,
-                                        flags.checkpoint_out);
-    }
-    telemetry.campaign(telemetry_info(checkpoint.meta));
-    telemetry.finish(session.worker_budget(), err);
-    telemetry.write_trace(scenario, err);
-
-    const CheckpointMeta& meta = checkpoint.meta;
-    out << "whitebox shard " << slice.index << "/" << slice.count
-        << ": runs [" << meta.first_run << ", " << meta.last_run << ") of "
-        << meta.total_runs << ", seed " << meta.seed << "\n";
-    out << "checkpoint written to " << flags.checkpoint_out << " ("
-        << checkpoint.shards.size() << " shard accumulators, merge with "
-        << "'rrbtool merge-whitebox')\n";
-    return 0;
-}
-
 int cmd_whitebox(const ParsedFlags& flags, std::ostream& out,
                  std::ostream& err) {
     RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
     const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
-        return cmd_whitebox_checkpoint(flags, scenario, out, err);
+        return cmd_checkpoint(
+            flags, "whitebox", "merge-whitebox", scenario, out, err,
+            [&](Session& session, const SliceSpec& slice) {
+                return session.checkpoint(scenario, slice,
+                                          flags.checkpoint_out);
+            });
     }
 
-    const std::size_t runs = scenario.run_protocol().runs;
-    const std::size_t jobs = engine::effective_jobs(
-        flags.jobs, engine::ReducePlan::for_count(runs).shards());
-
-    engine::ProgressCounter progress;
-    Session session;
-    session.jobs(flags.jobs).progress(&progress);
-
-    TelemetrySession telemetry(flags, "whitebox");
-    engine::WhiteboxCampaignResult r;
-    {
-        const ProgressReporter reporter(progress, err, runs,
-                                        flags.heartbeat, jobs);
-        r = session.whitebox(scenario);
-    }
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
-    telemetry.finish(jobs, err);
-    telemetry.write_trace(scenario, err);
-
-    out << "whitebox: " << runs << " runs on " << jobs << " jobs, seed "
-        << scenario.run_protocol().seed << " ("
-        << engine::render_progress(progress) << ")\n";
+    const engine::WhiteboxCampaignResult r = run_whole_campaign(
+        flags, "whitebox", scenario,
+        shard_jobs(flags, scenario.run_protocol().runs), /*block_size=*/0,
+        out, err, [&](Session& session, TelemetrySession&) {
+            return session.whitebox(scenario);
+        });
     return report_whitebox(r.et_isolation, r.nr, r.stats,
                            scenario.config().ubd_analytic(), out);
 }
@@ -1288,12 +1154,12 @@ int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
     telemetry.campaign(telemetry_info(merged.meta));
     telemetry.finish(/*jobs=*/1, err);
     out << "merge-whitebox: " << flags.inputs.size() << " checkpoints, "
-        << merged.stats.runs() << " runs, seed " << merged.meta.seed
+        << merged.total.runs() << " runs, seed " << merged.meta.seed
         << "\n";
     // From here the report is byte-identical to the reference
     // single-process `whitebox` run — including the exit-code contract.
-    return report_whitebox(merged.et_isolation, merged.nr, merged.stats,
-                           merged.meta.ubd_analytic, out);
+    return report_whitebox(merged.meta.et_isolation, merged.meta.nr,
+                           merged.total, merged.meta.ubd_analytic, out);
 }
 
 int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
@@ -1487,10 +1353,6 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
     }
     const std::vector<BatchItem> items = sched::parse_batch_spec(*text);
 
-    std::size_t total_runs = 0;
-    for (const BatchItem& item : items) {
-        total_runs += item.scenario.run_protocol().runs;
-    }
     engine::ProgressCounter progress;
     Session session;
     session.jobs(flags.jobs).progress(&progress);
@@ -1506,11 +1368,14 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
         }
         monitor.announce(campaigns);
     }
+    const std::size_t total_runs = monitor.aggregate().total();
 
     TelemetrySession telemetry(flags, "batch");
     BatchResult result;
     {
-        const BatchReporter reporter(monitor, err, flags.heartbeat, jobs);
+        const ProgressReporter reporter(monitor.aggregate(), err, total_runs,
+                                        flags.heartbeat, jobs,
+                                        monitor.samples());
         result = session.batch(items, &monitor);
     }
     {

@@ -1,8 +1,6 @@
 #include "core/campaign.h"
 
 #include "core/experiment.h"
-#include "core/scenario.h"
-#include "core/session.h"
 #include "engine/machine_lease.h"
 #include "engine/seed_sequence.h"
 #include "machine/machine.h"
@@ -161,20 +159,5 @@ Cycle hwm_campaign_attribute(const MachineConfig& config,
 }
 
 }  // namespace detail
-
-
-HwmCampaignResult run_hwm_campaign(const MachineConfig& config,
-                                   const Program& scua,
-                                   const std::vector<Program>& contenders,
-                                   const HwmCampaignOptions& options) {
-    // Thin wrapper over the Scenario/Session layer. One worker keeps
-    // the historical serial semantics — and by the engine's determinism
-    // contract the numbers are bit-identical at any other width too.
-    Session session;
-    return session.jobs(1).hwm(Scenario::on(config)
-                                   .scua(scua)
-                                   .contenders(contenders)
-                                   .protocol(options));
-}
 
 }  // namespace rrb

@@ -50,23 +50,13 @@ struct HwmCampaignResult {
     }
 };
 
-/// Runs the campaign: `runs` contention executions of `scua` on core 0
+/// A campaign runs `runs` contention executions of the scua on core 0
 /// against the contender programs on the other cores, each run with
-/// fresh, seeded-random release offsets for the contenders.
-///
-/// Run i's offsets come from a Pcg32 seeded by
+/// fresh, seeded-random release offsets for the contenders. Run i's
+/// offsets come from a Pcg32 seeded by
 /// engine::SeedSequence(options.seed).seed_for(i) — a pure function of
 /// (seed, i) — so every execution path produces bit-identical results
-/// at any job count.
-///
-/// Low-level layer: this free function is kept as the historical entry
-/// point and delegates to the Scenario/Session API (core/session.h)
-/// with a one-worker budget. New code should build a Scenario and call
-/// Session::hwm directly.
-[[nodiscard]] HwmCampaignResult run_hwm_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {});
+/// at any job count. Session::hwm (core/session.h) runs one.
 
 /// A pWCET campaign streams runs into mergeable accumulators instead of
 /// materializing them: at any moment only O(runs / block_size) values

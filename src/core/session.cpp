@@ -1,17 +1,18 @@
 #include "core/session.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "engine/campaign_engine.h"
 #include "engine/progress.h"
 #include "engine/thread_pool.h"
 #include "obs/telemetry.h"
 #include "sched/campaign_scheduler.h"
 #include "sim/contract.h"
+#include "stats/series.h"
 
 namespace rrb {
 
@@ -36,16 +37,13 @@ MachineConfig apply_axes(MachineConfig config, std::optional<CoreId> cores,
     return config;
 }
 
-/// The one place a (Scenario, PwcetSpec) pair becomes the low-level
-/// campaign options — standalone pwcet and sweep grid points must
-/// assemble them identically or the bit-identity contract breaks.
-PwcetCampaignOptions to_campaign_options(const Scenario& scenario,
-                                         const PwcetSpec& spec) {
-    PwcetCampaignOptions options;
-    options.protocol = scenario.run_protocol();
-    options.block_size = spec.block_size;
-    options.exceedance = spec.exceedance;
-    return options;
+/// The statistical half of every pwcet path (standalone, sweep, batch,
+/// checkpoint, resume), checked before any run starts.
+void validate(const PwcetSpec& spec) {
+    RRB_REQUIRE(spec.block_size >= 1, "block size must be positive");
+    for (const double e : spec.exceedance) {
+        RRB_REQUIRE(e > 0.0 && e < 1.0, "exceedance probability in (0,1)");
+    }
 }
 
 /// The campaign identity a (scenario, spec) pair stamps into its
@@ -68,34 +66,141 @@ CheckpointMeta campaign_meta(const Scenario& scenario, const PwcetSpec& spec,
     return meta;
 }
 
-/// Lowers a scenario into the scheduler's work unit — the same option
-/// assembly (to_campaign_options) the standalone pwcet path uses, so a
-/// scheduled campaign and a sequential one fold identical inputs.
-sched::PwcetCampaignWork to_campaign_work(const Scenario& scenario,
-                                          const PwcetSpec& spec,
-                                          const char* span_name,
-                                          std::uint64_t span_index) {
-    sched::PwcetCampaignWork work;
-    work.config = scenario.config();
-    work.scua = scenario.scua_program();
-    work.contenders = scenario.contender_programs();
-    work.options = to_campaign_options(scenario, spec);
-    work.span_name = span_name;
-    work.span_index = span_index;
-    return work;
+engine::ReducePlan plan_of(const Scenario& scenario) {
+    return engine::ReducePlan::for_count(
+        static_cast<std::uint64_t>(scenario.run_protocol().runs));
 }
 
-/// The monolithic merge sequence over a full-plan slice: left-fold the
-/// shards in index order, finalize against the slice's baseline —
-/// exactly what engine::run_pwcet_campaign does after its reduce.
-PwcetCampaignResult finalize_slice(const engine::PwcetShardSlice& slice,
-                                   const std::vector<double>& exceedance) {
-    PwcetAccumulator acc = slice.shards.front();
-    for (std::size_t s = 1; s < slice.shards.size(); ++s) {
-        acc.merge(slice.shards[s]);
+/// Every plan shard of `range`, ascending.
+std::vector<std::size_t> shards_of(engine::ReducePlan::ShardRange range) {
+    std::vector<std::size_t> shards(range.size());
+    std::iota(shards.begin(), shards.end(), range.first);
+    return shards;
+}
+
+/// Lowers a scenario into the scheduler's work unit — the one lowering
+/// every campaign uses, so a batch point and a standalone campaign fold
+/// identical inputs.
+sched::CampaignWork lower(const Scenario& scenario,
+                          std::vector<std::size_t> shards,
+                          const char* span_name = "campaign",
+                          std::uint64_t span_index = 0) {
+    return {{scenario.config(), scenario.scua_program(),
+             scenario.contender_programs(), scenario.run_protocol()},
+            std::move(shards),
+            span_name,
+            span_index};
+}
+
+// The per-run folds: how one campaign run lands in each accumulator.
+
+template <typename Acc>
+void fold_measurement(Acc& acc, const sched::CampaignInputs& in,
+                      std::uint64_t run) {
+    acc.add(run, detail::hwm_campaign_measure(in.config, in.scua,
+                                              in.contenders, in.protocol,
+                                              run, in.fingerprint));
+}
+
+/// Exec times below 2^53, so the trip through double is exact.
+void fold_exec_time(Series& acc, const sched::CampaignInputs& in,
+                    std::uint64_t run) {
+    acc.add(static_cast<double>(detail::hwm_campaign_run(
+        in.config, in.scua, in.contenders, in.protocol, run,
+        in.fingerprint)));
+}
+
+void fold_attribution(AttributionAccumulator& acc,
+                      const sched::CampaignInputs& in, std::uint64_t run) {
+    static_cast<void>(detail::hwm_campaign_attribute(
+        in.config, in.scua, in.contenders, in.protocol, run, acc,
+        in.fingerprint));
+}
+
+/// Runs plan shards `shards` of the scenario's campaign as a batch of one
+/// on `pool`, ticking `progress` (announced by the caller) once per run.
+template <typename Acc>
+engine::ShardSlice<Acc> run_alone(engine::ThreadPool& pool,
+                                  engine::ProgressCounter* progress,
+                                  const Scenario& scenario,
+                                  std::vector<std::size_t> shards, Acc init,
+                                  sched::RunFold<Acc> fold) {
+    sched::CampaignScheduler scheduler(pool);
+    scheduler.add(lower(scenario, std::move(shards)), std::move(init), fold);
+    scheduler.run({.runs = progress});
+    return scheduler.take<Acc>(0);
+}
+
+/// A whole campaign as a batch of one, announced on `progress`.
+template <typename Acc>
+engine::ShardSlice<Acc> run_whole(engine::ThreadPool& pool,
+                                  engine::ProgressCounter* progress,
+                                  const Scenario& scenario, Acc init,
+                                  sched::RunFold<Acc> fold) {
+    const engine::ReducePlan plan = plan_of(scenario);
+    if (progress != nullptr) {
+        progress->begin(static_cast<std::size_t>(plan.count));
     }
-    return finalize_pwcet_campaign(acc, slice.et_isolation, slice.nr,
-                                   exceedance);
+    return run_alone(pool, progress, scenario, shards_of({0, plan.shards()}),
+                     std::move(init), fold);
+}
+
+/// A checkpoint of slice `slice` of a campaign, from the shards that ran
+/// for it.
+template <typename Acc>
+Checkpoint<Acc> to_checkpoint(CheckpointMeta meta, const SliceSpec& slice,
+                              const engine::ReducePlan& plan,
+                              engine::ReducePlan::ShardRange range,
+                              engine::ShardSlice<Acc> run) {
+    Checkpoint<Acc> checkpoint;
+    checkpoint.meta = std::move(meta);
+    checkpoint.meta.slice_index = slice.index;
+    checkpoint.meta.slice_count = slice.count;
+    if (range.size() > 0) {
+        checkpoint.meta.first_run = plan.shard_begin(range.first);
+        checkpoint.meta.last_run = checkpoint.meta.first_run + plan.runs(range);
+    }
+    checkpoint.meta.et_isolation = run.et_isolation;
+    checkpoint.meta.nr = run.nr;
+    checkpoint.first_shard = range.first;
+    checkpoint.shards = std::move(run.shards);
+    return checkpoint;
+}
+
+/// Runs slice `slice` of a campaign as a batch of one, announced on
+/// `progress`, and writes its checkpoint to `path`; `meta` is the
+/// campaign identity. Returns the checkpoint written.
+template <typename Acc>
+Checkpoint<Acc> checkpoint_slice(engine::ThreadPool& pool,
+                                 engine::ProgressCounter* progress,
+                                 const Scenario& scenario, CheckpointMeta meta,
+                                 const SliceSpec& slice,
+                                 const std::string& path, Acc init,
+                                 sched::RunFold<Acc> fold) {
+    const engine::ReducePlan plan = plan_of(scenario);
+    const engine::ReducePlan::ShardRange range =
+        plan.slice(slice.index, slice.count);
+    const obs::Span span("session.checkpoint", slice.index, range.size());
+    if (progress != nullptr) {
+        progress->begin(static_cast<std::size_t>(plan.runs(range)));
+    }
+    const Checkpoint<Acc> checkpoint = to_checkpoint(
+        std::move(meta), slice, plan, range,
+        run_alone(pool, progress, scenario, shards_of(range),
+                  std::move(init), fold));
+    save_checkpoint(path, checkpoint);
+    return checkpoint;
+}
+
+template <typename Acc>
+std::vector<Checkpoint<Acc>> load_all(const std::vector<std::string>& paths) {
+    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
+    std::vector<Checkpoint<Acc>> checkpoints;
+    checkpoints.reserve(paths.size());
+    for (const std::string& path : paths) {
+        checkpoints.push_back(load_checkpoint<Acc>(path));
+    }
+    return checkpoints;
 }
 
 }  // namespace
@@ -124,15 +229,6 @@ engine::ThreadPool& Session::shared_pool() {
         pool_ = std::make_unique<engine::ThreadPool>(worker_budget());
     }
     return *pool_;
-}
-
-engine::EngineOptions Session::engine_options(
-    engine::ProgressCounter* sink) {
-    engine::EngineOptions options;
-    options.jobs = jobs_;
-    options.progress = sink;
-    options.pool = &shared_pool();
-    return options;
 }
 
 Measurement Session::isolation(const Scenario& scenario) const {
@@ -165,31 +261,44 @@ HwmCampaignResult Session::hwm(const Scenario& scenario) {
     scenario.validate();
     const obs::Span span("session.hwm", 0,
                          scenario.run_protocol().runs);
-    return engine::run_hwm_campaign_parallel(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    engine::ShardSlice<Series> run = run_whole(
+        shared_pool(), progress_, scenario, Series{}, &fold_exec_time);
+    const Series times = engine::merge_in_order(std::move(run.shards));
+    HwmCampaignResult result;
+    result.et_isolation = run.et_isolation;
+    result.nr = run.nr;
+    result.exec_times.assign(times.values().begin(), times.values().end());
+    const auto [lwm, hwm] = std::minmax_element(result.exec_times.begin(),
+                                                result.exec_times.end());
+    result.high_water_mark = *hwm;
+    result.low_water_mark = *lwm;
+    return result;
 }
 
 PwcetCampaignResult Session::pwcet(const Scenario& scenario,
                                    const PwcetSpec& spec) {
     scenario.validate();
+    validate(spec);
     const obs::Span span("session.pwcet", 0,
                          scenario.run_protocol().runs);
-    return engine::run_pwcet_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), to_campaign_options(scenario, spec),
-        engine_options(progress_));
+    engine::ShardSlice<PwcetAccumulator> run =
+        run_whole(shared_pool(), progress_, scenario,
+                  PwcetAccumulator(spec.block_size),
+                  &fold_measurement<PwcetAccumulator>);
+    return finalize_pwcet_campaign(
+        engine::merge_in_order(std::move(run.shards)), run.et_isolation,
+        run.nr, spec.exceedance);
 }
 
 engine::WhiteboxCampaignResult Session::whitebox(const Scenario& scenario) {
     scenario.validate();
     const obs::Span span("session.whitebox", 0,
                          scenario.run_protocol().runs);
-    return engine::run_whitebox_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    engine::ShardSlice<WhiteboxAccumulator> run =
+        run_whole(shared_pool(), progress_, scenario, WhiteboxAccumulator{},
+                  &fold_measurement<WhiteboxAccumulator>);
+    return {run.et_isolation, run.nr,
+            engine::merge_in_order(std::move(run.shards))};
 }
 
 engine::AttributionCampaignResult Session::attribution(
@@ -197,15 +306,17 @@ engine::AttributionCampaignResult Session::attribution(
     scenario.validate();
     const obs::Span span("session.attribution", 0,
                          scenario.run_protocol().runs);
-    return engine::run_attribution_campaign(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), scenario.run_protocol(),
-        engine_options(progress_));
+    engine::ShardSlice<AttributionAccumulator> run =
+        run_whole(shared_pool(), progress_, scenario,
+                  AttributionAccumulator{}, &fold_attribution);
+    return {run.et_isolation, run.nr,
+            engine::merge_in_order(std::move(run.shards))};
 }
 
 SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
                            const PwcetSpec& spec) {
     scenario.validate();
+    validate(spec);
 
     // Materialize the enumeration. An empty axis contributes a single
     // disengaged value: apply_axes leaves the base config's setting
@@ -236,6 +347,7 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
     // every worker stays busy to the end of the grid. Per-run progress
     // stays off — the sweep reports per completed point.
     sched::CampaignScheduler scheduler(shared_pool());
+    const engine::ReducePlan plan = plan_of(scenario);
     SweepResult result;
     result.points.reserve(axes.points());
     for (const std::optional<CoreId>& c : cores) {
@@ -246,19 +358,24 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
                 point.cores = point.config.num_cores;
                 point.lbus = point.config.load_hit_service();
                 point.arbiter = point.config.arbiter;
-                scheduler.add(to_campaign_work(
-                    scenario.with_config(point.config), spec, "grid-point",
-                    result.points.size()));
+                const Scenario retargeted =
+                    scenario.with_config(point.config);
+                scheduler.add(
+                    lower(retargeted, shards_of({0, plan.shards()}),
+                          "grid-point", result.points.size()),
+                    PwcetAccumulator(spec.block_size),
+                    &fold_measurement<PwcetAccumulator>);
                 result.points.push_back(std::move(point));
             }
         }
     }
-    sched::CampaignScheduler::RunOptions run_options;
-    run_options.campaigns_done = progress_;
-    scheduler.run(run_options);
+    scheduler.run({.campaigns_done = progress_});
     for (std::size_t p = 0; p < result.points.size(); ++p) {
-        result.points[p].result =
-            finalize_slice(scheduler.take(p), spec.exceedance);
+        engine::ShardSlice<PwcetAccumulator> run =
+            scheduler.take<PwcetAccumulator>(p);
+        result.points[p].result = finalize_pwcet_campaign(
+            engine::merge_in_order(std::move(run.shards)), run.et_isolation,
+            run.nr, spec.exceedance);
     }
     return result;
 }
@@ -271,6 +388,7 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
     std::size_t total_runs = 0;
     for (const BatchItem& item : items) {
         item.scenario.validate();
+        validate(item.spec);
         total_runs += item.scenario.run_protocol().runs;
     }
     if (progress_ != nullptr) progress_->begin(total_runs);
@@ -278,51 +396,40 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
 
     sched::CampaignScheduler scheduler(shared_pool());
     for (std::size_t i = 0; i < items.size(); ++i) {
-        scheduler.add(
-            to_campaign_work(items[i].scenario, items[i].spec, "campaign", i));
+        scheduler.add(lower(items[i].scenario,
+                            shards_of({0, plan_of(items[i].scenario).shards()}),
+                            "campaign", i),
+                      PwcetAccumulator(items[i].spec.block_size),
+                      &fold_measurement<PwcetAccumulator>);
     }
-    sched::CampaignScheduler::RunOptions run_options;
-    run_options.batch = monitor;
-    run_options.runs = progress_;
-    scheduler.run(run_options);
+    scheduler.run({.batch = monitor, .runs = progress_});
 
     BatchResult result;
     result.points.reserve(items.size());
     for (std::size_t i = 0; i < items.size(); ++i) {
         const BatchItem& item = items[i];
+        BatchPointResult& point = result.points.emplace_back();
+        point.name = item.name;
         const sched::CampaignScheduler::CampaignStatus& status =
             scheduler.status(i);
         if (status.failed) {
             // This scenario's failure domain only: report it and keep
             // collecting the healthy campaigns' results.
-            BatchPointResult point;
-            point.name = item.name;
             point.ok = false;
             point.error = status.error;
-            result.points.push_back(std::move(point));
             continue;
         }
-        engine::PwcetShardSlice slice = scheduler.take(i);
-        const engine::ReducePlan plan =
-            engine::ReducePlan::for_count(static_cast<std::uint64_t>(
-                item.scenario.run_protocol().runs));
-
-        BatchPointResult point;
-        point.name = item.name;
-        point.result = finalize_slice(slice, item.spec.exceedance);
         // The whole campaign as slice 0 of 1 — the exact checkpoint
         // `checkpoint(scenario, spec, {0, 1}, path)` would have written,
         // so batch output farms through the same merge tooling.
-        point.checkpoint.meta = campaign_meta(item.scenario, item.spec, plan);
-        point.checkpoint.meta.slice_index = 0;
-        point.checkpoint.meta.slice_count = 1;
-        point.checkpoint.meta.first_run = slice.first_run;
-        point.checkpoint.meta.last_run = slice.last_run;
-        point.checkpoint.meta.et_isolation = slice.et_isolation;
-        point.checkpoint.meta.nr = slice.nr;
-        point.checkpoint.first_shard = slice.first_shard;
-        point.checkpoint.shards = std::move(slice.shards);
-        result.points.push_back(std::move(point));
+        const engine::ReducePlan plan = plan_of(item.scenario);
+        point.checkpoint = to_checkpoint(
+            campaign_meta(item.scenario, item.spec, plan), {0, 1}, plan,
+            {0, plan.shards()}, scheduler.take<PwcetAccumulator>(i));
+        point.result = finalize_pwcet_campaign(
+            engine::merge_in_order(point.checkpoint.shards),
+            point.checkpoint.meta.et_isolation, point.checkpoint.meta.nr,
+            item.spec.exceedance);
     }
     return result;
 }
@@ -332,86 +439,34 @@ PwcetCheckpoint Session::checkpoint(const Scenario& scenario,
                                     const SliceSpec& slice,
                                     const std::string& path) {
     scenario.validate();
-    const PwcetCampaignOptions options = to_campaign_options(scenario, spec);
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.protocol.runs));
-    const engine::ReducePlan::ShardRange range =
-        plan.slice(slice.index, slice.count);
-
-    const obs::Span span("session.checkpoint", slice.index, range.size());
-    engine::PwcetShardSlice run = engine::run_pwcet_campaign_shards(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options, range,
-        engine_options(progress_));
-
-    PwcetCheckpoint checkpoint;
-    checkpoint.meta = campaign_meta(scenario, spec, plan);
-    checkpoint.meta.slice_index = slice.index;
-    checkpoint.meta.slice_count = slice.count;
-    checkpoint.meta.first_run = run.first_run;
-    checkpoint.meta.last_run = run.last_run;
-    checkpoint.meta.et_isolation = run.et_isolation;
-    checkpoint.meta.nr = run.nr;
-    checkpoint.first_shard = run.first_shard;
-    checkpoint.shards = std::move(run.shards);
-    save_pwcet_checkpoint(path, checkpoint);
-    return checkpoint;
+    validate(spec);
+    return checkpoint_slice(
+        shared_pool(), progress_, scenario,
+        campaign_meta(scenario, spec, plan_of(scenario)), slice, path,
+        PwcetAccumulator(spec.block_size),
+        &fold_measurement<PwcetAccumulator>);
 }
 
 WhiteboxCheckpoint Session::checkpoint(const Scenario& scenario,
                                        const SliceSpec& slice,
                                        const std::string& path) {
     scenario.validate();
-    const HwmCampaignOptions& options = scenario.run_protocol();
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.runs));
-    const engine::ReducePlan::ShardRange range =
-        plan.slice(slice.index, slice.count);
-
-    const obs::Span span("session.checkpoint", slice.index, range.size());
-    engine::WhiteboxShardSlice run = engine::run_whitebox_campaign_shards(
-        scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options, range,
-        engine_options(progress_));
-
-    WhiteboxCheckpoint checkpoint;
     // The campaign identity minus the EVT half: white-box campaigns
     // have no block size or exceedance list (encoded as 0 / empty).
-    checkpoint.meta = campaign_meta(scenario, PwcetSpec{}, plan);
-    checkpoint.meta.block_size = 0;
-    checkpoint.meta.exceedance.clear();
-    checkpoint.meta.slice_index = slice.index;
-    checkpoint.meta.slice_count = slice.count;
-    checkpoint.meta.first_run = run.first_run;
-    checkpoint.meta.last_run = run.last_run;
-    checkpoint.meta.et_isolation = run.et_isolation;
-    checkpoint.meta.nr = run.nr;
-    checkpoint.first_shard = run.first_shard;
-    checkpoint.shards = std::move(run.shards);
-    save_whitebox_checkpoint(path, checkpoint);
-    return checkpoint;
+    return checkpoint_slice(
+        shared_pool(), progress_, scenario,
+        campaign_meta(scenario, PwcetSpec{0, {}}, plan_of(scenario)), slice,
+        path, WhiteboxAccumulator{}, &fold_measurement<WhiteboxAccumulator>);
 }
 
 MergedPwcetCampaign Session::merge(
     const std::vector<std::string>& paths) const {
-    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
-    std::vector<PwcetCheckpoint> checkpoints;
-    checkpoints.reserve(paths.size());
-    for (const std::string& path : paths) {
-        checkpoints.push_back(load_pwcet_checkpoint(path));
-    }
-    return merge_pwcet_checkpoints(std::move(checkpoints), paths);
+    return merge_pwcet_checkpoints(load_all<PwcetAccumulator>(paths), paths);
 }
 
 MergedWhiteboxCampaign Session::merge_whitebox(
     const std::vector<std::string>& paths) const {
-    RRB_REQUIRE(!paths.empty(), "merge needs at least one checkpoint file");
-    std::vector<WhiteboxCheckpoint> checkpoints;
-    checkpoints.reserve(paths.size());
-    for (const std::string& path : paths) {
-        checkpoints.push_back(load_whitebox_checkpoint(path));
-    }
-    return merge_whitebox_checkpoints(std::move(checkpoints), paths);
+    return merge_checkpoints(load_all<WhiteboxAccumulator>(paths), paths);
 }
 
 PwcetCampaignResult Session::resume(const Scenario& scenario,
@@ -431,11 +486,10 @@ PwcetCampaignResult Session::resume_impl(
     const Scenario& scenario, const PwcetSpec& spec,
     const std::vector<std::string>& paths, ResumeRecovery* recovery) {
     scenario.validate();
+    validate(spec);
     const obs::Span span("session.resume", 0,
                          scenario.run_protocol().runs);
-    const PwcetCampaignOptions options = to_campaign_options(scenario, spec);
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(options.protocol.runs));
+    const engine::ReducePlan plan = plan_of(scenario);
     CheckpointMeta expected = campaign_meta(scenario, spec, plan);
 
     // Load and validate: every checkpoint must identify as a slice of
@@ -446,9 +500,7 @@ PwcetCampaignResult Session::resume_impl(
     // fails to load or identify is quarantined (or, if unreadable at
     // the I/O level, just recorded) and its coverage recomputed; in
     // strict mode it throws exactly as before.
-    constexpr std::size_t kNobody = static_cast<std::size_t>(-1);
-    std::vector<PwcetAccumulator> by_shard(plan.shards());
-    std::vector<std::size_t> owner(plan.shards(), kNobody);
+    ShardCoverage<PwcetAccumulator> coverage(plan.shards());
     bool have_baseline = false;
     for (std::size_t i = 0; i < paths.size(); ++i) {
         PwcetCheckpoint checkpoint;
@@ -479,73 +531,47 @@ PwcetCampaignResult Session::resume_impl(
             recovery->actions.push_back(std::move(action));
             continue;
         }
-        bool duplicate_noted = false;
-        for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
-            const std::size_t index =
-                static_cast<std::size_t>(checkpoint.first_shard) + s;
-            if (owner[index] != kNobody) {
-                if (recovery == nullptr) {
-                    throw CheckpointError("duplicate slice: shard " +
-                                          std::to_string(index) +
-                                          " appears in both " +
-                                          paths[owner[index]] + " and " +
-                                          paths[i]);
-                }
-                // Valid data, redundant coverage (e.g. the same slice
-                // checkpointed twice across crashes): first owner
-                // wins, the file stays in place.
-                if (!duplicate_noted) {
-                    duplicate_noted = true;
-                    recovery->actions.push_back(
-                        {paths[i],
-                         "shard " + std::to_string(index) +
-                             " already covered by " + paths[owner[index]] +
-                             "; ignoring the duplicate coverage",
-                         std::string()});
-                }
-                continue;
-            }
-            owner[index] = i;
-            by_shard[index] = std::move(checkpoint.shards[s]);
+        const std::optional<std::size_t> duplicate = coverage.adopt(
+            checkpoint, i, paths, /*strict=*/recovery == nullptr);
+        if (duplicate) {
+            // Valid data, redundant coverage (e.g. the same slice
+            // checkpointed twice across crashes): first owner wins, the
+            // file stays in place.
+            recovery->actions.push_back(
+                {paths[i],
+                 "shard " + std::to_string(*duplicate) +
+                     " already covered by " +
+                     paths[*coverage.owner[*duplicate]] +
+                     "; ignoring the duplicate coverage",
+                 std::string()});
         }
     }
 
-    // Announce the whole campaign once, with the checkpointed runs
-    // counted as already completed: the progress line (and any
-    // heartbeat ETA built on it) sees "covered/total" from the first
-    // tick instead of a cold start re-announced per uncovered range.
-    engine::EngineOptions resumed_options = engine_options(progress_);
+    // Every uncovered shard runs as one campaign — one isolation
+    // measurement however many gaps the checkpoints left. Progress is
+    // announced once for the whole campaign, with the checkpointed runs
+    // counted as already completed: the progress line (and any heartbeat
+    // ETA built on it) sees "covered/total" from the first tick.
+    std::vector<std::size_t> uncovered;
+    std::uint64_t covered_runs = 0;
+    for (std::size_t s = 0; s < plan.shards(); ++s) {
+        if (coverage.owner[s]) {
+            covered_runs += plan.shard_end(s) - plan.shard_begin(s);
+        } else {
+            uncovered.push_back(s);
+        }
+    }
     if (progress_ != nullptr) {
-        std::size_t covered_runs = 0;
-        for (std::size_t s = 0; s < plan.shards(); ++s) {
-            if (owner[s] != kNobody) {
-                covered_runs += static_cast<std::size_t>(
-                    plan.shard_end(s) - plan.shard_begin(s));
-            }
-        }
-        progress_->begin_resumed(
-            static_cast<std::size_t>(plan.count), covered_runs);
-        resumed_options.progress_pre_announced = true;
+        progress_->begin_resumed(static_cast<std::size_t>(plan.count),
+                                 static_cast<std::size_t>(covered_runs));
     }
-
-    // Run every maximal uncovered shard range, exactly as a checkpoint
-    // slice would have.
-    for (std::size_t s = 0; s < plan.shards();) {
-        if (owner[s] != kNobody) {
-            ++s;
-            continue;
-        }
-        std::size_t end = s;
-        while (end < plan.shards() && owner[end] == kNobody) ++end;
-        obs::count(obs::kResumeShardsRerun,
-                   static_cast<std::uint64_t>(end - s));
-        if (recovery != nullptr) {
-            recovery->shards_rerun += static_cast<std::uint64_t>(end - s);
-        }
-        engine::PwcetShardSlice fresh = engine::run_pwcet_campaign_shards(
-            scenario.config(), scenario.scua_program(),
-            scenario.contender_programs(), options, {s, end},
-            resumed_options);
+    if (!uncovered.empty()) {
+        obs::count(obs::kResumeShardsRerun, uncovered.size());
+        if (recovery != nullptr) recovery->shards_rerun += uncovered.size();
+        engine::ShardSlice<PwcetAccumulator> fresh = run_alone(
+            shared_pool(), progress_, scenario, std::move(uncovered),
+            PwcetAccumulator(spec.block_size),
+            &fold_measurement<PwcetAccumulator>);
         if (have_baseline && (fresh.et_isolation != expected.et_isolation ||
                               fresh.nr != expected.nr)) {
             // The fingerprints matched, so a diverging deterministic
@@ -557,20 +583,14 @@ PwcetCampaignResult Session::resume_impl(
         }
         expected.et_isolation = fresh.et_isolation;
         expected.nr = fresh.nr;
-        have_baseline = true;
-        for (std::size_t f = 0; f < fresh.shards.size(); ++f) {
-            by_shard[s + f] = std::move(fresh.shards[f]);
+        for (std::size_t k = 0; k < fresh.indices.size(); ++k) {
+            coverage.by_shard[fresh.indices[k]] = std::move(fresh.shards[k]);
         }
-        s = end;
     }
-
-    // The monolithic merge sequence: left-fold in shard-index order.
-    PwcetAccumulator acc = std::move(by_shard[0]);
-    for (std::size_t s = 1; s < by_shard.size(); ++s) {
-        acc.merge(by_shard[s]);
-    }
-    return finalize_pwcet_campaign(acc, expected.et_isolation, expected.nr,
-                                   options.exceedance);
+    return finalize_pwcet_campaign(
+        engine::merge_in_order(std::move(coverage.by_shard)),
+        expected.et_isolation,
+        expected.nr, spec.exceedance);
 }
 
 }  // namespace rrb

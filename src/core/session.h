@@ -11,20 +11,20 @@
 //   auto                wb  = session.whitebox(scenario);
 //   SweepResult         g   = session.sweep(scenario, axes, spec);
 //
-// Every entry point inherits the engine's determinism contract: results
-// are bit-identical at every jobs value, including 1. sweep() runs a
+// Every campaign entry point runs through sched::CampaignScheduler on
+// the session's shared pool: hwm, pwcet, whitebox, attribution, both
+// checkpoint overloads and resume each submit a batch of one; sweep()
+// and batch() submit many. Results are therefore bit-identical at every
+// jobs value, including 1, and a sweep grid point or batch scenario is
+// bit-identical to the standalone call by construction. sweep() runs a
 // grid of MachineConfig variations (cores / lbus / arbiter axes) where
-// each grid point is itself a streamed pWCET campaign; the whole grid
-// drains as ONE flat (campaign × shard) queue on the session's shared
-// pool (sched::CampaignScheduler) — no per-point barrier, so a wide
-// grid keeps every worker busy to the end while each point's result
-// stays bit-identical to a standalone pwcet() on that config. batch()
-// does the same for heterogeneous scenarios and hands back one
-// whole-campaign checkpoint per scenario.
+// each grid point is a streamed pWCET campaign, drained as ONE flat
+// (campaign × shard) queue — no per-point barrier, so a wide grid keeps
+// every worker busy to the end. batch() does the same for heterogeneous
+// scenarios and hands back one whole-campaign checkpoint per scenario.
 //
-// This is the high-level layer. The free functions in core/campaign.h,
-// core/experiment.h and engine/ remain the low-level layer underneath;
-// the legacy campaign entry points delegate here.
+// This is the high-level layer; the per-run primitives in
+// core/campaign.h and core/experiment.h sit underneath.
 #pragma once
 
 #include <cstddef>
@@ -168,7 +168,8 @@ public:
     [[nodiscard]] Measurement contention(const Scenario& scenario) const;
     [[nodiscard]] SlowdownResult slowdown(const Scenario& scenario) const;
 
-    /// Materializing HWM campaign (one exec time per run).
+    /// Materializing HWM campaign (one exec time per run, folded as a
+    /// run-ordered Series).
     [[nodiscard]] HwmCampaignResult hwm(const Scenario& scenario);
 
     /// Streamed pWCET campaign: O(runs / block_size) live memory.
@@ -284,9 +285,6 @@ private:
         const Scenario& scenario, const PwcetSpec& spec,
         const std::vector<std::string>& paths, ResumeRecovery* recovery);
 
-    /// EngineOptions carrying the session policy and the shared pool.
-    [[nodiscard]] engine::EngineOptions engine_options(
-        engine::ProgressCounter* sink);
     [[nodiscard]] engine::ThreadPool& shared_pool();
 
     std::size_t jobs_ = 0;

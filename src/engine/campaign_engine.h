@@ -1,40 +1,33 @@
-// Parallel campaign engine: sharded, deterministic execution of HWM
-// campaigns and experiment grids.
+// Parallel execution primitives: the worker budget and ordered grid
+// collection.
 //
 // Every run of a measurement campaign — and every point of a sensitivity
 // grid — is an independent simulation: its own Machine, its own RNG
-// stream, no shared mutable state. That makes campaigns embarrassingly
-// parallel *if* two things hold, and this module exists to make them
-// hold:
+// stream, no shared mutable state. That makes them embarrassingly
+// parallel *if* two things hold:
 //
 //   1. Determinism. Run i draws its random offsets from a Pcg32 seeded
 //      by SeedSequence(campaign_seed).seed_for(i) — a pure function of
 //      (seed, i) — so the schedule of threads can never leak into the
-//      numbers. run_hwm_campaign_parallel(jobs = k) is bit-identical for
-//      every k and to the serial run_hwm_campaign.
-//   2. Cheap merge. Per-run results land in a pre-sized slot vector
-//      indexed by run id (ordered collection), and campaign statistics
-//      (HWM = max, LWM = min) are associative reductions over it — the
-//      sharding-with-constant-cost-merge pattern.
+//      numbers.
+//   2. Ordered collection. run_grid lands per-point results in a
+//      pre-sized slot vector indexed by point, so collection order is
+//      grid order whatever worker finishes first.
 //
-// This module is the low-level execution layer. The public facade is
-// the Scenario/Session API (core/scenario.h, core/session.h), which
-// builds EngineOptions — including the shared pool that lets nested
-// sweeps split one jobs budget — and delegates down to these functions.
+// Campaigns themselves run through sched::CampaignScheduler over the
+// shard plan of engine/reduce.h; the public facade is the
+// Scenario/Session API (core/scenario.h, core/session.h).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/campaign.h"
 #include "engine/progress.h"
-#include "engine/seed_sequence.h"
 #include "engine/thread_pool.h"
-#include "isa/program.h"
-#include "machine/config.h"
 
 namespace rrb::engine {
 
@@ -47,33 +40,20 @@ struct EngineOptions {
     ProgressCounter* progress = nullptr;
     /// Optional non-owning shared pool. When set, grids and reductions
     /// submit to it instead of spawning their own workers, and `jobs` no
-    /// longer sizes anything — the pool's width is the budget. This is
-    /// how Session::sweep nests streamed campaigns inside a config grid
-    /// without multiplying thread counts: one pool, sequential grid
-    /// points, each point's shards fanned across the shared workers.
-    /// The caller must not drive the same pool from two batches at once
+    /// longer sizes anything — the pool's width is the budget. The
+    /// caller must not drive the same pool from two batches at once
     /// (wait_idle() waits for *all* submitted jobs).
     ThreadPool* pool = nullptr;
-    /// When true the caller has already announced the batch on
-    /// `progress` (e.g. Session::resume calls begin_resumed() once for
-    /// the whole campaign, then runs several uncovered shard ranges);
-    /// reductions tick but never re-begin, so the counter keeps the
-    /// campaign-wide total instead of resetting per range.
-    bool progress_pre_announced = false;
 };
 
 /// `options.jobs` resolved against the actual amount of work: 0 maps to
 /// hardware concurrency, and the pool is never wider than `work_items`.
-[[nodiscard]] std::size_t effective_jobs(std::size_t requested,
-                                         std::size_t work_items) noexcept;
-
-/// Parallel drop-in for run_hwm_campaign: same preconditions, same
-/// result, `engine.jobs` machines simulating campaign runs concurrently.
-[[nodiscard]] HwmCampaignResult run_hwm_campaign_parallel(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
+[[nodiscard]] inline std::size_t effective_jobs(
+    std::size_t requested, std::size_t work_items) noexcept {
+    const std::size_t jobs =
+        requested == 0 ? ThreadPool::default_jobs() : requested;
+    return std::max<std::size_t>(1, std::min(jobs, work_items));
+}
 
 /// Evaluates `fn` on every grid point concurrently and returns the
 /// results in grid order (results[i] == fn(points[i])). `fn` must be
@@ -119,16 +99,6 @@ template <typename Point, typename Fn>
         results.push_back(std::move(*slot));
     }
     return results;
-}
-
-/// run_grid over the index range [0, count): handy when the "grid" is
-/// just job numbers (campaign runs, seeds, shards).
-template <typename Fn>
-[[nodiscard]] auto run_indexed(std::size_t count, Fn&& fn,
-                               const EngineOptions& engine = {}) {
-    std::vector<std::size_t> indices(count);
-    for (std::size_t i = 0; i < count; ++i) indices[i] = i;
-    return run_grid(indices, std::forward<Fn>(fn), engine);
 }
 
 }  // namespace rrb::engine

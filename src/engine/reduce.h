@@ -1,9 +1,11 @@
 // Sharded streaming reduction: campaigns that never materialize results.
 //
-// PR 1's engine collects one result per run into a pre-sized vector;
-// that contract caps campaigns at memory ~ runs. This module extends the
-// determinism contract from "collect all results in run order" to "fold
-// them into mergeable accumulators without ever holding them":
+// This module owns the three pieces every campaign executor shares: the
+// shard plan, the one per-shard body (fold_shard) and the one in-order
+// shard merge (merge_in_order). sched::CampaignScheduler runs every
+// campaign through them; reduce_indexed_shards runs an arbitrary indexed
+// fold through them on a pool of its own. The determinism contract is
+// "fold results into mergeable accumulators without ever holding them":
 //
 //   * Each shard owns a contiguous run range and folds it locally, in
 //     ascending run order, into its own accumulator.
@@ -16,10 +18,9 @@
 //     at every --jobs value.
 //
 // The accumulator concept: copy-constructible (the initial value seeds
-// every shard, carrying configuration such as the EVT block size),
-// `void add(std::uint64_t run_index, const Measurement&)` for campaign
-// reductions (reduce_indexed itself only needs the fold you hand it),
-// and `void merge(const Accumulator& later_shard)`.
+// every shard, carrying configuration such as the EVT block size), a
+// per-index fold handed in alongside it, and
+// `void merge(const Accumulator& later_shard)`.
 #pragma once
 
 #include <cstddef>
@@ -30,15 +31,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/campaign.h"
-#include "core/experiment.h"
 #include "engine/campaign_engine.h"
 #include "engine/thread_pool.h"
 #include "fault/fault.h"
-#include "isa/program.h"
-#include "machine/config.h"
 #include "obs/telemetry.h"
 #include "sim/contract.h"
+#include "sim/types.h"
+#include "stats/attribution.h"
 #include "stats/streaming.h"
 
 namespace rrb::engine {
@@ -89,6 +88,13 @@ struct ReducePlan {
         }
     };
 
+    /// Runs in the shards [range.first, range.last).
+    [[nodiscard]] std::uint64_t runs(ShardRange range) const noexcept {
+        return range.size() == 0
+                   ? 0
+                   : shard_end(range.last - 1) - shard_begin(range.first);
+    }
+
     /// Slice `slice_index` of `slice_count`: the plan's shards divided
     /// into contiguous, collectively exhaustive, mutually disjoint
     /// ranges. Slicing at shard granularity — never splitting a shard —
@@ -108,15 +114,70 @@ struct ReducePlan {
     }
 };
 
-/// Folds the plan's shards [range.first, range.last) concurrently, each
-/// shard folding its contiguous index range in ascending order into a
-/// copy of `init`, and returns the *unmerged* per-shard accumulators in
-/// shard order. This is the primitive both the monolithic reduce and
-/// the checkpointed slices are built on: a shard accumulator depends
-/// only on (plan, shard index, fold), so a shard computed by slice 3 of
-/// 4 on another machine is bit-identical to the one the monolithic run
-/// would have produced — and the fan-in can always replay the one true
-/// merge sequence. `fold` must be safe to call concurrently on distinct
+/// One campaign's folded shards: the isolation baseline plus one
+/// *unmerged* accumulator per plan shard it ran, in ascending shard
+/// order. A shard accumulator depends only on (plan, shard index, fold),
+/// so a shard folded by slice 3 of 4 on another machine is bit-identical
+/// to the one the monolithic run would have produced — and the fan-in
+/// can always replay the one true merge sequence (merge_in_order).
+template <typename Acc>
+struct ShardSlice {
+    Cycle et_isolation = 0;
+    std::uint64_t nr = 0;              ///< scua bus requests (PMC)
+    std::vector<std::size_t> indices;  ///< plan shard of each accumulator
+    std::vector<Acc> shards;           ///< parallel to `indices`
+};
+
+/// The per-shard body every executor runs: the shard fault site, the
+/// shard span (child of `parent_span`), `fold(acc, i)` over the shard's
+/// index range in ascending order into a copy of `init` with one
+/// `tick()` per index, and the shard counters. `campaign` is the fault
+/// key: the campaign index in submission order (a standalone campaign is
+/// campaign 0).
+template <typename Acc, typename Fold, typename Tick>
+[[nodiscard]] Acc fold_shard(const ReducePlan& plan, std::size_t shard,
+                             std::uint64_t campaign,
+                             std::uint64_t parent_span, const Acc& init,
+                             Fold&& fold, Tick&& tick) {
+    // Fault site: a worker dying mid-campaign before its shard folds.
+    // Off the per-run path — one disarmed load per shard, evaluated
+    // before any tick so an injected retry replays the shard exactly.
+    if (fault::should_fire(fault::Site::kShardThrow, campaign)) {
+        throw std::runtime_error("injected shard worker failure (campaign " +
+                                 std::to_string(campaign) + ")");
+    }
+    const std::uint64_t first = plan.shard_begin(shard);
+    const std::uint64_t last = plan.shard_end(shard);
+    const std::uint64_t begin_ns =
+        obs::enabled() ? obs::TelemetryRegistry::instance().now_ns() : 0;
+    const obs::Span span("shard", parent_span, shard, last - first);
+    Acc acc = init;  // carries configuration state
+    for (std::uint64_t i = first; i < last; ++i) {
+        fold(acc, i);
+        tick();
+    }
+    obs::count(obs::kShardsCompleted);
+    if (obs::enabled()) {
+        obs::count(obs::kShardWallNs,
+                   obs::TelemetryRegistry::instance().now_ns() - begin_ns);
+    }
+    return acc;
+}
+
+/// The one merge sequence every campaign total goes through: shard
+/// accumulators left-merged in ascending plan-shard order, which is run
+/// order — the order bit-identity requires (see the module comment).
+template <typename Acc>
+[[nodiscard]] Acc merge_in_order(std::vector<Acc> shards) {
+    RRB_REQUIRE(!shards.empty(), "a campaign total needs at least one shard");
+    Acc total = std::move(shards.front());
+    for (std::size_t s = 1; s < shards.size(); ++s) total.merge(shards[s]);
+    return total;
+}
+
+/// Folds the plan's shards [range.first, range.last) concurrently with
+/// fold_shard and returns the *unmerged* per-shard accumulators in shard
+/// order. `fold` must be safe to call concurrently on distinct
 /// accumulators. Progress begins with the range's index count and ticks
 /// once per index.
 template <typename Accumulator, typename Fold>
@@ -125,227 +186,68 @@ template <typename Accumulator, typename Fold>
     const Accumulator& init, const EngineOptions& engine = {}) {
     RRB_REQUIRE(range.first <= range.last && range.last <= plan.shards(),
                 "shard range outside the plan");
-    if (engine.progress != nullptr && !engine.progress_pre_announced) {
-        const std::uint64_t indices =
-            range.size() == 0
-                ? 0
-                : plan.shard_end(range.last - 1) -
-                      plan.shard_begin(range.first);
-        engine.progress->begin(static_cast<std::size_t>(indices));
+    if (engine.progress != nullptr) {
+        engine.progress->begin(static_cast<std::size_t>(plan.runs(range)));
     }
-    std::vector<std::optional<Accumulator>> slots(range.size());
-    if (!slots.empty()) {
-        // Borrow a shared pool when the caller provides one (nested
-        // campaigns splitting a jobs budget); otherwise build a
-        // batch-local pool. Neither changes results: the shard plan —
-        // and with it every merge tree — depends only on `count`.
+    std::vector<Accumulator> shards(range.size(), init);
+    if (!shards.empty()) {
+        // Borrow a shared pool when the caller provides one; otherwise
+        // build a batch-local pool. Neither changes results: the shard
+        // plan — and with it every merge tree — depends only on `count`.
         std::optional<ThreadPool> local;
         ThreadPool& pool =
             engine.pool != nullptr
                 ? *engine.pool
                 : local.emplace(effective_jobs(engine.jobs, range.size()));
         // The shard spans' parent is whatever span is open on the
-        // *submitting* thread (the campaign/grid-point span) — captured
-        // here because the workers' own span stacks are unrelated.
+        // *submitting* thread — captured here because the workers' own
+        // span stacks are unrelated.
         const std::uint64_t parent_span = obs::current_span();
+        const auto tick = [&engine] {
+            if (engine.progress != nullptr) engine.progress->tick();
+        };
         for (std::size_t s = 0; s < range.size(); ++s) {
-            pool.submit([&slots, &plan, &range, &fold, &engine, &init,
+            pool.submit([&shards, &plan, &range, &fold, &init, &tick,
                          parent_span, s] {
-                const std::size_t shard = range.first + s;
-                // Fault site: a worker dying mid-campaign before its
-                // shard folds (key: plan shard index). Off the per-run
-                // path — one disarmed load per shard.
-                if (fault::should_fire(fault::Site::kShardThrow,
-                                       shard)) {
-                    throw std::runtime_error(
-                        "injected shard worker failure (shard " +
-                        std::to_string(shard) + ")");
-                }
-                const std::uint64_t first = plan.shard_begin(shard);
-                const std::uint64_t last = plan.shard_end(shard);
-                const std::uint64_t begin_ns =
-                    obs::enabled()
-                        ? obs::TelemetryRegistry::instance().now_ns()
-                        : 0;
-                const obs::Span span("shard", parent_span, shard,
-                                     last - first);
-                Accumulator acc = init;  // carries configuration state
-                for (std::uint64_t i = first; i < last; ++i) {
-                    fold(acc, i);
-                    if (engine.progress != nullptr) engine.progress->tick();
-                }
-                slots[s].emplace(std::move(acc));
-                obs::count(obs::kShardsCompleted);
-                if (obs::enabled()) {
-                    obs::count(
-                        obs::kShardWallNs,
-                        obs::TelemetryRegistry::instance().now_ns() -
-                            begin_ns);
-                }
+                shards[s] = fold_shard(plan, range.first + s, 0, parent_span,
+                                       init, fold, tick);
             });
         }
         pool.wait_idle();  // rethrows the first shard failure
     }
-    std::vector<Accumulator> results;
-    results.reserve(slots.size());
-    for (std::optional<Accumulator>& slot : slots) {
-        results.push_back(std::move(*slot));
-    }
-    return results;
+    return shards;
 }
 
 /// Folds `fold(acc, i)` for i in [0, count) into a single accumulator:
-/// the full shard range via reduce_indexed_shards, then the shard
-/// results merged in shard order. Progress ticks once per index.
+/// the full shard range via reduce_indexed_shards, then merge_in_order.
+/// A zero count returns `init`. Progress ticks once per index.
 template <typename Accumulator, typename Fold>
 [[nodiscard]] Accumulator reduce_indexed(std::uint64_t count, Fold&& fold,
                                          Accumulator init,
                                          const EngineOptions& engine = {}) {
-    if (count == 0) {
-        if (engine.progress != nullptr && !engine.progress_pre_announced) {
-            engine.progress->begin(0);
-        }
-        return init;
-    }
     const ReducePlan plan = ReducePlan::for_count(count);
-    std::vector<Accumulator> shards = reduce_indexed_shards(
-        plan, {0, plan.shards()}, std::forward<Fold>(fold), init, engine);
-    Accumulator result = std::move(shards[0]);
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        result.merge(shards[s]);
-    }
-    return result;
+    std::vector<Accumulator> shards =
+        reduce_indexed_shards(plan, {0, plan.shards()}, fold, init, engine);
+    return shards.empty() ? init : merge_in_order(std::move(shards));
 }
 
-/// Campaign-shaped reduction: runs the HWM-campaign protocol for every
-/// run index and streams each run's full Measurement into the
-/// accumulator — never materializing a per-run vector. Bit-identical at
-/// every job count (see the module comment).
-template <typename Accumulator>
-[[nodiscard]] Accumulator run_campaign_reduce(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, Accumulator init,
-    const EngineOptions& engine = {}) {
-    RRB_REQUIRE(options.runs >= 1, "need at least one run");
-    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-    const std::uint64_t campaign =
-        detail::campaign_fingerprint(scua, contenders, options);
-    return reduce_indexed(
-        static_cast<std::uint64_t>(options.runs),
-        [&](Accumulator& acc, std::uint64_t run) {
-            acc.add(run, detail::hwm_campaign_measure(config, scua,
-                                                      contenders, options,
-                                                      run, campaign));
-        },
-        std::move(init), engine);
-}
-
-/// Streamed pWCET campaign: isolation baseline, then
-/// options.protocol.runs contention runs folded into a PwcetAccumulator
-/// on the reduce path,
-/// then the Gumbel fit over the streamed block maxima and pWCET
-/// quantiles at the requested exceedance probabilities. Live memory is
-/// O(runs / block_size); results are bit-identical for every
-/// engine.jobs.
-[[nodiscard]] PwcetCampaignResult run_pwcet_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const PwcetCampaignOptions& options = {},
-    const EngineOptions& engine = {});
-
-/// One checkpointable slice of a pWCET campaign: the isolation baseline
-/// (re-measured — it is deterministic, so every slice observes the same
-/// value) plus the *unmerged* per-shard accumulators for the plan's
-/// shards [range.first, range.last). The stats/checkpoint.h codec
-/// persists this; merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_pwcet_campaign at every jobs
-/// value and every slicing.
-struct PwcetShardSlice {
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;  ///< scua bus requests (PMC)
-    std::size_t first_shard = 0;
-    std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
-    std::uint64_t last_run = 0;
-    std::vector<PwcetAccumulator> shards;  ///< in shard order
-};
-
-[[nodiscard]] PwcetShardSlice run_pwcet_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const PwcetCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
-
-/// White-box campaign statistics over the sharded merge path: the
-/// gamma / ready-contenders / injection-delta histograms and the
-/// run-ordered execution-time series, identical to a serial fold of
-/// hwm_campaign_measure over the same options.
+/// White-box campaign statistics: the gamma / ready-contenders /
+/// injection-delta histograms and the run-ordered execution-time series,
+/// identical to a serial fold of hwm_campaign_measure over the campaign.
 struct WhiteboxCampaignResult {
     Cycle et_isolation = 0;
     std::uint64_t nr = 0;
     WhiteboxAccumulator stats;
 };
 
-[[nodiscard]] WhiteboxCampaignResult run_whitebox_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
-
-/// One checkpointable slice of a white-box campaign — the
-/// WhiteboxAccumulator counterpart of PwcetShardSlice, on the same
-/// contract: per-plan-shard accumulators, isolation re-measured per
-/// slice, merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_whitebox_campaign.
-struct WhiteboxShardSlice {
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;  ///< scua bus requests (PMC)
-    std::size_t first_shard = 0;
-    std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
-    std::uint64_t last_run = 0;
-    std::vector<WhiteboxAccumulator> shards;  ///< in shard order
-};
-
-[[nodiscard]] WhiteboxShardSlice run_whitebox_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
-
-/// Cycle-attribution campaign over the sharded merge path: every run
-/// executes with the profiler armed and its finalized per-core cause
-/// timelines / per-contender blame matrix are summed, identical to a
-/// serial fold of hwm_campaign_attribute over the same options.
+/// Cycle-attribution campaign totals: every run executed with the
+/// profiler armed, its finalized per-core cause timelines and
+/// per-contender blame matrix summed — identical to a serial fold of
+/// hwm_campaign_attribute over the campaign.
 struct AttributionCampaignResult {
     Cycle et_isolation = 0;
     std::uint64_t nr = 0;  ///< scua bus requests (PMC)
     AttributionAccumulator attribution;
 };
-
-[[nodiscard]] AttributionCampaignResult run_attribution_campaign(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options = {},
-    const EngineOptions& engine = {});
-
-/// One checkpointable slice of an attribution campaign — the
-/// AttributionAccumulator counterpart of WhiteboxShardSlice, on the
-/// same contract: per-plan-shard accumulators, isolation re-measured
-/// per slice, merging every slice's shards in shard-index order is
-/// bit-identical to the monolithic run_attribution_campaign.
-struct AttributionShardSlice {
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;  ///< scua bus requests (PMC)
-    std::size_t first_shard = 0;
-    std::uint64_t first_run = 0;  ///< run range [first_run, last_run)
-    std::uint64_t last_run = 0;
-    std::vector<AttributionAccumulator> shards;  ///< in shard order
-};
-
-[[nodiscard]] AttributionShardSlice run_attribution_campaign_shards(
-    const MachineConfig& config, const Program& scua,
-    const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options, ReducePlan::ShardRange range,
-    const EngineOptions& engine = {});
 
 }  // namespace rrb::engine

@@ -1,6 +1,9 @@
 #include "fault/fault.h"
 
 #include <cstdlib>
+#include <optional>
+
+#include "sim/parse.h"
 
 namespace rrb::fault {
 
@@ -44,14 +47,13 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 std::uint64_t parse_u64(const std::string& entry, const std::string& text,
                         const std::string& what) {
     if (text.empty()) malformed(entry, what + " is empty");
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') {
-            malformed(entry, what + " '" + text + "' is not a number");
-        }
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const std::optional<std::uint64_t> value =
+        parse_decimal<std::uint64_t>(text);
+    if (!value) {
+        malformed(entry, what + " '" + text + "' is not " +
+                             decimal_range<std::uint64_t>());
     }
-    return value;
+    return *value;
 }
 
 }  // namespace

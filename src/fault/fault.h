@@ -44,10 +44,10 @@
 //
 // No trigger means "*". "@KEY" restricts a rule to evaluations carrying
 // that key; a rule without "@" matches every key. What the key means is
-// the site's contract: scheduler sites (shard-throw, transient-io) are
-// keyed by campaign index in submission order, the engine reduce
-// evaluates shard-throw keyed by plan shard index, checkpoint sites by
-// save sequence number, decode-overflow by decode sequence number.
+// the site's contract: the campaign sites (shard-throw, transient-io)
+// are keyed by campaign index in submission order — a standalone
+// campaign is a batch of one, campaign 0 — checkpoint sites by save
+// sequence number, decode-overflow by decode sequence number.
 //
 // Examples:
 //   RRB_FAULTS='shard-throw@1:1'        first work item of campaign 1
@@ -72,10 +72,9 @@
 
 namespace rrb::fault {
 
-/// Named injection sites. Each is declared by exactly one (or, for
-/// kShardThrow, two — scheduler and engine reduce) production call
-/// sites; the comment names the failure it simulates and the key the
-/// site evaluates with.
+/// Named injection sites. Each is declared by exactly one production
+/// call site; the comment names the failure it simulates and the key
+/// the site evaluates with.
 enum class Site : unsigned {
     kCheckpointTruncate = 0,  ///< crash mid-write: torn temp file left
                               ///< behind (key: save sequence number)
@@ -83,9 +82,9 @@ enum class Site : unsigned {
                               ///< save sequence number)
     kCheckpointRename,        ///< rename into place fails (key: save
                               ///< sequence number)
-    kShardThrow,              ///< worker throws mid-campaign (key:
-                              ///< campaign index in the scheduler,
-                              ///< plan shard index in engine reduce)
+    kShardThrow,              ///< worker throws mid-campaign, before
+                              ///< a shard folds (key: campaign index
+                              ///< in submission order)
     kDecodeOverflow,          ///< replay decode reports overflow and
                               ///< falls back to the interpreter (key:
                               ///< decode sequence number)

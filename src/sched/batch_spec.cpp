@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "kernels/autobench.h"
+#include "sim/parse.h"
 
 namespace rrb::sched {
 
@@ -58,15 +59,15 @@ bool safe_name(std::string_view name) {
     return true;
 }
 
-std::uint64_t parse_number(std::string_view text, std::size_t line,
-                           const std::string& key) {
-    if (text.empty()) fail(line, key + " needs a number");
-    std::uint64_t value = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') fail(line, key + " needs a number");
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return value;
+/// `text` as a T, or a spec error naming the line and key: a value
+/// that would truncate on the way into the scenario field fails here
+/// instead of running a scenario nobody wrote.
+template <typename T>
+T parse_number(std::string_view text, std::size_t line,
+               const std::string& key) {
+    const std::optional<T> value = parse_decimal<T>(text);
+    if (!value) fail(line, key + " needs " + decimal_range<T>());
+    return *value;
 }
 
 bool parse_bool(std::string_view text, std::size_t line,
@@ -112,30 +113,28 @@ void apply_key(SpecEntry& entry, std::string_view key,
                std::string_view value, std::size_t line) {
     const std::string k(key);
     if (key == "cores") {
-        entry.cores = static_cast<CoreId>(parse_number(value, line, k));
+        entry.cores = parse_number<CoreId>(value, line, k);
     } else if (key == "lbus") {
-        entry.lbus = static_cast<Cycle>(parse_number(value, line, k));
+        entry.lbus = parse_number<Cycle>(value, line, k);
     } else if (key == "var") {
         entry.variant = parse_bool(value, line, k);
     } else if (key == "arbiter") {
         entry.arbiter = parse_arbiter(value, line);
     } else if (key == "iterations") {
-        entry.iterations = parse_number(value, line, k);
+        entry.iterations = parse_number<std::uint64_t>(value, line, k);
     } else if (key == "runs") {
-        entry.runs = static_cast<std::size_t>(parse_number(value, line, k));
+        entry.runs = parse_number<std::size_t>(value, line, k);
     } else if (key == "seed") {
-        entry.seed = parse_number(value, line, k);
+        entry.seed = parse_number<std::uint64_t>(value, line, k);
     } else if (key == "block-size") {
-        entry.block_size =
-            static_cast<std::size_t>(parse_number(value, line, k));
+        entry.block_size = parse_number<std::size_t>(value, line, k);
         if (entry.block_size == 0) {
             fail(line, "block-size must be at least 1");
         }
     } else if (key == "exceedance") {
         entry.exceedance = parse_exceedance(value, line);
     } else if (key == "max-start-delay") {
-        entry.max_start_delay =
-            static_cast<Cycle>(parse_number(value, line, k));
+        entry.max_start_delay = parse_number<Cycle>(value, line, k);
     } else {
         fail(line, "unknown key '" + k + "'");
     }

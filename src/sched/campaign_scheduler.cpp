@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "core/experiment.h"
@@ -63,29 +62,36 @@ std::vector<obs::CampaignSample> BatchProgress::samples() const {
     return out;
 }
 
-struct CampaignScheduler::Campaign {
-    PwcetCampaignWork work;
-    engine::ReducePlan plan;
-    std::uint64_t fingerprint = 0;  ///< config fingerprint, never 0
-    std::uint64_t span = 0;         ///< campaign span, open while running
-    std::atomic<std::size_t> remaining{0};  ///< items left (isol + shards)
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;
-    std::vector<std::optional<PwcetAccumulator>> slots;  ///< by shard
-    bool taken = false;
-    /// Failure domain: set once by the first throwing item (later items
-    /// of this campaign are skipped, not executed). The flag is the
-    /// workers' fast check; error/status are written under the state
-    /// mutex before the flag is released.
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    CampaignStatus status;
-};
+CampaignScheduler::Campaign::Campaign(CampaignWork w)
+    : work(std::move(w)),
+      plan(engine::ReducePlan::for_count(
+          static_cast<std::uint64_t>(work.inputs.protocol.runs))) {
+    // The eager validation every campaign gets on the calling thread — a
+    // malformed campaign must not surface as a worker-side failure
+    // halfway through an unrelated batch.
+    CampaignInputs& in = work.inputs;
+    RRB_REQUIRE(in.protocol.runs >= 1, "need at least one run");
+    RRB_REQUIRE(!in.contenders.empty(), "need at least one contender");
+    in.config.validate();
+    for (std::size_t i = 0; i < work.shards.size(); ++i) {
+        RRB_REQUIRE(work.shards[i] < plan.shards(),
+                    "campaign shard outside its plan");
+        RRB_REQUIRE(i == 0 || work.shards[i - 1] < work.shards[i],
+                    "campaign shards must ascend without repeats");
+        runs += plan.shard_end(work.shards[i]) -
+                plan.shard_begin(work.shards[i]);
+    }
+    in.fingerprint =
+        detail::campaign_fingerprint(in.scua, in.contenders, in.protocol);
+    const std::uint64_t fp = in.config.fingerprint();
+    fingerprint = fp == 0 ? 1 : fp;  // 0 = "no lease" sentinel
+}
 
-/// One queued (campaign, shard) unit of work.
+/// One queued (campaign, submitted shard) unit of work.
 struct CampaignScheduler::WorkItem {
     std::size_t campaign = 0;
-    std::size_t shard = 0;  ///< kIsolationItem for the baseline
+    std::size_t slot = 0;  ///< index into work.shards; kIsolationItem
+                           ///< for the baseline
 };
 
 /// All queued items of one config fingerprint, drained front to back
@@ -113,25 +119,8 @@ CampaignScheduler::CampaignScheduler(engine::ThreadPool& pool)
 
 CampaignScheduler::~CampaignScheduler() = default;
 
-std::size_t CampaignScheduler::add(PwcetCampaignWork work) {
+std::size_t CampaignScheduler::enqueue(std::unique_ptr<Campaign> campaign) {
     RRB_REQUIRE(!ran_, "cannot add campaigns after run()");
-    // The same eager validation the sequential engine entry points do,
-    // on the calling thread — a malformed campaign must not surface as
-    // a worker-side failure halfway through an unrelated batch.
-    RRB_REQUIRE(work.options.protocol.runs >= 1, "need at least one run");
-    RRB_REQUIRE(work.options.block_size >= 1, "block size must be positive");
-    for (const double e : work.options.exceedance) {
-        RRB_REQUIRE(e > 0.0 && e < 1.0, "exceedance probability in (0,1)");
-    }
-    RRB_REQUIRE(!work.contenders.empty(), "need at least one contender");
-    work.config.validate();
-
-    auto campaign = std::make_unique<Campaign>();
-    campaign->plan = engine::ReducePlan::for_count(
-        static_cast<std::uint64_t>(work.options.protocol.runs));
-    const std::uint64_t fp = work.config.fingerprint();
-    campaign->fingerprint = fp == 0 ? 1 : fp;  // 0 = "no lease" sentinel
-    campaign->work = std::move(work);
     campaigns_.push_back(std::move(campaign));
     return campaigns_.size() - 1;
 }
@@ -139,7 +128,7 @@ std::size_t CampaignScheduler::add(PwcetCampaignWork work) {
 std::size_t CampaignScheduler::work_items() const noexcept {
     std::size_t total = 0;
     for (const std::unique_ptr<Campaign>& c : campaigns_) {
-        total += c->plan.shards() + 1;
+        total += c->work.shards.size() + 1;
     }
     return total;
 }
@@ -151,19 +140,17 @@ void CampaignScheduler::run(const RunOptions& options) {
     std::size_t total_items = 0;
     for (std::size_t index = 0; index < campaigns_.size(); ++index) {
         Campaign& campaign = *campaigns_[index];
-        const std::size_t shards = campaign.plan.shards();
-        campaign.slots.assign(shards, std::nullopt);
+        const std::size_t shards = campaign.work.shards.size();
         campaign.remaining.store(shards + 1, std::memory_order_relaxed);
         // The campaign span parents every shard span, whatever worker
         // runs it — opened here, under the submitting thread's current
-        // span (session.sweep / session.batch), closed by whichever
+        // span (session.pwcet, session.sweep, ...), closed by whichever
         // worker finishes the campaign's last item.
         campaign.span = obs::enabled()
                             ? obs::TelemetryRegistry::instance().open_span(
                                   campaign.work.span_name,
                                   obs::current_span(),
-                                  campaign.work.span_index,
-                                  campaign.work.options.protocol.runs)
+                                  campaign.work.span_index, campaign.runs)
                             : 0;
 
         Bucket* bucket = nullptr;
@@ -178,8 +165,8 @@ void CampaignScheduler::run(const RunOptions& options) {
             bucket->fingerprint = campaign.fingerprint;
         }
         bucket->items.push_back({index, kIsolationItem});
-        for (std::size_t s = 0; s < shards; ++s) {
-            bucket->items.push_back({index, s});
+        for (std::size_t slot = 0; slot < shards; ++slot) {
+            bucket->items.push_back({index, slot});
         }
         total_items += shards + 1;
     }
@@ -295,71 +282,36 @@ void CampaignScheduler::execute(const WorkItem& item,
 void CampaignScheduler::run_item(const WorkItem& item,
                                  const RunOptions& options) {
     Campaign& campaign = *campaigns_[item.campaign];
-    const PwcetCampaignWork& work = campaign.work;
-
-    // Fault sites, evaluated at item start — before any progress tick,
-    // so an injected retry replays the item exactly (key: campaign
-    // index in submission order; shard items only, so a rule's match
-    // count is the campaign's shard count).
-    if (item.shard != kIsolationItem) {
-        if (fault::should_fire(fault::Site::kTransientIo,
-                               item.campaign)) {
-            throw fault::TransientError(
-                "injected transient I/O failure (campaign " +
-                std::to_string(item.campaign) + ")");
-        }
-        if (fault::should_fire(fault::Site::kShardThrow,
-                               item.campaign)) {
-            throw std::runtime_error(
-                "injected shard worker failure (campaign " +
-                std::to_string(item.campaign) + ")");
-        }
-    }
-
-    if (item.shard == kIsolationItem) {
-        // The deterministic baseline the sequential slice measures
-        // before its reduce — here just another queue item, so it also
-        // lands on a worker holding (or about to hold) this config's
-        // lease.
+    if (item.slot == kIsolationItem) {
+        // The deterministic baseline — just another queue item, so it
+        // also lands on a worker holding (or about to hold) this
+        // config's lease.
         const obs::Span span("isolation", campaign.span, 0, 1);
-        const Measurement isol =
-            run_isolation(work.config, work.scua, 0,
-                          work.options.protocol.max_cycles_per_run);
+        const CampaignInputs& in = campaign.work.inputs;
+        const Measurement isol = run_isolation(
+            in.config, in.scua, 0, in.protocol.max_cycles_per_run);
         RRB_ENSURE(!isol.deadline_reached);
         campaign.et_isolation = isol.exec_time;
         campaign.nr = isol.bus_requests;
-    } else {
-        const std::uint64_t first = campaign.plan.shard_begin(item.shard);
-        const std::uint64_t last = campaign.plan.shard_end(item.shard);
-        const std::uint64_t begin_ns =
-            obs::enabled() ? obs::TelemetryRegistry::instance().now_ns()
-                           : 0;
-        // Explicit parent: the *owning campaign's* span, never whatever
-        // campaign this worker happened to touch before — concurrent
-        // heterogeneous campaigns keep their timelines separate.
-        const obs::Span span("shard", campaign.span, item.shard,
-                             last - first);
-        PwcetAccumulator acc(work.options.block_size);
-        // Hash the campaign identity once per shard, not once per run.
-        const std::uint64_t fp = detail::campaign_fingerprint(
-            work.scua, work.contenders, work.options.protocol);
-        for (std::uint64_t i = first; i < last; ++i) {
-            acc.add(i, detail::hwm_campaign_measure(
-                           work.config, work.scua, work.contenders,
-                           work.options.protocol, i, fp));
-            if (options.runs != nullptr) options.runs->tick();
-            if (options.batch != nullptr) {
-                options.batch->aggregate().tick();
-                options.batch->campaign(item.campaign).tick();
-            }
-        }
-        campaign.slots[item.shard].emplace(std::move(acc));
-        obs::count(obs::kShardsCompleted);
-        if (obs::enabled()) {
-            obs::count(obs::kShardWallNs,
-                       obs::TelemetryRegistry::instance().now_ns() -
-                           begin_ns);
-        }
+        return;
+    }
+    // Scheduler-level fault site, evaluated at item start — before any
+    // progress tick, so an injected retry replays the item exactly (key:
+    // campaign index in submission order; shard items only, so a rule's
+    // match count is the campaign's shard count).
+    if (fault::should_fire(fault::Site::kTransientIo, item.campaign)) {
+        throw fault::TransientError(
+            "injected transient I/O failure (campaign " +
+            std::to_string(item.campaign) + ")");
+    }
+    campaign.run_shard(item.slot, item.campaign, options);
+}
+
+void CampaignScheduler::tick(const RunOptions& options, std::size_t index) {
+    if (options.runs != nullptr) options.runs->tick();
+    if (options.batch != nullptr) {
+        options.batch->aggregate().tick();
+        options.batch->campaign(index).tick();
     }
 }
 
@@ -370,33 +322,20 @@ const CampaignScheduler::CampaignStatus& CampaignScheduler::status(
     return campaigns_[index]->status;
 }
 
-engine::PwcetShardSlice CampaignScheduler::take(std::size_t index) {
+CampaignScheduler::Campaign& CampaignScheduler::claim(std::size_t index) {
     RRB_REQUIRE(ran_, "run() the batch before taking results");
     RRB_REQUIRE(index < campaigns_.size(), "campaign index out of range");
     Campaign& campaign = *campaigns_[index];
     RRB_REQUIRE(!campaign.taken, "campaign result already taken");
     if (campaign.status.failed) {
         // The caller asked for a result that does not exist; hand the
-        // original failure back on the calling thread (Session::sweep's
-        // "throws on failure" contract rides on this).
+        // original failure back on the calling thread (every standalone
+        // Session entry point's "throws on failure" contract rides on
+        // this).
         std::rethrow_exception(campaign.error);
     }
     campaign.taken = true;
-
-    engine::PwcetShardSlice slice;
-    slice.et_isolation = campaign.et_isolation;
-    slice.nr = campaign.nr;
-    slice.first_shard = 0;
-    const std::size_t shards = campaign.plan.shards();
-    if (shards > 0) {
-        slice.first_run = campaign.plan.shard_begin(0);
-        slice.last_run = campaign.plan.shard_end(shards - 1);
-    }
-    slice.shards.reserve(shards);
-    for (std::optional<PwcetAccumulator>& slot : campaign.slots) {
-        slice.shards.push_back(std::move(*slot));
-    }
-    return slice;
+    return campaign;
 }
 
 }  // namespace rrb::sched

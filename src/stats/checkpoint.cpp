@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <limits>
 #include <utility>
 
+#include "engine/reduce.h"
 #include "fault/fault.h"
 #include "obs/telemetry.h"
 #include "sim/contract.h"
@@ -51,6 +53,15 @@ std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
 
 [[noreturn]] void corrupt(const std::string& what) {
     throw CheckpointError("corrupt checkpoint: " + what);
+}
+
+/// A decoded element count, capped for `reserve` at what the remaining
+/// bytes could hold at `bytes_each`: length fields are untrusted, so a
+/// claimed 2^61 values must fail on the short read, not on allocation.
+std::size_t capped_count(const CheckpointReader& r, std::uint64_t n,
+                         std::size_t bytes_each) {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, r.remaining() / bytes_each));
 }
 
 }  // namespace
@@ -192,7 +203,7 @@ StreamingPeaksOverThreshold CheckpointCodec::load_pot(CheckpointReader& r) {
     a.count_ = r.u64();
     const std::uint64_t n = r.u64();
     if (n > a.count_) corrupt("more exceedances than observations");
-    a.exceedances_.reserve(static_cast<std::size_t>(n));
+    a.exceedances_.reserve(capped_count(r, n, 8));
     for (std::uint64_t i = 0; i < n; ++i) {
         const double v = r.f64();
         if (!(v > threshold)) corrupt("exceedance not above the threshold");
@@ -235,7 +246,7 @@ void CheckpointCodec::save(CheckpointWriter& w, const Series& a) {
 Series CheckpointCodec::load_series(CheckpointReader& r) {
     const std::uint64_t n = r.u64();
     std::vector<double> values;
-    values.reserve(static_cast<std::size_t>(n));
+    values.reserve(capped_count(r, n, 8));
     for (std::uint64_t i = 0; i < n; ++i) values.push_back(r.f64());
     return Series(std::move(values));
 }
@@ -310,6 +321,9 @@ AttributionAccumulator CheckpointCodec::load_attribution(
         return AttributionAccumulator{};  // canonical empty state
     }
     if (a.num_cores_ > 1024) corrupt("implausible attribution core count");
+    const std::size_t values =
+        a.num_cores_ * (kStallCauseCount + a.num_cores_ + 1);
+    if (r.remaining() / 8 < values) corrupt("truncated attribution matrix");
     a.timeline_.resize(a.num_cores_ * kStallCauseCount);
     a.blame_.resize(a.num_cores_ * a.num_cores_);
     a.dead_.resize(a.num_cores_);
@@ -374,7 +388,8 @@ void encode_meta(CheckpointWriter& w, const CheckpointMeta& meta) {
     for (const double e : meta.exceedance) w.f64(e);
 }
 
-CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
+CheckpointMeta decode_meta(CheckpointReader& r,
+                           void (*check_kind)(const CheckpointMeta&)) {
     CheckpointMeta meta;
     meta.scenario_fingerprint = r.u64();
     meta.seed = r.u64();
@@ -394,13 +409,7 @@ CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
     for (std::uint64_t i = 0; i < n; ++i) {
         meta.exceedance.push_back(r.f64());
     }
-    if (kind == kPayloadPwcet && meta.block_size == 0) {
-        corrupt("block size 0");
-    }
-    if (kind == kPayloadWhitebox &&
-        (meta.block_size != 0 || !meta.exceedance.empty())) {
-        corrupt("whitebox checkpoint carrying EVT parameters");
-    }
+    check_kind(meta);
     if (meta.shard_size == 0 || meta.plan_shards == 0) {
         corrupt("empty shard plan");
     }
@@ -412,15 +421,63 @@ CheckpointMeta decode_meta(CheckpointReader& r, PayloadKind kind) {
             "(engine version mismatch?) — re-run the campaign instead of "
             "merging across plans");
     }
+    // The plan rule: the only plan any build writes is the engine's
+    // plan for the run count, so anything else — a hostile plan_shards
+    // of 2^40 with a matching hash included — is rejected before merge
+    // or resume size a table by it.
+    const engine::ReducePlan plan =
+        engine::ReducePlan::for_count(meta.total_runs);
+    if (meta.shard_size != plan.shard_size ||
+        meta.plan_shards != plan.shards()) {
+        corrupt("shard plan is not the engine's plan for " +
+                std::to_string(meta.total_runs) + " runs");
+    }
     if (meta.first_run > meta.last_run || meta.last_run > meta.total_runs) {
         corrupt("run range outside the campaign");
     }
     return meta;
 }
 
-}  // namespace
+/// What tells the payload kinds apart; everything else about a
+/// checkpoint is one implementation.
+template <typename Acc>
+struct PayloadTraits;
 
-namespace {
+template <>
+struct PayloadTraits<PwcetAccumulator> {
+    static constexpr PayloadKind kKind = kPayloadPwcet;
+    static void check_meta(const CheckpointMeta& meta) {
+        if (meta.block_size == 0) corrupt("block size 0");
+    }
+    static PwcetAccumulator load(CheckpointReader& r) {
+        return CheckpointCodec::load_pwcet(r);
+    }
+    /// Runs a decoded shard folded, once it checks out against `meta`.
+    static std::uint64_t runs(const PwcetAccumulator& shard,
+                              const CheckpointMeta& meta) {
+        if (shard.blocks().block_size() != meta.block_size) {
+            corrupt("shard block size disagrees with the metadata");
+        }
+        return shard.extremes().count();
+    }
+};
+
+template <>
+struct PayloadTraits<WhiteboxAccumulator> {
+    static constexpr PayloadKind kKind = kPayloadWhitebox;
+    static void check_meta(const CheckpointMeta& meta) {
+        if (meta.block_size != 0 || !meta.exceedance.empty()) {
+            corrupt("whitebox checkpoint carrying EVT parameters");
+        }
+    }
+    static WhiteboxAccumulator load(CheckpointReader& r) {
+        return CheckpointCodec::load_whitebox(r);
+    }
+    static std::uint64_t runs(const WhiteboxAccumulator& shard,
+                              const CheckpointMeta& /*meta*/) {
+        return shard.runs();
+    }
+};
 
 /// Shared container prolog: magic + version + payload kind byte, with
 /// the whole file (checksum, payload) still to be read by the caller.
@@ -483,23 +540,26 @@ CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_pwcet_checkpoint(
-    const PwcetCheckpoint& checkpoint) {
+template <typename Acc>
+std::vector<std::uint8_t> encode_checkpoint(
+    const Checkpoint<Acc>& checkpoint) {
     CheckpointWriter w;
-    encode_header(w, kPayloadPwcet);
+    encode_header(w, PayloadTraits<Acc>::kKind);
     encode_meta(w, checkpoint.meta);
     w.u64(checkpoint.first_shard);
     w.u64(checkpoint.shards.size());
-    for (const PwcetAccumulator& shard : checkpoint.shards) {
+    for (const Acc& shard : checkpoint.shards) {
         CheckpointCodec::save(w, shard);
     }
     return seal(w);
 }
 
-PwcetCheckpoint decode_pwcet_checkpoint(std::span<const std::uint8_t> bytes) {
-    CheckpointReader r = open_checkpoint(bytes, kPayloadPwcet);
-    PwcetCheckpoint checkpoint;
-    checkpoint.meta = decode_meta(r, kPayloadPwcet);
+template <typename Acc>
+Checkpoint<Acc> decode_checkpoint(std::span<const std::uint8_t> bytes) {
+    using Traits = PayloadTraits<Acc>;
+    CheckpointReader r = open_checkpoint(bytes, Traits::kKind);
+    Checkpoint<Acc> checkpoint;
+    checkpoint.meta = decode_meta(r, &Traits::check_meta);
     checkpoint.first_shard = r.u64();
     const std::uint64_t n_shards = r.u64();
     // Overflow-proof range check: `first_shard + n_shards` could wrap
@@ -511,48 +571,8 @@ PwcetCheckpoint decode_pwcet_checkpoint(std::span<const std::uint8_t> bytes) {
     }
     std::uint64_t folded = 0;
     for (std::uint64_t i = 0; i < n_shards; ++i) {
-        PwcetAccumulator shard = CheckpointCodec::load_pwcet(r);
-        if (shard.blocks().block_size() != checkpoint.meta.block_size) {
-            corrupt("shard block size disagrees with the metadata");
-        }
-        folded += shard.extremes().count();
-        checkpoint.shards.push_back(std::move(shard));
-    }
-    if (folded != checkpoint.meta.last_run - checkpoint.meta.first_run) {
-        corrupt("shard observation counts do not cover the run range");
-    }
-    if (r.remaining() != 0) corrupt("trailing bytes after the payload");
-    return checkpoint;
-}
-
-std::vector<std::uint8_t> encode_whitebox_checkpoint(
-    const WhiteboxCheckpoint& checkpoint) {
-    CheckpointWriter w;
-    encode_header(w, kPayloadWhitebox);
-    encode_meta(w, checkpoint.meta);
-    w.u64(checkpoint.first_shard);
-    w.u64(checkpoint.shards.size());
-    for (const WhiteboxAccumulator& shard : checkpoint.shards) {
-        CheckpointCodec::save(w, shard);
-    }
-    return seal(w);
-}
-
-WhiteboxCheckpoint decode_whitebox_checkpoint(
-    std::span<const std::uint8_t> bytes) {
-    CheckpointReader r = open_checkpoint(bytes, kPayloadWhitebox);
-    WhiteboxCheckpoint checkpoint;
-    checkpoint.meta = decode_meta(r, kPayloadWhitebox);
-    checkpoint.first_shard = r.u64();
-    const std::uint64_t n_shards = r.u64();
-    if (checkpoint.first_shard > checkpoint.meta.plan_shards ||
-        n_shards > checkpoint.meta.plan_shards - checkpoint.first_shard) {
-        corrupt("shard range outside the plan");
-    }
-    std::uint64_t folded = 0;
-    for (std::uint64_t i = 0; i < n_shards; ++i) {
-        WhiteboxAccumulator shard = CheckpointCodec::load_whitebox(r);
-        folded += shard.runs();
+        Acc shard = Traits::load(r);
+        folded += Traits::runs(shard, checkpoint.meta);
         checkpoint.shards.push_back(std::move(shard));
     }
     if (folded != checkpoint.meta.last_run - checkpoint.meta.first_run) {
@@ -672,28 +692,16 @@ std::string quarantine_checkpoint(const std::string& path) {
     return target;
 }
 
-void save_pwcet_checkpoint(const std::string& path,
-                           const PwcetCheckpoint& checkpoint) {
-    write_file(path, encode_pwcet_checkpoint(checkpoint));
+template <typename Acc>
+void save_checkpoint(const std::string& path,
+                     const Checkpoint<Acc>& checkpoint) {
+    write_file(path, encode_checkpoint(checkpoint));
 }
 
-PwcetCheckpoint load_pwcet_checkpoint(const std::string& path) {
+template <typename Acc>
+Checkpoint<Acc> load_checkpoint(const std::string& path) {
     try {
-        return decode_pwcet_checkpoint(read_file(path));
-    } catch (const CheckpointError& e) {
-        if (!e.path().empty()) throw;
-        throw CheckpointError(e.kind(), path, e.reason());
-    }
-}
-
-void save_whitebox_checkpoint(const std::string& path,
-                              const WhiteboxCheckpoint& checkpoint) {
-    write_file(path, encode_whitebox_checkpoint(checkpoint));
-}
-
-WhiteboxCheckpoint load_whitebox_checkpoint(const std::string& path) {
-    try {
-        return decode_whitebox_checkpoint(read_file(path));
+        return decode_checkpoint<Acc>(read_file(path));
     } catch (const CheckpointError& e) {
         if (!e.path().empty()) throw;
         throw CheckpointError(e.kind(), path, e.reason());
@@ -768,123 +776,65 @@ void require_same_campaign(const CheckpointMeta& meta,
     }
 }
 
-MergedPwcetCampaign merge_pwcet_checkpoints(
-    std::vector<PwcetCheckpoint> checkpoints,
+template <typename Acc>
+MergedCheckpoints<Acc> merge_checkpoints(
+    std::vector<Checkpoint<Acc>> checkpoints,
     const std::vector<std::string>& sources) {
     if (checkpoints.empty()) {
         throw CheckpointError("merge needs at least one checkpoint");
     }
-    const auto source = [&](std::size_t i) {
-        return i < sources.size() ? sources[i]
-                                  : "checkpoint #" + std::to_string(i + 1);
-    };
+    std::vector<std::string> names = sources;
+    for (std::size_t i = names.size(); i < checkpoints.size(); ++i) {
+        names.push_back("checkpoint #" + std::to_string(i + 1));
+    }
 
     const CheckpointMeta& reference = checkpoints.front().meta;
     for (std::size_t i = 1; i < checkpoints.size(); ++i) {
-        require_same_campaign(checkpoints[i].meta, reference, source(i),
-                              source(0));
+        require_same_campaign(checkpoints[i].meta, reference, names[i],
+                              names[0]);
     }
 
     // Coverage: every plan shard exactly once — a duplicate slice (the
     // same shard from two files) is as wrong as a missing one.
-    constexpr std::size_t kNobody = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> owner(
-        static_cast<std::size_t>(reference.plan_shards), kNobody);
-    std::vector<const PwcetAccumulator*> by_shard(owner.size(), nullptr);
+    ShardCoverage<Acc> coverage(
+        static_cast<std::size_t>(reference.plan_shards));
     for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-        const PwcetCheckpoint& checkpoint = checkpoints[i];
-        for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
-            const std::size_t index =
-                static_cast<std::size_t>(checkpoint.first_shard) + s;
-            if (owner[index] != kNobody) {
-                throw CheckpointError(
-                    "duplicate slice: shard " + std::to_string(index) +
-                    " appears in both " + source(owner[index]) + " and " +
-                    source(i));
-            }
-            owner[index] = i;
-            by_shard[index] = &checkpoint.shards[s];
-        }
+        (void)coverage.adopt(checkpoints[i], i, names, /*strict=*/true);
     }
-    for (std::size_t index = 0; index < owner.size(); ++index) {
-        if (owner[index] == kNobody) {
+    for (std::size_t index = 0; index < coverage.owner.size(); ++index) {
+        if (!coverage.owner[index]) {
             throw CheckpointError(
                 "incomplete campaign: shard " + std::to_string(index) +
-                " of " + std::to_string(owner.size()) +
+                " of " + std::to_string(coverage.owner.size()) +
                 " is covered by no checkpoint");
         }
     }
-
-    // The monolithic merge sequence: left-fold in shard-index order.
-    PwcetAccumulator acc = *by_shard[0];
-    for (std::size_t index = 1; index < by_shard.size(); ++index) {
-        acc.merge(*by_shard[index]);
-    }
-
-    MergedPwcetCampaign merged;
-    merged.meta = reference;
-    merged.result = finalize_pwcet_campaign(
-        acc, reference.et_isolation, reference.nr, reference.exceedance);
-    return merged;
+    return {reference, engine::merge_in_order(std::move(coverage.by_shard))};
 }
 
-MergedWhiteboxCampaign merge_whitebox_checkpoints(
-    std::vector<WhiteboxCheckpoint> checkpoints,
+MergedPwcetCampaign merge_pwcet_checkpoints(
+    std::vector<PwcetCheckpoint> checkpoints,
     const std::vector<std::string>& sources) {
-    if (checkpoints.empty()) {
-        throw CheckpointError("merge needs at least one checkpoint");
-    }
-    const auto source = [&](std::size_t i) {
-        return i < sources.size() ? sources[i]
-                                  : "checkpoint #" + std::to_string(i + 1);
-    };
-
-    const CheckpointMeta& reference = checkpoints.front().meta;
-    for (std::size_t i = 1; i < checkpoints.size(); ++i) {
-        require_same_campaign(checkpoints[i].meta, reference, source(i),
-                              source(0));
-    }
-
-    // Coverage: every plan shard exactly once, as in the pwcet fan-in.
-    constexpr std::size_t kNobody = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> owner(
-        static_cast<std::size_t>(reference.plan_shards), kNobody);
-    std::vector<const WhiteboxAccumulator*> by_shard(owner.size(), nullptr);
-    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-        const WhiteboxCheckpoint& checkpoint = checkpoints[i];
-        for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
-            const std::size_t index =
-                static_cast<std::size_t>(checkpoint.first_shard) + s;
-            if (owner[index] != kNobody) {
-                throw CheckpointError(
-                    "duplicate slice: shard " + std::to_string(index) +
-                    " appears in both " + source(owner[index]) + " and " +
-                    source(i));
-            }
-            owner[index] = i;
-            by_shard[index] = &checkpoint.shards[s];
-        }
-    }
-    for (std::size_t index = 0; index < owner.size(); ++index) {
-        if (owner[index] == kNobody) {
-            throw CheckpointError(
-                "incomplete campaign: shard " + std::to_string(index) +
-                " of " + std::to_string(owner.size()) +
-                " is covered by no checkpoint");
-        }
-    }
-
-    // The monolithic merge sequence: left-fold in shard-index order, so
-    // the exec-time series comes out in run order.
-    MergedWhiteboxCampaign merged;
-    merged.meta = reference;
-    merged.et_isolation = reference.et_isolation;
-    merged.nr = reference.nr;
-    merged.stats = *by_shard[0];
-    for (std::size_t index = 1; index < by_shard.size(); ++index) {
-        merged.stats.merge(*by_shard[index]);
-    }
-    return merged;
+    const MergedCheckpoints<PwcetAccumulator> merged =
+        merge_checkpoints(std::move(checkpoints), sources);
+    const CheckpointMeta& meta = merged.meta;
+    return {meta, finalize_pwcet_campaign(merged.total, meta.et_isolation,
+                                          meta.nr, meta.exceedance)};
 }
+
+// The two payload kinds container v2 defines.
+template std::vector<std::uint8_t> encode_checkpoint(const PwcetCheckpoint&);
+template std::vector<std::uint8_t> encode_checkpoint(
+    const WhiteboxCheckpoint&);
+template PwcetCheckpoint decode_checkpoint(std::span<const std::uint8_t>);
+template WhiteboxCheckpoint decode_checkpoint(std::span<const std::uint8_t>);
+template void save_checkpoint(const std::string&, const PwcetCheckpoint&);
+template void save_checkpoint(const std::string&, const WhiteboxCheckpoint&);
+template PwcetCheckpoint load_checkpoint(const std::string&);
+template WhiteboxCheckpoint load_checkpoint(const std::string&);
+template MergedCheckpoints<PwcetAccumulator> merge_checkpoints(
+    std::vector<PwcetCheckpoint>, const std::vector<std::string>&);
+template MergedWhiteboxCampaign merge_checkpoints(
+    std::vector<WhiteboxCheckpoint>, const std::vector<std::string>&);
 
 }  // namespace rrb

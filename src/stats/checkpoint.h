@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -205,33 +206,34 @@ struct CheckpointMeta {
 
 /// One campaign slice on disk: metadata plus the per-plan-shard
 /// accumulators for shards [first_shard, first_shard + shards.size()).
-struct PwcetCheckpoint {
+/// Container v2 carries two payload kinds, tagged in the file so one
+/// kind can never be merged as the other: PwcetAccumulator slices of
+/// pWCET campaigns and WhiteboxAccumulator slices of the
+/// validation-figure campaigns (gamma / ready-contenders / injection
+/// histograms plus the run-ordered exec-time series). Whitebox metadata
+/// carries block_size 0 and an empty exceedance list (no EVT half
+/// exists).
+template <typename Acc>
+struct Checkpoint {
     CheckpointMeta meta;
     std::uint64_t first_shard = 0;
-    std::vector<PwcetAccumulator> shards;
+    std::vector<Acc> shards;
 };
 
-/// A white-box campaign slice on disk — the WhiteboxAccumulator
-/// counterpart of PwcetCheckpoint, for distributing validation-figure
-/// campaigns (gamma / ready-contenders / injection histograms plus the
-/// run-ordered exec-time series). The file format tags its payload
-/// kind, so a pwcet checkpoint can never be merged as a white-box one
-/// or vice versa. Whitebox metadata carries block_size 0 and an empty
-/// exceedance list (no EVT half exists).
-struct WhiteboxCheckpoint {
-    CheckpointMeta meta;
-    std::uint64_t first_shard = 0;
-    std::vector<WhiteboxAccumulator> shards;
-};
+using PwcetCheckpoint = Checkpoint<PwcetAccumulator>;
+using WhiteboxCheckpoint = Checkpoint<WhiteboxAccumulator>;
 
-[[nodiscard]] std::vector<std::uint8_t> encode_pwcet_checkpoint(
-    const PwcetCheckpoint& checkpoint);
-[[nodiscard]] PwcetCheckpoint decode_pwcet_checkpoint(
-    std::span<const std::uint8_t> bytes);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_whitebox_checkpoint(
-    const WhiteboxCheckpoint& checkpoint);
-[[nodiscard]] WhiteboxCheckpoint decode_whitebox_checkpoint(
+/// The codec — one implementation for both payload kinds. Decoding
+/// verifies magic, checksum, version and payload kind before trusting
+/// any field, rejects any shard plan other than
+/// engine::ReducePlan::for_count(total_runs) (which also caps the plan
+/// at 256 shards), and never allocates more than the remaining bytes can
+/// hold: any malformed input throws CheckpointError.
+template <typename Acc>
+[[nodiscard]] std::vector<std::uint8_t> encode_checkpoint(
+    const Checkpoint<Acc>& checkpoint);
+template <typename Acc>
+[[nodiscard]] Checkpoint<Acc> decode_checkpoint(
     std::span<const std::uint8_t> bytes);
 
 /// File forms. Saves are crash-safe: the bytes go to a same-directory
@@ -240,13 +242,21 @@ struct WhiteboxCheckpoint {
 /// complete file or the new complete file at `path`, never torn bytes
 /// (at worst a stale `.tmp`, which no loader ever reads). Load throws
 /// CheckpointError naming the path on any I/O or decode failure.
-void save_pwcet_checkpoint(const std::string& path,
-                           const PwcetCheckpoint& checkpoint);
-[[nodiscard]] PwcetCheckpoint load_pwcet_checkpoint(const std::string& path);
-void save_whitebox_checkpoint(const std::string& path,
-                              const WhiteboxCheckpoint& checkpoint);
-[[nodiscard]] WhiteboxCheckpoint load_whitebox_checkpoint(
-    const std::string& path);
+template <typename Acc>
+void save_checkpoint(const std::string& path,
+                     const Checkpoint<Acc>& checkpoint);
+template <typename Acc>
+[[nodiscard]] Checkpoint<Acc> load_checkpoint(const std::string& path);
+
+/// The pwcet spellings of the codec.
+inline constexpr auto& encode_pwcet_checkpoint =
+    encode_checkpoint<PwcetAccumulator>;
+inline constexpr auto& decode_pwcet_checkpoint =
+    decode_checkpoint<PwcetAccumulator>;
+inline constexpr auto& save_pwcet_checkpoint =
+    save_checkpoint<PwcetAccumulator>;
+inline constexpr auto& load_pwcet_checkpoint =
+    load_checkpoint<PwcetAccumulator>;
 
 /// Takes a bad checkpoint file out of the live set by renaming it to
 /// `<path>.corrupt` (overwriting an earlier quarantine of the same
@@ -256,9 +266,10 @@ void save_whitebox_checkpoint(const std::string& path,
 /// CheckpointError(Kind::kIo) if the rename itself fails.
 std::string quarantine_checkpoint(const std::string& path);
 
-/// The accumulator-to-result step shared by the monolithic campaign
-/// (engine/reduce.cpp) and the checkpoint merge: one implementation, so
-/// a merged campaign cannot drift from a single-process one.
+/// The accumulator-to-result step shared by every pWCET campaign path
+/// (Session::pwcet, sweep, batch, resume) and the checkpoint merge: one
+/// implementation, so a merged campaign cannot drift from a
+/// single-process one.
 [[nodiscard]] PwcetCampaignResult finalize_pwcet_campaign(
     const PwcetAccumulator& acc, Cycle et_isolation, std::uint64_t nr,
     const std::vector<double>& exceedance);
@@ -268,42 +279,82 @@ std::string quarantine_checkpoint(const std::string& path);
 /// scenario fingerprint, seed, run count, block size, shard plan,
 /// exceedance list and isolation baseline. Slice and run-range fields
 /// are excluded (they say which *part*, not which campaign). The one
-/// identity check behind both merge_pwcet_checkpoints and
-/// Session::resume.
+/// identity check behind both merge_checkpoints and Session::resume.
 void require_same_campaign(const CheckpointMeta& meta,
                            const CheckpointMeta& reference,
                            const std::string& source,
                            const std::string& reference_name);
+
+/// Which checkpoint covers each plan shard, and that shard's accumulator
+/// — the one coverage table behind merge_checkpoints and
+/// Session::resume.
+template <typename Acc>
+struct ShardCoverage {
+    explicit ShardCoverage(std::size_t plan_shards)
+        : owner(plan_shards), by_shard(plan_shards) {}
+
+    /// Moves the shards of checkpoint `i` (named `names[i]`; decoding
+    /// bounded them by the plan) into place. A shard an earlier
+    /// checkpoint covers throws CheckpointError naming both when
+    /// `strict`; otherwise the first owner keeps it and the first such
+    /// shard is returned.
+    std::optional<std::size_t> adopt(Checkpoint<Acc>& checkpoint,
+                                     std::size_t i,
+                                     const std::vector<std::string>& names,
+                                     bool strict) {
+        std::optional<std::size_t> duplicate;
+        for (std::size_t s = 0; s < checkpoint.shards.size(); ++s) {
+            const std::size_t index =
+                static_cast<std::size_t>(checkpoint.first_shard) + s;
+            if (!owner[index]) {
+                owner[index] = i;
+                by_shard[index] = std::move(checkpoint.shards[s]);
+            } else if (strict) {
+                throw CheckpointError(
+                    "duplicate slice: shard " + std::to_string(index) +
+                    " appears in both " + names[*owner[index]] + " and " +
+                    names[i]);
+            } else if (!duplicate) {
+                duplicate = index;
+            }
+        }
+        return duplicate;
+    }
+
+    std::vector<std::optional<std::size_t>> owner;  ///< per plan shard
+    std::vector<Acc> by_shard;
+};
+
+/// A merged campaign: the shared campaign identity (baseline included)
+/// and the shard accumulators folded into one.
+template <typename Acc>
+struct MergedCheckpoints {
+    CheckpointMeta meta;
+    Acc total;
+};
+
+using MergedWhiteboxCampaign = MergedCheckpoints<WhiteboxAccumulator>;
+
+/// Fan-in: validates the checkpoints are slices of one campaign (equal
+/// fingerprint / seed / plan / spec), that their shards cover the whole
+/// plan exactly once (duplicates and gaps both throw, naming the shard),
+/// then left-folds all shard accumulators in shard-index order — the
+/// monolithic merge sequence, engine::merge_in_order. `sources`
+/// (parallel to `checkpoints`, typically file paths) names offenders in
+/// errors; pass {} to report by slice position instead.
+template <typename Acc>
+[[nodiscard]] MergedCheckpoints<Acc> merge_checkpoints(
+    std::vector<Checkpoint<Acc>> checkpoints,
+    const std::vector<std::string>& sources = {});
 
 struct MergedPwcetCampaign {
     CheckpointMeta meta;  ///< the shared campaign identity
     PwcetCampaignResult result;
 };
 
-/// Fan-in: validates the checkpoints are slices of one campaign (equal
-/// fingerprint / seed / plan / spec), that their shards cover the whole
-/// plan exactly once (duplicates and gaps both throw, naming the shard),
-/// then left-folds all shard accumulators in shard-index order — the
-/// monolithic merge sequence — and finalizes. `sources` (parallel to
-/// `checkpoints`, typically file paths) names offenders in errors; pass
-/// {} to report by slice position instead.
+/// merge_checkpoints, then finalize_pwcet_campaign.
 [[nodiscard]] MergedPwcetCampaign merge_pwcet_checkpoints(
     std::vector<PwcetCheckpoint> checkpoints,
-    const std::vector<std::string>& sources = {});
-
-/// White-box fan-in on the same validation + merge-order contract; the
-/// merged accumulator is bit-identical to the monolithic
-/// engine::run_whitebox_campaign's (histograms are exact integer adds,
-/// and shard-order series merge reconstructs run order).
-struct MergedWhiteboxCampaign {
-    CheckpointMeta meta;  ///< the shared campaign identity
-    Cycle et_isolation = 0;
-    std::uint64_t nr = 0;
-    WhiteboxAccumulator stats;
-};
-
-[[nodiscard]] MergedWhiteboxCampaign merge_whitebox_checkpoints(
-    std::vector<WhiteboxCheckpoint> checkpoints,
     const std::vector<std::string>& sources = {});
 
 }  // namespace rrb

@@ -187,7 +187,7 @@ public:
     /// of the campaign-accumulator concept's signature.
     void add(std::uint64_t run_index, double value);
     /// Campaign form: folds the run's execution time, so the
-    /// accumulator rides engine::run_campaign_reduce unchanged.
+    /// accumulator rides a scheduler campaign unchanged.
     void add(std::uint64_t run_index, const Measurement& m);
 
     /// Folds a later shard in (other's runs follow this one's).

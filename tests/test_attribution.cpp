@@ -20,12 +20,17 @@
 
 #include "core/campaign.h"
 #include "core/estimator.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/reduce.h"
+#include "engine/thread_pool.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/attribution.h"
 #include "machine/config.h"
 #include "machine/machine.h"
+#include "sched/campaign_scheduler.h"
+#include "serial_reference.h"
 #include "stats/attribution.h"
 #include "stats/checkpoint.h"
 
@@ -293,11 +298,8 @@ TEST(Attribution, CampaignBitIdenticalAcrossJobsAndSharding) {
     options.runs = 12;
     options.seed = 11;
 
-    engine::EngineOptions serial;
-    serial.jobs = 1;
     const engine::AttributionCampaignResult reference =
-        engine::run_attribution_campaign(config, scua, contenders, options,
-                                         serial);
+        reference::attribution(config, scua, contenders, options);
     EXPECT_EQ(reference.attribution.runs(), options.runs);
     for (CoreId c = 0; c < config.num_cores; ++c) {
         // Closed accounting survives the campaign sum: every run's core
@@ -312,35 +314,58 @@ TEST(Attribution, CampaignBitIdenticalAcrossJobsAndSharding) {
             << "core " << c;
     }
 
-    engine::EngineOptions wide;
-    wide.jobs = 4;
-    const engine::AttributionCampaignResult parallel =
-        engine::run_attribution_campaign(config, scua, contenders, options,
-                                         wide);
-    EXPECT_EQ(parallel.et_isolation, reference.et_isolation);
-    expect_same_accumulator(parallel.attribution, reference.attribution,
-                            "jobs 4 vs jobs 1");
+    const Scenario scenario =
+        Scenario::on(config).scua(scua).contenders(contenders).protocol(
+            options);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        Session session;
+        session.jobs(jobs);
+        const engine::AttributionCampaignResult parallel =
+            session.attribution(scenario);
+        EXPECT_EQ(parallel.et_isolation, reference.et_isolation);
+        expect_same_accumulator(parallel.attribution, reference.attribution,
+                                "jobs " + std::to_string(jobs) +
+                                    " vs serial");
+    }
 
-    // Distributed form: two disjoint shard slices, merged in shard
-    // order, reproduce the monolithic accumulator bit-exactly.
+    // Distributed form: two disjoint shard sets scheduled as two
+    // campaigns of one batch, merged in shard order, reproduce the
+    // serial accumulator bit-exactly.
     const engine::ReducePlan plan = engine::ReducePlan::for_count(
         static_cast<std::uint64_t>(options.runs));
     const std::size_t mid = plan.shards() / 2;
-    engine::AttributionShardSlice left =
-        engine::run_attribution_campaign_shards(config, scua, contenders,
-                                                options, {0, mid}, wide);
-    engine::AttributionShardSlice right =
-        engine::run_attribution_campaign_shards(
-            config, scua, contenders, options, {mid, plan.shards()}, wide);
-    AttributionAccumulator merged;
-    for (const AttributionAccumulator& shard : left.shards) {
-        merged.merge(shard);
+    engine::ThreadPool pool(4);
+    sched::CampaignScheduler scheduler(pool);
+    for (const engine::ReducePlan::ShardRange range :
+         {engine::ReducePlan::ShardRange{0, mid},
+          engine::ReducePlan::ShardRange{mid, plan.shards()}}) {
+        sched::CampaignWork work;
+        work.inputs.config = config;
+        work.inputs.scua = scua;
+        work.inputs.contenders = contenders;
+        work.inputs.protocol = options;
+        for (std::size_t s = range.first; s < range.last; ++s) {
+            work.shards.push_back(s);
+        }
+        scheduler.add(std::move(work), AttributionAccumulator{},
+                      [](AttributionAccumulator& acc,
+                         const sched::CampaignInputs& in,
+                         std::uint64_t run) {
+                          static_cast<void>(detail::hwm_campaign_attribute(
+                              in.config, in.scua, in.contenders,
+                              in.protocol, run, acc, in.fingerprint));
+                      });
     }
-    for (const AttributionAccumulator& shard : right.shards) {
-        merged.merge(shard);
+    scheduler.run();
+    AttributionAccumulator merged;
+    for (std::size_t half = 0; half < 2; ++half) {
+        for (const AttributionAccumulator& shard :
+             scheduler.take<AttributionAccumulator>(half).shards) {
+            merged.merge(shard);
+        }
     }
     expect_same_accumulator(merged, reference.attribution,
-                            "shard+merge vs monolithic");
+                            "shard+merge vs serial");
 }
 
 TEST(Attribution, CheckpointCodecRoundTripsAccumulator) {

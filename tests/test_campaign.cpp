@@ -8,6 +8,8 @@
 #include "core/estimator.h"
 #include "core/experiment.h"
 #include "core/padding.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/machine.h"
@@ -22,11 +24,22 @@ HwmCampaignOptions small_campaign() {
     return opt;
 }
 
+/// One HWM campaign through Session on a single worker.
+HwmCampaignResult session_hwm(const MachineConfig& config,
+                              const Program& scua,
+                              const std::vector<Program>& contenders,
+                              const HwmCampaignOptions& options) {
+    Session session;
+    return session.jobs(1).hwm(
+        Scenario::on(config).scua(scua).contenders(contenders).protocol(
+            options));
+}
+
 TEST(HwmCampaign, BoundedByEtbWithTrueUbd) {
     const MachineConfig cfg = MachineConfig::ngmp_ref();
     const Program scua =
         make_autobench(Autobench::kCacheb, 0x0100'0000, 150, 3);
-    const HwmCampaignResult hwm = run_hwm_campaign(
+    const HwmCampaignResult hwm = session_hwm(
         cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign());
     const Cycle etb = hwm.et_isolation + hwm.nr * cfg.ubd_analytic();
     EXPECT_LE(hwm.high_water_mark, etb);
@@ -40,7 +53,7 @@ TEST(HwmCampaign, PerRequestSlowdownNeverExceedsUbd) {
     p.unroll = 8;
     p.iterations = 30;
     const Program scua = make_rsk(p);
-    const HwmCampaignResult hwm = run_hwm_campaign(
+    const HwmCampaignResult hwm = session_hwm(
         cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign());
     EXPECT_LE(hwm.hwm_slowdown_per_request(),
               static_cast<double>(cfg.ubd_analytic()));
@@ -56,7 +69,7 @@ TEST(HwmCampaign, RandomOffsetsProduceSpread) {
         make_autobench(Autobench::kTblook, 0x0100'0000, 100, 5);
     HwmCampaignOptions opt = small_campaign();
     opt.runs = 10;
-    const HwmCampaignResult hwm = run_hwm_campaign(
+    const HwmCampaignResult hwm = session_hwm(
         cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), opt);
     const std::set<Cycle> distinct(hwm.exec_times.begin(),
                                    hwm.exec_times.end());
@@ -67,9 +80,9 @@ TEST(HwmCampaign, DeterministicForSameSeed) {
     const MachineConfig cfg = MachineConfig::ngmp_ref();
     const Program scua =
         make_autobench(Autobench::kCanrdr, 0x0100'0000, 60, 2);
-    const auto a = run_hwm_campaign(
+    const auto a = session_hwm(
         cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign());
-    const auto b = run_hwm_campaign(
+    const auto b = session_hwm(
         cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign());
     EXPECT_EQ(a.exec_times, b.exec_times);
 }
@@ -80,9 +93,9 @@ TEST(HwmCampaign, Validation) {
     const Program scua = make_rsk(p);
     HwmCampaignOptions opt;
     opt.runs = 0;
-    EXPECT_THROW(run_hwm_campaign(cfg, scua, {scua}, opt),
+    EXPECT_THROW(session_hwm(cfg, scua, {scua}, opt),
                  std::invalid_argument);
-    EXPECT_THROW(run_hwm_campaign(cfg, scua, {}, {}), std::invalid_argument);
+    EXPECT_THROW(session_hwm(cfg, scua, {}, {}), std::invalid_argument);
 }
 
 TEST(L2MissKernel, EveryLoadReachesDram) {

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "engine/reduce.h"
 #include "kernels/autobench.h"
 #include "machine/config.h"
+#include "sim/fnv.h"
 
 namespace rrb {
 namespace {
@@ -294,6 +298,87 @@ TEST(PwcetCheckpointFile, RejectsShardRangesThatOverflowThePlan) {
         CheckpointError);
 }
 
+// Hostile length fields: files whose checksums are valid but whose
+// lengths claim more than any build writes. Each is built by encoding a
+// real checkpoint, patching one little-endian u64 and re-sealing the
+// FNV-1a trailer, so only the patched field is wrong.
+
+constexpr std::size_t kMetaOffset = 8 + 4 + 1;  // magic, version, kind
+
+void patch_u64(std::vector<std::uint8_t>& bytes, std::size_t offset,
+               std::uint64_t value) {
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+    }
+}
+
+void reseal(std::vector<std::uint8_t>& bytes) {
+    Fnv1a hash;
+    hash.bytes(std::span(bytes).subspan(0, bytes.size() - 8));
+    patch_u64(bytes, bytes.size() - 8, hash.value());
+}
+
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(HostileCheckpoint, PlanClaimingTwoToTheFortyShardsIsRejected) {
+    // An empty slice, so nothing but the plan is out of line.
+    PwcetCheckpoint empty = make_checkpoint();
+    empty.shards.clear();
+    empty.meta.first_run = 0;
+    empty.meta.last_run = 0;
+    empty.meta.exceedance.clear();
+    std::vector<std::uint8_t> bytes = encode_pwcet_checkpoint(empty);
+    ASSERT_EQ(bytes.size(), 157u);
+    const std::uint64_t shards = std::uint64_t{1} << 40;
+    patch_u64(bytes, kMetaOffset + 5 * 8, shards);  // plan_shards
+    patch_u64(bytes, kMetaOffset + 6 * 8,           // its plan hash
+              shard_plan_hash(empty.meta.total_runs, empty.meta.shard_size,
+                              shards));
+    reseal(bytes);
+    EXPECT_THROW((void)decode_pwcet_checkpoint(bytes), CheckpointError);
+
+    // Through the file paths too: merge must not size a 2^40-entry
+    // coverage table, and recovery-mode resume must quarantine the file.
+    const std::string path = temp_path("hostile_plan");
+    write_bytes(path, bytes);
+    EXPECT_THROW((void)Session().merge({path}), CheckpointError);
+    Session resumer;
+    Session::ResumeRecovery recovery;
+    (void)resumer.resume(small_scenario(), small_spec(), {path}, recovery);
+    ASSERT_EQ(recovery.actions.size(), 1u);
+    EXPECT_EQ(recovery.actions[0].quarantined_to, path + ".corrupt");
+    std::remove((path + ".corrupt").c_str());
+}
+
+TEST(HostileCheckpoint, SeriesClaimingTwoToTheSixtyOneValuesIsRejected) {
+    Session session;
+    WhiteboxCheckpoint checkpoint = session.checkpoint(
+        small_scenario(), SliceSpec{0, 1}, temp_path("hostile_series_src"));
+    std::remove(temp_path("hostile_series_src").c_str());
+    // One empty shard: runs, max_gamma, three empty histograms, then the
+    // exec-time series length at shard offset 40.
+    checkpoint.shards.assign(1, WhiteboxAccumulator{});
+    checkpoint.meta.first_run = 0;
+    checkpoint.meta.last_run = 0;
+    std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
+    ASSERT_EQ(bytes.size(), 229u);
+    const std::size_t shard_offset = kMetaOffset + 15 * 8 + 2 * 8;
+    patch_u64(bytes, shard_offset + 5 * 8, std::uint64_t{1} << 61);
+    reseal(bytes);
+    EXPECT_THROW((void)decode_checkpoint<WhiteboxAccumulator>(bytes),
+                 CheckpointError);
+
+    const std::string path = temp_path("hostile_series");
+    write_bytes(path, bytes);
+    EXPECT_THROW((void)Session().merge_whitebox({path}), CheckpointError);
+    std::remove(path.c_str());
+}
+
 TEST(PwcetCheckpointFile, LoadNamesThePathOnFailure) {
     const std::string missing = temp_path("does_not_exist");
     try {
@@ -478,9 +563,9 @@ TEST(WhiteboxCheckpointFile, EncodeDecodeRoundTripsBitExactly) {
     session.jobs(2);
     const WhiteboxCheckpoint a = session.checkpoint(
         small_scenario(), SliceSpec{0, 1}, temp_path("wb_roundtrip"));
-    const std::vector<std::uint8_t> first = encode_whitebox_checkpoint(a);
-    const WhiteboxCheckpoint b = decode_whitebox_checkpoint(first);
-    EXPECT_EQ(encode_whitebox_checkpoint(b), first);
+    const std::vector<std::uint8_t> first = encode_checkpoint(a);
+    const WhiteboxCheckpoint b = decode_checkpoint<WhiteboxAccumulator>(first);
+    EXPECT_EQ(encode_checkpoint(b), first);
     EXPECT_EQ(b.meta.scenario_fingerprint, a.meta.scenario_fingerprint);
     EXPECT_EQ(b.meta.block_size, 0u);  // no EVT half on whitebox slices
     EXPECT_TRUE(b.meta.exceedance.empty());
@@ -493,14 +578,14 @@ TEST(WhiteboxCheckpointFile, PayloadKindsDoNotCrossMerge) {
     // versa) — same container, tagged payloads.
     const std::vector<std::uint8_t> pwcet_bytes =
         encode_pwcet_checkpoint(make_checkpoint());
-    EXPECT_THROW((void)decode_whitebox_checkpoint(pwcet_bytes),
+    EXPECT_THROW((void)decode_checkpoint<WhiteboxAccumulator>(pwcet_bytes),
                  CheckpointError);
 
     Session session;
     const WhiteboxCheckpoint whitebox = session.checkpoint(
         small_scenario(), SliceSpec{0, 1}, temp_path("wb_kind"));
     const std::vector<std::uint8_t> whitebox_bytes =
-        encode_whitebox_checkpoint(whitebox);
+        encode_checkpoint(whitebox);
     EXPECT_THROW((void)decode_pwcet_checkpoint(whitebox_bytes),
                  CheckpointError);
     std::remove(temp_path("wb_kind").c_str());
@@ -535,10 +620,10 @@ TEST(MergeWhitebox, SliceThenMergeIsBitIdenticalToMonolithic) {
                     "seed " + std::to_string(seed) + " slices " +
                     std::to_string(slices) + " jobs " +
                     std::to_string(jobs);
-                EXPECT_EQ(merged.et_isolation, reference.et_isolation)
+                EXPECT_EQ(merged.meta.et_isolation, reference.et_isolation)
                     << label;
-                EXPECT_EQ(merged.nr, reference.nr) << label;
-                expect_same_whitebox(merged.stats, reference.stats, label);
+                EXPECT_EQ(merged.meta.nr, reference.nr) << label;
+                expect_same_whitebox(merged.total, reference.stats, label);
                 for (const std::string& path : paths) {
                     std::remove(path.c_str());
                 }
@@ -584,6 +669,86 @@ TEST(MergeWhitebox, RejectsMismatchedAndIncompleteSlices) {
     std::remove(p1.c_str());
     std::remove(other.c_str());
     std::remove(pwcet_path.c_str());
+}
+
+// ------------------------------------------------ golden v2 containers
+
+// tests/golden holds checkpoints written by an earlier build with
+// `rrbtool pwcet --runs 8 --block-size 2 --iterations 10 --seed 7
+// --shard 0/1 --checkpoint-out pwcet-v2.ckpt` and the same flags (minus
+// --block-size) for `whitebox`. They pin the
+// v2 container bytes: a codec change that still round-trips its own
+// output but no longer reads or writes these files fails here.
+
+std::string golden_path(const std::string& name) {
+    return std::string(RRB_SOURCE_DIR) + "/tests/golden/" + name;
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/// The scenario the CLI builds for `--runs 8 --iterations 10 --seed 7`.
+Scenario golden_scenario() {
+    return Scenario::on(MachineConfig::ngmp_ref())
+        .scua(make_autobench(Autobench::kCacheb, 0x0100'0000, 10, 9))
+        .rsk_contenders(OpKind::kLoad)
+        .runs(8)
+        .seed(7);
+}
+
+void expect_same_bits(double a, double b, const char* what) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+        << what;
+}
+
+TEST(GoldenCheckpoint, PwcetV2LoadsMergesAndReencodesByteForByte) {
+    const std::string path = golden_path("pwcet-v2.ckpt");
+    const PwcetCheckpoint golden = load_pwcet_checkpoint(path);
+    EXPECT_EQ(encode_pwcet_checkpoint(golden), read_bytes(path));
+    EXPECT_EQ(golden.meta.total_runs, 8u);
+    EXPECT_EQ(golden.meta.block_size, 2u);
+
+    PwcetSpec spec;
+    spec.block_size = 2;
+    Session session;
+    session.jobs(2);
+    const PwcetCampaignResult fresh = session.pwcet(golden_scenario(), spec);
+    const PwcetCampaignResult merged = Session().merge({path}).result;
+    EXPECT_EQ(merged.et_isolation, fresh.et_isolation);
+    EXPECT_EQ(merged.nr, fresh.nr);
+    EXPECT_EQ(merged.runs, fresh.runs);
+    EXPECT_EQ(merged.high_water_mark, fresh.high_water_mark);
+    EXPECT_EQ(merged.low_water_mark, fresh.low_water_mark);
+    expect_same_bits(merged.mean, fresh.mean, "mean");
+    expect_same_bits(merged.stddev, fresh.stddev, "stddev");
+    EXPECT_EQ(merged.blocks, fresh.blocks);
+    expect_same_bits(merged.fit.mu, fresh.fit.mu, "mu");
+    expect_same_bits(merged.fit.beta, fresh.fit.beta, "beta");
+    ASSERT_EQ(merged.quantiles.size(), fresh.quantiles.size());
+    for (std::size_t q = 0; q < merged.quantiles.size(); ++q) {
+        expect_same_bits(merged.quantiles[q].pwcet, fresh.quantiles[q].pwcet,
+                         "quantile");
+    }
+}
+
+TEST(GoldenCheckpoint, WhiteboxV2LoadsMergesAndReencodesByteForByte) {
+    const std::string path = golden_path("whitebox-v2.ckpt");
+    const WhiteboxCheckpoint golden = load_checkpoint<WhiteboxAccumulator>(path);
+    EXPECT_EQ(encode_checkpoint(golden), read_bytes(path));
+    EXPECT_EQ(golden.meta.total_runs, 8u);
+
+    Session session;
+    session.jobs(2);
+    const engine::WhiteboxCampaignResult fresh =
+        session.whitebox(golden_scenario());
+    const MergedWhiteboxCampaign merged = Session().merge_whitebox({path});
+    EXPECT_EQ(merged.meta.et_isolation, fresh.et_isolation);
+    EXPECT_EQ(merged.meta.nr, fresh.nr);
+    expect_same_whitebox(merged.total, fresh.stats, "golden whitebox");
 }
 
 }  // namespace

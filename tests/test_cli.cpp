@@ -106,6 +106,19 @@ TEST(Cli, FlagValueValidation) {
     EXPECT_EQ(invoke({"estimate", "--csv"}).code, 1);
 }
 
+TEST(Cli, NumbersThatOverflowTheirFieldAreRejected) {
+    // 2^64 + 1 used to wrap to 1 run, and 2^32 + 2 cores to a 2-core
+    // machine; both must fail the parse naming the flag instead.
+    const CliResult runs =
+        invoke({"pwcet", "--runs", "18446744073709551617"});
+    EXPECT_EQ(runs.code, 1);
+    EXPECT_NE(runs.err.find("--runs"), std::string::npos) << runs.err;
+    const CliResult cores = invoke({"pwcet", "--cores", "4294967298"});
+    EXPECT_EQ(cores.code, 1);
+    EXPECT_NE(cores.err.find("--cores"), std::string::npos) << cores.err;
+    EXPECT_TRUE(cores.out.empty());
+}
+
 TEST(Cli, CalibrateReportsDeltaNop) {
     const CliResult r = invoke({"calibrate"});
     EXPECT_EQ(r.code, 0);

@@ -1,5 +1,6 @@
-// Tests of the parallel campaign engine: deterministic sharding, ordered
-// grid collection, exception propagation and progress accounting.
+// Tests of the parallel execution layer: deterministic seeding, ordered
+// grid collection, exception propagation and progress accounting, plus
+// HWM campaigns matching their serial reference at every job count.
 #include "engine/campaign_engine.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +14,14 @@
 #include "core/campaign.h"
 #include "core/estimator.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/progress.h"
 #include "engine/seed_sequence.h"
 #include "engine/thread_pool.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
+#include "serial_reference.h"
 
 namespace rrb {
 namespace {
@@ -213,12 +217,13 @@ TEST(CampaignEngine, ParallelMatchesSerialAtEveryJobCount) {
         make_rsk_contenders(cfg, OpKind::kLoad);
 
     const HwmCampaignResult serial =
-        run_hwm_campaign(cfg, scua, contenders, small_campaign());
+        reference::hwm(cfg, scua, contenders, small_campaign());
     for (const std::size_t jobs : {1u, 2u, 3u, 8u}) {
-        engine::EngineOptions eng;
-        eng.jobs = jobs;
-        const HwmCampaignResult parallel = engine::run_hwm_campaign_parallel(
-            cfg, scua, contenders, small_campaign(), eng);
+        Session session;
+        session.jobs(jobs);
+        const HwmCampaignResult parallel =
+            session.hwm(Scenario::on(cfg).scua(scua).contenders(contenders)
+                            .protocol(small_campaign()));
         EXPECT_EQ(parallel.exec_times, serial.exec_times)
             << "jobs = " << jobs;
         EXPECT_EQ(parallel.high_water_mark, serial.high_water_mark);
@@ -252,12 +257,14 @@ TEST(CampaignEngine, ValidatesLikeSerial) {
     const Program scua = make_rsk(p);
     HwmCampaignOptions opt;
     opt.runs = 0;
-    EXPECT_THROW(
-        (void)engine::run_hwm_campaign_parallel(cfg, scua, {scua}, opt),
-        std::invalid_argument);
-    EXPECT_THROW(
-        (void)engine::run_hwm_campaign_parallel(cfg, scua, {}, {}),
-        std::invalid_argument);
+    EXPECT_THROW((void)Session().hwm(Scenario::on(cfg).scua(scua)
+                                         .contenders({scua})
+                                         .protocol(opt)),
+                 std::invalid_argument);
+    EXPECT_THROW((void)Session().hwm(
+                     Scenario::on(cfg).scua(scua).contenders({}).protocol(
+                         {})),
+                 std::invalid_argument);
 }
 
 TEST(CampaignEngine, ProgressCoversEveryRun) {
@@ -265,12 +272,12 @@ TEST(CampaignEngine, ProgressCoversEveryRun) {
     const Program scua =
         make_autobench(Autobench::kCanrdr, 0x0100'0000, 40, 2);
     engine::ProgressCounter progress;
-    engine::EngineOptions eng;
-    eng.jobs = 2;
-    eng.progress = &progress;
-    (void)engine::run_hwm_campaign_parallel(
-        cfg, scua, make_rsk_contenders(cfg, OpKind::kLoad), small_campaign(),
-        eng);
+    Session session;
+    session.jobs(2).progress(&progress);
+    (void)session.hwm(Scenario::on(cfg)
+                          .scua(scua)
+                          .contenders(make_rsk_contenders(cfg, OpKind::kLoad))
+                          .protocol(small_campaign()));
     EXPECT_EQ(progress.total(), small_campaign().runs);
     EXPECT_EQ(progress.completed(), small_campaign().runs);
 }

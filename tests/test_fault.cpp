@@ -165,6 +165,22 @@ TEST(FaultInjector, MalformedSpecThrowsAndKeepsArmedRules) {
     EXPECT_TRUE(fault::should_fire(fault::Site::kShardThrow, 0));
 }
 
+TEST(FaultInjector, KeyThatOverflowsIsRejectedNotWrapped) {
+    // 2^64 + 1 used to wrap to key 1 and fire on campaign 1.
+    const InjectorGuard guard;
+    try {
+        fault::FaultInjector::instance().arm(
+            "shard-throw@18446744073709551617");
+        FAIL() << "expected a malformed-spec error";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "shard-throw@18446744073709551617"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(fault::should_fire(fault::Site::kShardThrow, 1));
+}
+
 TEST(FaultInjector, DisarmStopsEveryHook) {
     const InjectorGuard guard;
     fault::FaultInjector& injector = fault::FaultInjector::instance();
@@ -370,10 +386,9 @@ TEST(KillAndRecover, ResumeAfterInjectedCrashMatchesReferenceAcrossJobs) {
         EXPECT_EQ(recovery.shards_rerun, plan.slice(1, 3).size());
 
         // Crash 2: a worker throws *mid-shard* while slice 1 re-runs
-        // in another process — nothing lands on disk at all.
-        const std::size_t victim = plan.slice(1, 3).first;
-        fault::FaultInjector::instance().arm(
-            "shard-throw@" + std::to_string(victim) + ":1");
+        // in another process — nothing lands on disk at all. The slice
+        // is campaign 0 of its batch of one; its first shard dies.
+        fault::FaultInjector::instance().arm("shard-throw@0:1");
         Session doomed;
         doomed.jobs(jobs);
         EXPECT_THROW(
@@ -611,8 +626,8 @@ TEST(FaultCli, BatchReportsFailedScenarioAndExitsFour) {
 
 TEST(FaultCli, UnhandledWorkerFailureExitsSeventyNotTerminate) {
     const InjectorGuard guard;
-    // The engine reduce path (pwcet has no scheduler supervision): the
-    // first shard worker throws, wait_idle rethrows, and the top-level
+    // A standalone pwcet is a batch of one: its first shard worker
+    // throws, the campaign fails, take() rethrows, and the top-level
     // catch-all must turn it into exit 70 naming the command.
     fault::FaultInjector::instance().arm("shard-throw:1");
     const CliResult r = invoke({"pwcet", "--runs", "40", "--seed", "7",

@@ -1,6 +1,7 @@
 // Tests of the sharded streaming reduction: the fixed shard plan, the
 // fold/merge order contract, and the pWCET / white-box campaign paths
-// being bit-identical at every job count and to their serial references.
+// being bit-identical at every job count and to their serial references
+// (tests/serial_reference.h).
 #include "engine/reduce.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,13 @@
 
 #include "core/campaign.h"
 #include "core/estimator.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "engine/progress.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/config.h"
+#include "serial_reference.h"
 
 namespace rrb {
 namespace {
@@ -209,24 +213,34 @@ Program test_scua() {
     return make_autobench(Autobench::kTblook, 0x0100'0000, 40, 2);
 }
 
+Scenario pwcet_scenario(const MachineConfig& cfg, const Program& scua,
+                        const std::vector<Program>& contenders,
+                        const PwcetCampaignOptions& opt) {
+    return Scenario::on(cfg).scua(scua).contenders(contenders).protocol(
+        opt.protocol);
+}
+
+PwcetSpec pwcet_spec(const PwcetCampaignOptions& opt) {
+    return {opt.block_size, opt.exceedance};
+}
+
 TEST(PwcetCampaign, BitIdenticalAtEveryJobCount) {
     const MachineConfig cfg = test_config();
     const Program scua = test_scua();
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
 
-    engine::EngineOptions serial_eng;
-    serial_eng.jobs = 1;
-    const PwcetCampaignResult serial = engine::run_pwcet_campaign(
-        cfg, scua, contenders, small_pwcet(), serial_eng);
+    const PwcetCampaignResult serial =
+        reference::pwcet(cfg, scua, contenders, small_pwcet());
 
     for (const std::size_t jobs :
-         {2u, 4u, static_cast<unsigned>(
-                      engine::ThreadPool::default_jobs())}) {
-        engine::EngineOptions eng;
-        eng.jobs = jobs;
-        const PwcetCampaignResult parallel = engine::run_pwcet_campaign(
-            cfg, scua, contenders, small_pwcet(), eng);
+         {1u, 2u, 4u, static_cast<unsigned>(
+                          engine::ThreadPool::default_jobs())}) {
+        Session session;
+        session.jobs(jobs);
+        const PwcetCampaignResult parallel = session.pwcet(
+            pwcet_scenario(cfg, scua, contenders, small_pwcet()),
+            pwcet_spec(small_pwcet()));
         EXPECT_EQ(parallel.high_water_mark, serial.high_water_mark)
             << "jobs = " << jobs;
         EXPECT_EQ(parallel.low_water_mark, serial.low_water_mark);
@@ -253,12 +267,12 @@ TEST(PwcetCampaign, StreamedFitEqualsSerialBlockMaximaFit) {
         make_rsk_contenders(cfg, OpKind::kLoad);
     const PwcetCampaignOptions opt = small_pwcet();
 
-    const PwcetCampaignResult streamed = engine::run_pwcet_campaign(
-        cfg, scua, contenders, opt);
+    const PwcetCampaignResult streamed = Session().pwcet(
+        pwcet_scenario(cfg, scua, contenders, opt), pwcet_spec(opt));
 
     // The materializing reference: same run protocol, same seed.
     const HwmCampaignResult hwm =
-        run_hwm_campaign(cfg, scua, contenders, opt.protocol);
+        reference::hwm(cfg, scua, contenders, opt.protocol);
     std::vector<double> times;
     times.reserve(hwm.exec_times.size());
     for (const Cycle t : hwm.exec_times) {
@@ -284,24 +298,21 @@ TEST(PwcetCampaign, Validates) {
     const Program scua = test_scua();
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
+    const auto run = [&](const PwcetCampaignOptions& opt,
+                         const std::vector<Program>& with) {
+        return Session().pwcet(pwcet_scenario(cfg, scua, with, opt),
+                               pwcet_spec(opt));
+    };
     PwcetCampaignOptions opt = small_pwcet();
     opt.protocol.runs = 0;
-    EXPECT_THROW(
-        (void)engine::run_pwcet_campaign(cfg, scua, contenders, opt),
-        std::invalid_argument);
+    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
     opt = small_pwcet();
     opt.block_size = 0;
-    EXPECT_THROW(
-        (void)engine::run_pwcet_campaign(cfg, scua, contenders, opt),
-        std::invalid_argument);
+    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
     opt = small_pwcet();
     opt.exceedance = {0.0};
-    EXPECT_THROW(
-        (void)engine::run_pwcet_campaign(cfg, scua, contenders, opt),
-        std::invalid_argument);
-    EXPECT_THROW(
-        (void)engine::run_pwcet_campaign(cfg, scua, {}, small_pwcet()),
-        std::invalid_argument);
+    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
+    EXPECT_THROW((void)run(small_pwcet(), {}), std::invalid_argument);
 }
 
 TEST(ReduceIndexed, PeaksOverThresholdRidesTheReducePathUnchanged) {
@@ -348,10 +359,11 @@ TEST(WhiteboxCampaign, ShardedMergeEqualsSerialSingleThread) {
     }
 
     for (const std::size_t jobs : {1u, 4u}) {
-        engine::EngineOptions eng;
-        eng.jobs = jobs;
-        const engine::WhiteboxCampaignResult sharded =
-            engine::run_whitebox_campaign(cfg, scua, contenders, opt, eng);
+        Session session;
+        session.jobs(jobs);
+        const engine::WhiteboxCampaignResult sharded = session.whitebox(
+            Scenario::on(cfg).scua(scua).contenders(contenders).protocol(
+                opt));
         const WhiteboxAccumulator& stats = sharded.stats;
         EXPECT_EQ(stats.runs(), serial.runs()) << "jobs = " << jobs;
         EXPECT_EQ(stats.max_gamma(), serial.max_gamma());

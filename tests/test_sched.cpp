@@ -238,18 +238,32 @@ TEST(CampaignScheduler, RunsExactlyOnce) {
     sched::CampaignScheduler scheduler(pool);
     const Scenario scenario =
         small_scenario(MachineConfig::ngmp_ref(), 4, 1);
-    sched::PwcetCampaignWork work;
-    work.config = scenario.config();
-    work.scua = scenario.scua_program();
-    work.contenders = scenario.contender_programs();
-    work.options.protocol = scenario.run_protocol();
-    ASSERT_EQ(scheduler.add(std::move(work)), 0u);
+    sched::CampaignWork work;
+    work.inputs.config = scenario.config();
+    work.inputs.scua = scenario.scua_program();
+    work.inputs.contenders = scenario.contender_programs();
+    work.inputs.protocol = scenario.run_protocol();
+    for (std::size_t s = 0; s < engine::ReducePlan::for_count(4).shards();
+         ++s) {
+        work.shards.push_back(s);
+    }
+    ASSERT_EQ(scheduler.add(std::move(work), PwcetAccumulator{},
+                            [](PwcetAccumulator& acc,
+                               const sched::CampaignInputs& in,
+                               std::uint64_t run) {
+                                acc.add(run, detail::hwm_campaign_measure(
+                                                 in.config, in.scua,
+                                                 in.contenders, in.protocol,
+                                                 run, in.fingerprint));
+                            }),
+              0u);
     EXPECT_EQ(scheduler.work_items(),
               engine::ReducePlan::for_count(4).shards() + 1);
     scheduler.run();
     EXPECT_THROW(scheduler.run(), std::invalid_argument);
-    (void)scheduler.take(0);
-    EXPECT_THROW((void)scheduler.take(0), std::invalid_argument);
+    (void)scheduler.take<PwcetAccumulator>(0);
+    EXPECT_THROW((void)scheduler.take<PwcetAccumulator>(0),
+                 std::invalid_argument);
 }
 
 TEST(BatchSpec, ParsesAndMaterializesLikeTheCli) {
@@ -325,6 +339,22 @@ TEST(BatchSpec, RejectsMalformedInput) {
     EXPECT_THROW(
         (void)sched::parse_batch_spec("[scenario a]\nblock-size = 0\n"),
         std::invalid_argument);
+}
+
+TEST(BatchSpec, RejectsValuesThatOverflowTheirField) {
+    // 2^32 + 4 cores used to narrow to a 4-core machine and report ok.
+    try {
+        (void)sched::parse_batch_spec(
+            "[scenario a]\ncores = 4294967300\n");
+        FAIL() << "expected the cores value to be rejected";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("cores"), std::string::npos);
+    }
+    EXPECT_THROW((void)sched::parse_batch_spec(
+                     "[scenario a]\nruns = 18446744073709551617\n"),
+                 std::invalid_argument);
 }
 
 }  // namespace

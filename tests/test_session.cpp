@@ -1,5 +1,5 @@
 // Tests of the Scenario/Session facade: fluent building, contender
-// policy re-derivation, legacy-wrapper equivalence (bit-identical at
+// policy re-derivation, serial-reference equivalence (bit-identical at
 // every jobs value), and config sweeps whose grid points equal
 // standalone campaigns.
 #include "core/session.h"
@@ -18,6 +18,7 @@
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/config.h"
+#include "serial_reference.h"
 
 namespace rrb {
 namespace {
@@ -98,12 +99,12 @@ TEST(Scenario, ValidateRejectsIncompleteScenarios) {
         std::invalid_argument);
 }
 
-// ----------------------------------------- Session vs legacy campaigns
+// ----------------------------------------- Session vs serial references
 
-TEST(Session, HwmIsBitIdenticalToLegacyCampaignAcrossSeedsAndJobs) {
-    // Property over (seed, runs): the facade, the legacy free function
-    // and a hand-rolled serial fold of the shared run primitive all
-    // observe the same numbers — at one worker and at four.
+TEST(Session, HwmIsBitIdenticalToSerialReferenceAcrossSeedsAndJobs) {
+    // Property over (seed, runs): the facade, the serial reference and
+    // a hand-rolled serial fold of the shared run primitive all observe
+    // the same numbers — at one worker and at four.
     const MachineConfig cfg = MachineConfig::ngmp_ref();
     const Program scua = test_scua();
     const std::vector<Program> contenders =
@@ -122,9 +123,9 @@ TEST(Session, HwmIsBitIdenticalToLegacyCampaignAcrossSeedsAndJobs) {
                     cfg, scua, contenders, opt, run));
             }
 
-            const HwmCampaignResult legacy =
-                run_hwm_campaign(cfg, scua, contenders, opt);
-            EXPECT_EQ(legacy.exec_times, reference)
+            const HwmCampaignResult serial =
+                reference::hwm(cfg, scua, contenders, opt);
+            EXPECT_EQ(serial.exec_times, reference)
                 << "seed " << seed << " runs " << runs;
 
             for (const std::size_t jobs : {1u, 4u}) {
@@ -136,16 +137,16 @@ TEST(Session, HwmIsBitIdenticalToLegacyCampaignAcrossSeedsAndJobs) {
                 EXPECT_EQ(facade.exec_times, reference)
                     << "seed " << seed << " runs " << runs << " jobs "
                     << jobs;
-                EXPECT_EQ(facade.high_water_mark, legacy.high_water_mark);
-                EXPECT_EQ(facade.low_water_mark, legacy.low_water_mark);
-                EXPECT_EQ(facade.et_isolation, legacy.et_isolation);
-                EXPECT_EQ(facade.nr, legacy.nr);
+                EXPECT_EQ(facade.high_water_mark, serial.high_water_mark);
+                EXPECT_EQ(facade.low_water_mark, serial.low_water_mark);
+                EXPECT_EQ(facade.et_isolation, serial.et_isolation);
+                EXPECT_EQ(facade.nr, serial.nr);
             }
         }
     }
 }
 
-TEST(Session, PwcetMatchesEngineEntryPoint) {
+TEST(Session, PwcetMatchesSerialReference) {
     const Scenario scenario = small_scenario(/*seed=*/7, /*runs=*/48);
     PwcetSpec spec;
     spec.block_size = 8;
@@ -159,7 +160,7 @@ TEST(Session, PwcetMatchesEngineEntryPoint) {
     options.protocol = scenario.run_protocol();
     options.block_size = spec.block_size;
     options.exceedance = spec.exceedance;
-    const PwcetCampaignResult engine = engine::run_pwcet_campaign(
+    const PwcetCampaignResult engine = reference::pwcet(
         scenario.config(), scenario.scua_program(),
         scenario.contender_programs(), options);
 
@@ -172,17 +173,16 @@ TEST(Session, PwcetMatchesEngineEntryPoint) {
     EXPECT_EQ(facade.quantiles[0].pwcet, engine.quantiles[0].pwcet);
 }
 
-TEST(Session, WhiteboxMatchesEngineEntryPoint) {
+TEST(Session, WhiteboxMatchesSerialReference) {
     const Scenario scenario = small_scenario(/*seed=*/5, /*runs=*/8);
     Session session;
     session.jobs(2);
     const engine::WhiteboxCampaignResult facade =
         session.whitebox(scenario);
     const engine::WhiteboxCampaignResult reference =
-        engine::run_whitebox_campaign(scenario.config(),
-                                      scenario.scua_program(),
-                                      scenario.contender_programs(),
-                                      scenario.run_protocol());
+        reference::whitebox(scenario.config(), scenario.scua_program(),
+                            scenario.contender_programs(),
+                            scenario.run_protocol());
     EXPECT_EQ(facade.stats.runs(), reference.stats.runs());
     EXPECT_EQ(facade.stats.max_gamma(), reference.stats.max_gamma());
     EXPECT_EQ(facade.stats.exec_times().values(),

@@ -166,23 +166,82 @@ TEST(Telemetry, CampaignSpansFormTheHierarchy) {
     const std::vector<SpanRecord> spans =
         TelemetryRegistry::instance().spans();
     std::uint64_t session_id = 0;
+    std::uint64_t campaign_id = 0;
+    std::uint64_t campaign_parent = 0;
     std::uint64_t shard_count = 0;
     std::uint64_t shard_items = 0;
     for (const SpanRecord& s : spans) {
         if (std::string(s.name) == "session.pwcet") session_id = s.id;
+        if (std::string(s.name) == "campaign") {
+            campaign_id = s.id;
+            campaign_parent = s.parent;
+        }
     }
     ASSERT_NE(session_id, 0u);
+    ASSERT_NE(campaign_id, 0u);
+    // shard -> campaign -> session.pwcet: the standalone pwcet is a
+    // scheduler batch of one.
+    EXPECT_EQ(campaign_parent, session_id);
     for (const SpanRecord& s : spans) {
         if (std::string(s.name) != "shard") continue;
         ++shard_count;
         shard_items += s.items;
-        EXPECT_EQ(s.parent, session_id);
+        EXPECT_EQ(s.parent, campaign_id);
         EXPECT_NE(s.end_ns, 0u);
     }
     // 400 runs fall below the 256-shard target: one run per shard.
     EXPECT_EQ(shard_count,
               TelemetryRegistry::instance().counters()[kShardsCompleted]);
     EXPECT_EQ(shard_items, 400u);
+}
+
+TEST(Telemetry, ResumeFoldsEveryGapInOneCampaign) {
+    // Slices 1 and 3 of 4 on disk leave two gaps. Resume folds both in
+    // one scheduler campaign, so the isolation baseline is measured once.
+    const Scenario scenario =
+        Scenario::on(MachineConfig::ngmp_ref())
+            .scua(make_autobench(Autobench::kCacheb, 0x0100'0000, 10, 9))
+            .rsk_contenders(OpKind::kLoad)
+            .runs(40)
+            .seed(3);
+    PwcetSpec spec;
+    spec.block_size = 5;
+    const PwcetCampaignResult whole = Session().pwcet(scenario, spec);
+    std::vector<std::string> paths;
+    for (const std::size_t slice : {std::size_t{1}, std::size_t{3}}) {
+        paths.push_back(testing::TempDir() + "rrb_resume_gap_" +
+                        std::to_string(slice));
+        (void)Session().checkpoint(scenario, spec, {slice, 4}, paths.back());
+    }
+
+    const ScopedTelemetry scoped;
+    Session session;
+    session.jobs(2);
+    const PwcetCampaignResult resumed = session.resume(scenario, spec, paths);
+    EXPECT_EQ(resumed.high_water_mark, whole.high_water_mark);
+    EXPECT_EQ(resumed.mean, whole.mean);
+
+    std::uint64_t resume_id = 0;
+    std::uint64_t campaigns = 0;
+    std::uint64_t campaign_parent = 0;
+    std::uint64_t isolations = 0;
+    std::uint64_t shard_items = 0;
+    for (const SpanRecord& s : TelemetryRegistry::instance().spans()) {
+        const std::string name = s.name;
+        if (name == "session.resume") resume_id = s.id;
+        if (name == "campaign") {
+            ++campaigns;
+            campaign_parent = s.parent;
+        }
+        if (name == "isolation") ++isolations;
+        if (name == "shard") shard_items += s.items;
+    }
+    ASSERT_NE(resume_id, 0u);
+    EXPECT_EQ(campaigns, 1u);
+    EXPECT_EQ(campaign_parent, resume_id);
+    EXPECT_EQ(isolations, 1u);
+    EXPECT_EQ(shard_items, 20u);  // slices 0 and 2: half of the 40 runs
+    for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(Telemetry, RunReportSchemaRoundTrips) {
