@@ -13,7 +13,9 @@
 // heap allocations per run) and FAILS (exit 1) when the hot path's
 // steady state performs any heap allocation per run — the allocation
 // counter is a global operator new/delete interposer, so nothing can
-// hide. All rates are best-sustained-window estimates (see ChunkTimer)
+// hide — or when arming attribution costs more than
+// kMaxAttributionOverheadPct of the unarmed rate. All rates are
+// best-sustained-window estimates (see ChunkTimer)
 // so bursty co-tenant load on shared CI hosts does not poison the
 // telemetry/attribution overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
 // BENCH_hotpath.json.
@@ -160,6 +162,14 @@ struct PathResult {
 };
 
 constexpr std::uint64_t kChunkRuns = 50;
+
+/// Ceiling on the armed-attribution overhead against the unarmed hot
+/// pass, in percent. Armed runs replay like unarmed ones, so what is
+/// left is the profiler's own hooks (about 20% on this workload); an
+/// armed path that falls back to the interpreter costs about 68%. The
+/// ratio of two interleaved passes on the same host catches that on
+/// any runner, where an absolute runs/s baseline cannot.
+constexpr double kMaxAttributionOverheadPct = 40.0;
 
 /// Folds one rotation's pass into the best-so-far for that mode: rates
 /// take the fastest sustained window seen across rotations, while the
@@ -640,6 +650,15 @@ int main(int argc, char** argv) {
                      "FAIL: attribution accounting is not closed — some "
                      "core's cause timeline does not sum to the machine "
                      "cycles\n");
+        rc = 1;
+    }
+    if (hot.runs > 0 && hot_attributed.runs > 0 &&
+        attribution_overhead_pct > kMaxAttributionOverheadPct) {
+        std::fprintf(stderr,
+                     "FAIL: attribution-armed overhead %.2f%% exceeds the "
+                     "%.0f%% ceiling (armed runs must replay, not "
+                     "interpret)\n",
+                     attribution_overhead_pct, kMaxAttributionOverheadPct);
         rc = 1;
     }
     if (baseline_path != nullptr && max_regression_pct >= 0.0) {

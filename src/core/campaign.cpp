@@ -84,10 +84,15 @@ Cycle execute_campaign_run(Machine& machine, std::uint64_t& loaded_campaign,
         if (scripts->campaign != campaign) {
             replay::prepare_scripts(*scripts, machine, campaign);
         }
+        // Every core hosts a program here, so a null script is a
+        // declined decode and the run at least partly interprets.
+        bool all_replay = true;
         for (CoreId c = 0; c < config.num_cores; ++c) {
             machine.attach_replay(c, scripts->per_core[c]);
+            all_replay = all_replay && scripts->per_core[c] != nullptr;
         }
-        obs::count(obs::kReplayRuns);
+        obs::count(all_replay ? obs::kReplayRuns
+                              : obs::kReplayFallbackRuns);
     } else {
         for (CoreId c = 0; c < config.num_cores; ++c) {
             machine.attach_replay(c, nullptr);
@@ -150,9 +155,9 @@ Cycle hwm_campaign_attribute(const MachineConfig& config,
         Machine& machine;
         ~Disarm() { machine.disarm_attribution(); }
     } disarm{machine};
-    const Cycle finish = execute_campaign_run(
-        machine, lease.campaign(), scua, contenders, options, run_index,
-        /*scripts=*/nullptr, campaign);
+    const Cycle finish =
+        execute_campaign_run(machine, lease.campaign(), scua, contenders,
+                             options, run_index, &lease.scripts(), campaign);
     machine.finalize_attribution();
     acc.add(run_index, machine.attribution());
     return finish;

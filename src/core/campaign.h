@@ -135,7 +135,9 @@ namespace detail {
 /// campaign tag differs and attached to the cores each run; null (the
 /// default, and the differential references' mode) interprets, and any
 /// previously attached scripts are detached. Both modes produce
-/// bit-identical results; replay is just faster.
+/// bit-identical results, attribution included; replay is just faster.
+/// A run given a cache counts as replay_runs when every core replays
+/// and as replay_fallback_runs when some core's decode declined.
 ///
 /// `campaign` is an optional precomputed campaign_fingerprint(scua,
 /// contenders, options): program fingerprints hash every instruction,
@@ -177,8 +179,10 @@ namespace detail {
 /// leased machine: the run's finalized per-core cause timelines and
 /// per-contender blame matrix are folded into `acc`, and the machine is
 /// disarmed before the lease is released (cached machines must never
-/// stay armed). Attribution is strictly observational, so the returned
-/// finish cycle equals hwm_campaign_run(...) for equal inputs.
+/// stay armed). The run replays the lease's scripts exactly like
+/// hwm_campaign_run — armed replay charges every bucket the armed
+/// interpreter would. Attribution is strictly observational, so the
+/// returned finish cycle equals hwm_campaign_run(...) for equal inputs.
 [[nodiscard]] Cycle hwm_campaign_attribute(
     const MachineConfig& config, const Program& scua,
     const std::vector<Program>& contenders,

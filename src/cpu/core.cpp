@@ -39,9 +39,6 @@ void InOrderCore::set_program(Program program, Cycle start_delay) {
 }
 
 void InOrderCore::attach_script(const replay::MicroOpScript* script) {
-    RRB_REQUIRE(script == nullptr || attr_ == nullptr,
-                "replay elides the per-instruction attribution charge "
-                "points; armed runs must interpret");
     script_ = script;
     l2_baked_ = script_ != nullptr && script_->l2_baked;
     rp_ = 0;
@@ -148,19 +145,20 @@ void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
     RRB_ENSURE(false);
 }
 
-Cycle InOrderCore::execute_instruction(Cycle now) {
-    if (attr_ != nullptr && attr_cause_dirty_) {
-        // The interval since the last charge belongs to whatever was
-        // pending — idle before release or a stall retry; from this
-        // cycle on the core is executing again. When compute is already
-        // pending the charge is deferred: every consumer of pending
-        // (the next cause change, the holder hooks, finalize) settles
-        // the lazy tail, and the dirty mirror keeps the armed
-        // per-instruction cost to one predictable member-flag compare.
+Cycle InOrderCore::stall(Cycle now, std::uint64_t& pmc,
+                         StallCause cause) noexcept {
+    ++pmc;
+    if (attr_ != nullptr) {
+        // Settle the lazy tail (compute since the last charge) before
+        // the cause changes; the retry's entry charge settles this one.
         attr_->charge(id_, attr_->pending(id_), now);
-        attr_->set_pending(id_, StallCause::kCompute);
-        attr_cause_dirty_ = false;
+        attr_->set_pending(id_, cause);
+        attr_cause_dirty_ = true;
     }
+    return now + 1;  // retry next cycle
+}
+
+Cycle InOrderCore::execute_instruction(Cycle now) {
     const Instruction& instr = program_.body[pc_];
 
     // Instruction fetch through IL1 (free when it hits; stalls on miss).
@@ -228,15 +226,8 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
             // stores.
             if (config_.loads_wait_store_buffer &&
                 (drain_in_flight_ || !store_buffer_.empty())) {
-                ++stats_.load_gate_stall_cycles;
-                if (attr_ != nullptr) {
-                    // Settle the lazy tail (compute since the last
-                    // charge) before the cause changes.
-                    attr_->charge(id_, attr_->pending(id_), now);
-                    attr_->set_pending(id_, StallCause::kStoreGate);
-                    attr_cause_dirty_ = true;
-                }
-                return now + 1;  // retry next cycle
+                return stall(now, stats_.load_gate_stall_cycles,
+                             StallCause::kStoreGate);
             }
             ++stats_.loads;
             const Addr addr = instr.addr.address(iteration_);
@@ -260,13 +251,8 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
             // The head entry stays in the buffer while its drain is in
             // flight, so the buffer size alone is the occupancy.
             if (store_buffer_.size() >= config_.store_buffer_entries) {
-                ++stats_.store_full_stall_cycles;
-                if (attr_ != nullptr) {
-                    attr_->charge(id_, attr_->pending(id_), now);
-                    attr_->set_pending(id_, StallCause::kStoreBufferFull);
-                    attr_cause_dirty_ = true;
-                }
-                return now + 1;  // retry next cycle
+                return stall(now, stats_.store_full_stall_cycles,
+                             StallCause::kStoreBufferFull);
             }
             ++stats_.stores;
             const Addr addr = instr.addr.address(iteration_);
@@ -362,8 +348,8 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             }
             if (config_.loads_wait_store_buffer &&
                 (drain_in_flight_ || !store_buffer_.empty())) {
-                ++stats_.load_gate_stall_cycles;
-                return now + 1;  // retry next cycle
+                return stall(now, stats_.load_gate_stall_cycles,
+                             StallCause::kStoreGate);
             }
             ++stats_.loads;
             if (op.kind == replay::MicroOp::Kind::kLoadHit) {
@@ -402,8 +388,8 @@ Cycle InOrderCore::replay_execute(Cycle now) {
                 fetched_ = true;
             }
             if (store_buffer_.size() >= config_.store_buffer_entries) {
-                ++stats_.store_full_stall_cycles;
-                return now + 1;  // retry next cycle
+                return stall(now, stats_.store_full_stall_cycles,
+                             StallCause::kStoreBufferFull);
             }
             ++stats_.stores;
             dl1_.replay_write(
@@ -476,6 +462,20 @@ Cycle InOrderCore::tick(Cycle now) {
 
     if (waiting_ifetch_ || waiting_load_) return kNoCycle;
     if (now < next_free_) return next_free_;
+    if (attr_ != nullptr && attr_cause_dirty_) {
+        // The interval since the last charge belongs to whatever was
+        // pending — idle before release or a stall retry; from this
+        // cycle on the core is executing again. When compute is already
+        // pending the charge is deferred: every consumer of pending
+        // (the next cause change, the holder hooks, finalize) settles
+        // the lazy tail, and the dirty mirror keeps the armed
+        // per-instruction cost to one predictable member-flag compare.
+        // Both execution paths enter here, so a replayed span needs no
+        // charge of its own: its cycles accrue under pending compute.
+        attr_->charge(id_, attr_->pending(id_), now);
+        attr_->set_pending(id_, StallCause::kCompute);
+        attr_cause_dirty_ = false;
+    }
     return script_ != nullptr ? replay_execute(now)
                               : execute_instruction(now);
 }

@@ -184,8 +184,11 @@ public:
     /// (stalls, drains, bus/DRAM waits) stays live. The script must
     /// have been decoded from exactly this core's installed program and
     /// configuration; results are then bit-identical to interpreting.
-    /// Resets the replay cursor for a fresh run. Mutually exclusive
-    /// with armed attribution (the machine enforces it).
+    /// Resets the replay cursor for a fresh run. Armed attribution
+    /// charges a replaying core exactly as it charges an interpreting
+    /// one — tick() settles the pending cause before either path
+    /// executes, and both route their stall retries through stall() —
+    /// so every bucket and blame cell is bit-identical too.
     void attach_script(const replay::MicroOpScript* script);
     [[nodiscard]] bool has_script() const noexcept {
         return script_ != nullptr;
@@ -219,6 +222,11 @@ private:
     /// execute_instruction's replay twin: drives the attached script
     /// through the same port/store-buffer/stall machinery.
     Cycle replay_execute(Cycle now);
+    /// A store-gate or store-buffer-full stall at `now`, shared by both
+    /// execution paths: bumps the stall PMC `pmc`, makes `cause` the
+    /// pending attribution cause when armed, and returns the retry
+    /// cycle.
+    Cycle stall(Cycle now, std::uint64_t& pmc, StallCause cause) noexcept;
     /// Consumes `ops` script ops retiring `instrs` instructions:
     /// advances the cursor, handles loop-region wrap and retirement.
     void advance_rp(std::uint32_t ops, std::uint64_t instrs) noexcept;

@@ -74,8 +74,6 @@ void Machine::restart_program(CoreId core, Cycle start_delay) {
 
 void Machine::attach_replay(CoreId core, const replay::MicroOpScript* script) {
     RRB_REQUIRE(core < cores_.size(), "core id out of range");
-    RRB_REQUIRE(script == nullptr || attr_ == nullptr,
-                "attribution-armed runs must interpret");
     cores_[core]->attach_script(script);
 }
 
@@ -370,9 +368,6 @@ void Machine::arm_attribution() noexcept {
     bus_->attach_attribution(attr_);
     dram_.attach_attribution(attr_);
     for (std::unique_ptr<InOrderCore>& core : cores_) {
-        // Replay elides the per-instruction attribution charge points;
-        // an armed run must interpret, so scripts come off first.
-        core->attach_script(nullptr);
         core->attach_attribution(attr_);
     }
 }

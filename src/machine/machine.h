@@ -64,8 +64,8 @@ public:
     /// script on a core (replay execution mode, src/replay). The script
     /// must outlive its attachment and match the core's installed
     /// program; the caller (core/campaign.cpp) keys scripts by campaign
-    /// fingerprint to guarantee it. Refused while attribution is armed —
-    /// replay elides the per-instruction attribution charge points.
+    /// fingerprint to guarantee it. Allowed armed or not: a replaying
+    /// core charges attribution exactly as an interpreting one does.
     void attach_replay(CoreId core, const replay::MicroOpScript* script);
 
     /// Pre-warms the core's caches with the program's *static* footprint:
@@ -141,7 +141,9 @@ public:
     /// core cycle is classified into a StallCause bucket and bus waits
     /// are blamed per contender (see machine/attribution.h). Clears any
     /// previous attribution state; strictly observational — timing is
-    /// bit-identical armed or not. Storage was sized at construction, so
+    /// bit-identical armed or not. Attached replay scripts stay attached:
+    /// armed runs replay, with buckets and blame bit-identical to an
+    /// armed interpreter run. Storage was sized at construction, so
     /// arming never allocates.
     void arm_attribution() noexcept;
     /// Detaches the profiler from every component (charging stops).

@@ -26,6 +26,7 @@ const char* counter_name(Counter c) noexcept {
         case kSchedSteals: return "sched_steals";
         case kReplayDecodes: return "replay_decodes";
         case kReplayRuns: return "replay_runs";
+        case kReplayFallbackRuns: return "replay_fallback_runs";
         case kHeapAllocations: return "heap_allocations";
         case kSchedRetries: return "sched_retries";
         case kSchedFailures: return "sched_failures";

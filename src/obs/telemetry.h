@@ -65,7 +65,11 @@ enum Counter : unsigned {
     kSchedAffinityHits,  ///< dispatch matched the worker's hot lease
     kSchedSteals,        ///< dispatch crossed fingerprints (or first item)
     kReplayDecodes,      ///< micro-op scripts decoded (deterministic)
-    kReplayRuns,         ///< campaign runs executed in replay mode
+    kReplayRuns,         ///< campaign runs in which every core
+                         ///< replayed (deterministic)
+    kReplayFallbackRuns, ///< campaign runs given a script cache in which
+                         ///< some core interprets because its decode
+                         ///< declined (deterministic)
     kHeapAllocations,    ///< operator-new count (bench interposer)
     kSchedRetries,       ///< work-item attempts retried after a
                          ///< transient failure

@@ -13,6 +13,9 @@
 //   4. Campaign determinism: the summed AttributionAccumulator is
 //      bit-identical at every --jobs value and through shard+merge,
 //      and round-trips through the checkpoint codec.
+//   5. Execution-mode independence: an armed run that replays its
+//      decoded scripts charges every bucket, blame cell and dead slot
+//      exactly as the armed interpreter does.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,6 +32,8 @@
 #include "machine/attribution.h"
 #include "machine/config.h"
 #include "machine/machine.h"
+#include "obs/telemetry.h"
+#include "replay/script_cache.h"
 #include "sched/campaign_scheduler.h"
 #include "serial_reference.h"
 #include "stats/attribution.h"
@@ -99,6 +104,22 @@ std::vector<Program> scua_set() {
         scuas.push_back(store_heavy);
     }
     return scuas;
+}
+
+/// config_grid() plus the two points replay treats specially: kRandom
+/// L1 replacement, which makes every core's script core-specific (and
+/// declines the load contenders' decodes, so the scua replays beside
+/// interpreting contenders), and an eight-core platform, whose blame
+/// rows are twice as wide.
+std::vector<GridPoint> replay_grid() {
+    std::vector<GridPoint> grid = config_grid();
+    {
+        MachineConfig cfg = MachineConfig::ngmp_ref();
+        cfg.core.l1_replacement = ReplacementPolicy::kRandom;
+        grid.push_back({"l1_random", cfg});
+    }
+    grid.push_back({"scaled_8x9", MachineConfig::scaled(8, 9)});
+    return grid;
 }
 
 void expect_closed(const Machine& machine, const std::string& what) {
@@ -184,6 +205,104 @@ TEST(Attribution, ArmedRunsAreBitIdenticalToUnarmed) {
         }
         EXPECT_EQ(acc.runs(), options.runs);
     }
+}
+
+TEST(Attribution, ArmedReplayMatchesArmedInterpreter) {
+    // The same armed campaign runs in two modes, each on one machine
+    // reused across runs the way a lease is: interpreting, and
+    // replaying scripts from a ScriptCache. Replay shares the
+    // interpreter's core-side charge points (the entry charge in tick()
+    // and the stall helper) and drives the bus/DRAM hooks live, so the
+    // finalized attribution must match cell for cell.
+    for (const GridPoint& point : replay_grid()) {
+        for (const OpKind access : {OpKind::kLoad, OpKind::kStore}) {
+            const std::vector<Program> contenders =
+                make_rsk_contenders(point.config, access);
+            for (const Program& scua : scua_set()) {
+                HwmCampaignOptions options;
+                options.runs = 4;
+                options.seed = 5;
+                Machine interpreted(point.config);
+                Machine replayed(point.config);
+                interpreted.arm_attribution();
+                replayed.arm_attribution();
+                std::uint64_t interpreted_campaign = 0;
+                std::uint64_t replayed_campaign = 0;
+                replay::ScriptCache scripts;
+                for (std::uint64_t run = 0; run < options.runs; ++run) {
+                    const std::string what =
+                        point.name + "/" +
+                        (access == OpKind::kLoad ? "load" : "store") +
+                        "/" + scua.name + "/run" + std::to_string(run);
+                    const Cycle expected = detail::execute_campaign_run(
+                        interpreted, interpreted_campaign, scua,
+                        contenders, options, run);
+                    const Cycle finish = detail::execute_campaign_run(
+                        replayed, replayed_campaign, scua, contenders,
+                        options, run, &scripts);
+                    interpreted.finalize_attribution();
+                    replayed.finalize_attribution();
+
+                    // A run whose every decode declined would interpret
+                    // on both sides and pass vacuously.
+                    std::size_t replaying = 0;
+                    for (CoreId c = 0; c < point.config.num_cores; ++c) {
+                        if (replayed.core(c).has_script()) ++replaying;
+                    }
+                    ASSERT_GT(replaying, 0u) << what;
+
+                    EXPECT_EQ(finish, expected) << what;
+                    EXPECT_EQ(replayed.now(), interpreted.now()) << what;
+                    AttributionAccumulator got;
+                    AttributionAccumulator want;
+                    got.add(run, replayed.attribution());
+                    want.add(run, interpreted.attribution());
+                    expect_same_accumulator(got, want, what);
+                    for (CoreId c = 0; c < point.config.num_cores; ++c) {
+                        const CoreStats& rs = replayed.core(c).stats();
+                        const CoreStats& is = interpreted.core(c).stats();
+                        EXPECT_EQ(rs.load_gate_stall_cycles,
+                                  is.load_gate_stall_cycles)
+                            << what << " core " << c;
+                        EXPECT_EQ(rs.store_full_stall_cycles,
+                                  is.store_full_stall_cycles)
+                            << what << " core " << c;
+                    }
+                    expect_closed(replayed, what);
+                }
+            }
+        }
+    }
+}
+
+TEST(Attribution, SessionAttributionReplaysEveryRun) {
+    // The production armed path: every campaign run of
+    // Session::attribution replays (no decode declines on this
+    // scenario), which the telemetry counters make checkable.
+    const MachineConfig config = MachineConfig::ngmp_ref();
+    HwmCampaignOptions options;
+    options.runs = 12;
+    options.seed = 11;
+    const Scenario scenario =
+        Scenario::on(config)
+            .scua(make_autobench(Autobench::kCacheb, 0x0100'0000, 12, 9))
+            .contenders(make_rsk_contenders(config, OpKind::kLoad))
+            .protocol(options);
+
+    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
+    registry.reset();
+    registry.enable();
+    Session session;
+    session.jobs(2);
+    const engine::AttributionCampaignResult result =
+        session.attribution(scenario);
+    const obs::CounterSnapshot counters = registry.counters();
+    registry.disable();
+
+    EXPECT_EQ(result.attribution.runs(), options.runs);
+    EXPECT_EQ(counters[obs::kRunsCompleted], options.runs);
+    EXPECT_EQ(counters[obs::kReplayRuns], counters[obs::kRunsCompleted]);
+    EXPECT_EQ(counters[obs::kReplayFallbackRuns], 0u);
 }
 
 TEST(Attribution, StoreStallBucketsEqualStallPmcs) {

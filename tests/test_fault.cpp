@@ -569,15 +569,27 @@ TEST(FaultNoop, ForcedDecodeOverflowFallsBackBitIdentically) {
     // Every decode "overflows": replay hands every run to the
     // interpreter. The replay contract says that path is bit-identical
     // — the injector turns that contract into a test.
+    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
+    registry.reset();
+    registry.enable();
     fault::FaultInjector::instance().arm("decode-overflow");
     Session fallback;
     fallback.jobs(2);
     const PwcetCampaignResult degraded = fallback.pwcet(scenario, spec);
+    const obs::CounterSnapshot counters = registry.counters();
+    registry.disable();
     EXPECT_GT(fault::FaultInjector::instance().fired(
                   fault::Site::kDecodeOverflow),
               0u);
     fault::FaultInjector::instance().disarm();
     expect_same_result(degraded, reference);
+    // Each run was handed a script cache whose decodes all declined:
+    // every run is a fallback, none counts as replayed.
+    EXPECT_GT(counters[obs::kRunsCompleted], 0u);
+    EXPECT_EQ(counters[obs::kReplayDecodes], 0u);
+    EXPECT_EQ(counters[obs::kReplayRuns], 0u);
+    EXPECT_EQ(counters[obs::kReplayFallbackRuns],
+              counters[obs::kRunsCompleted]);
 }
 
 // ------------------------------------------------------ CLI surface

@@ -134,7 +134,7 @@ TEST(Telemetry, SpansNestAcrossThreads) {
 TEST(Telemetry, DeterministicCountersObeyTheMergeLaw) {
     const std::vector<Counter> deterministic = {
         kRunsCompleted, kCyclesSimulated, kEventsSkipped, kCyclesSkipped,
-        kShardsCompleted};
+        kShardsCompleted, kReplayRuns, kReplayFallbackRuns};
     CounterSnapshot at_one;
     {
         const ScopedTelemetry scoped;
