@@ -9,12 +9,17 @@
 //   hot   : the production path (engine::MachineLease reuse +
 //           event-driven cycle skipping + POD completion tokens).
 //
+// A separate estimate pass times the paper's method, estimate_ubd,
+// replaying on leased machines against the same sweep on the
+// fresh-machine interpreter (tests/serial_reference.h).
+//
 // Emits machine-readable JSON (runs/sec, simulated cycles/sec, speedup,
 // heap allocations per run) and FAILS (exit 1) when the hot path's
 // steady state performs any heap allocation per run — the allocation
 // counter is a global operator new/delete interposer, so nothing can
-// hide — or when arming attribution costs more than
-// kMaxAttributionOverheadPct of the unarmed rate. All rates are
+// hide — when arming attribution costs more than
+// kMaxAttributionOverheadPct of the unarmed rate, or when the replayed
+// estimate is less than kMinEstimateSpeedup times faster. All rates are
 // best-sustained-window estimates (see ChunkTimer)
 // so bursty co-tenant load on shared CI hosts does not poison the
 // telemetry/attribution overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
@@ -41,6 +46,7 @@
 #include "machine/machine.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
+#include "serial_reference.h"
 #include "stats/attribution.h"
 
 // ------------------------------------------------ allocation interposer
@@ -170,6 +176,12 @@ constexpr std::uint64_t kChunkRuns = 50;
 /// ratio of two interleaved passes on the same host catches that on
 /// any runner, where an absolute runs/s baseline cannot.
 constexpr double kMaxAttributionOverheadPct = 40.0;
+
+/// Floor on the estimate pass's speedup: estimate_ubd on leased,
+/// replaying machines against the fresh-machine interpreter, timed in
+/// this process. A replayed sweep is about twice as fast; one that
+/// silently falls back to interpreting is about 1x on any runner.
+constexpr double kMinEstimateSpeedup = 1.3;
 
 /// Folds one rotation's pass into the best-so-far for that mode: rates
 /// take the fastest sustained window seen across rotations, while the
@@ -382,6 +394,43 @@ PathResult run_attributed(const MachineConfig& config, const Program& scua,
     return result;
 }
 
+/// Best (shortest) wall time of one estimate per path, and whether the
+/// two paths' sweeps ever disagreed.
+struct EstimatePass {
+    double seconds = 0.0;
+    double naive_seconds = 0.0;
+    std::uint64_t mismatches = 0;
+
+    [[nodiscard]] double speedup() const {
+        return seconds > 0.0 ? naive_seconds / seconds : 0.0;
+    }
+};
+
+/// One rotation of the estimate pass: each path estimates once, from a
+/// cold machine cache, as a fresh `rrbtool estimate` would.
+void time_estimates(const MachineConfig& config, EstimatePass& pass) {
+    UbdEstimatorOptions options;
+    options.k_max = 40;
+    options.rsk_iterations = 20;
+    const auto timed = [&](const ExperimentBackend& backend,
+                           double& best) {
+        engine::MachineLease::drop_thread_cache();
+        const auto start = Clock::now();
+        UbdEstimate e = estimate_ubd(config, options, backend);
+        const double s =
+            std::chrono::duration<double>(Clock::now() - start).count();
+        if (best == 0.0 || s < best) best = s;
+        return e;
+    };
+    const UbdEstimate hot = timed({}, pass.seconds);
+    const UbdEstimate naive =
+        timed(reference::fresh_machines(), pass.naive_seconds);
+    if (hot.et_isolation != naive.et_isolation ||
+        hot.et_contention != naive.et_contention) {
+        ++pass.mismatches;
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -427,11 +476,13 @@ int main(int argc, char** argv) {
     // live bit-identity check on the event-driven path, hot vs
     // telemetry/attribution proves arming is out-of-band. The telemetry
     // and attribution overhead ratios against the unarmed hot pass are
-    // the numbers BENCH_hotpath.json tracks (target: under 2%).
+    // the numbers BENCH_hotpath.json tracks (target: under 2%). The
+    // estimate pass rides the same rotation.
     const std::uint64_t rotations = env_runs("RRB_HOTPATH_ROTATIONS", 5);
     const std::uint64_t naive_runs = runs == 0 ? 0 : runs / 4 + 1;
     obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
     PathResult hot, naive, hot_telemetry, hot_attributed;
+    EstimatePass estimate;
     obs::CounterSnapshot telemetry_counters;
     AttributionAccumulator attribution;
     std::vector<Cycle> hot_finishes, naive_finishes, telemetry_finishes,
@@ -476,7 +527,10 @@ int main(int argc, char** argv) {
                                      runs, warmup, attributed_finishes,
                                      attribution));
         }
+
+        if (mode_enabled("estimate")) time_estimates(config, estimate);
     }
+    const bool estimated = estimate.seconds > 0.0;
     std::uint64_t mismatches = 0;
     for (std::size_t i = 0; i < naive_finishes.size(); ++i) {
         if (naive_finishes[i] != hot_finishes[i]) ++mismatches;
@@ -552,7 +606,7 @@ int main(int argc, char** argv) {
     std::string json = head;
     json += obs::render_counters_json(telemetry_counters, "    ");
     json += "\n  },\n";
-    char attr_json[512];
+    char attr_json[1024];
     std::snprintf(
         attr_json, sizeof(attr_json),
         "  \"attribution\": {\n"
@@ -562,6 +616,14 @@ int main(int argc, char** argv) {
         "    \"allocations_per_run\": %s,\n"
         "    \"closed_accounting\": %s,\n"
         "    \"machine_cycles\": %llu\n"
+        "  },\n"
+        "  \"estimate\": {\n"
+        "    \"workload\": \"estimate_ubd, ngmp_ref, k_max 40, 20 "
+        "iterations\",\n"
+        "    \"seconds\": %s,\n"
+        "    \"naive_seconds\": %s,\n"
+        "    \"speedup\": %s,\n"
+        "    \"mismatches_vs_naive\": %llu\n"
         "  }\n"
         "}\n",
         json_number("%.1f", hot_attributed.runs_per_sec()).c_str(),
@@ -569,7 +631,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(attribution_mismatches),
         json_number("%.4f", hot_attributed.allocs_per_run).c_str(),
         attribution_closed ? "true" : "false",
-        static_cast<unsigned long long>(attribution.machine_cycles()));
+        static_cast<unsigned long long>(attribution.machine_cycles()),
+        json_number("%.4f", estimated ? estimate.seconds : NAN).c_str(),
+        json_number("%.4f", estimated ? estimate.naive_seconds : NAN)
+            .c_str(),
+        json_number("%.2f", estimated ? estimate.speedup() : NAN).c_str(),
+        static_cast<unsigned long long>(estimate.mismatches));
     json += attr_json;
 
     std::fputs(json.c_str(), stdout);
@@ -659,6 +726,21 @@ int main(int argc, char** argv) {
                      "%.0f%% ceiling (armed runs must replay, not "
                      "interpret)\n",
                      attribution_overhead_pct, kMaxAttributionOverheadPct);
+        rc = 1;
+    }
+    if (estimate.mismatches != 0) {
+        std::fprintf(stderr,
+                     "FAIL: %llu estimate sweeps disagree between the "
+                     "replayed and the fresh-machine paths\n",
+                     static_cast<unsigned long long>(estimate.mismatches));
+        rc = 1;
+    }
+    if (estimated && estimate.speedup() < kMinEstimateSpeedup) {
+        std::fprintf(stderr,
+                     "FAIL: estimate speedup %.2fx over the fresh-machine "
+                     "interpreter is below the %.1fx floor (the sweep "
+                     "must replay on leased machines)\n",
+                     estimate.speedup(), kMinEstimateSpeedup);
         rc = 1;
     }
     if (baseline_path != nullptr && max_regression_pct >= 0.0) {

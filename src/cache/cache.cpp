@@ -224,32 +224,37 @@ void Cache::reset() {
 }
 
 std::uint64_t Cache::state_fingerprint() const {
-    Fnv1a h;
-    const std::uint64_t sets = geometry_.num_sets();
-    for (std::uint64_t set = 0; set < sets; ++set) {
-        for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-            const std::size_t idx = line_index(set, w);
-            const bool valid = valid_gen_[idx] == generation_;
-            h.u64(valid ? 2 + (meta_[idx].dirty ? 1 : 0) : 1);
-            h.u64(valid ? tags_[idx] : 0);
-            if (valid && (replacement_ == ReplacementPolicy::kLru ||
-                          replacement_ == ReplacementPolicy::kFifo)) {
-                // Absolute order ticks grow forever; only their per-set
-                // rank among valid ways is behaviorally meaningful.
-                std::uint64_t rank = 0;
-                for (std::uint32_t o = 0; o < geometry_.ways; ++o) {
-                    const std::size_t oidx = line_index(set, o);
-                    if (valid_gen_[oidx] == generation_ &&
-                        meta_[oidx].order < meta_[idx].order) {
-                        ++rank;
-                    }
-                }
-                h.u64(rank);
+    // Word-at-a-time: the replay decoder fingerprints both L1 replicas
+    // and the L2 partition replica at every body wrap.
+    WordHash h;
+    const std::uint32_t ways = geometry_.ways;
+    const bool ordered = replacement_ == ReplacementPolicy::kLru ||
+                         replacement_ == ReplacementPolicy::kFifo;
+    // Valid lines only, each after the count of invalid lines before
+    // it: the replicas the decoder fingerprints are mostly empty, so the
+    // scan is what costs.
+    std::size_t next = 0;  // first line not yet accounted for
+    for (std::size_t idx = 0; idx < valid_gen_.size(); ++idx) {
+        if (valid_gen_[idx] != generation_) continue;
+        // Absolute order ticks grow forever; only their per-set rank
+        // among valid ways is behaviorally meaningful.
+        std::uint64_t rank = 0;
+        const std::size_t first_way = idx - idx % ways;
+        for (std::size_t o = first_way; ordered && o < first_way + ways;
+             ++o) {
+            if (valid_gen_[o] == generation_ &&
+                meta_[o].order < meta_[idx].order) {
+                ++rank;
             }
         }
-        if (replacement_ == ReplacementPolicy::kPlru) {
-            h.u64(plru_bits_[set]);
-        }
+        // The gap fits 32 bits (no cache has 2^32 lines), rank < ways.
+        h.u64((idx - next) << 32 | rank << 1 | (meta_[idx].dirty ? 1 : 0));
+        h.u64(tags_[idx]);
+        next = idx + 1;
+    }
+    h.u64(valid_gen_.size() - next);
+    if (replacement_ == ReplacementPolicy::kPlru) {
+        for (const std::uint32_t bits : plru_bits_) h.u64(bits);
     }
     if (replacement_ == ReplacementPolicy::kRandom) {
         h.u64(rng_.state());

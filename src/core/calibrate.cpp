@@ -11,7 +11,8 @@ namespace rrb {
 NopCalibration calibrate_delta_nop(const MachineConfig& config,
                                    std::size_t body_nops,
                                    std::uint64_t iterations,
-                                   std::uint32_t nop_latency) {
+                                   std::uint32_t nop_latency,
+                                   const ExperimentBackend& backend) {
     RRB_REQUIRE(body_nops >= 1, "need at least one nop");
     RRB_REQUIRE(iterations >= 1, "need at least one iteration");
 
@@ -23,7 +24,9 @@ NopCalibration calibrate_delta_nop(const MachineConfig& config,
         std::min<std::size_t>(body_nops, il1_capacity_instrs / 2);
 
     const Program kernel = make_nop_kernel(body, iterations, nop_latency);
-    const Measurement m = run_isolation(config, kernel);
+    // run_isolation's default cycle cap.
+    const Measurement m =
+        backend.isolation(config, kernel, 0, 1'000'000'000);
     RRB_ENSURE(!m.deadline_reached);
 
     NopCalibration cal;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "core/experiment.h"
 #include "machine/config.h"
 #include "sim/types.h"
 
@@ -33,9 +34,9 @@ struct NopCalibration {
 
 /// Measures delta_nop on the target machine configuration.
 /// `body_nops` is clamped to what fits the IL1.
-[[nodiscard]] NopCalibration calibrate_delta_nop(const MachineConfig& config,
-                                                 std::size_t body_nops = 2048,
-                                                 std::uint64_t iterations = 64,
-                                                 std::uint32_t nop_latency = 1);
+[[nodiscard]] NopCalibration calibrate_delta_nop(
+    const MachineConfig& config, std::size_t body_nops = 2048,
+    std::uint64_t iterations = 64, std::uint32_t nop_latency = 1,
+    const ExperimentBackend& backend = {});
 
 }  // namespace rrb

@@ -1,5 +1,7 @@
 #include "core/campaign.h"
 
+#include <algorithm>
+
 #include "core/experiment.h"
 #include "engine/machine_lease.h"
 #include "engine/seed_sequence.h"
@@ -14,21 +16,80 @@ namespace rrb {
 
 namespace detail {
 
-std::uint64_t campaign_fingerprint(const Program& scua,
-                                   const std::vector<Program>& contenders,
-                                   const HwmCampaignOptions& options) {
-    Fnv1a h;
-    h.u64(fingerprint(scua));
-    h.u64(contenders.size());
+namespace {
+
+/// Fingerprints of the programs a run installs, each hashed once: the
+/// scua's (unless `scua_fingerprint` already is it), then each
+/// contender's as re-scoped to the cycle cap.
+std::vector<std::uint64_t> installed_fingerprints(
+    const Program& scua, const std::vector<Program>& contenders,
+    const HwmCampaignOptions& options, std::uint64_t scua_fingerprint = 0) {
+    std::vector<std::uint64_t> installed;
+    installed.reserve(contenders.size() + 1);
+    installed.push_back(scua_fingerprint != 0 ? scua_fingerprint
+                                              : fingerprint(scua));
     for (const Program& contender : contenders) {
-        h.u64(fingerprint(contender));
+        installed.push_back(
+            fingerprint(contender, options.max_cycles_per_run));
     }
-    // The cycle cap re-scopes contender iteration counts at load time,
-    // so it is part of what "the same programs" means. Seed and start
-    // delays are per-run inputs and deliberately excluded.
-    h.u64(options.max_cycles_per_run);
+    return installed;
+}
+
+std::uint64_t program_set_fingerprint(
+    const std::vector<std::uint64_t>& installed, CoreId scua_core) {
+    Fnv1a h;
+    h.u64(scua_core);
+    h.u64(installed.size());
+    for (const std::uint64_t fp : installed) h.u64(fp);
+    // Seed and start delays are per-run inputs and deliberately excluded.
     const std::uint64_t value = h.value();
     return value == 0 ? 1 : value;  // 0 is the "nothing installed" tag
+}
+
+/// `installed` laid out by core, the way execute_campaign_run places
+/// the programs (0 on a core left idle).
+std::vector<std::uint64_t> per_core_fingerprints(
+    const std::vector<std::uint64_t>& installed, CoreId num_cores,
+    CoreId scua_core) {
+    std::vector<std::uint64_t> per_core(num_cores, 0);
+    per_core[scua_core] = installed.front();
+    const std::size_t contenders = installed.size() - 1;
+    std::size_t next = 0;
+    for (CoreId c = 0; c < num_cores && contenders > 0; ++c) {
+        if (c == scua_core) continue;
+        per_core[c] = installed[1 + next % contenders];
+        ++next;
+    }
+    return per_core;
+}
+
+/// The per-run campaign telemetry, counted once per run after the fact
+/// so every hook stays off the cycle loop. The machine's skip
+/// statistics were reset with the run, so they are exactly this run's.
+Cycle count_campaign_run(const Machine& machine,
+                         const replay::ScriptCache& scripts, Cycle finish) {
+    RRB_ENSURE(finish != kNoCycle);
+    // Every core hosts a program in a campaign run, so a null script is
+    // a declined decode and the run at least partly interprets.
+    const bool all_replay =
+        std::find(scripts.per_core.begin(), scripts.per_core.end(),
+                  nullptr) == scripts.per_core.end();
+    obs::count(all_replay ? obs::kReplayRuns : obs::kReplayFallbackRuns);
+    obs::count(obs::kRunsCompleted);
+    obs::count(obs::kCyclesSimulated, finish);
+    obs::count(obs::kEventsSkipped, machine.events_skipped());
+    obs::count(obs::kCyclesSkipped, machine.cycles_skipped());
+    return finish;
+}
+
+}  // namespace
+
+std::uint64_t campaign_fingerprint(const Program& scua,
+                                   const std::vector<Program>& contenders,
+                                   const HwmCampaignOptions& options,
+                                   CoreId scua_core) {
+    return program_set_fingerprint(
+        installed_fingerprints(scua, contenders, options), scua_core);
 }
 
 Cycle execute_campaign_run(Machine& machine, std::uint64_t& loaded_campaign,
@@ -37,31 +98,47 @@ Cycle execute_campaign_run(Machine& machine, std::uint64_t& loaded_campaign,
                            const HwmCampaignOptions& options,
                            std::uint64_t run_index,
                            replay::ScriptCache* scripts,
-                           std::uint64_t campaign) {
+                           std::uint64_t campaign, CoreId scua_core) {
+    const MachineConfig& config = machine.config();
+    RRB_REQUIRE(scua_core < config.num_cores, "scua core out of range");
     // Per-run seed derivation (not one RNG shared across runs): run i's
     // offsets depend only on (options.seed, i), never on which thread or
     // in which order the run executes.
     const engine::SeedSequence seeds(options.seed);
     Pcg32 rng(seeds.seed_for(run_index), run_index);
 
+    // Hashed only when needed, and then once: a hoisted `campaign` that
+    // matches the machine skips hashing (and allocating) entirely. A
+    // scua the machine already hosts on its core — an estimator's
+    // contention run after the isolation run — keeps the fingerprint the
+    // pool recorded for it.
+    std::vector<std::uint64_t> installed;
     if (campaign == 0) {
-        campaign = campaign_fingerprint(scua, contenders, options);
+        const bool scua_hosted =
+            scripts != nullptr && loaded_campaign != 0 &&
+            loaded_campaign == scripts->campaign &&
+            machine.has_program(scua_core) &&
+            machine.core(scua_core).program() == scua;
+        installed = installed_fingerprints(
+            scua, contenders, options,
+            scua_hosted ? scripts->programs[scua_core] : 0);
+        campaign = program_set_fingerprint(installed, scua_core);
     }
     const bool reuse_programs = loaded_campaign == campaign;
 
-    const MachineConfig& config = machine.config();
     if (reuse_programs) {
         // The machine already hosts exactly these programs: restore
         // power-on hardware state in place and restart the cores with
         // this run's offsets — no Program copies, no allocation.
         machine.reset_keep_programs();
-        machine.restart_program(0, 0);
+        machine.restart_program(scua_core, 0);
     } else {
         machine.reset();
-        machine.load_program(0, scua);
+        machine.load_program(scua_core, scua);
     }
     std::size_t next = 0;
-    for (CoreId c = 1; c < config.num_cores; ++c) {
+    for (CoreId c = 0; c < config.num_cores && !contenders.empty(); ++c) {
+        if (c == scua_core) continue;
         const Cycle delay =
             options.max_start_delay == 0
                 ? 0
@@ -80,38 +157,23 @@ Cycle execute_campaign_run(Machine& machine, std::uint64_t& loaded_campaign,
     // core's redundant per-run IL1 warm is skipped; warming after the
     // loads instead of interleaved is behavior-preserving (each warm
     // touches only the core's own L1 and its private L2 partition).
-    if (scripts != nullptr) {
-        if (scripts->campaign != campaign) {
-            replay::prepare_scripts(*scripts, machine, campaign);
+    if (scripts != nullptr && scripts->campaign != campaign) {
+        if (installed.empty()) {
+            installed = installed_fingerprints(scua, contenders, options);
         }
-        // Every core hosts a program here, so a null script is a
-        // declined decode and the run at least partly interprets.
-        bool all_replay = true;
-        for (CoreId c = 0; c < config.num_cores; ++c) {
-            machine.attach_replay(c, scripts->per_core[c]);
-            all_replay = all_replay && scripts->per_core[c] != nullptr;
-        }
-        obs::count(all_replay ? obs::kReplayRuns
-                              : obs::kReplayFallbackRuns);
-    } else {
-        for (CoreId c = 0; c < config.num_cores; ++c) {
-            machine.attach_replay(c, nullptr);
-        }
+        replay::prepare_scripts(
+            *scripts, machine, campaign,
+            per_core_fingerprints(installed, config.num_cores, scua_core));
     }
     for (CoreId c = 0; c < config.num_cores; ++c) {
-        machine.warm_static_footprint(c);
+        machine.attach_replay(c, scripts != nullptr ? scripts->per_core[c]
+                                                    : nullptr);
+    }
+    for (CoreId c = 0; c < config.num_cores; ++c) {
+        if (machine.has_program(c)) machine.warm_static_footprint(c);
     }
     loaded_campaign = campaign;
-    const Cycle finish = machine.run_core(0, options.max_cycles_per_run);
-    RRB_ENSURE(finish != kNoCycle);
-    // Out-of-band telemetry: the machine's skip statistics were reset
-    // with the run, so they are exactly this run's. Counting here (once
-    // per run, after the fact) keeps every hook off the cycle loop.
-    obs::count(obs::kRunsCompleted);
-    obs::count(obs::kCyclesSimulated, finish);
-    obs::count(obs::kEventsSkipped, machine.events_skipped());
-    obs::count(obs::kCyclesSkipped, machine.cycles_skipped());
-    return finish;
+    return machine.run_core(scua_core, options.max_cycles_per_run);
 }
 
 Cycle hwm_campaign_run(const MachineConfig& config, const Program& scua,
@@ -119,9 +181,11 @@ Cycle hwm_campaign_run(const MachineConfig& config, const Program& scua,
                        const HwmCampaignOptions& options,
                        std::uint64_t run_index, std::uint64_t campaign) {
     engine::MachineLease lease(config);
-    return execute_campaign_run(lease.machine(), lease.campaign(), scua,
-                                contenders, options, run_index,
-                                &lease.scripts(), campaign);
+    return count_campaign_run(
+        lease.machine(), lease.scripts(),
+        execute_campaign_run(lease.machine(), lease.campaign(), scua,
+                             contenders, options, run_index,
+                             &lease.scripts(), campaign));
 }
 
 Measurement hwm_campaign_measure(const MachineConfig& config,
@@ -131,10 +195,11 @@ Measurement hwm_campaign_measure(const MachineConfig& config,
                                  std::uint64_t run_index,
                                  std::uint64_t campaign) {
     engine::MachineLease lease(config);
-    const Cycle finish =
+    const Cycle finish = count_campaign_run(
+        lease.machine(), lease.scripts(),
         execute_campaign_run(lease.machine(), lease.campaign(), scua,
                              contenders, options, run_index,
-                             &lease.scripts(), campaign);
+                             &lease.scripts(), campaign));
     return snapshot_measurement(lease.machine(), 0, finish,
                                 /*deadline_reached=*/false);
 }
@@ -155,9 +220,11 @@ Cycle hwm_campaign_attribute(const MachineConfig& config,
         Machine& machine;
         ~Disarm() { machine.disarm_attribution(); }
     } disarm{machine};
-    const Cycle finish =
+    const Cycle finish = count_campaign_run(
+        machine, lease.scripts(),
         execute_campaign_run(machine, lease.campaign(), scua, contenders,
-                             options, run_index, &lease.scripts(), campaign);
+                             options, run_index, &lease.scripts(),
+                             campaign));
     machine.finalize_attribution();
     acc.add(run_index, machine.attribution());
     return finish;

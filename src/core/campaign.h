@@ -109,54 +109,62 @@ struct ScriptCache;
 
 namespace detail {
 
-/// Identity of the program set a campaign installs on a machine: the
-/// scua, the resolved contender list and the per-run cycle cap (which
-/// re-scopes contender iteration counts). A machine whose last run used
+/// Identity of the program set a run installs on a machine: the scua
+/// and its core, and the resolved contender list with iteration counts
+/// re-scoped to the per-run cycle cap. A machine whose last run used
 /// the same fingerprint can be restarted in place — no program copies —
 /// instead of reloaded; engine::MachineLease stores this tag next to
 /// each cached machine. Never zero (zero means "nothing installed").
 [[nodiscard]] std::uint64_t campaign_fingerprint(
     const Program& scua, const std::vector<Program>& contenders,
-    const HwmCampaignOptions& options);
+    const HwmCampaignOptions& options, CoreId scua_core = 0);
 
-/// Runs run `run_index` of the campaign protocol on `machine`: resets
-/// it to power-on state, installs the programs (or restarts them in
-/// place when `loaded_campaign` already matches their fingerprint —
-/// updated on return), draws the seeded release offsets, warms the
-/// static footprints and runs to the scua's finish cycle. The single
-/// protocol body shared by the hot leased path (hwm_campaign_run /
-/// hwm_campaign_measure) and the differential tests' fresh-machine
-/// naive-stepping reference — sharing it is what makes "bit-identical"
-/// checkable rather than aspirational. Pass `loaded_campaign = 0` for a
-/// machine whose program state is unknown.
+/// Runs run `run_index` of the measurement protocol on `machine`:
+/// resets it to power-on state, installs the scua on `scua_core` and
+/// cycles the contenders over the other cores (none: the scua runs
+/// alone), or restarts them in place when `loaded_campaign` already
+/// matches their fingerprint — updated on return. Then it draws the
+/// seeded release offsets, warms the static footprints and runs to the
+/// scua's finish cycle, returned; kNoCycle when the run reached
+/// options.max_cycles_per_run first. The single protocol body behind
+/// every campaign run, the experiment primitives (core/experiment.h)
+/// and the differential tests' fresh-machine naive-stepping reference
+/// — sharing it is what makes "bit-identical" checkable rather than
+/// aspirational. Pass `loaded_campaign = 0` for a machine whose program
+/// state is unknown. The run counts no telemetry: the campaign entry
+/// points below count their runs, and experiment runs stay out of the
+/// campaign counters.
 ///
 /// `scripts` selects the execution mode: non-null enables micro-op
-/// replay (src/replay) — scripts are decoded into the cache when its
-/// campaign tag differs and attached to the cores each run; null (the
-/// default, and the differential references' mode) interprets, and any
-/// previously attached scripts are detached. Both modes produce
+/// replay (src/replay) — the pool is prepared when its program-set tag
+/// differs and the scripts are attached to the cores each run; null
+/// (the default, and the differential references' mode) interprets, and
+/// any previously attached scripts are detached. Both modes produce
 /// bit-identical results, attribution included; replay is just faster.
-/// A run given a cache counts as replay_runs when every core replays
-/// and as replay_fallback_runs when some core's decode declined.
 ///
 /// `campaign` is an optional precomputed campaign_fingerprint(scua,
-/// contenders, options): program fingerprints hash every instruction,
-/// which is measurable per-run overhead for large contender bodies, so
-/// shard loops hoist the hash out and pass it in. 0 (the default, and
-/// never a valid fingerprint) means "compute it here"; a non-zero value
-/// MUST equal what campaign_fingerprint would return for these inputs.
+/// contenders, options, scua_core): program fingerprints hash every
+/// instruction, which is measurable per-run overhead for large contender
+/// bodies, so shard loops hoist the hash out and pass it in. 0 (the
+/// default, and never a valid fingerprint) means "compute it here"; a
+/// non-zero value MUST equal what campaign_fingerprint would return for
+/// these inputs. Either way each program is hashed at most once per run.
 [[nodiscard]] Cycle execute_campaign_run(
     Machine& machine, std::uint64_t& loaded_campaign, const Program& scua,
     const std::vector<Program>& contenders,
     const HwmCampaignOptions& options, std::uint64_t run_index,
-    replay::ScriptCache* scripts = nullptr, std::uint64_t campaign = 0);
+    replay::ScriptCache* scripts = nullptr, std::uint64_t campaign = 0,
+    CoreId scua_core = 0);
 
 /// One campaign run on a per-worker leased machine (machine reuse +
-/// event-driven cycle skipping), returning the scua's finish cycle.
-/// Thread-safe: the lease cache is thread-local. Shared by the serial
-/// and parallel campaign paths, which is what keeps them bit-identical.
-/// `campaign` as in execute_campaign_run: optional precomputed
-/// campaign_fingerprint, 0 to compute per call.
+/// event-driven cycle skipping + replay), returning the scua's finish
+/// cycle. Thread-safe: the lease cache is thread-local. Shared by the
+/// serial and parallel campaign paths, which is what keeps them
+/// bit-identical. `campaign` as in execute_campaign_run: optional
+/// precomputed campaign_fingerprint, 0 to compute per call. The run
+/// must finish within options.max_cycles_per_run. It counts as
+/// runs_completed, and as replay_runs when every core replays or as
+/// replay_fallback_runs when some core's decode declined.
 [[nodiscard]] Cycle hwm_campaign_run(const MachineConfig& config,
                                      const Program& scua,
                                      const std::vector<Program>& contenders,

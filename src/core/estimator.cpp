@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/experiment.h"
-#include "machine/machine.h"
 #include "kernels/rsk.h"
 #include "sim/contract.h"
 
@@ -64,7 +63,8 @@ Program make_scua_rsk_nop(const MachineConfig& config,
 }  // namespace
 
 UbdEstimate estimate_ubd(const MachineConfig& config,
-                         const UbdEstimatorOptions& options) {
+                         const UbdEstimatorOptions& options,
+                         const ExperimentBackend& backend) {
     RRB_REQUIRE(options.k_max >= 4, "sweep too short to contain a period");
     RRB_REQUIRE(options.rsk_iterations >= 1, "need at least one iteration");
     RRB_REQUIRE(options.relative_tolerance >= 0.0, "negative tolerance");
@@ -73,7 +73,7 @@ UbdEstimate estimate_ubd(const MachineConfig& config,
 
     // Step 1: delta_nop calibration.
     estimate.confidence.nop =
-        calibrate_delta_nop(config, 2048, 64, options.nop_latency);
+        calibrate_delta_nop(config, 2048, 64, options.nop_latency, backend);
     if (estimate.confidence.nop.residual() > 0.05) {
         estimate.confidence.warnings.push_back(
             "delta_nop is far from an integer cycle count; the saw-tooth "
@@ -87,20 +87,22 @@ UbdEstimate estimate_ubd(const MachineConfig& config,
     // Nc-1 contenders *alone* drive the bus to ~100% utilization (read
     // from the PMC), otherwise their re-injection gaps stretch the
     // round-robin window and the estimate degrades to a conservative
-    // over-approximation.
+    // over-approximation. The probe is a contention run capped at the
+    // probe window whose scua is a one-nop loop that outlasts it: its
+    // code is warmed into the IL1, so it never reaches the bus and the
+    // contenders have the bus to themselves.
     {
-        Machine machine(config);
-        for (CoreId c = 1; c < config.num_cores; ++c) {
-            Program contender = contenders[(c - 1) % contenders.size()];
-            contender.iterations = options.max_cycles_per_run;
-            machine.load_program(c, contender);
-            machine.warm_static_footprint(c);
-        }
         const Cycle probe_cycles = 50'000;
-        machine.run(probe_cycles);
-        estimate.confidence.saturation_utilization =
-            config.num_cores > 1 ? machine.bus().utilization(machine.now())
-                                 : 1.0;
+        if (config.num_cores > 1) {
+            const Measurement probe = backend.contention(
+                config, make_nop_kernel(1, probe_cycles), contenders, 0,
+                probe_cycles);
+            RRB_ENSURE(probe.deadline_reached && probe.bus_requests == 0);
+            estimate.confidence.saturation_utilization =
+                probe.bus_utilization;
+        } else {
+            estimate.confidence.saturation_utilization = 1.0;
+        }
         estimate.confidence.saturated =
             estimate.confidence.saturation_utilization >=
             options.min_saturation_utilization;
@@ -117,8 +119,9 @@ UbdEstimate estimate_ubd(const MachineConfig& config,
     estimate.dbus.reserve(options.k_max + 1);
     for (std::uint32_t k = 0; k <= options.k_max; ++k) {
         const Program scua = make_scua_rsk_nop(config, options, unroll, k);
-        const SlowdownResult r = run_slowdown(config, scua, contenders, 0,
-                                              options.max_cycles_per_run);
+        const SlowdownResult r =
+            run_slowdown(config, scua, contenders, 0,
+                         options.max_cycles_per_run, backend);
         RRB_ENSURE(!r.isolation.deadline_reached &&
                    !r.contention.deadline_reached);
         if (k == 0) estimate.nr = r.isolation.bus_requests;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/calibrate.h"
+#include "core/experiment.h"
 #include "isa/program.h"
 #include "machine/config.h"
 #include "stats/periodicity.h"
@@ -90,9 +91,11 @@ struct UbdEstimate {
     ConfidenceReport confidence;
 };
 
-/// Runs the full methodology on the given platform configuration.
-[[nodiscard]] UbdEstimate estimate_ubd(const MachineConfig& config,
-                                       const UbdEstimatorOptions& options = {});
+/// Runs the full methodology on the given platform configuration,
+/// taking every measurement through `backend`.
+[[nodiscard]] UbdEstimate estimate_ubd(
+    const MachineConfig& config, const UbdEstimatorOptions& options = {},
+    const ExperimentBackend& backend = {});
 
 /// Helper: the rsk contender set (Nc - 1 copies of rsk(t)) used both by
 /// the estimator and by the validation benches.

@@ -1,29 +1,36 @@
 #include "core/experiment.h"
 
+#include "core/campaign.h"
 #include "engine/campaign_engine.h"
 #include "engine/machine_lease.h"
 #include "machine/machine.h"
 #include "sim/contract.h"
-#include "sim/fnv.h"
 
 namespace rrb {
 
 namespace {
 
-/// Program-set identity of an isolation run, for MachineLease's
-/// restart-in-place fast path: the scua alone on its core under this
-/// cycle cap. The leading tag keeps it out of campaign_fingerprint's
-/// value space (a contention campaign installs contenders too, so the
-/// two must never compare equal for one machine). Never zero.
-std::uint64_t isolation_fingerprint(const Program& scua, CoreId scua_core,
-                                    Cycle max_cycles) {
-    Fnv1a h;
-    h.u64(0x1507'1e5eULL);  // isolation tag
-    h.u64(fingerprint(scua));
-    h.u64(scua_core);
-    h.u64(max_cycles);
-    const std::uint64_t value = h.value();
-    return value == 0 ? 1 : value;
+/// One experiment run: the campaign run protocol with no release
+/// offsets, on this thread's leased machine for `config`, every core
+/// replaying from the lease's script pool. Machine::reset() is
+/// bit-identical to fresh construction and replay to interpretation,
+/// so the result equals a fresh machine's. No campaign counters move.
+Measurement measure(const MachineConfig& config, const Program& scua,
+                    const std::vector<Program>& contenders,
+                    CoreId scua_core, Cycle max_cycles) {
+    HwmCampaignOptions protocol;
+    protocol.runs = 1;
+    protocol.max_start_delay = 0;
+    protocol.max_cycles_per_run = max_cycles;
+    engine::MachineLease lease(config);
+    Machine& machine = lease.machine();
+    const Cycle finish = detail::execute_campaign_run(
+        machine, lease.campaign(), scua, contenders, protocol,
+        /*run_index=*/0, &lease.scripts(), /*campaign=*/0, scua_core);
+    const bool deadline_reached = finish == kNoCycle;
+    return detail::snapshot_measurement(
+        machine, scua_core, deadline_reached ? machine.now() : finish,
+        deadline_reached);
 }
 
 }  // namespace
@@ -53,66 +60,25 @@ Measurement snapshot_measurement(Machine& machine, CoreId scua_core,
 
 Measurement run_isolation(const MachineConfig& config, const Program& scua,
                           CoreId scua_core, Cycle max_cycles) {
-    RRB_REQUIRE(scua_core < config.num_cores, "scua core out of range");
-    // Reuse this worker's cached machine instead of rebuilding one:
-    // Machine::reset() is bit-identical to fresh construction (the
-    // test_hotpath differential contract), so a leased isolation
-    // baseline can never differ from the historical fresh-machine one.
-    engine::MachineLease lease(config);
-    Machine& machine = lease.machine();
-    const std::uint64_t campaign =
-        isolation_fingerprint(scua, scua_core, max_cycles);
-    if (lease.campaign() == campaign) {
-        machine.reset_keep_programs();
-        machine.restart_program(scua_core, 0);
-    } else {
-        machine.reset();
-        machine.load_program(scua_core, scua);
-        lease.campaign() = campaign;
-    }
-    machine.warm_static_footprint(scua_core);
-    const RunResult r = machine.run_until_core(scua_core, max_cycles);
-    const Cycle et = r.deadline_reached ? r.cycles
-                                        : r.finish_cycle[scua_core];
-    return detail::snapshot_measurement(machine, scua_core, et,
-                                        r.deadline_reached);
+    return measure(config, scua, {}, scua_core, max_cycles);
 }
 
 Measurement run_contention(const MachineConfig& config, const Program& scua,
                            const std::vector<Program>& contenders,
                            CoreId scua_core, Cycle max_cycles) {
-    RRB_REQUIRE(scua_core < config.num_cores, "scua core out of range");
     RRB_REQUIRE(!contenders.empty(), "need at least one contender");
-
-    Machine machine(config);
-    machine.load_program(scua_core, scua);
-    std::size_t next = 0;
-    for (CoreId c = 0; c < config.num_cores; ++c) {
-        if (c == scua_core) continue;
-        Program contender = contenders[next % contenders.size()];
-        ++next;
-        // The contender must outlive the scua: give it an effectively
-        // unbounded iteration count (bounded only by max_cycles).
-        contender.iterations = max_cycles;  // >= 1 cycle per iteration
-        machine.load_program(c, contender);
-        machine.warm_static_footprint(c);
-    }
-    machine.warm_static_footprint(scua_core);
-
-    const RunResult r = machine.run_until_core(scua_core, max_cycles);
-    const Cycle et = r.deadline_reached ? r.cycles
-                                        : r.finish_cycle[scua_core];
-    return detail::snapshot_measurement(machine, scua_core, et,
-                                        r.deadline_reached);
+    return measure(config, scua, contenders, scua_core, max_cycles);
 }
 
 SlowdownResult run_slowdown(const MachineConfig& config, const Program& scua,
                             const std::vector<Program>& contenders,
-                            CoreId scua_core, Cycle max_cycles) {
+                            CoreId scua_core, Cycle max_cycles,
+                            const ExperimentBackend& backend) {
     SlowdownResult result;
-    result.isolation = run_isolation(config, scua, scua_core, max_cycles);
-    result.contention =
-        run_contention(config, scua, contenders, scua_core, max_cycles);
+    result.isolation =
+        backend.isolation(config, scua, scua_core, max_cycles);
+    result.contention = backend.contention(config, scua, contenders,
+                                           scua_core, max_cycles);
     RRB_ENSURE(result.contention.exec_time >= result.isolation.exec_time);
     return result;
 }

@@ -13,6 +13,13 @@
 // the Scenario/Session API (core/scenario.h, core/session.h). Prefer
 // Session::isolation / Session::contention / Session::slowdown in new
 // code; the functions here stay for single-run composition.
+//
+// Each run is one run of the campaign protocol
+// (detail::execute_campaign_run, core/campaign.h) with no release
+// offsets, on the calling thread's leased machine (engine::MachineLease),
+// replaying from the lease's program-keyed script pool. Results equal a
+// fresh machine's interpretation bit for bit; tests/serial_reference.h
+// keeps that fresh-machine interpreter as the oracle.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +46,7 @@ struct Measurement {
     bool deadline_reached = false;  ///< run hit the cycle cap (invalid)
 };
 
-/// Runs `scua` alone on core `scua_core` of a machine built from `config`.
+/// Runs `scua` alone on core `scua_core` of a machine for `config`.
 [[nodiscard]] Measurement run_isolation(const MachineConfig& config,
                                         const Program& scua,
                                         CoreId scua_core = 0,
@@ -63,16 +70,25 @@ struct SlowdownResult {
     }
 };
 
-[[nodiscard]] SlowdownResult run_slowdown(const MachineConfig& config,
-                                          const Program& scua,
-                                          const std::vector<Program>& contenders,
-                                          CoreId scua_core = 0,
-                                          Cycle max_cycles = 1'000'000'000);
+/// The two measurement primitives as one substitutable pair. The
+/// estimators (core/calibrate.h, core/estimator.h, core/store_span.h)
+/// measure only through it — the method is black-box: execution times
+/// and PMCs in, ubd out — so a test can run them on an independent
+/// backend and compare every field.
+struct ExperimentBackend {
+    decltype(&run_isolation) isolation = &run_isolation;
+    decltype(&run_contention) contention = &run_contention;
+};
+
+[[nodiscard]] SlowdownResult run_slowdown(
+    const MachineConfig& config, const Program& scua,
+    const std::vector<Program>& contenders, CoreId scua_core = 0,
+    Cycle max_cycles = 1'000'000'000, const ExperimentBackend& backend = {});
 
 /// Grid version of run_slowdown: evaluates every scua concurrently on the
 /// campaign engine (`jobs` workers; 0 = hardware concurrency) and returns
-/// results in `scuas` order. Each grid point builds its own machines, so
-/// results are identical to calling run_slowdown in a loop.
+/// results in `scuas` order. Each worker runs on its own leased machine,
+/// so results are identical to calling run_slowdown in a loop.
 [[nodiscard]] std::vector<SlowdownResult> run_slowdown_grid(
     const MachineConfig& config, const std::vector<Program>& scuas,
     const std::vector<Program>& contenders, std::size_t jobs = 0,

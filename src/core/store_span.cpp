@@ -10,7 +10,8 @@
 namespace rrb {
 
 StoreSpanEstimate estimate_ubd_store_span(
-    const MachineConfig& config, const UbdEstimatorOptions& options) {
+    const MachineConfig& config, const UbdEstimatorOptions& options,
+    const ExperimentBackend& backend) {
     RRB_REQUIRE(options.k_max >= 8, "sweep too short for a store span");
     RRB_REQUIRE(options.rsk_iterations >= 1, "need at least one iteration");
 
@@ -39,8 +40,9 @@ StoreSpanEstimate estimate_ubd_store_span(
         params.nop_latency = options.nop_latency;
         params.data_base = 0x0010'0000;
         const Program scua = make_rsk_nop(params, k);
-        const SlowdownResult r = run_slowdown(config, scua, contenders, 0,
-                                              options.max_cycles_per_run);
+        const SlowdownResult r =
+            run_slowdown(config, scua, contenders, 0,
+                         options.max_cycles_per_run, backend);
         RRB_ENSURE(!r.isolation.deadline_reached &&
                    !r.contention.deadline_reached);
         estimate.dbus.push_back(static_cast<double>(r.slowdown()));

@@ -35,7 +35,8 @@ struct StoreSpanEstimate {
 /// Runs the store sweep and extracts ubd from the descending span.
 /// `options.access` is ignored (forced to stores).
 [[nodiscard]] StoreSpanEstimate estimate_ubd_store_span(
-    const MachineConfig& config, const UbdEstimatorOptions& options = {});
+    const MachineConfig& config, const UbdEstimatorOptions& options = {},
+    const ExperimentBackend& backend = {});
 
 /// Runs both the load saw-tooth path and the store span path and reports
 /// agreement — the full cross-checked methodology.

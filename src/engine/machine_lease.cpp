@@ -15,7 +15,7 @@ struct MachineLease::Entry {
     std::uint64_t campaign = 0;  ///< fingerprint of installed programs
     std::uint32_t pins = 0;      ///< live leases holding this entry
     std::unique_ptr<Machine> machine;
-    replay::ScriptCache scripts;  ///< decoded for `campaign`
+    replay::ScriptCache scripts;  ///< pooled scripts of recent programs
 };
 
 namespace {

@@ -49,9 +49,10 @@ public:
     /// Campaign fingerprint of the programs installed by the previous
     /// lease of this machine; write through it after loading new ones.
     [[nodiscard]] std::uint64_t& campaign() noexcept;
-    /// Pre-decoded micro-op scripts for the hosted campaign (replay
-    /// execution mode). Lives and dies with the cached machine, so
-    /// core-held script pointers can never outlive their storage.
+    /// The program-keyed pool of pre-decoded micro-op scripts the
+    /// machine's runs replay from. Lives and dies with the cached
+    /// machine, so core-held script pointers can never outlive their
+    /// storage.
     [[nodiscard]] replay::ScriptCache& scripts() noexcept;
 
     /// Machines currently cached by this thread (introspection/tests).

@@ -3,38 +3,33 @@
 #include <algorithm>
 
 #include "sim/contract.h"
+#include "sim/fnv.h"
 
 namespace rrb {
 
 std::uint64_t fingerprint(const Program& program) {
-    // splitmix64-chained content hash. The campaign hot path evaluates
-    // this per run to decide whether a leased machine's programs can be
-    // reused in place; the byte-at-a-time FNV fold costs ~64 dependent
-    // multiply-xors per field, the splitmix chain 5 — same collision
-    // quality for a same-build, in-memory identity.
-    std::uint64_t h = 0x243f6a8885a308d3ULL;  // pi, nothing-up-my-sleeve
-    const auto fold = [&h](std::uint64_t v) {
-        h += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = h ^ v;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-    };
-    fold(program.body.size());
+    return fingerprint(program, program.iterations);
+}
+
+std::uint64_t fingerprint(const Program& program, std::uint64_t iterations) {
+    // Word-at-a-time: the campaign hot path evaluates this per run to
+    // decide whether a leased machine's programs can be reused in place.
+    WordHash h;
+    h.u64(program.body.size());
     for (const Instruction& instr : program.body) {
-        fold(static_cast<std::uint64_t>(instr.kind) |
-             static_cast<std::uint64_t>(instr.latency) << 8 |
-             static_cast<std::uint64_t>(instr.addr.kind) << 40);
-        fold(instr.addr.base);
-        fold(instr.addr.stride_bytes);
-        fold(instr.addr.range);
-        fold(instr.addr.align);
-        fold(instr.addr.salt);
+        h.u64(static_cast<std::uint64_t>(instr.kind) |
+              static_cast<std::uint64_t>(instr.latency) << 8 |
+              static_cast<std::uint64_t>(instr.addr.kind) << 40);
+        h.u64(instr.addr.base);
+        h.u64(instr.addr.stride_bytes);
+        h.u64(instr.addr.range);
+        h.u64(instr.addr.align);
+        h.u64(instr.addr.salt);
     }
-    fold(program.iterations);
-    fold(program.code_base);
-    fold(program.loop_control_cycles);
-    return h;
+    h.u64(iterations);
+    h.u64(program.code_base);
+    h.u64(program.loop_control_cycles);
+    return h.value();
 }
 
 namespace {

@@ -49,12 +49,16 @@ struct AddrPattern {
 
     /// The address this slot produces on the given loop iteration.
     [[nodiscard]] Addr address(std::uint64_t iteration) const;
+
+    bool operator==(const AddrPattern&) const = default;
 };
 
 struct Instruction {
     OpKind kind = OpKind::kNop;
     std::uint32_t latency = 1;  ///< execute cycles for kNop/kAlu (>= 1)
     AddrPattern addr;           ///< meaningful for kLoad/kStore only
+
+    bool operator==(const Instruction&) const = default;
 };
 
 /// A kernel: a loop body run a fixed number of iterations.
@@ -82,6 +86,9 @@ struct Program {
     }
     /// Count of body slots of one kind.
     [[nodiscard]] std::uint64_t count(OpKind kind) const noexcept;
+
+    /// Member-wise, `name` included — stricter than equal fingerprints.
+    bool operator==(const Program&) const = default;
 };
 
 /// Content hash of everything that determines a program's timing: the
@@ -91,6 +98,10 @@ struct Program {
 /// (engine::MachineLease) to decide whether a reused machine already
 /// hosts the right programs.
 [[nodiscard]] std::uint64_t fingerprint(const Program& program);
+/// fingerprint() of `program` re-scoped to `iterations`: the identity of
+/// the copy a campaign installs for a contender, without the copy.
+[[nodiscard]] std::uint64_t fingerprint(const Program& program,
+                                        std::uint64_t iterations);
 
 /// One entry of an explicit memory trace (see make_trace_program).
 struct TraceOp {

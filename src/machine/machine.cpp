@@ -57,6 +57,11 @@ const InOrderCore& Machine::core(CoreId id) const {
     return *cores_[id];
 }
 
+bool Machine::has_program(CoreId id) const {
+    RRB_REQUIRE(id < cores_.size(), "core id out of range");
+    return has_program_[id];
+}
+
 void Machine::load_program(CoreId core, Program program,
                            Cycle start_delay) {
     RRB_REQUIRE(core < cores_.size(), "core id out of range");

@@ -133,6 +133,10 @@ public:
     [[nodiscard]] const Bus& bus() const noexcept { return *bus_; }
     [[nodiscard]] InOrderCore& core(CoreId id);
     [[nodiscard]] const InOrderCore& core(CoreId id) const;
+    /// Whether `id` hosts a program since the last reset(). A reset core
+    /// still holds its old Program object, so core(id).program() alone
+    /// cannot tell.
+    [[nodiscard]] bool has_program(CoreId id) const;
     [[nodiscard]] WayPartitionedCache& l2() noexcept { return l2_; }
     [[nodiscard]] MemoryController& dram() noexcept { return dram_; }
     [[nodiscard]] Tracer& tracer() noexcept { return tracer_; }

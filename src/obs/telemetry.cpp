@@ -25,6 +25,12 @@ const char* counter_name(Counter c) noexcept {
         case kSchedAffinityHits: return "sched_affinity_hits";
         case kSchedSteals: return "sched_steals";
         case kReplayDecodes: return "replay_decodes";
+        case kReplayDeclinesOpCap: return "replay_declines_op_cap";
+        case kReplayDeclinesBoundaryCap:
+            return "replay_declines_boundary_cap";
+        case kReplayDeclinesDirtyReplica:
+            return "replay_declines_dirty_replica";
+        case kReplayDeclinesInjected: return "replay_declines_injected";
         case kReplayRuns: return "replay_runs";
         case kReplayFallbackRuns: return "replay_fallback_runs";
         case kHeapAllocations: return "heap_allocations";

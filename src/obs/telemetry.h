@@ -65,6 +65,14 @@ enum Counter : unsigned {
     kSchedAffinityHits,  ///< dispatch matched the worker's hot lease
     kSchedSteals,        ///< dispatch crossed fingerprints (or first item)
     kReplayDecodes,      ///< micro-op scripts decoded (deterministic)
+    kReplayDeclinesOpCap,        ///< decodes declined at the op cap
+    kReplayDeclinesBoundaryCap,  ///< decodes declined when no loop
+                                 ///< folded within the boundary budget
+                                 ///< and the rest cannot fit the op cap
+    kReplayDeclinesDirtyReplica, ///< decodes declined on a dirty L2
+                                 ///< replica eviction
+    kReplayDeclinesInjected,     ///< decodes declined by the injected
+                                 ///< decode-overflow fault
     kReplayRuns,         ///< campaign runs in which every core
                          ///< replayed (deterministic)
     kReplayFallbackRuns, ///< campaign runs given a script cache in which

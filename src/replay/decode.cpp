@@ -1,5 +1,6 @@
 #include "replay/decode.h"
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <vector>
@@ -14,6 +15,9 @@ namespace {
 
 constexpr std::uint32_t kMaxComputeBatch = 64;  // mirror of core.cpp
 
+/// Decode scratch capacity kept per thread between decodes (~2.5 MB).
+constexpr std::size_t kMaxScratchOps = std::size_t{1} << 16;
+
 // Span growth caps: spans are an optimization, so cutting one short is
 // always safe. The aggregate fields are u16/u32; stay comfortably below.
 constexpr std::size_t kMaxSpanOps = 4096;
@@ -22,7 +26,7 @@ constexpr std::uint64_t kMaxSpanCycles = 0x7000'0000;
 
 /// The functional half of InOrderCore: replica L1s, pc/iteration, the
 /// fetch memo. Every state transition mirrors execute_instruction /
-/// advance_pc exactly; decode failure (overflow, caps) sets `failed`.
+/// advance_pc exactly; a step that cannot be scripted sets `failed`.
 struct FunctionalCore {
     FunctionalCore(const Program& program, const CoreConfig& config,
                    CoreId core_id, const L2PartitionSpec* l2_spec)
@@ -76,7 +80,7 @@ struct FunctionalCore {
         } else if (access.victim_line) {
             miss.flags |= MicroOp::kL2Evict;
         }
-        if (access.dirty_eviction) failed = true;
+        if (access.dirty_eviction) failed = Decline::kDirtyReplica;
     }
 
     [[nodiscard]] Addr fetch_addr() const noexcept {
@@ -163,7 +167,7 @@ struct FunctionalCore {
                     ++batched;
                 }
                 if (cycles > 0xFFFF'FFFFULL) {
-                    failed = true;
+                    failed = Decline::kOpCap;
                     return;
                 }
                 op.cycles = static_cast<std::uint32_t>(cycles);
@@ -225,7 +229,7 @@ struct FunctionalCore {
 
     std::uint64_t emitted_instrs = 0;
     std::uint64_t instr_budget = 0;
-    bool failed = false;
+    Decline failed = Decline::kNone;
 };
 
 /// Canonical functional-state hash at a body-wrap boundary: both L1s
@@ -320,8 +324,12 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
                                               const CoreConfig& config,
                                               CoreId core_id,
                                               const L2PartitionSpec* l2,
-                                              const DecodeLimits& limits) {
+                                              const DecodeLimits& limits,
+                                              Decline* decline) {
     RRB_REQUIRE(!program.body.empty(), "program body must not be empty");
+    Decline unused = Decline::kNone;
+    Decline& why = decline != nullptr ? *decline : unused;
+    why = Decline::kNone;
     // Fault site: a forced decode overflow (key: decode sequence
     // number). Returning nullptr takes the real overflow path — the
     // caller falls back to the interpreter, which is bit-identical by
@@ -331,17 +339,34 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
         const std::uint64_t sequence =
             decode_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
         if (fault::should_fire(fault::Site::kDecodeOverflow, sequence)) {
+            why = Decline::kInjected;
             return nullptr;
         }
     }
+    // Every load and store decodes to exactly one op, so no body pass is
+    // shorter than min_ops_per_wrap. When the passes left cannot fit the
+    // op budget left even at that length, no amount of decoding could
+    // finish: the decode declines at once instead of at the op cap.
+    const std::uint64_t min_ops_per_wrap = std::max<std::uint64_t>(
+        1, program.count(OpKind::kLoad) + program.count(OpKind::kStore));
+    const auto cannot_fit = [&](std::uint64_t instrs_left,
+                                std::size_t ops_done) {
+        const std::uint64_t room =
+            limits.max_ops - std::min<std::uint64_t>(ops_done, limits.max_ops);
+        return instrs_left / program.body.size() > room / min_ops_per_wrap;
+    };
+    bool seeking_loop = addresses_iteration_independent(program);
+    if (!seeking_loop && cannot_fit(program.total_instructions(), 0)) {
+        why = Decline::kOpCap;  // it can never fold, so it must fit whole
+        return nullptr;
+    }
+
     auto script = std::make_unique<MicroOpScript>();
     script->total_instructions = program.total_instructions();
-    script->program_fingerprint = fingerprint(program);
 
     FunctionalCore f(program, config, core_id, l2);
     script->l2_baked = f.l2.has_value();
     f.instr_budget = script->total_instructions;
-    const bool loop_eligible = addresses_iteration_independent(program);
 
     struct Boundary {
         std::uint64_t hash = 0;
@@ -351,11 +376,24 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
     std::vector<Boundary> boundaries;
     std::uint64_t last_boundary_iteration = 0;
 
-    std::vector<MicroOp>& ops = script->ops;
-    bool found_loop = false;
+    // Ops grow in a per-thread scratch buffer that keeps its capacity
+    // from decode to decode — regrowing a vector per decode costs a
+    // third of a short one — and the script gets one exact-size copy. A
+    // buffer grown past kMaxScratchOps is released on the way out.
+    thread_local std::vector<MicroOp> scratch;
+    struct Trim {
+        std::vector<MicroOp>& ops;
+        ~Trim() {
+            if (ops.capacity() > kMaxScratchOps) {
+                std::vector<MicroOp>().swap(ops);
+            }
+        }
+    } trim{scratch};
+    std::vector<MicroOp>& ops = scratch;
+    ops.clear();
 
     while (!f.retired()) {
-        if (loop_eligible && !found_loop && f.pc == 0 && !f.fetched &&
+        if (seeking_loop && f.pc == 0 && !f.fetched &&
             f.iteration > last_boundary_iteration) {
             last_boundary_iteration = f.iteration;
             const std::uint64_t hash = boundary_fingerprint(f);
@@ -374,21 +412,33 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
                 script->tail_instrs =
                     (rem - 1) % script->loop_instrs + 1;
                 f.instr_budget = f.emitted_instrs + script->tail_instrs;
-                found_loop = true;
+                seeking_loop = false;
                 break;
             }
-            if (!found_loop) {
-                if (boundaries.size() >= limits.max_boundaries) {
-                    return nullptr;
-                }
+            if (seeking_loop && boundaries.size() < limits.max_boundaries) {
                 boundaries.push_back({hash,
                                       static_cast<std::uint32_t>(ops.size()),
                                       f.emitted_instrs});
+            } else if (seeking_loop) {
+                // Budget spent without a loop: stop fingerprinting. At a
+                // boundary the rest is whole body passes.
+                if (cannot_fit(f.instr_budget - f.emitted_instrs,
+                               ops.size())) {
+                    why = Decline::kBoundaryCap;
+                    return nullptr;
+                }
+                seeking_loop = false;
             }
         }
-        if (ops.size() >= limits.max_ops) return nullptr;
+        if (ops.size() >= limits.max_ops) {
+            why = Decline::kOpCap;
+            return nullptr;
+        }
         f.step(ops);
-        if (f.failed) return nullptr;
+        if (f.failed != Decline::kNone) {
+            why = f.failed;
+            return nullptr;
+        }
     }
 
     if (!script->looping) {
@@ -403,6 +453,7 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
         build_spans(ops, script->tail_start, ops.size(),
                     config.loads_wait_store_buffer);
     }
+    script->ops.assign(ops.begin(), ops.end());
     return script;
 }
 

@@ -24,8 +24,27 @@ struct DecodeLimits {
     /// program (and without finding a steady-state loop) fails the
     /// decode — the core then stays on the interpreter.
     std::uint32_t max_ops = 1u << 20;
-    /// Body-wrap state snapshots examined for loop detection.
-    std::uint32_t max_boundaries = 4096;
+    /// Body-wrap state snapshots examined for loop detection. Each one
+    /// fingerprints both L1 replicas and the L2 partition replica, so
+    /// the budget is small: LRU, FIFO and PLRU rsk programs fold within
+    /// their first two wraps. Once it is spent the decoder stops looking
+    /// for a loop. It declines (Decline::kBoundaryCap) when the rest of
+    /// the program provably cannot fit under max_ops, and otherwise
+    /// decodes the rest straight through to retirement.
+    std::uint32_t max_boundaries = 64;
+};
+
+/// Why decode_program returned nullptr.
+enum class Decline : std::uint8_t {
+    kNone,          ///< the decode succeeded
+    kOpCap,         ///< the ops outgrew DecodeLimits::max_ops (or one
+                    ///< op's cycle field) before the program retired —
+                    ///< or provably would, for a program that can
+                    ///< never fold (checked before decoding)
+    kBoundaryCap,   ///< no loop within DecodeLimits::max_boundaries
+                    ///< wraps, and the rest cannot fit under max_ops
+    kDirtyReplica,  ///< the L2 partition replica evicted a dirty line
+    kInjected,      ///< the decode-overflow fault fired
 };
 
 /// The replica blueprint of one core's private L2 partition, for baking
@@ -44,7 +63,8 @@ struct L2PartitionSpec {
 /// Decodes `program` as core `core_id` (the id fixes the L1 victim-RNG
 /// seeds) would execute it under `config`. Returns nullptr when the
 /// program cannot be scripted within the limits — callers fall back to
-/// the interpreter, never fail.
+/// the interpreter, never fail — and stores the reason in `*decline`
+/// when given (Decline::kNone on success).
 ///
 /// With a non-null `l2` and a storeless program, the per-access outcomes
 /// of the core's L2 partition are additionally baked into the miss ops
@@ -54,6 +74,7 @@ struct L2PartitionSpec {
 /// timing-dependent order the decoder cannot replay.
 [[nodiscard]] std::unique_ptr<MicroOpScript> decode_program(
     const Program& program, const CoreConfig& config, CoreId core_id,
-    const L2PartitionSpec* l2 = nullptr, const DecodeLimits& limits = {});
+    const L2PartitionSpec* l2 = nullptr, const DecodeLimits& limits = {},
+    Decline* decline = nullptr);
 
 }  // namespace rrb::replay

@@ -109,7 +109,6 @@ struct MicroOpScript {
     std::uint64_t tail_instrs = 0;    ///< instructions in the tail region
     std::uint64_t loop_instrs = 0;    ///< instructions per loop pass
     std::uint64_t total_instructions = 0;  ///< of the decoded program
-    std::uint64_t program_fingerprint = 0;
 };
 
 }  // namespace rrb::replay

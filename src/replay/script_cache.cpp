@@ -1,16 +1,38 @@
 #include "replay/script_cache.h"
 
+#include <algorithm>
+
 #include "machine/machine.h"
 #include "obs/telemetry.h"
 #include "replay/decode.h"
+#include "sim/contract.h"
 
 namespace rrb::replay {
 
+namespace {
+
+obs::Counter decline_counter(Decline why) noexcept {
+    switch (why) {
+        case Decline::kOpCap: return obs::kReplayDeclinesOpCap;
+        case Decline::kBoundaryCap: return obs::kReplayDeclinesBoundaryCap;
+        case Decline::kDirtyReplica: return obs::kReplayDeclinesDirtyReplica;
+        case Decline::kNone:  // a successful decode never gets here
+        case Decline::kInjected: break;
+    }
+    return obs::kReplayDeclinesInjected;
+}
+
+}  // namespace
+
 void prepare_scripts(ScriptCache& cache, Machine& machine,
-                     std::uint64_t campaign) {
-    cache.clear();
+                     std::uint64_t campaign,
+                     std::span<const std::uint64_t> programs) {
     const MachineConfig& config = machine.config();
+    RRB_REQUIRE(programs.empty() || programs.size() == config.num_cores,
+                "one program fingerprint per core");
+    const std::uint64_t generation = ++cache.generation;
     cache.per_core.assign(config.num_cores, nullptr);
+    cache.programs.assign(config.num_cores, 0);
     // Under kRandom L1 replacement the victim RNG is seeded from the
     // core id, so equal programs still decode to different outcome
     // streams on different cores. The same applies to the L2 partition
@@ -20,39 +42,61 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
         config.core.l1_replacement == ReplacementPolicy::kRandom;
     const bool l2_random =
         config.l2_replacement == ReplacementPolicy::kRandom;
+    bool injected = false;
     for (CoreId c = 0; c < config.num_cores; ++c) {
+        if (!machine.has_program(c)) continue;
         const Program& program = machine.core(c).program();
-        if (program.body.empty()) continue;  // no program installed
-        const std::uint64_t fp = fingerprint(program);
+        const std::uint64_t fp =
+            programs.empty() ? fingerprint(program) : programs[c];
+        cache.programs[c] = fp;
         const bool bakes_l2 = program.count(OpKind::kStore) == 0;
-        const bool core_specific = l1_random || (l2_random && bakes_l2);
-        if (!core_specific) {
-            const MicroOpScript* shared = nullptr;
-            for (const std::unique_ptr<MicroOpScript>& s : cache.owned) {
-                if (s->program_fingerprint == fp) {
-                    shared = s.get();
-                    break;
+        const CoreId owner = l1_random || (l2_random && bakes_l2)
+                                 ? c
+                                 : ScriptCache::kAnyCore;
+        // A remembered decline covers every core running the program:
+        // it only sends them to the bit-identical interpreter.
+        auto pooled = std::find_if(
+            cache.pool.begin(), cache.pool.end(),
+            [&](const ScriptCache::Entry& e) {
+                return e.program == fp &&
+                       (e.script == nullptr || e.core == owner);
+            });
+        if (pooled == cache.pool.end()) {
+            L2PartitionSpec l2_spec;
+            l2_spec.geometry = machine.l2().partition_geometry();
+            l2_spec.replacement = config.l2_replacement;
+            l2_spec.write_policy = config.l2_write_policy;
+            l2_spec.alloc_policy = config.l2_alloc_policy;
+            l2_spec.rng_seed = machine.l2().partition_rng_seed(c);
+            Decline why = Decline::kNone;
+            std::unique_ptr<MicroOpScript> script =
+                decode_program(program, config.core, c, &l2_spec, {}, &why);
+            if (script != nullptr) {
+                obs::count(obs::kReplayDecodes);
+            } else {
+                obs::count(decline_counter(why));
+                // An injected decline is not the program's fault: it is
+                // never pooled, so the next prepare decodes again.
+                if (why == Decline::kInjected) {
+                    injected = true;
+                    continue;
                 }
             }
-            if (shared != nullptr) {
-                cache.per_core[c] = shared;
-                continue;
-            }
+            const CoreId key_core =
+                script != nullptr ? owner : ScriptCache::kAnyCore;
+            cache.pool.push_back({fp, key_core, std::move(script), 0});
+            pooled = cache.pool.end() - 1;
         }
-        L2PartitionSpec l2_spec;
-        l2_spec.geometry = machine.l2().partition_geometry();
-        l2_spec.replacement = config.l2_replacement;
-        l2_spec.write_policy = config.l2_write_policy;
-        l2_spec.alloc_policy = config.l2_alloc_policy;
-        l2_spec.rng_seed = machine.l2().partition_rng_seed(c);
-        std::unique_ptr<MicroOpScript> script =
-            decode_program(program, config.core, c, &l2_spec);
-        if (script == nullptr) continue;  // interpreter fallback
-        obs::count(obs::kReplayDecodes);
-        cache.per_core[c] = script.get();
-        cache.owned.push_back(std::move(script));
+        pooled->generation = generation;
+        cache.per_core[c] = pooled->script.get();
     }
-    cache.campaign = campaign;
+    // Two-generation bound: keep what this set or the previous one ran.
+    std::erase_if(cache.pool, [generation](const ScriptCache::Entry& e) {
+        return e.generation + 1 < generation;
+    });
+    // A set with an injected decline stays untagged, so the next run
+    // prepares again — and replays once the fault is disarmed.
+    cache.campaign = injected ? 0 : campaign;
 }
 
 }  // namespace rrb::replay

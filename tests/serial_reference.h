@@ -3,6 +3,12 @@
 // accumulators left-merged in index order — the order bit-identity
 // requires. No pool and no scheduler, so a Session result that matches
 // one of these matches an independent fold.
+//
+// Also the oracle for the experiment primitives: fresh_isolation and
+// fresh_contention build a new Machine per run and interpret every
+// core — no lease, no scripts, no shared run protocol. The leased,
+// replaying run_isolation / run_contention (and every estimator built
+// on them, through fresh_machines()) must match them bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -14,9 +20,59 @@
 #include "engine/reduce.h"
 #include "isa/program.h"
 #include "machine/config.h"
+#include "machine/machine.h"
+#include "sim/contract.h"
 #include "stats/checkpoint.h"
 
 namespace rrb::reference {
+
+/// run_isolation on a fresh machine, interpreting.
+inline Measurement fresh_isolation(const MachineConfig& config,
+                                   const Program& scua, CoreId scua_core,
+                                   Cycle max_cycles) {
+    RRB_REQUIRE(scua_core < config.num_cores, "scua core out of range");
+    Machine machine(config);
+    machine.load_program(scua_core, scua);
+    machine.warm_static_footprint(scua_core);
+    const RunResult r = machine.run_until_core(scua_core, max_cycles);
+    const Cycle et = r.deadline_reached ? r.cycles
+                                        : r.finish_cycle[scua_core];
+    return detail::snapshot_measurement(machine, scua_core, et,
+                                        r.deadline_reached);
+}
+
+/// run_contention on a fresh machine, interpreting.
+inline Measurement fresh_contention(const MachineConfig& config,
+                                    const Program& scua,
+                                    const std::vector<Program>& contenders,
+                                    CoreId scua_core, Cycle max_cycles) {
+    RRB_REQUIRE(scua_core < config.num_cores, "scua core out of range");
+    RRB_REQUIRE(!contenders.empty(), "need at least one contender");
+    Machine machine(config);
+    machine.load_program(scua_core, scua);
+    std::size_t next = 0;
+    for (CoreId c = 0; c < config.num_cores; ++c) {
+        if (c == scua_core) continue;
+        Program contender = contenders[next % contenders.size()];
+        ++next;
+        // The contender must outlive the scua: give it an effectively
+        // unbounded iteration count (bounded only by max_cycles).
+        contender.iterations = max_cycles;  // >= 1 cycle per iteration
+        machine.load_program(c, contender);
+        machine.warm_static_footprint(c);
+    }
+    machine.warm_static_footprint(scua_core);
+    const RunResult r = machine.run_until_core(scua_core, max_cycles);
+    const Cycle et = r.deadline_reached ? r.cycles
+                                        : r.finish_cycle[scua_core];
+    return detail::snapshot_measurement(machine, scua_core, et,
+                                        r.deadline_reached);
+}
+
+/// The oracle as an estimator backend.
+inline ExperimentBackend fresh_machines() {
+    return {&fresh_isolation, &fresh_contention};
+}
 
 /// Folds runs [0, runs) into a copy of `init` per plan shard and
 /// left-merges the shards in index order.
@@ -41,7 +97,7 @@ Acc serial_fold(std::uint64_t runs, const Acc& init, Fold&& fold) {
 
 inline Measurement isolation(const MachineConfig& config, const Program& scua,
                              const HwmCampaignOptions& protocol) {
-    return run_isolation(config, scua, 0, protocol.max_cycles_per_run);
+    return fresh_isolation(config, scua, 0, protocol.max_cycles_per_run);
 }
 
 inline PwcetCampaignResult pwcet(const MachineConfig& config,

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 namespace rrb::cli {
@@ -737,6 +738,46 @@ TEST(Cli, HelpListsNewCommands) {
     EXPECT_NE(r.out.find("telemetry-diff"), std::string::npos);
     EXPECT_NE(r.out.find("--trace"), std::string::npos);
     EXPECT_NE(r.out.find("--max-regression-pct"), std::string::npos);
+}
+
+// ------------------------------------------------------ golden sweeps
+
+std::string read_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(Cli, EstimateMatchesTheGoldenSweeps) {
+    // tests/golden/estimate-*.{csv,txt} were written by rrbtool before
+    // the estimator replayed: the paper's numbers, pinned byte for byte
+    // against every later speed-up. The .txt holds stdout with the CSV
+    // written to the golden file's own name.
+    const struct {
+        std::string name;
+        std::vector<std::string> args;
+    } goldens[] = {
+        {"estimate-ref", {"--kmax", "70", "--iterations", "40"}},
+        {"estimate-c6-l5",
+         {"--cores", "6", "--lbus", "5", "--kmax", "80", "--iterations",
+          "20"}},
+    };
+    for (const auto& golden : goldens) {
+        const std::string dir = std::string(RRB_SOURCE_DIR) + "/tests/golden/";
+        const std::string csv = "/tmp/rrbtool_" + golden.name + ".csv";
+        std::vector<std::string> args = {"estimate"};
+        args.insert(args.end(), golden.args.begin(), golden.args.end());
+        args.insert(args.end(), {"--csv", csv});
+        const CliResult r = invoke(args);
+        EXPECT_EQ(r.code, 0) << golden.name << ": " << r.err;
+        std::string expected = read_file(dir + golden.name + ".txt");
+        const std::string own_name = golden.name + ".csv";
+        const std::size_t at = expected.find(own_name);
+        ASSERT_NE(at, std::string::npos) << golden.name;
+        expected.replace(at, own_name.size(), csv);
+        EXPECT_EQ(r.out, expected) << golden.name;
+        EXPECT_EQ(read_file(csv), read_file(dir + own_name)) << golden.name;
+        std::remove(csv.c_str());
+    }
 }
 
 }  // namespace

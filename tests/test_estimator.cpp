@@ -1,12 +1,21 @@
 // End-to-end tests of the paper's methodology: ubd recovered from pure
-// execution-time measurements, with no bus-latency knowledge.
+// execution-time measurements, with no bus-latency knowledge — and
+// recovered bit-identically by the leased, replaying sweep and by the
+// fresh-machine interpreter (tests/serial_reference.h).
 #include "core/estimator.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "core/calibrate.h"
 #include "core/experiment.h"
+#include "core/store_span.h"
+#include "engine/machine_lease.h"
 #include "kernels/rsk.h"
+#include "obs/telemetry.h"
+#include "serial_reference.h"
 
 namespace rrb {
 namespace {
@@ -163,6 +172,163 @@ TEST(Estimator, TwoCoreLoadContenderIsConservativeAndFlagged) {
         EXPECT_FALSE(e.confidence.saturated);     // and the user is told
         EXPECT_FALSE(e.confidence.warnings.empty());
     }
+}
+
+// ------------------------------------ replayed sweeps vs the oracle
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_series(const std::vector<double>& got,
+                        const std::vector<double>& want,
+                        const std::string& what) {
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(bits(got[i]), bits(want[i])) << what << " [" << i << "]";
+    }
+}
+
+void expect_same_period(const PeriodEstimate& got,
+                        const PeriodEstimate& want, const std::string& what) {
+    EXPECT_EQ(got.period, want.period) << what;
+    EXPECT_EQ(bits(got.score), bits(want.score)) << what;
+}
+
+/// Every UbdEstimate field; doubles by bit pattern.
+void expect_same_estimate(const UbdEstimate& got, const UbdEstimate& want,
+                          const std::string& what) {
+    EXPECT_EQ(got.found, want.found) << what;
+    EXPECT_EQ(got.ubd, want.ubd) << what;
+    EXPECT_EQ(got.period_k, want.period_k) << what;
+    EXPECT_EQ(bits(got.amplitude_per_request),
+              bits(want.amplitude_per_request))
+        << what;
+    EXPECT_EQ(got.nr, want.nr) << what;
+    expect_same_series(got.dbus, want.dbus, what + " dbus");
+    expect_same_series(got.et_isolation, want.et_isolation,
+                       what + " et_isolation");
+    expect_same_series(got.et_contention, want.et_contention,
+                       what + " et_contention");
+    const PeriodConsensus& gc = got.consensus;
+    const PeriodConsensus& wc = want.consensus;
+    EXPECT_EQ(gc.period, wc.period) << what;
+    expect_same_period(gc.exact, wc.exact, what + " exact");
+    expect_same_period(gc.equal_value, wc.equal_value, what + " equal");
+    expect_same_period(gc.peaks, wc.peaks, what + " peaks");
+    expect_same_period(gc.autocorr, wc.autocorr, what + " autocorr");
+    EXPECT_EQ(gc.votes, wc.votes) << what;
+    const ConfidenceReport& gr = got.confidence;
+    const ConfidenceReport& wr = want.confidence;
+    EXPECT_EQ(bits(gr.saturation_utilization),
+              bits(wr.saturation_utilization))
+        << what;
+    EXPECT_EQ(gr.saturated, wr.saturated) << what;
+    EXPECT_EQ(bits(gr.nop.delta_nop), bits(wr.nop.delta_nop)) << what;
+    EXPECT_EQ(gr.nop.nops_executed, wr.nop.nops_executed) << what;
+    EXPECT_EQ(gr.nop.exec_time, wr.nop.exec_time) << what;
+    EXPECT_EQ(gr.detector_votes, wr.detector_votes) << what;
+    EXPECT_EQ(gr.warnings, wr.warnings) << what;
+}
+
+/// Every StoreSpanEstimate field.
+void expect_same_span(const StoreSpanEstimate& got,
+                      const StoreSpanEstimate& want,
+                      const std::string& what) {
+    EXPECT_EQ(got.found, want.found) << what;
+    EXPECT_EQ(got.ubd, want.ubd) << what;
+    EXPECT_EQ(got.plateau_end, want.plateau_end) << what;
+    EXPECT_EQ(got.first_zero, want.first_zero) << what;
+    expect_same_series(got.dbus, want.dbus, what + " dbus");
+}
+
+/// A sweep long enough for 2.5 saw-tooth periods, kept short otherwise.
+UbdEstimatorOptions oracle_options(const MachineConfig& cfg) {
+    UbdEstimatorOptions opt = fast_options(
+        static_cast<std::uint32_t>(cfg.ubd_analytic() * 5 / 2 + 4));
+    opt.rsk_iterations = 10;
+    return opt;
+}
+
+void expect_estimates_match_oracle(const MachineConfig& cfg,
+                                   const UbdEstimatorOptions& opt,
+                                   const std::string& what) {
+    const UbdEstimate got = estimate_ubd(cfg, opt);
+    EXPECT_TRUE(got.found) << what;
+    expect_same_estimate(got,
+                         estimate_ubd(cfg, opt, reference::fresh_machines()),
+                         what);
+    // The store span ends at k + 1 = Nc * lbus = ubd + lbus.
+    UbdEstimatorOptions span = opt;
+    const Cycle ubd = cfg.ubd_analytic();
+    span.k_max = static_cast<std::uint32_t>(ubd + ubd / (cfg.num_cores - 1) + 8);
+    const StoreSpanEstimate got_span = estimate_ubd_store_span(cfg, span);
+    EXPECT_TRUE(got_span.found) << what;
+    expect_same_span(
+        got_span,
+        estimate_ubd_store_span(cfg, span, reference::fresh_machines()),
+        what + " store span");
+}
+
+TEST(EstimatorOracle, PlatformsMatchTheFreshMachineInterpreter) {
+    const struct {
+        const char* name;
+        MachineConfig config;
+    } platforms[] = {
+        {"ngmp_ref", MachineConfig::ngmp_ref()},
+        {"ngmp_var", MachineConfig::ngmp_var()},
+        {"scaled(8,9)", MachineConfig::scaled(8, 9)},
+        {"scaled(6,5)", MachineConfig::scaled(6, 5)},
+        {"scaled(2,9)", MachineConfig::scaled(2, 9)},
+    };
+    for (const auto& [name, cfg] : platforms) {
+        expect_estimates_match_oracle(cfg, oracle_options(cfg), name);
+    }
+}
+
+TEST(EstimatorOracle, L1PoliciesAndSlowNopsMatchTheOracle) {
+    const struct {
+        const char* name;
+        ReplacementPolicy policy;
+    } policies[] = {{"plru", ReplacementPolicy::kPlru},
+                    {"fifo", ReplacementPolicy::kFifo},
+                    {"random", ReplacementPolicy::kRandom}};
+    for (const auto& [name, policy] : policies) {
+        MachineConfig cfg = MachineConfig::ngmp_ref();
+        cfg.core.l1_replacement = policy;
+        expect_estimates_match_oracle(cfg, oracle_options(cfg), name);
+    }
+    const MachineConfig cfg = MachineConfig::ngmp_ref();
+    UbdEstimatorOptions slow = oracle_options(cfg);
+    slow.nop_latency = 2;
+    expect_estimates_match_oracle(cfg, slow, "nop latency 2");
+}
+
+TEST(EstimatorOracle, SweepDecodesEachProgramOnce) {
+    // One decode per distinct program the estimator runs: the nop
+    // calibration kernel, the saturation probe's one-nop scua and its
+    // rsk contender (re-scoped to the probe window), one rsk-nop scua
+    // per k — shared by that k's isolation and contention runs — and
+    // the sweep's rsk contender, shared by every contender core and
+    // every k. A sweep that interprets decodes nothing; one that
+    // re-decodes its contender per k decodes k_max more.
+    engine::MachineLease::drop_thread_cache();
+    const MachineConfig cfg = MachineConfig::ngmp_ref();
+    const UbdEstimatorOptions opt = oracle_options(cfg);
+    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
+    registry.reset();
+    registry.enable();
+    const UbdEstimate e = estimate_ubd(cfg, opt);
+    const obs::CounterSnapshot counters = registry.counters();
+    registry.disable();
+    EXPECT_TRUE(e.found);
+    EXPECT_EQ(counters[obs::kReplayDecodes], opt.k_max + 1u + 4u);
+    EXPECT_EQ(counters[obs::kReplayDeclinesOpCap] +
+                  counters[obs::kReplayDeclinesBoundaryCap] +
+                  counters[obs::kReplayDeclinesDirtyReplica] +
+                  counters[obs::kReplayDeclinesInjected],
+              0u);
+    // Experiment runs stay out of the campaign counters.
+    EXPECT_EQ(counters[obs::kRunsCompleted], 0u);
+    EXPECT_EQ(counters[obs::kReplayRuns], 0u);
 }
 
 }  // namespace

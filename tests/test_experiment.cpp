@@ -1,12 +1,20 @@
 // Tests of the measurement harness itself: warm-up discipline,
-// determinism, deadline handling, and PMC plumbing.
+// determinism, deadline handling, PMC plumbing, and bit-identity of the
+// leased, replaying primitives with the fresh-machine interpreter
+// (tests/serial_reference.h).
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "core/estimator.h"
+#include "engine/machine_lease.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/machine.h"
+#include "serial_reference.h"
 
 namespace rrb {
 namespace {
@@ -132,6 +140,136 @@ TEST(Experiment, MachineRunsAreIndependent) {
     const RunResult r2 = m2.run(1'000'000);
     // m2 was not warmed: cold misses make it slower.
     EXPECT_LT(r1.finish_cycle[0], r2.finish_cycle[0]);
+}
+
+// ------------------------------------- replayed primitives vs the oracle
+
+void expect_same_histogram(const Histogram& got, const Histogram& want,
+                           const std::string& what) {
+    EXPECT_EQ(got.total(), want.total()) << what;
+    EXPECT_EQ(got.buckets(), want.buckets()) << what;
+}
+
+/// Every Measurement field; doubles by bit pattern.
+void expect_same_measurement(const Measurement& got, const Measurement& want,
+                             const std::string& what) {
+    EXPECT_EQ(got.exec_time, want.exec_time) << what;
+    EXPECT_EQ(got.bus_requests, want.bus_requests) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.bus_utilization),
+              std::bit_cast<std::uint64_t>(want.bus_utilization))
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.scua_bus_share),
+              std::bit_cast<std::uint64_t>(want.scua_bus_share))
+        << what;
+    expect_same_histogram(got.gamma, want.gamma, what + " gamma");
+    EXPECT_EQ(got.max_gamma, want.max_gamma) << what;
+    expect_same_histogram(got.ready_contenders, want.ready_contenders,
+                          what + " ready_contenders");
+    expect_same_histogram(got.injection_delta, want.injection_delta,
+                          what + " injection_delta");
+    EXPECT_EQ(got.deadline_reached, want.deadline_reached) << what;
+}
+
+Program sweep_scua(const MachineConfig& cfg, OpKind access, std::uint32_t k,
+                   std::uint32_t nop_latency = 1) {
+    RskParams p;
+    p.dl1_geometry = cfg.core.dl1_geometry;
+    p.il1_geometry = cfg.core.il1_geometry;
+    p.access = access;
+    p.unroll = 4;
+    p.iterations = 12;
+    p.nop_latency = nop_latency;
+    p.data_base = 0x0010'0000;
+    return make_rsk_nop(p, k);
+}
+
+/// An estimator-shaped sequence on one leased machine — isolation then
+/// contention of rsk-nop(k) for a few k against the rsk contenders —
+/// each run compared with the oracle. Consecutive runs share scripts
+/// through the lease's pool, so this also checks the pool hands every
+/// run the right ones.
+void expect_sweep_matches_oracle(const MachineConfig& cfg, OpKind access,
+                                 const std::string& name,
+                                 std::uint32_t nop_latency = 1,
+                                 CoreId scua_core = 0) {
+    const std::vector<Program> contenders =
+        make_rsk_contenders(cfg, access, 4);
+    const Cycle cap = 50'000'000;
+    for (const std::uint32_t k : {0u, 7u, 19u, 7u}) {
+        const Program scua = sweep_scua(cfg, access, k, nop_latency);
+        const std::string what = name + " k=" + std::to_string(k);
+        expect_same_measurement(
+            run_isolation(cfg, scua, scua_core, cap),
+            reference::fresh_isolation(cfg, scua, scua_core, cap),
+            what + " isolation");
+        expect_same_measurement(
+            run_contention(cfg, scua, contenders, scua_core, cap),
+            reference::fresh_contention(cfg, scua, contenders, scua_core,
+                                        cap),
+            what + " contention");
+    }
+}
+
+TEST(ExperimentOracle, PlatformsMatchTheFreshMachineInterpreter) {
+    const struct {
+        const char* name;
+        MachineConfig config;
+    } platforms[] = {
+        {"ngmp_ref", MachineConfig::ngmp_ref()},
+        {"ngmp_var", MachineConfig::ngmp_var()},
+        {"scaled(8,9)", MachineConfig::scaled(8, 9)},
+        {"scaled(6,5)", MachineConfig::scaled(6, 5)},
+        {"scaled(2,9)", MachineConfig::scaled(2, 9)},
+    };
+    for (const auto& platform : platforms) {
+        for (const OpKind access : {OpKind::kLoad, OpKind::kStore}) {
+            expect_sweep_matches_oracle(
+                platform.config, access,
+                std::string(platform.name) +
+                    (access == OpKind::kLoad ? " load" : " store"));
+        }
+    }
+}
+
+TEST(ExperimentOracle, L1PoliciesMatchTheFreshMachineInterpreter) {
+    // kRandom makes scripts core-specific and declines the load-rsk
+    // contenders' decodes (they never fold and cannot fit the op cap),
+    // so those contention runs mix a replaying scua with interpreting
+    // contenders.
+    const struct {
+        const char* name;
+        ReplacementPolicy policy;
+    } policies[] = {{"plru", ReplacementPolicy::kPlru},
+                    {"fifo", ReplacementPolicy::kFifo},
+                    {"random", ReplacementPolicy::kRandom}};
+    for (const auto& [name, policy] : policies) {
+        MachineConfig cfg = MachineConfig::ngmp_ref();
+        cfg.core.l1_replacement = policy;
+        for (const OpKind access : {OpKind::kLoad, OpKind::kStore}) {
+            expect_sweep_matches_oracle(
+                cfg, access,
+                std::string(name) +
+                    (access == OpKind::kLoad ? " load" : " store"));
+        }
+    }
+}
+
+TEST(ExperimentOracle, SlowNopsAndAnotherScuaCoreMatchTheOracle) {
+    const MachineConfig cfg = MachineConfig::ngmp_ref();
+    expect_sweep_matches_oracle(cfg, OpKind::kLoad, "nop latency 2",
+                                /*nop_latency=*/2);
+    expect_sweep_matches_oracle(cfg, OpKind::kLoad, "scua core 2",
+                                /*nop_latency=*/1, /*scua_core=*/2);
+}
+
+TEST(ExperimentOracle, DeadlineCappedIsolationMatchesTheOracle) {
+    const MachineConfig cfg = MachineConfig::ngmp_ref();
+    const Program scua = small_rsk(1'000'000);
+    const Measurement got = run_isolation(cfg, scua, 0, 4321);
+    ASSERT_TRUE(got.deadline_reached);
+    expect_same_measurement(got,
+                            reference::fresh_isolation(cfg, scua, 0, 4321),
+                            "capped isolation");
 }
 
 }  // namespace

@@ -590,6 +590,14 @@ TEST(FaultNoop, ForcedDecodeOverflowFallsBackBitIdentically) {
     EXPECT_EQ(counters[obs::kReplayRuns], 0u);
     EXPECT_EQ(counters[obs::kReplayFallbackRuns],
               counters[obs::kRunsCompleted]);
+    // Every decline is counted under its reason, and only that one.
+    EXPECT_EQ(counters[obs::kReplayDeclinesInjected],
+              fault::FaultInjector::instance().fired(
+                  fault::Site::kDecodeOverflow));
+    EXPECT_EQ(counters[obs::kReplayDeclinesOpCap] +
+                  counters[obs::kReplayDeclinesBoundaryCap] +
+                  counters[obs::kReplayDeclinesDirtyReplica],
+              0u);
 }
 
 // ------------------------------------------------------ CLI surface

@@ -1,8 +1,10 @@
 // Unit tests for the replay subsystem (src/replay): script decode
-// determinism, the interpreter fallback, L2-outcome baking eligibility,
-// per-core script sharing, the lease-held script cache lifetime, and a
-// direct replay-vs-interpret differential through the campaign run
-// protocol. The full configuration-grid bit-identity proof lives in
+// determinism, the interpreter fallback and its reasons, L2-outcome
+// baking eligibility, per-core script sharing, the lease-held
+// program-keyed script pool (sharing across program sets, its
+// two-generation bound, remembered declines), and a direct
+// replay-vs-interpret differential through the campaign run protocol.
+// The full configuration-grid bit-identity proof lives in
 // tests/test_hotpath.cpp; these tests pin the replay layer's own
 // contracts.
 #include <gtest/gtest.h>
@@ -13,11 +15,14 @@
 
 #include "core/campaign.h"
 #include "core/estimator.h"
+#include "core/experiment.h"
 #include "engine/machine_lease.h"
+#include "fault/fault.h"
 #include "kernels/autobench.h"
 #include "kernels/rsk.h"
 #include "machine/config.h"
 #include "machine/machine.h"
+#include "obs/telemetry.h"
 #include "replay/decode.h"
 #include "replay/microop.h"
 #include "replay/script_cache.h"
@@ -75,7 +80,6 @@ void expect_same_script(const replay::MicroOpScript& a,
     EXPECT_EQ(a.tail_instrs, b.tail_instrs);
     EXPECT_EQ(a.loop_instrs, b.loop_instrs);
     EXPECT_EQ(a.total_instructions, b.total_instructions);
-    EXPECT_EQ(a.program_fingerprint, b.program_fingerprint);
     ASSERT_EQ(a.ops.size(), b.ops.size());
     for (std::size_t i = 0; i < a.ops.size(); ++i) {
         expect_same_op(a.ops[i], b.ops[i], "op " + std::to_string(i));
@@ -93,7 +97,6 @@ TEST(ScriptDecode, DeterministicForSameProgramAndConfig) {
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     expect_same_script(*a, *b);
-    EXPECT_EQ(a->program_fingerprint, fingerprint(program));
 }
 
 TEST(ScriptDecode, StructurallySaneLoopRegions) {
@@ -120,9 +123,55 @@ TEST(ScriptDecode, TightLimitsDeclineInsteadOfTruncating) {
     const MachineConfig config = MachineConfig::ngmp_ref();
     replay::DecodeLimits limits;
     limits.max_ops = 4;
+    replay::Decline why = replay::Decline::kNone;
     EXPECT_EQ(replay::decode_program(cacheb_program(), config.core, 0,
-                                     nullptr, limits),
+                                     nullptr, limits, &why),
               nullptr);
+    EXPECT_EQ(why, replay::Decline::kOpCap);
+
+    // cacheb's addresses vary per iteration, so it can never fold;
+    // re-scoped to a campaign's cycle cap, its loads alone outnumber the
+    // default op cap, and the decode declines before decoding anything.
+    Program endless = cacheb_program();
+    endless.iterations = 200'000'000;
+    why = replay::Decline::kNone;
+    EXPECT_EQ(replay::decode_program(endless, config.core, 0, nullptr, {},
+                                     &why),
+              nullptr);
+    EXPECT_EQ(why, replay::Decline::kOpCap);
+}
+
+TEST(ScriptDecode, SpentBoundaryBudgetDeclinesOnlyWhatCannotFit) {
+    // Under kRandom L1 replacement the victim RNG state is part of every
+    // boundary fingerprint, so a program that evicts every wrap never
+    // folds. A contender re-scoped to a campaign's cycle cap cannot fit
+    // the op cap either: it declines as soon as the budget is spent.
+    MachineConfig config = MachineConfig::ngmp_ref();
+    config.core.l1_replacement = ReplacementPolicy::kRandom;
+    Program contender = make_rsk_contenders(config, OpKind::kLoad).front();
+    contender.iterations = 200'000'000;
+    replay::Decline why = replay::Decline::kNone;
+    EXPECT_EQ(replay::decode_program(contender, config.core, 1, nullptr, {},
+                                     &why),
+              nullptr);
+    EXPECT_EQ(why, replay::Decline::kBoundaryCap);
+
+    // A short program that fits decodes straight through instead, to
+    // the same script a budget it never spends would give.
+    RskParams params;
+    params.unroll = 4;
+    params.iterations = 25;
+    const Program scua = make_rsk_nop(params, 5);
+    replay::DecodeLimits tight;
+    tight.max_boundaries = 4;
+    const auto straight =
+        replay::decode_program(scua, config.core, 0, nullptr, tight, &why);
+    ASSERT_NE(straight, nullptr);
+    EXPECT_EQ(why, replay::Decline::kNone);
+    EXPECT_FALSE(straight->looping);
+    const auto unspent = replay::decode_program(scua, config.core, 0);
+    ASSERT_NE(unspent, nullptr);
+    expect_same_script(*straight, *unspent);
 }
 
 TEST(ScriptDecode, BakesL2OnlyForStorelessPrograms) {
@@ -202,7 +251,7 @@ TEST(PrepareScripts, SharesOneScriptAcrossEqualPrograms) {
     EXPECT_EQ(cache.per_core[1], cache.per_core[2]);
     EXPECT_EQ(cache.per_core[2], cache.per_core[3]);
     EXPECT_NE(cache.per_core[0], cache.per_core[1]);
-    EXPECT_EQ(cache.owned.size(), 2u);  // scua + shared contender
+    EXPECT_EQ(cache.pool.size(), 2u);  // scua + shared contender
 }
 
 TEST(PrepareScripts, RandomReplacementMakesScriptsCoreSpecific) {
@@ -249,7 +298,7 @@ TEST(LeaseScripts, SurviveReacquisitionAndDieWithTheMachine) {
     {
         engine::MachineLease lease(config);
         EXPECT_EQ(lease.scripts().campaign, 0u);
-        EXPECT_TRUE(lease.scripts().owned.empty());
+        EXPECT_TRUE(lease.scripts().pool.empty());
     }
     engine::MachineLease::drop_thread_cache();
 }
@@ -298,6 +347,114 @@ TEST(Replay, CampaignRunsMatchInterpreterBitForBit) {
                 << what;
         }
     }
+}
+
+// ------------------------------------------------ the program-keyed pool
+
+/// Counter deltas of `body`, run with telemetry on.
+template <typename Body>
+obs::CounterSnapshot counted(Body&& body) {
+    obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
+    registry.reset();
+    registry.enable();
+    body();
+    const obs::CounterSnapshot counters = registry.counters();
+    registry.disable();
+    return counters;
+}
+
+Program sweep_scua(std::uint32_t k) {
+    RskParams params;
+    params.unroll = 4;
+    params.iterations = 10;
+    params.data_base = 0x0010'0000;
+    return make_rsk_nop(params, k);
+}
+
+TEST(ScriptPool, ProgramSetsShareTheirCommonScripts) {
+    // An estimator k-step: isolation then contention of one scua. The
+    // contention run reuses the scua's script, the next k-step the
+    // contenders' — each program is decoded once.
+    engine::MachineLease::drop_thread_cache();
+    const MachineConfig config = MachineConfig::ngmp_ref();
+    const std::vector<Program> contenders =
+        make_rsk_contenders(config, OpKind::kLoad, 4);
+    const obs::CounterSnapshot counters = counted([&] {
+        for (std::uint32_t k = 0; k < 3; ++k) {
+            (void)run_isolation(config, sweep_scua(k));
+            (void)run_contention(config, sweep_scua(k), contenders);
+        }
+    });
+    EXPECT_EQ(counters[obs::kReplayDecodes], 3u + 1u);
+    engine::MachineLease::drop_thread_cache();
+}
+
+TEST(ScriptPool, KeepsOnlyTheCurrentAndThePreviousProgramSet) {
+    engine::MachineLease::drop_thread_cache();
+    const MachineConfig config = MachineConfig::ngmp_ref();
+    for (std::uint32_t k = 0; k < 6; ++k) {
+        (void)run_isolation(config, sweep_scua(k));
+    }
+    engine::MachineLease lease(config);
+    ASSERT_EQ(lease.scripts().pool.size(), 2u);
+    // The previous set's script is still pooled: going back decodes
+    // nothing, while a set two back was dropped.
+    const obs::CounterSnapshot back_one = counted(
+        [&] { (void)run_isolation(config, sweep_scua(4)); });
+    EXPECT_EQ(back_one[obs::kReplayDecodes], 0u);
+    const obs::CounterSnapshot back_two = counted(
+        [&] { (void)run_isolation(config, sweep_scua(3)); });
+    EXPECT_EQ(back_two[obs::kReplayDecodes], 1u);
+    EXPECT_LE(lease.scripts().pool.size(), 2u);
+    engine::MachineLease::drop_thread_cache();
+}
+
+TEST(ScriptPool, RandomL1ContenderDeclinesOnceAtTheBoundaryCap) {
+    // A kRandom-L1 campaign: the load-rsk contender's decode runs out of
+    // boundary budget on the first contender core, and the remembered
+    // decline covers the other two and every later run.
+    engine::MachineLease::drop_thread_cache();
+    MachineConfig config = MachineConfig::ngmp_ref();
+    config.core.l1_replacement = ReplacementPolicy::kRandom;
+    const Program scua = cacheb_program();
+    const std::vector<Program> contenders =
+        make_rsk_contenders(config, OpKind::kLoad);
+    HwmCampaignOptions options;
+    options.runs = 3;
+    const obs::CounterSnapshot counters = counted([&] {
+        for (std::uint64_t run = 0; run < options.runs; ++run) {
+            (void)detail::hwm_campaign_run(config, scua, contenders,
+                                           options, run);
+        }
+    });
+    EXPECT_EQ(counters[obs::kReplayDeclinesBoundaryCap], 1u);
+    EXPECT_EQ(counters[obs::kReplayDeclinesOpCap], 0u);
+    EXPECT_EQ(counters[obs::kReplayDecodes], 1u);  // the scua
+    EXPECT_EQ(counters[obs::kReplayFallbackRuns], options.runs);
+    EXPECT_EQ(counters[obs::kReplayRuns], 0u);
+    engine::MachineLease::drop_thread_cache();
+}
+
+TEST(ScriptPool, InjectedDeclinesAreNotRemembered) {
+    // decode-overflow declines every decode while armed; disarming it
+    // must restore replay on the same thread, for the same program.
+    engine::MachineLease::drop_thread_cache();
+    fault::FaultInjector::instance().disarm();
+    const MachineConfig config = MachineConfig::ngmp_ref();
+    const Program scua = sweep_scua(3);
+    fault::FaultInjector::instance().arm("decode-overflow");
+    const obs::CounterSnapshot armed = counted([&] {
+        (void)run_isolation(config, scua);
+        (void)run_isolation(config, scua);
+    });
+    fault::FaultInjector::instance().disarm();
+    EXPECT_EQ(armed[obs::kReplayDecodes], 0u);
+    EXPECT_EQ(armed[obs::kReplayDeclinesInjected], 2u);
+    const obs::CounterSnapshot disarmed =
+        counted([&] { (void)run_isolation(config, scua); });
+    EXPECT_EQ(disarmed[obs::kReplayDecodes], 1u);
+    EXPECT_EQ(disarmed[obs::kReplayDeclinesInjected], 0u);
+    engine::MachineLease::drop_thread_cache();
 }
 
 }  // namespace
