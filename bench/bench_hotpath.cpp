@@ -17,7 +17,8 @@
 // heap allocations per run) and FAILS (exit 1) when the hot path's
 // steady state performs any heap allocation per run — the allocation
 // counter is a global operator new/delete interposer, so nothing can
-// hide — when arming attribution costs more than
+// hide — when the pwcet fold allocates beyond one block-maxima node per
+// block, when arming attribution costs more than
 // kMaxAttributionOverheadPct of the unarmed rate, or when the replayed
 // estimate is less than kMinEstimateSpeedup times faster. All rates are
 // best-sustained-window estimates (see ChunkTimer)
@@ -40,12 +41,14 @@
 
 #include "core/campaign.h"
 #include "core/estimator.h"
+#include "core/session.h"
 #include "engine/machine_lease.h"
 #include "kernels/autobench.h"
 #include "machine/config.h"
 #include "machine/machine.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
+#include "sched/campaign_scheduler.h"
 #include "serial_reference.h"
 #include "stats/attribution.h"
 
@@ -352,6 +355,47 @@ PathResult run_hot(const MachineConfig& config, const Program& scua,
     return result;
 }
 
+/// The pwcet fold's allocation audit over `runs` steady-state runs:
+/// detail::fold_pwcet_run — the per-run fold of every pwcet path — may
+/// allocate only the block-maxima map's node for each block a run opens.
+struct FoldAudit {
+    std::uint64_t runs = 0;
+    std::uint64_t allocations = 0;
+    std::uint64_t block_nodes = 0;
+
+    [[nodiscard]] double per_run(std::uint64_t count) const {
+        return runs == 0 ? NAN
+                         : static_cast<double>(count) /
+                               static_cast<double>(runs);
+    }
+};
+
+FoldAudit audit_pwcet_fold(const MachineConfig& config, const Program& scua,
+                           const std::vector<Program>& contenders,
+                           const HwmCampaignOptions& options,
+                           std::uint64_t runs, std::uint64_t warmup) {
+    const sched::CampaignInputs inputs{
+        config, scua, contenders, options,
+        detail::campaign_fingerprint(scua, contenders, options)};
+    PwcetAccumulator acc(PwcetSpec{}.block_size);
+    for (std::uint64_t run = 0; run < warmup; ++run) {
+        detail::fold_pwcet_run(acc, inputs, run);
+    }
+    FoldAudit audit;
+    audit.runs = runs;
+    const std::size_t blocks_before = acc.blocks().live_values();
+    const std::uint64_t allocs_before = allocations_now();
+    {
+        const CountScope counting;
+        for (std::uint64_t run = warmup; run < warmup + runs; ++run) {
+            detail::fold_pwcet_run(acc, inputs, run);
+        }
+    }
+    audit.allocations = allocations_now() - allocs_before;
+    audit.block_nodes = acc.blocks().live_values() - blocks_before;
+    return audit;
+}
+
 /// The hot path with the cycle-attribution profiler armed on every run,
 /// folding into one AttributionAccumulator. The warmup runs fold into
 /// the same accumulator: its matrices are sized by the first add(), so
@@ -482,6 +526,11 @@ int main(int argc, char** argv) {
     const std::uint64_t naive_runs = runs == 0 ? 0 : runs / 4 + 1;
     obs::TelemetryRegistry& registry = obs::TelemetryRegistry::instance();
     PathResult hot, naive, hot_telemetry, hot_attributed;
+    FoldAudit fold;
+    if (mode_enabled("hot")) {
+        fold = audit_pwcet_fold(config, scua, contenders, options, runs,
+                                warmup);
+    }
     EstimatePass estimate;
     obs::CounterSnapshot telemetry_counters;
     AttributionAccumulator attribution;
@@ -584,6 +633,8 @@ int main(int argc, char** argv) {
         "  \"hwm_hot\": %llu,\n"
         "  \"differential_mismatches\": %llu,\n"
         "  \"steady_state_allocation_free\": %s,\n"
+        "  \"pwcet_fold\": {\"allocations_per_run\": %s, "
+        "\"block_nodes_per_run\": %s},\n"
         "  \"telemetry\": {\n"
         "    \"runs_per_sec\": %s,\n"
         "    \"overhead_pct\": %s,\n"
@@ -600,6 +651,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(hot.hwm),
         static_cast<unsigned long long>(mismatches),
         hot.allocs_per_run == 0.0 ? "true" : "false",
+        json_number("%.4f", fold.per_run(fold.allocations)).c_str(),
+        json_number("%.4f", fold.per_run(fold.block_nodes)).c_str(),
         json_number("%.1f", hot_telemetry.runs_per_sec()).c_str(),
         json_number("%.2f", telemetry_overhead_pct).c_str(),
         static_cast<unsigned long long>(telemetry_mismatches));
@@ -672,6 +725,16 @@ int main(int argc, char** argv) {
                      "FAIL: hot path performed %.4f heap allocations per "
                      "run in steady state (must be 0)\n",
                      hot.allocs_per_run);
+        rc = 1;
+    }
+    if (fold.allocations > fold.block_nodes) {
+        std::fprintf(stderr,
+                     "FAIL: the pwcet fold performed %llu heap allocations "
+                     "over %llu runs, beyond the %llu block-maxima nodes "
+                     "it may add\n",
+                     static_cast<unsigned long long>(fold.allocations),
+                     static_cast<unsigned long long>(fold.runs),
+                     static_cast<unsigned long long>(fold.block_nodes));
         rc = 1;
     }
     if (hot_telemetry.allocs_per_run != 0.0) {

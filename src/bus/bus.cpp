@@ -66,15 +66,19 @@ bool Bus::busy(CoreId core) const {
 
 void Bus::complete_now(Cycle now) {
     const BusRequest finished = active_;
-    has_active_ = false;
-    if (tracer_ && tracer_->enabled()) {
-        tracer_->record(now - 1, TraceKind::kBusRelease, finished.core,
-                        finished.addr);
-    }
     // Settle attribution before the client dispatch: the completion can
     // post new requests / issue queued ones, mutating the ports.
-    if (attr_ != nullptr) account_completion(finished, now);
+    release(now);
     if (client_ != nullptr) client_->bus_complete(finished, now);
+}
+
+void Bus::release(Cycle now) {
+    has_active_ = false;
+    if (tracer_ && tracer_->enabled()) {
+        tracer_->record(now - 1, TraceKind::kBusRelease, active_.core,
+                        active_.addr);
+    }
+    if (attr_ != nullptr) account_completion(active_, now);
 }
 
 void Bus::account_completion(const BusRequest& finished, Cycle now) {

@@ -110,6 +110,18 @@ public:
         complete_now(now);
     }
 
+    /// The transaction whose service ends at `now`, or null when none
+    /// does — what complete_phase(now) would complete.
+    [[nodiscard]] const BusRequest* completing(Cycle now) const noexcept {
+        return has_active_ && busy_until_ == now ? &active_ : nullptr;
+    }
+
+    /// complete_phase(now) without the client dispatch: the transaction
+    /// ends (tracer and attribution settled as usual) and the caller
+    /// performs the completion's effects itself — the machine's bus-only
+    /// step. Precondition: completing(now) is non-null.
+    void release(Cycle now);
+
     /// Phase 2 of a cycle: arbitration among requests with ready <= now.
     /// Call after cores executed (so a request posted at `now` can be
     /// granted at `now`). Inline early-out, same rationale as

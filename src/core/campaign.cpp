@@ -79,6 +79,7 @@ Cycle count_campaign_run(const Machine& machine,
     obs::count(obs::kCyclesSimulated, finish);
     obs::count(obs::kEventsSkipped, machine.events_skipped());
     obs::count(obs::kCyclesSkipped, machine.cycles_skipped());
+    obs::count(obs::kBusOnlySteps, machine.bus_only_steps());
     return finish;
 }
 

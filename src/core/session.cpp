@@ -92,11 +92,11 @@ sched::CampaignWork lower(const Scenario& scenario,
             span_index};
 }
 
-// The per-run folds: how one campaign run lands in each accumulator.
+// The per-run folds: how one campaign run lands in each accumulator
+// (the pwcet fold is detail::fold_pwcet_run).
 
-template <typename Acc>
-void fold_measurement(Acc& acc, const sched::CampaignInputs& in,
-                      std::uint64_t run) {
+void fold_measurement(WhiteboxAccumulator& acc,
+                      const sched::CampaignInputs& in, std::uint64_t run) {
     acc.add(run, detail::hwm_campaign_measure(in.config, in.scua,
                                               in.contenders, in.protocol,
                                               run, in.fingerprint));
@@ -205,6 +205,13 @@ std::vector<Checkpoint<Acc>> load_all(const std::vector<std::string>& paths) {
 
 }  // namespace
 
+void detail::fold_pwcet_run(PwcetAccumulator& acc,
+                            const sched::CampaignInputs& in,
+                            std::uint64_t run) {
+    acc.add(run, detail::hwm_campaign_run(in.config, in.scua, in.contenders,
+                                          in.protocol, run, in.fingerprint));
+}
+
 Session::Session() = default;
 Session::~Session() = default;
 
@@ -284,7 +291,7 @@ PwcetCampaignResult Session::pwcet(const Scenario& scenario,
     engine::ShardSlice<PwcetAccumulator> run =
         run_whole(shared_pool(), progress_, scenario,
                   PwcetAccumulator(spec.block_size),
-                  &fold_measurement<PwcetAccumulator>);
+                  &detail::fold_pwcet_run);
     return finalize_pwcet_campaign(
         engine::merge_in_order(std::move(run.shards)), run.et_isolation,
         run.nr, spec.exceedance);
@@ -296,7 +303,7 @@ engine::WhiteboxCampaignResult Session::whitebox(const Scenario& scenario) {
                          scenario.run_protocol().runs);
     engine::ShardSlice<WhiteboxAccumulator> run =
         run_whole(shared_pool(), progress_, scenario, WhiteboxAccumulator{},
-                  &fold_measurement<WhiteboxAccumulator>);
+                  &fold_measurement);
     return {run.et_isolation, run.nr,
             engine::merge_in_order(std::move(run.shards))};
 }
@@ -364,7 +371,7 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
                     lower(retargeted, shards_of({0, plan.shards()}),
                           "grid-point", result.points.size()),
                     PwcetAccumulator(spec.block_size),
-                    &fold_measurement<PwcetAccumulator>);
+                    &detail::fold_pwcet_run);
                 result.points.push_back(std::move(point));
             }
         }
@@ -400,7 +407,7 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
                             shards_of({0, plan_of(items[i].scenario).shards()}),
                             "campaign", i),
                       PwcetAccumulator(items[i].spec.block_size),
-                      &fold_measurement<PwcetAccumulator>);
+                      &detail::fold_pwcet_run);
     }
     scheduler.run({.batch = monitor, .runs = progress_});
 
@@ -444,7 +451,7 @@ PwcetCheckpoint Session::checkpoint(const Scenario& scenario,
         shared_pool(), progress_, scenario,
         campaign_meta(scenario, spec, plan_of(scenario)), slice, path,
         PwcetAccumulator(spec.block_size),
-        &fold_measurement<PwcetAccumulator>);
+        &detail::fold_pwcet_run);
 }
 
 WhiteboxCheckpoint Session::checkpoint(const Scenario& scenario,
@@ -456,7 +463,7 @@ WhiteboxCheckpoint Session::checkpoint(const Scenario& scenario,
     return checkpoint_slice(
         shared_pool(), progress_, scenario,
         campaign_meta(scenario, PwcetSpec{0, {}}, plan_of(scenario)), slice,
-        path, WhiteboxAccumulator{}, &fold_measurement<WhiteboxAccumulator>);
+        path, WhiteboxAccumulator{}, &fold_measurement);
 }
 
 MergedPwcetCampaign Session::merge(
@@ -571,7 +578,7 @@ PwcetCampaignResult Session::resume_impl(
         engine::ShardSlice<PwcetAccumulator> fresh = run_alone(
             shared_pool(), progress_, scenario, std::move(uncovered),
             PwcetAccumulator(spec.block_size),
-            &fold_measurement<PwcetAccumulator>);
+            &detail::fold_pwcet_run);
         if (have_baseline && (fresh.et_isolation != expected.et_isolation ||
                               fresh.nr != expected.nr)) {
             // The fingerprints matched, so a diverging deterministic

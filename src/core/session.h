@@ -46,7 +46,19 @@ namespace rrb {
 
 namespace sched {
 class BatchProgress;
+struct CampaignInputs;
 }  // namespace sched
+
+namespace detail {
+
+/// The per-run fold of every pwcet path (standalone, checkpoint, resume,
+/// sweep, batch): runs run `run` on a leased machine and folds its
+/// finish cycle — no Measurement snapshot, so no histogram copies.
+/// Public for bench_hotpath's allocation audit.
+void fold_pwcet_run(PwcetAccumulator& acc,
+                    const sched::CampaignInputs& inputs, std::uint64_t run);
+
+}  // namespace detail
 
 /// The statistical half of a pWCET campaign — everything that is not
 /// the run protocol (which the Scenario owns): EVT block size and the

@@ -114,26 +114,7 @@ void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
             next_free_ = completion;
             return;
         case BusSlot::kLoad:
-            waiting_load_ = false;
-            next_free_ = completion;
-            prev_load_completion_ = completion;
-            if (script_ != nullptr) {
-                // Replay twin of the advance_pc below: the kLoadMiss op
-                // stayed current while its fill was in flight; retire it
-                // now, charging a body-boundary's loop control after the
-                // data returns, exactly like the interpreter.
-                fetched_ = false;
-                ++stats_.instructions;
-                if ((script_->ops[rp_].flags & replay::MicroOp::kWrap) !=
-                    0) {
-                    next_free_ += program_.loop_control_cycles;
-                }
-                advance_rp(1, 1);
-                return;
-            }
-            // pc advances here so loop-control overhead at a body
-            // boundary is charged after the data returns.
-            advance_pc();
+            complete_load(completion);
             return;
         case BusSlot::kStoreDrain:
             RRB_ENSURE(drain_in_flight_ && !store_buffer_.empty());
@@ -143,6 +124,51 @@ void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
             return;
     }
     RRB_ENSURE(false);
+}
+
+void InOrderCore::complete_load(Cycle completion) {
+    waiting_load_ = false;
+    next_free_ = completion;
+    prev_load_completion_ = completion;
+    if (script_ == nullptr) {
+        // pc advances here so loop-control overhead at a body
+        // boundary is charged after the data returns.
+        advance_pc();
+        return;
+    }
+    // Replay twin of advance_pc: the kLoadMiss op stayed current while
+    // its fill was in flight; retire it now, charging a body-boundary's
+    // loop control after the data returns, exactly like the interpreter.
+    fetched_ = false;
+    ++stats_.instructions;
+    if ((script_->ops[rp_].flags & replay::MicroOp::kWrap) != 0) {
+        next_free_ += program_.loop_control_cycles;
+    }
+    advance_rp(1, 1);
+}
+
+bool InOrderCore::reissues_next_miss() const noexcept {
+    // l2_baked_ implies a script. Without a wrap the completion leaves
+    // next_free_ at the completion cycle, so the tick executes the next
+    // op at once; kLoadMiss ops never head a span, so it takes the
+    // primitive path.
+    if (!l2_baked_ || drain_in_flight_ || !store_buffer_.empty() ||
+        remaining_instrs_ == 1) {
+        return false;
+    }
+    const replay::MicroOp* ops = script_->ops.data();
+    if ((ops[rp_].flags & replay::MicroOp::kWrap) != 0) return false;
+    return ops[wrap_rp(rp_ + 1, remaining_instrs_ - 1)].kind ==
+           replay::MicroOp::Kind::kLoadMiss;
+}
+
+const replay::MicroOp& InOrderCore::reissue_load(Cycle now) {
+    complete_load(now);
+    enter_execution(now);
+    const replay::MicroOp& op = script_->ops[rp_];
+    replay_fetch(op);
+    replay_load_miss(op, now);
+    return op;
 }
 
 Cycle InOrderCore::stall(Cycle now, std::uint64_t& pmc,
@@ -269,20 +295,45 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
 
 void InOrderCore::advance_rp(std::uint32_t ops, std::uint64_t instrs)
     noexcept {
-    rp_ += ops;
     remaining_instrs_ -= instrs;
     if (remaining_instrs_ == 0) {
+        rp_ += ops;
         retired_all_ = true;
         return;
     }
-    if (script_->looping && rp_ == script_->tail_start) {
-        // End of a steady-state pass: re-enter the loop region unless
-        // exactly the tail remains — then fall through into the tail
-        // ops, whose last op retires the program.
-        if (remaining_instrs_ > script_->tail_instrs) {
-            rp_ = script_->loop_start;
-        }
+    rp_ = wrap_rp(rp_ + ops, remaining_instrs_);
+}
+
+std::uint32_t InOrderCore::wrap_rp(std::uint32_t rp,
+                                   std::uint64_t remaining) const noexcept {
+    // End of a steady-state pass: re-enter the loop region unless
+    // exactly the tail remains — then fall through into the tail ops,
+    // whose last op retires the program.
+    if (script_->looping && rp == script_->tail_start &&
+        remaining > script_->tail_instrs) {
+        return script_->loop_start;
     }
+    return rp;
+}
+
+void InOrderCore::replay_fetch(const replay::MicroOp& op) noexcept {
+    if (fetched_) return;
+    if ((op.flags & replay::MicroOp::kIl1FetchHit) != 0) {
+        il1_.replay_read_hits(1);
+    }
+    fetched_ = true;
+}
+
+Cycle InOrderCore::replay_load_miss(const replay::MicroOp& op, Cycle now) {
+    ++stats_.loads;
+    dl1_.replay_read_miss((op.flags & replay::MicroOp::kDl1Evict) != 0);
+    ++stats_.load_miss_requests;
+    const Cycle ready = now + op.cycles;  // cycles = dl1_latency
+    if (prev_load_completion_ != kNoCycle) {
+        stats_.load_injection_delta.add(ready - prev_load_completion_);
+    }
+    waiting_load_ = true;
+    return ready;
 }
 
 Cycle InOrderCore::replay_execute(Cycle now) {
@@ -340,19 +391,14 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             // The fetch hit is charged once, before the gate check, and
             // survives stall retries through fetched_ — the interpreter
             // fetches before gating in exactly this order.
-            if (!fetched_) {
-                if ((op.flags & replay::MicroOp::kIl1FetchHit) != 0) {
-                    il1_.replay_read_hits(1);
-                }
-                fetched_ = true;
-            }
+            replay_fetch(op);
             if (config_.loads_wait_store_buffer &&
                 (drain_in_flight_ || !store_buffer_.empty())) {
                 return stall(now, stats_.load_gate_stall_cycles,
                              StallCause::kStoreGate);
             }
-            ++stats_.loads;
             if (op.kind == replay::MicroOp::Kind::kLoadHit) {
+                ++stats_.loads;
                 dl1_.replay_read_hits(1);
                 stats_.instructions += 1;
                 fetched_ = false;
@@ -360,20 +406,11 @@ Cycle InOrderCore::replay_execute(Cycle now) {
                 advance_rp(1, 1);
                 return next_free_;
             }
-            dl1_.replay_read_miss(
-                (op.flags & replay::MicroOp::kDl1Evict) != 0);
-            ++stats_.load_miss_requests;
-            const Cycle ready = now + op.cycles;  // cycles = dl1_latency
-            if (prev_load_completion_ != kNoCycle) {
-                stats_.load_injection_delta.add(ready -
-                                                prev_load_completion_);
-            }
-            waiting_load_ = true;
+            const Cycle ready = replay_load_miss(op, now);
             if (l2_baked_) {
-                port_.request_baked(
-                    BusOp::kDataLoad, op.line, ready, BusSlot::kLoad,
-                    (op.flags & replay::MicroOp::kL2Hit) != 0,
-                    (op.flags & replay::MicroOp::kL2Evict) != 0);
+                port_.request_baked(BusOp::kDataLoad, op.line, ready,
+                                    BusSlot::kLoad, op.l2_hit(),
+                                    op.l2_evict());
             } else {
                 port_.request(BusOp::kDataLoad, op.line, ready,
                               BusSlot::kLoad);
@@ -381,12 +418,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             return kNoCycle;  // the fill completion wakes us
         }
         case replay::MicroOp::Kind::kStore: {
-            if (!fetched_) {
-                if ((op.flags & replay::MicroOp::kIl1FetchHit) != 0) {
-                    il1_.replay_read_hits(1);
-                }
-                fetched_ = true;
-            }
+            replay_fetch(op);
             if (store_buffer_.size() >= config_.store_buffer_entries) {
                 return stall(now, stats_.store_full_stall_cycles,
                              StallCause::kStoreBufferFull);
@@ -410,10 +442,9 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             // instruction re-executed with fetched_ set by the fill.
             advance_rp(1, 0);
             if (l2_baked_) {
-                port_.request_baked(
-                    BusOp::kInstrFetch, op.line, now, BusSlot::kIfetch,
-                    (op.flags & replay::MicroOp::kL2Hit) != 0,
-                    (op.flags & replay::MicroOp::kL2Evict) != 0);
+                port_.request_baked(BusOp::kInstrFetch, op.line, now,
+                                    BusSlot::kIfetch, op.l2_hit(),
+                                    op.l2_evict());
             } else {
                 port_.request(BusOp::kInstrFetch, op.line, now,
                               BusSlot::kIfetch);
@@ -462,6 +493,12 @@ Cycle InOrderCore::tick(Cycle now) {
 
     if (waiting_ifetch_ || waiting_load_) return kNoCycle;
     if (now < next_free_) return next_free_;
+    enter_execution(now);
+    return script_ != nullptr ? replay_execute(now)
+                              : execute_instruction(now);
+}
+
+void InOrderCore::enter_execution(Cycle now) noexcept {
     if (attr_ != nullptr && attr_cause_dirty_) {
         // The interval since the last charge belongs to whatever was
         // pending — idle before release or a stall retry; from this
@@ -476,8 +513,6 @@ Cycle InOrderCore::tick(Cycle now) {
         attr_->set_pending(id_, StallCause::kCompute);
         attr_cause_dirty_ = false;
     }
-    return script_ != nullptr ? replay_execute(now)
-                              : execute_instruction(now);
 }
 
 

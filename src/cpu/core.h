@@ -158,6 +158,21 @@ public:
     /// per issued request, during the completing cycle's phase 1.
     void on_bus_complete(BusSlot slot, Cycle completion);
 
+    /// True when this core's whole reaction to its in-flight load
+    /// completing now is "retire the load, issue the next miss": a
+    /// replay script with baked L2 outcomes, an empty store buffer with
+    /// no drain in flight (no drain to post, no load gate), no
+    /// loop-control charge on the retiring op, and a kLoadMiss next.
+    /// The machine's bus-only step (Machine::step_or_skip) then runs
+    /// the completion and this cycle's tick as reissue_load().
+    [[nodiscard]] bool reissues_next_miss() const noexcept;
+
+    /// on_bus_complete(kLoad, now) followed by tick(now), for a core
+    /// that reissues_next_miss(): retires the load and issues the next
+    /// miss through the same bookkeeping. Returns that miss op; the
+    /// caller posts its request, ready at now + op.cycles.
+    const replay::MicroOp& reissue_load(Cycle now);
+
     [[nodiscard]] bool done() const noexcept { return done_; }
     /// Cycle at which the program retired and the store buffer drained.
     /// Precondition: done().
@@ -222,6 +237,18 @@ private:
     /// execute_instruction's replay twin: drives the attached script
     /// through the same port/store-buffer/stall machinery.
     Cycle replay_execute(Cycle now);
+    /// The kLoad case of on_bus_complete: the data arrived at
+    /// `completion`; retire the load and advance the pc (or cursor).
+    void complete_load(Cycle completion);
+    /// tick()'s attribution entry charge: from `now` on the core
+    /// executes again.
+    void enter_execution(Cycle now) noexcept;
+    /// Charges a replayed op's IL1 fetch hit, once across stall retries.
+    void replay_fetch(const replay::MicroOp& op) noexcept;
+    /// The issue half of a replayed kLoadMiss, past the store gate: the
+    /// load's DL1 miss, PMCs and injection delta. Returns the bus-ready
+    /// cycle; the caller posts the request.
+    Cycle replay_load_miss(const replay::MicroOp& op, Cycle now);
     /// A store-gate or store-buffer-full stall at `now`, shared by both
     /// execution paths: bumps the stall PMC `pmc`, makes `cause` the
     /// pending attribution cause when armed, and returns the retry
@@ -230,6 +257,12 @@ private:
     /// Consumes `ops` script ops retiring `instrs` instructions:
     /// advances the cursor, handles loop-region wrap and retirement.
     void advance_rp(std::uint32_t ops, std::uint64_t instrs) noexcept;
+    /// Where the cursor lands when it reaches `rp` with `remaining`
+    /// instructions left: back at the loop start at the end of a
+    /// steady-state pass, unless exactly the tail remains.
+    [[nodiscard]] std::uint32_t wrap_rp(std::uint32_t rp,
+                                        std::uint64_t remaining) const
+        noexcept;
     [[nodiscard]] Addr fetch_addr() const noexcept;
     void advance_pc();
 

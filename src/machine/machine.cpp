@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "replay/microop.h"
 #include "sim/contract.h"
 
 namespace rrb {
@@ -116,6 +117,7 @@ void Machine::reset_keep_programs() {
     now_ = 0;
     events_skipped_ = 0;
     cycles_skipped_ = 0;
+    bus_only_steps_ = 0;
     if (attr_ != nullptr) attribution_.reset();
     bus_->reset();
     dram_.reset();
@@ -307,16 +309,17 @@ Cycle Machine::step() {
     }
     bus_->arbitrate_phase(now_);
     ++now_;
-    next = std::min(next, bus_->next_event_cycle(now_));
     // Core ticks may have enqueued victim writebacks: re-check activity.
     if (dram_refresh_ || !dram_.idle()) {
         next = std::min(next, dram_.next_event_cycle(now_));
     }
-    return next;
+    quiet_until_ = next;
+    return std::min(next, bus_->next_event_cycle(now_));
 }
 
 Cycle Machine::step_or_skip(Cycle next_hint, Cycle limit) {
-    if (cycle_skipping_ && next_hint > now_) {
+    if (!cycle_skipping_) return step();
+    if (next_hint > now_) {
         // No component does observable work before the hint (kNoCycle =
         // never, i.e. only the deadline stops the run): fast-forward.
         const Cycle target = std::min(next_hint, limit);
@@ -325,7 +328,40 @@ Cycle Machine::step_or_skip(Cycle next_hint, Cycle limit) {
         now_ = target;
         if (now_ >= limit) return now_;  // deadline hit mid-skip
     }
+    // Only the bus acts before quiet_until_, and the loop runs while
+    // now_ < limit, so the cycle is a bus-only step when its completion
+    // is a replayed load whose owner just reissues. A traced run keeps
+    // step(): its release and issue order is part of the trace.
+    if (now_ < quiet_until_ && !tracer_.enabled()) {
+        const BusRequest* done = bus_->completing(now_);
+        if (done != nullptr && tag_slot(done->tag) == BusSlot::kLoad &&
+            done->op != BusOp::kMissRequest &&
+            ports_[done->core]->queue_.empty() &&
+            cores_[done->core]->reissues_next_miss()) {
+            return bus_only_step(done->core);
+        }
+    }
     return step();
+}
+
+Cycle Machine::bus_only_step(CoreId owner) {
+    // step()'s four phases for this cycle, minus everything inert: the
+    // completion lands without the client dispatch (finish_transaction's
+    // port release and re-acquire cancel out, and the empty queue has
+    // nothing to issue), the memory controller and every other core
+    // have no event before quiet_until_, and the owner's tick is exactly
+    // the retire-and-reissue below.
+    bus_->release(now_);
+    const replay::MicroOp& miss = cores_[owner]->reissue_load(now_);
+    issue_baked(owner, BusOp::kDataLoad, miss.line, now_ + miss.cycles,
+                BusSlot::kLoad, miss.l2_hit(), miss.l2_evict());
+    bus_->arbitrate_phase(now_);
+    ++now_;
+    ++bus_only_steps_;
+    // The owner's core_next_ stays kNoCycle — it has waited on this load
+    // since its last tick, and waits on the new one now — and nothing
+    // else moved, so quiet_until_ still holds: the hint is step()'s.
+    return std::min(quiet_until_, bus_->next_event_cycle(now_));
 }
 
 RunResult Machine::run(Cycle max_cycles) {
@@ -338,6 +374,7 @@ RunResult Machine::run(Cycle max_cycles) {
         return true;
     };
     Cycle next_hint = now_;
+    quiet_until_ = now_;  // unknown until the first step
     while (!all_done() && now_ < limit) {
         next_hint = step_or_skip(next_hint, limit);
     }
@@ -361,6 +398,7 @@ Cycle Machine::run_core(CoreId core_id, Cycle max_cycles) {
     const Cycle limit = start + max_cycles;
     const InOrderCore& target = *cores_[core_id];
     Cycle next_hint = now_;
+    quiet_until_ = now_;  // unknown until the first step
     while (!target.done() && now_ < limit) {
         next_hint = step_or_skip(next_hint, limit);
     }

@@ -9,6 +9,14 @@
 //   3. every core executes its cycle (may post requests ready this cycle);
 //   4. bus arbitration grants among requests with ready <= now.
 //
+// Bus-only steps: a cycle in which only the bus acts — its in-service
+// transaction completes strictly before every core's and the memory
+// controller's next event — and whose completion is a replayed load
+// whose owner just retires it and issues its next miss runs as
+// complete -> retire + reissue -> arbitrate, without the completion
+// dispatch, the DRAM gate or the core scan (docs/replay.md). Naive
+// stepping and traced runs always take the four phases.
+//
 // Hot-path design (PR 5): the machine is the single BusClient/DramClient
 // — completions dispatch through a fixed switch on (op, tag) instead of
 // per-request closures; per-port queues are reusable rings; reset() /
@@ -124,6 +132,11 @@ public:
     [[nodiscard]] std::uint64_t cycles_skipped() const noexcept {
         return cycles_skipped_;
     }
+    /// Cycles run as bus-only steps since the last reset (see the
+    /// header comment) — observability like the skip statistics.
+    [[nodiscard]] std::uint64_t bus_only_steps() const noexcept {
+        return bus_only_steps_;
+    }
 
     [[nodiscard]] const MachineConfig& config() const noexcept {
         return config_;
@@ -225,8 +238,13 @@ private:
     /// earliest component event (never beyond `limit`) or simulates one
     /// cycle. `next_hint` is the previous step's return value (pass
     /// now() initially). Stall PMCs of skipped cycles are charged in
-    /// bulk so both modes report identical statistics.
+    /// bulk so both modes report identical statistics. A qualifying
+    /// cycle runs as bus_only_step() instead of step().
     Cycle step_or_skip(Cycle next_hint, Cycle limit);
+    /// Simulates cycle now_ — a replayed load of `owner` completes, the
+    /// owner issues its next miss, the bus arbitrates — then ++now_.
+    /// Returns what step() would.
+    Cycle bus_only_step(CoreId owner);
 
     MachineConfig config_;
     std::unique_ptr<Bus> bus_;
@@ -246,6 +264,12 @@ private:
     Cycle now_ = 0;
     std::uint64_t events_skipped_ = 0;  ///< fast-forwards since reset
     std::uint64_t cycles_skipped_ = 0;  ///< cycles jumped since reset
+    std::uint64_t bus_only_steps_ = 0;  ///< bus-only steps since reset
+    /// Earliest next event of every core and the memory controller as of
+    /// the last step — before it only the bus can act. Set by step(),
+    /// kept by bus_only_step() (which moves neither), and reset to now_
+    /// ("unknown") when a run loop starts.
+    Cycle quiet_until_ = 0;
     bool cycle_skipping_ = true;
     bool dram_refresh_ = false;  ///< config.dram.refresh_interval > 0
     /// Attribution storage (sized at construction) and the armed flag:

@@ -12,6 +12,7 @@ const char* counter_name(Counter c) noexcept {
         case kCyclesSimulated: return "cycles_simulated";
         case kEventsSkipped: return "events_skipped";
         case kCyclesSkipped: return "cycles_skipped";
+        case kBusOnlySteps: return "bus_only_steps";
         case kLeaseHits: return "lease_hits";
         case kLeaseMisses: return "lease_misses";
         case kLeaseEvictions: return "lease_evictions";

@@ -52,6 +52,7 @@ enum Counter : unsigned {
     kCyclesSimulated,    ///< sum of run finish cycles (deterministic)
     kEventsSkipped,      ///< event-driven fast-forwards taken (determ.)
     kCyclesSkipped,      ///< cycles fast-forwarded over (deterministic)
+    kBusOnlySteps,       ///< cycles run as bus-only steps (determ.)
     kLeaseHits,          ///< MachineLease found a cached machine
     kLeaseMisses,        ///< MachineLease constructed a machine
     kLeaseEvictions,     ///< cached machines destroyed by the LRU cap
@@ -64,7 +65,10 @@ enum Counter : unsigned {
     kSchedDispatches,    ///< scheduler work items handed to a worker
     kSchedAffinityHits,  ///< dispatch matched the worker's hot lease
     kSchedSteals,        ///< dispatch crossed fingerprints (or first item)
-    kReplayDecodes,      ///< micro-op scripts decoded (deterministic)
+    kReplayDecodes,      ///< micro-op scripts decoded (per-topology:
+                         ///< each worker's pool decodes for itself, so
+                         ///< this and the declines below follow the
+                         ///< dispatch; deterministic at --jobs 1)
     kReplayDeclinesOpCap,        ///< decodes declined at the op cap
     kReplayDeclinesBoundaryCap,  ///< decodes declined when no loop
                                  ///< folded within the boundary budget

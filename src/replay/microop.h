@@ -59,6 +59,13 @@ struct MicroOp {
     static constexpr std::uint8_t kL2Evict = 1u << 5;  ///< partition miss
         ///< install evicted a valid (always clean) line
 
+    [[nodiscard]] bool l2_hit() const noexcept {
+        return (flags & kL2Hit) != 0;
+    }
+    [[nodiscard]] bool l2_evict() const noexcept {
+        return (flags & kL2Evict) != 0;
+    }
+
     Kind kind = Kind::kCompute;
     std::uint8_t flags = 0;
     /// IL1 read hits charged by batched chain fetches beyond the primary

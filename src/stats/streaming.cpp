@@ -138,10 +138,10 @@ void WhiteboxAccumulator::merge(const WhiteboxAccumulator& other) {
 
 // ------------------------------------------------------- PwcetAccumulator
 
-void PwcetAccumulator::add(std::uint64_t run_index, const Measurement& m) {
-    extremes_.add(m.exec_time);
-    moments_.add(static_cast<double>(m.exec_time));
-    blocks_.add(run_index, static_cast<double>(m.exec_time));
+void PwcetAccumulator::add(std::uint64_t run_index, Cycle exec_time) {
+    extremes_.add(exec_time);
+    moments_.add(static_cast<double>(exec_time));
+    blocks_.add(run_index, static_cast<double>(exec_time));
 }
 
 void PwcetAccumulator::merge(const PwcetAccumulator& other) {

@@ -8,7 +8,8 @@
 // (ref/var platforms, 1–4 cores, every arbiter, DRAM-heavy and
 // store-heavy kernels, refresh on/off), seeds and start delays, and
 // compare finish cycles, the full black-box/white-box Measurement
-// (PMCs and histograms), and per-core stall counters.
+// (PMCs and histograms), and every statistic of every core, cache, the
+// bus and the memory controller.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -65,6 +66,94 @@ void expect_same_measurement(const Measurement& hot, const Measurement& ref,
     expect_same_histogram(hot.injection_delta, ref.injection_delta,
                           what + " injection_delta");
     EXPECT_EQ(hot.deadline_reached, ref.deadline_reached) << what;
+}
+
+void expect_same_core_stats(const CoreStats& hot, const CoreStats& ref,
+                            const std::string& what) {
+    EXPECT_EQ(hot.instructions, ref.instructions) << what;
+    EXPECT_EQ(hot.loads, ref.loads) << what;
+    EXPECT_EQ(hot.stores, ref.stores) << what;
+    EXPECT_EQ(hot.nops, ref.nops) << what;
+    EXPECT_EQ(hot.load_miss_requests, ref.load_miss_requests) << what;
+    EXPECT_EQ(hot.ifetch_requests, ref.ifetch_requests) << what;
+    EXPECT_EQ(hot.store_drains, ref.store_drains) << what;
+    EXPECT_EQ(hot.store_full_stall_cycles, ref.store_full_stall_cycles)
+        << what;
+    EXPECT_EQ(hot.load_gate_stall_cycles, ref.load_gate_stall_cycles)
+        << what;
+    expect_same_histogram(hot.load_injection_delta, ref.load_injection_delta,
+                          what + " load_injection_delta");
+}
+
+void expect_same_cache_stats(const CacheStats& hot, const CacheStats& ref,
+                             const std::string& what) {
+    EXPECT_EQ(hot.read_hits, ref.read_hits) << what;
+    EXPECT_EQ(hot.read_misses, ref.read_misses) << what;
+    EXPECT_EQ(hot.write_hits, ref.write_hits) << what;
+    EXPECT_EQ(hot.write_misses, ref.write_misses) << what;
+    EXPECT_EQ(hot.evictions, ref.evictions) << what;
+    EXPECT_EQ(hot.writebacks, ref.writebacks) << what;
+}
+
+/// Every statistic the machine keeps, per core and shared — not just the
+/// scua's Measurement, so a contender whose bookkeeping slips while the
+/// scua's timing holds still fails. Armed machines also compare their
+/// finalized attribution cell for cell.
+void expect_same_machine(Machine& hot, Machine& ref,
+                         const std::string& what) {
+    EXPECT_EQ(hot.now(), ref.now()) << what;
+    EXPECT_EQ(hot.bus().total_busy_cycles(), ref.bus().total_busy_cycles())
+        << what;
+    for (CoreId c = 0; c < hot.config().num_cores; ++c) {
+        const std::string core = what + " core " + std::to_string(c);
+        const BusCoreCounters& hb = hot.bus().counters(c);
+        const BusCoreCounters& rb = ref.bus().counters(c);
+        EXPECT_EQ(hb.requests, rb.requests) << core;
+        EXPECT_EQ(hb.busy_cycles, rb.busy_cycles) << core;
+        EXPECT_EQ(hb.wait_cycles, rb.wait_cycles) << core;
+        EXPECT_EQ(hb.max_wait, rb.max_wait) << core;
+        expect_same_histogram(hb.gamma, rb.gamma, core + " gamma");
+        expect_same_histogram(hb.ready_contenders, rb.ready_contenders,
+                              core + " ready_contenders");
+        expect_same_core_stats(hot.core(c).stats(), ref.core(c).stats(),
+                               core);
+        expect_same_cache_stats(hot.core(c).il1().stats(),
+                                ref.core(c).il1().stats(), core + " il1");
+        expect_same_cache_stats(hot.core(c).dl1().stats(),
+                                ref.core(c).dl1().stats(), core + " dl1");
+        expect_same_cache_stats(hot.l2().stats(c), ref.l2().stats(c),
+                                core + " l2");
+    }
+    const DramStats& hd = hot.dram().stats();
+    const DramStats& rd = ref.dram().stats();
+    EXPECT_EQ(hd.reads, rd.reads) << what;
+    EXPECT_EQ(hd.writes, rd.writes) << what;
+    EXPECT_EQ(hd.refreshes, rd.refreshes) << what;
+    EXPECT_EQ(hd.row_hits, rd.row_hits) << what;
+    EXPECT_EQ(hd.row_misses, rd.row_misses) << what;
+    EXPECT_EQ(hd.row_conflicts, rd.row_conflicts) << what;
+    EXPECT_EQ(hd.total_latency, rd.total_latency) << what;
+    expect_same_histogram(hd.latency, rd.latency, what + " dram latency");
+
+    ASSERT_EQ(hot.attribution_armed(), ref.attribution_armed()) << what;
+    if (!hot.attribution_armed()) return;
+    hot.finalize_attribution();
+    ref.finalize_attribution();
+    const CycleAttribution& ha = hot.attribution();
+    const CycleAttribution& ra = ref.attribution();
+    for (CoreId v = 0; v < hot.config().num_cores; ++v) {
+        const std::string core = what + " core " + std::to_string(v);
+        for (std::size_t cause = 0; cause < kStallCauseCount; ++cause) {
+            const StallCause sc = static_cast<StallCause>(cause);
+            EXPECT_EQ(ha.timeline(v, sc), ra.timeline(v, sc))
+                << core << " " << to_string(sc);
+        }
+        EXPECT_EQ(ha.dead_slot_cycles(v), ra.dead_slot_cycles(v)) << core;
+        for (CoreId w = 0; w < hot.config().num_cores; ++w) {
+            EXPECT_EQ(ha.blamed(v, w), ra.blamed(v, w))
+                << core << " blamed on " << w;
+        }
+    }
 }
 
 struct GridPoint {
@@ -133,31 +222,64 @@ std::vector<Program> scua_set() {
 }
 
 TEST(HotPathDifferential, GridIsBitIdenticalToFreshNaiveReference) {
+    std::uint64_t bus_only_steps[2] = {};  // unarmed, armed
     for (const GridPoint& point : config_grid()) {
-        const std::vector<Program> contenders =
-            make_rsk_contenders(point.config, OpKind::kLoad);
-        for (const Program& scua : scua_set()) {
-            for (const std::uint64_t seed : {1ULL, 7ULL}) {
-                HwmCampaignOptions options;
-                options.runs = 3;
-                options.seed = seed;
-                options.max_start_delay = 997;
-                for (std::uint64_t run = 0; run < options.runs; ++run) {
-                    const std::string what = point.name + "/" + scua.name +
-                                             "/seed" +
-                                             std::to_string(seed) + "/run" +
-                                             std::to_string(run);
-                    // Production: leased machine (reset_keep_programs on
-                    // repeat runs) + cycle skipping + POD tokens.
-                    const Measurement hot = detail::hwm_campaign_measure(
-                        point.config, scua, contenders, options, run);
-                    const Measurement ref = reference_measure(
-                        point.config, scua, contenders, options, run);
-                    expect_same_measurement(hot, ref, what);
+        for (const OpKind access : {OpKind::kLoad, OpKind::kStore}) {
+            const std::vector<Program> contenders =
+                make_rsk_contenders(point.config, access);
+            for (const Program& scua : scua_set()) {
+                for (const std::uint64_t seed : {1ULL, 7ULL}) {
+                    HwmCampaignOptions options;
+                    options.runs = 3;
+                    options.seed = seed;
+                    options.max_start_delay = 997;
+                    for (const bool armed : {false, true}) {
+                        // Production: a leased machine (restarted in
+                        // place on repeat runs), replaying, cycle
+                        // skipping and bus-only steps.
+                        engine::MachineLease lease(point.config);
+                        Machine& hot = lease.machine();
+                        for (std::uint64_t run = 0; run < options.runs;
+                             ++run) {
+                            const std::string what =
+                                point.name + "/" +
+                                (access == OpKind::kLoad ? "load" : "store") +
+                                "/" + scua.name + "/seed" +
+                                std::to_string(seed) +
+                                (armed ? "/armed" : "") + "/run" +
+                                std::to_string(run);
+                            if (armed) hot.arm_attribution();
+                            const Cycle hot_finish =
+                                detail::execute_campaign_run(
+                                    hot, lease.campaign(), scua, contenders,
+                                    options, run, &lease.scripts());
+                            Machine ref(point.config);
+                            ref.set_cycle_skipping(false);
+                            if (armed) ref.arm_attribution();
+                            std::uint64_t no_campaign = 0;
+                            const Cycle ref_finish =
+                                detail::execute_campaign_run(
+                                    ref, no_campaign, scua, contenders,
+                                    options, run);
+                            EXPECT_EQ(hot_finish, ref_finish) << what;
+                            expect_same_measurement(
+                                detail::snapshot_measurement(
+                                    hot, 0, hot_finish, false),
+                                detail::snapshot_measurement(
+                                    ref, 0, ref_finish, false),
+                                what);
+                            expect_same_machine(hot, ref, what);
+                            bus_only_steps[armed] += hot.bus_only_steps();
+                            hot.disarm_attribution();
+                        }
+                    }
                 }
             }
         }
     }
+    // The grid must reach the bus-only step, armed and unarmed.
+    EXPECT_GT(bus_only_steps[0], 0u);
+    EXPECT_GT(bus_only_steps[1], 0u);
 }
 
 TEST(HotPathDifferential, StallCountersMatchNaivePath) {
@@ -191,23 +313,9 @@ TEST(HotPathDifferential, StallCountersMatchNaivePath) {
 
         EXPECT_EQ(hot_finish, ref_finish) << "run " << run;
         for (CoreId c = 0; c < config.num_cores; ++c) {
-            const CoreStats& hs = hot.core(c).stats();
-            const CoreStats& rs = ref.core(c).stats();
-            const std::string what =
-                "run " + std::to_string(run) + " core " + std::to_string(c);
-            EXPECT_EQ(hs.instructions, rs.instructions) << what;
-            EXPECT_EQ(hs.loads, rs.loads) << what;
-            EXPECT_EQ(hs.stores, rs.stores) << what;
-            EXPECT_EQ(hs.nops, rs.nops) << what;
-            EXPECT_EQ(hs.load_miss_requests, rs.load_miss_requests) << what;
-            EXPECT_EQ(hs.ifetch_requests, rs.ifetch_requests) << what;
-            EXPECT_EQ(hs.store_drains, rs.store_drains) << what;
-            EXPECT_EQ(hs.store_full_stall_cycles, rs.store_full_stall_cycles)
-                << what;
-            EXPECT_EQ(hs.load_gate_stall_cycles, rs.load_gate_stall_cycles)
-                << what;
-            expect_same_histogram(hs.load_injection_delta,
-                                  rs.load_injection_delta, what);
+            expect_same_core_stats(
+                hot.core(c).stats(), ref.core(c).stats(),
+                "run " + std::to_string(run) + " core " + std::to_string(c));
         }
     }
 }

@@ -134,7 +134,7 @@ TEST(Telemetry, SpansNestAcrossThreads) {
 TEST(Telemetry, DeterministicCountersObeyTheMergeLaw) {
     const std::vector<Counter> deterministic = {
         kRunsCompleted, kCyclesSimulated, kEventsSkipped, kCyclesSkipped,
-        kShardsCompleted, kReplayRuns, kReplayFallbackRuns};
+        kBusOnlySteps, kShardsCompleted, kReplayRuns, kReplayFallbackRuns};
     CounterSnapshot at_one;
     {
         const ScopedTelemetry scoped;
@@ -156,6 +156,10 @@ TEST(Telemetry, DeterministicCountersObeyTheMergeLaw) {
         EXPECT_EQ(at_one[c], at_four[c]) << counter_name(c);
     }
     EXPECT_GT(at_one[kCyclesSimulated], 0u);
+    // The default scenario's rsk contenders keep the bus saturated with
+    // replayed L2-hit loads: most of each run's ~460 stepped cycles are
+    // bus-only steps (about 280).
+    EXPECT_GT(at_one[kBusOnlySteps], 200u * at_one[kRunsCompleted]);
 }
 
 TEST(Telemetry, CampaignSpansFormTheHierarchy) {
