@@ -18,29 +18,26 @@ void print_figure() {
         "ubd(measured) == (Nc-1)*lbus for every shape, lbus never "
         "disclosed to the estimator");
 
-    // The 20-point Nc x lbus grid runs on the campaign engine: one
-    // estimator per grid point, each with its own machines, collected in
-    // grid order so the table below is stable across job counts.
+    // One estimator per point of the 20-point Nc x lbus grid, in grid
+    // order.
     struct GridPoint {
         CoreId cores;
         Cycle lbus;
     };
     std::vector<GridPoint> grid;
+    std::vector<UbdEstimate> estimates;
     for (const CoreId cores : {2u, 3u, 4u, 6u, 8u}) {
         for (const Cycle lbus : {2u, 5u, 9u, 13u}) {
             grid.push_back({cores, lbus});
-        }
-    }
-    const auto estimates = engine::run_grid(
-        grid, [](const GridPoint& point) {
-            const MachineConfig cfg = platform(point.cores, point.lbus);
+            const MachineConfig cfg = platform(cores, lbus);
             UbdEstimatorOptions opt;
             opt.k_max = static_cast<std::uint32_t>(
                 cfg.ubd_analytic() * 5 / 2 + 6);
             opt.unroll = 8;
             opt.rsk_iterations = 20;
-            return estimate_ubd(cfg, opt);
-        });
+            estimates.push_back(estimate_ubd(cfg, opt));
+        }
+    }
 
     std::printf("%6s %6s %10s %12s %10s %8s\n", "cores", "lbus", "ubd(eq1)",
                 "ubd(meas)", "period_k", "match");

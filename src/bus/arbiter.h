@@ -8,11 +8,14 @@
 // it fail loudly.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/types.h"
@@ -184,5 +187,33 @@ enum class ArbiterKind : std::uint8_t {
 [[nodiscard]] std::unique_ptr<Arbiter> make_arbiter(
     ArbiterKind kind, CoreId num_cores, Cycle tdma_slot_cycles = 0,
     std::vector<std::uint32_t> weights = {});
+
+/// The policies' short names as flags, batch specs and reports spell
+/// them — the one table both directions read.
+inline constexpr std::array<std::pair<std::string_view, ArbiterKind>, 4>
+    kArbiterNames = {{
+        {"rr", ArbiterKind::kRoundRobin},
+        {"tdma", ArbiterKind::kTdma},
+        {"wrr", ArbiterKind::kWeightedRoundRobin},
+        {"fixed", ArbiterKind::kFixedPriority},
+    }};
+
+/// The kind kArbiterNames spells as `name`; nullopt for any other text.
+[[nodiscard]] constexpr std::optional<ArbiterKind> arbiter_named(
+    std::string_view name) noexcept {
+    for (const auto& [text, kind] : kArbiterNames) {
+        if (text == name) return kind;
+    }
+    return std::nullopt;
+}
+
+/// `kind`'s short name in kArbiterNames.
+[[nodiscard]] constexpr std::string_view short_name(
+    ArbiterKind kind) noexcept {
+    for (const auto& [text, named] : kArbiterNames) {
+        if (named == kind) return text;
+    }
+    return "?";
+}
 
 }  // namespace rrb

@@ -33,18 +33,13 @@ namespace rrb::cli {
 namespace {
 
 struct ParsedFlags {
-    std::optional<CoreId> cores;
-    std::optional<Cycle> lbus;
-    bool variant = false;
+    /// --cores --lbus --var --iterations --runs --seed --block-size
+    /// --exceedance; `runs` unset = the command's default.
+    CampaignKnobs knobs;
     std::uint32_t k_max = 70;
-    std::uint64_t iterations = 40;
     std::uint32_t nop_latency = 1;
     bool store_span = false;
-    std::optional<std::size_t> runs;  ///< default is per command
-    std::uint64_t seed = 1;
     std::size_t jobs = 0;  ///< 0 = hardware concurrency
-    std::size_t block_size = 50;
-    std::vector<double> exceedances;  ///< empty = pwcet defaults
     std::vector<CoreId> cores_axis;
     std::vector<Cycle> lbus_axis;
     std::vector<ArbiterKind> arbiter_axis;
@@ -62,64 +57,23 @@ struct ParsedFlags {
     std::string error;  ///< non-empty when parsing failed
 };
 
-/// Which flags each command accepts. Parsing rejects — with a non-zero
-/// exit naming the flag — both flags nothing knows and flags that
-/// exist but do not apply to the command at hand: a silently ignored
-/// `calibrate --runs 5` would report numbers for a campaign that never
-/// ran.
+/// One command: its name, the handler run() dispatches to, and which
+/// flags it accepts. Parsing rejects — with a non-zero exit naming the
+/// flag — both flags nothing knows and flags that exist but do not
+/// apply to the command at hand: a silently ignored `calibrate --runs
+/// 5` would report numbers for a campaign that never ran.
 struct CommandSpec {
     std::string_view name;
+    int (*run)(const ParsedFlags& flags, std::ostream& out,
+               std::ostream& err);
     std::vector<std::string_view> flags;
     /// Accepts positional (non-flag) arguments — checkpoint files for
     /// `merge`. Everywhere else a stray positional fails the parse.
     bool takes_files = false;
 };
 
-const std::vector<CommandSpec>& command_specs() {
-    static const std::vector<CommandSpec> specs = {
-        {"estimate",
-         {"--cores", "--lbus", "--var", "--kmax", "--iterations",
-          "--nop-latency", "--store-span", "--csv"}},
-        {"calibrate", {"--cores", "--lbus", "--var", "--nop-latency"}},
-        {"baseline", {"--cores", "--lbus", "--var", "--iterations"}},
-        {"isolation",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"contention",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"slowdown",
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
-        {"campaign",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
-        {"attribution",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
-        {"pwcet",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--block-size", "--exceedance", "--shard",
-          "--checkpoint-out", "--telemetry", "--heartbeat", "--trace"}},
-        {"batch",
-         {"--out-dir", "--jobs", "--telemetry", "--heartbeat"},
-         /*takes_files=*/true},
-        {"merge", {"--telemetry"}, /*takes_files=*/true},
-        {"whitebox",
-         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
-          "--iterations", "--shard", "--checkpoint-out", "--telemetry",
-          "--heartbeat", "--trace"}},
-        {"merge-whitebox", {"--telemetry"}, /*takes_files=*/true},
-        {"sweep",
-         {"--cores", "--lbus", "--var", "--kmax", "--iterations", "--csv"}},
-        {"sweep-pwcet",
-         {"--var", "--cores-axis", "--lbus-axis", "--arbiter-axis",
-          "--runs", "--seed", "--jobs", "--iterations", "--block-size",
-          "--exceedance", "--telemetry", "--heartbeat", "--trace"}},
-        {"telemetry-diff", {"--max-regression-pct"}, /*takes_files=*/true},
-    };
-    return specs;
-}
+/// Every command (defined after the handlers).
+const std::vector<CommandSpec>& command_specs();
 
 const CommandSpec* find_command(std::string_view name) {
     for (const CommandSpec& spec : command_specs()) {
@@ -184,26 +138,6 @@ std::vector<T> next_number_list(const std::vector<std::string>& args,
     return values;
 }
 
-/// Strict full-string double parse ("1e-9", "0.001"). No partial reads.
-std::optional<double> parse_probability(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (!(value > 0.0 && value < 1.0)) return std::nullopt;
-    return value;
-}
-
-/// Strict full-string non-negative percentage ("5", "2.5", "0").
-std::optional<double> parse_percentage(const std::string& text) {
-    if (text.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size()) return std::nullopt;
-    if (!(value >= 0.0)) return std::nullopt;
-    return value;
-}
-
 /// "--shard i/N": run slice i of N (0-based, i < N). Half-typed or
 /// out-of-range specs fail the parse with a message naming the flag —
 /// "--shard 4/4" silently running the wrong slice would poison a whole
@@ -232,24 +166,6 @@ std::optional<SliceSpec> parse_shard(const std::string& text,
         return std::nullopt;
     }
     return SliceSpec{*index, *count};
-}
-
-std::optional<ArbiterKind> parse_arbiter(const std::string& text) {
-    if (text == "rr") return ArbiterKind::kRoundRobin;
-    if (text == "tdma") return ArbiterKind::kTdma;
-    if (text == "wrr") return ArbiterKind::kWeightedRoundRobin;
-    if (text == "fixed") return ArbiterKind::kFixedPriority;
-    return std::nullopt;
-}
-
-const char* arbiter_name(ArbiterKind kind) {
-    switch (kind) {
-        case ArbiterKind::kRoundRobin: return "rr";
-        case ArbiterKind::kTdma: return "tdma";
-        case ArbiterKind::kWeightedRoundRobin: return "wrr";
-        case ArbiterKind::kFixedPriority: return "fixed";
-    }
-    return "?";
 }
 
 ParsedFlags parse_flags(const std::vector<std::string>& args,
@@ -290,12 +206,13 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
                               : "unknown flag: " + arg;
             break;
         }
+        CampaignKnobs& knobs = flags.knobs;
         if (arg == "--cores") {
-            flags.cores = next_number<CoreId>(args, i, flags.error);
+            knobs.cores = next_number<CoreId>(args, i, flags.error);
         } else if (arg == "--lbus") {
-            flags.lbus = next_number<Cycle>(args, i, flags.error);
+            knobs.lbus = next_number<Cycle>(args, i, flags.error);
         } else if (arg == "--var") {
-            flags.variant = true;
+            knobs.variant = true;
         } else if (arg == "--kmax") {
             if (const auto v = next_number<std::uint32_t>(args, i,
                                                           flags.error)) {
@@ -304,7 +221,7 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
         } else if (arg == "--iterations") {
             if (const auto v = next_number<std::uint64_t>(args, i,
                                                           flags.error)) {
-                flags.iterations = *v;
+                knobs.iterations = *v;
             }
         } else if (arg == "--nop-latency") {
             if (const auto v = next_number<std::uint32_t>(args, i,
@@ -314,11 +231,11 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
         } else if (arg == "--store-span") {
             flags.store_span = true;
         } else if (arg == "--runs") {
-            flags.runs = next_number<std::size_t>(args, i, flags.error);
+            knobs.runs = next_number<std::size_t>(args, i, flags.error);
         } else if (arg == "--seed") {
             if (const auto v = next_number<std::uint64_t>(args, i,
                                                           flags.error)) {
-                flags.seed = *v;
+                knobs.seed = *v;
             }
         } else if (arg == "--jobs") {
             if (const auto v = next_number<std::size_t>(args, i,
@@ -328,7 +245,7 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
         } else if (arg == "--block-size") {
             if (const auto v = next_number<std::size_t>(args, i,
                                                         flags.error)) {
-                flags.block_size = *v;
+                knobs.block_size = *v;
             }
         } else if (arg == "--shard") {
             if (i + 1 >= args.size()) {
@@ -363,7 +280,8 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
         } else if (arg == "--max-regression-pct") {
             if (i + 1 >= args.size()) {
                 flags.error = "--max-regression-pct needs a value";
-            } else if (const auto pct = parse_percentage(args[++i])) {
+            } else if (const auto pct = parse_real(args[++i]);
+                       pct && *pct >= 0.0) {
                 flags.max_regression_pct = *pct;
             } else {
                 flags.error = "--max-regression-pct needs a non-negative "
@@ -382,8 +300,9 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
         } else if (arg == "--exceedance") {
             if (i + 1 >= args.size()) {
                 flags.error = "--exceedance needs a value";
-            } else if (const auto p = parse_probability(args[++i])) {
-                flags.exceedances.push_back(*p);
+            } else if (const auto p = parse_real(args[++i]);
+                       p && *p > 0.0 && *p < 1.0) {
+                knobs.exceedance.push_back(*p);
             } else {
                 flags.error =
                     "--exceedance needs a probability in (0,1), e.g. 1e-9";
@@ -406,7 +325,7 @@ ParsedFlags parse_flags(const std::vector<std::string>& args,
                 const std::vector<std::string> items =
                     split_list(args[++i]);
                 for (const std::string& item : items) {
-                    const auto kind = parse_arbiter(item);
+                    const auto kind = arbiter_named(item);
                     if (!kind) {
                         flags.error = "--arbiter-axis: unknown arbiter '" +
                                       item + "' (rr, tdma, wrr, fixed)";
@@ -605,35 +524,24 @@ private:
     std::uint64_t begin_ns_ = 0;
 };
 
-MachineConfig build_config(const ParsedFlags& flags) {
-    if (flags.cores || flags.lbus) {
-        return MachineConfig::scaled(flags.cores.value_or(4),
-                                     flags.lbus.value_or(9));
-    }
-    return flags.variant ? MachineConfig::ngmp_var()
-                         : MachineConfig::ngmp_ref();
-}
-
 UbdEstimatorOptions build_options(const ParsedFlags& flags) {
     UbdEstimatorOptions opt;
     opt.k_max = flags.k_max;
     opt.unroll = 8;
-    opt.rsk_iterations = flags.iterations;
+    opt.rsk_iterations = flags.knobs.iterations;
     opt.nop_latency = flags.nop_latency;
     return opt;
 }
 
-/// The campaign commands' shared scenario: the cache-buster scua on the
-/// flag-built platform against load-rsk contenders, with the flags
-/// mapped 1:1 onto the Scenario builders.
-Scenario build_scenario(const ParsedFlags& flags,
-                        std::size_t default_runs) {
-    return Scenario::on(build_config(flags))
-        .scua(make_autobench(Autobench::kCacheb, 0x0100'0000,
-                             flags.iterations, 9))
-        .rsk_contenders(OpKind::kLoad)
-        .runs(flags.runs.value_or(default_runs))
-        .seed(flags.seed);
+/// build_campaign behind the campaign commands' range checks. The
+/// knobs are named `flags` because RRB_REQUIRE quotes its condition in
+/// the error text.
+CampaignSetup checked_campaign(
+    const CampaignKnobs& flags,
+    std::optional<std::size_t> default_runs = std::nullopt) {
+    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
+    RRB_REQUIRE(flags.block_size >= 1, "--block-size must be at least 1");
+    return build_campaign(flags, default_runs);
 }
 
 /// Campaign identity for a whole (unsliced) campaign's run report:
@@ -695,8 +603,9 @@ std::size_t shard_jobs(const ParsedFlags& flags, std::size_t runs) {
         flags.jobs, engine::ReducePlan::for_count(runs).shards());
 }
 
-int cmd_estimate(const ParsedFlags& flags, std::ostream& out) {
-    const MachineConfig config = build_config(flags);
+int cmd_estimate(const ParsedFlags& flags, std::ostream& out,
+                 std::ostream& /*err*/) {
+    const MachineConfig config = flags.knobs.config();
     const UbdEstimatorOptions options = build_options(flags);
 
     if (flags.store_span) {
@@ -746,8 +655,9 @@ int cmd_estimate(const ParsedFlags& flags, std::ostream& out) {
     return 0;
 }
 
-int cmd_calibrate(const ParsedFlags& flags, std::ostream& out) {
-    const MachineConfig config = build_config(flags);
+int cmd_calibrate(const ParsedFlags& flags, std::ostream& out,
+                  std::ostream& /*err*/) {
+    const MachineConfig config = flags.knobs.config();
     const NopCalibration cal =
         calibrate_delta_nop(config, 2048, 64, flags.nop_latency);
     out << "delta_nop = " << cal.delta_nop << " cycles ("
@@ -757,10 +667,11 @@ int cmd_calibrate(const ParsedFlags& flags, std::ostream& out) {
     return 0;
 }
 
-int cmd_baseline(const ParsedFlags& flags, std::ostream& out) {
-    const MachineConfig config = build_config(flags);
-    const NaiveUbdm naive =
-        naive_ubdm_rsk_vs_rsk(config, OpKind::kLoad, flags.iterations);
+int cmd_baseline(const ParsedFlags& flags, std::ostream& out,
+                 std::ostream& /*err*/) {
+    const MachineConfig config = flags.knobs.config();
+    const NaiveUbdm naive = naive_ubdm_rsk_vs_rsk(config, OpKind::kLoad,
+                                                  flags.knobs.iterations);
     out << "naive rsk-vs-rsk: ubdm(mean det/nr) = " << naive.ubdm_mean
         << ", ubdm(max observed delay) = " << naive.ubdm_max_gamma
         << ", true ubd = " << config.ubd_analytic() << "\n";
@@ -780,7 +691,8 @@ void report_measurement(const char* label, const Measurement& m,
 
 int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
                   std::ostream& err) {
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/1).scenario;
     TelemetrySession telemetry(flags, "isolation");
     const Session session;
     const Measurement m = session.isolation(scenario);
@@ -792,7 +704,8 @@ int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
 
 int cmd_contention(const ParsedFlags& flags, std::ostream& out,
                    std::ostream& err) {
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/1).scenario;
     TelemetrySession telemetry(flags, "contention");
     const Session session;
     const Measurement m = session.contention(scenario);
@@ -808,7 +721,8 @@ int cmd_contention(const ParsedFlags& flags, std::ostream& out,
 
 int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
                  std::ostream& err) {
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/1);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/1).scenario;
     TelemetrySession telemetry(flags, "slowdown");
     const Session session;
     const SlowdownResult r = session.slowdown(scenario);
@@ -835,8 +749,8 @@ int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
 
 int cmd_campaign(const ParsedFlags& flags, std::ostream& out,
                  std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/20).scenario;
     const HwmCampaignResult hwm = run_whole_campaign(
         flags, "campaign", scenario,
         engine::effective_jobs(flags.jobs, scenario.run_protocol().runs),
@@ -871,8 +785,8 @@ std::string percent(std::uint64_t part, std::uint64_t whole) {
 
 int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
                     std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/20).scenario;
     const engine::AttributionCampaignResult r = run_whole_campaign(
         flags, "attribution", scenario,
         shard_jobs(flags, scenario.run_protocol().runs), /*block_size=*/0,
@@ -932,9 +846,9 @@ int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
 }
 
 /// Everything a pWCET campaign report prints after its header line —
-/// shared verbatim by `pwcet` and `merge`, so a distributed fan-in's
-/// report is byte-identical to the single-process reference from the
-/// second line on (CI diffs exactly that). Returns the exit code:
+/// shared verbatim by `pwcet` and a pwcet `merge`, so a distributed
+/// fan-in's report is byte-identical to the single-process reference
+/// from the second line on (CI diffs exactly that). Returns the exit code:
 /// 0 = HWM bounded by the ETB, 2 = bound violated, 3 = bounded but no
 /// usable fit (so scripts can tell "unsound bound" from "not enough
 /// data").
@@ -974,12 +888,12 @@ int report_pwcet(const PwcetCampaignResult& r, Cycle ubd,
 
 /// `pwcet|whitebox --shard i/N --checkpoint-out FILE`: run one slice of
 /// the campaign's shard plan and persist its accumulator state instead
-/// of reporting — the report happens at `merge_command` time, over every
-/// slice. `run(session, slice)` runs the slice and writes the file.
+/// of reporting — the report happens at `merge` time, over every slice.
+/// `run(session, slice)` runs the slice and writes the file.
 template <typename Run>
 int cmd_checkpoint(const ParsedFlags& flags, const char* command,
-                   const char* merge_command, const Scenario& scenario,
-                   std::ostream& out, std::ostream& err, Run&& run) {
+                   const Scenario& scenario, std::ostream& out,
+                   std::ostream& err, Run&& run) {
     RRB_REQUIRE(!flags.checkpoint_out.empty(),
                 "--shard needs --checkpoint-out to name the slice file");
     const SliceSpec slice = flags.shard.value_or(SliceSpec{0, 1});
@@ -1012,27 +926,20 @@ int cmd_checkpoint(const ParsedFlags& flags, const char* command,
     if (meta.block_size != 0) out << " in blocks of " << meta.block_size;
     out << ", seed " << meta.seed << "\n";
     out << "checkpoint written to " << flags.checkpoint_out << " ("
-        << checkpoint.shards.size() << " shard accumulators, merge with "
-        << "'rrbtool " << merge_command << "')\n";
+        << checkpoint.shards.size()
+        << " shard accumulators, merge with 'rrbtool merge')\n";
     return 0;
 }
 
 int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
               std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    RRB_REQUIRE(flags.block_size >= 1, "--block-size must be at least 1");
-    // Default to a quick-but-meaningful campaign: 40 blocks at the
-    // default block size (the campaign command's 20-run default would
-    // not even fill one block).
-    const Scenario scenario =
-        build_scenario(flags, /*default_runs=*/40 * flags.block_size);
-    PwcetSpec spec;
-    spec.block_size = flags.block_size;
-    if (!flags.exceedances.empty()) spec.exceedance = flags.exceedances;
+    const CampaignSetup campaign = checked_campaign(flags.knobs);
+    const Scenario& scenario = campaign.scenario;
+    const PwcetSpec& spec = campaign.spec;
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
         return cmd_checkpoint(
-            flags, "pwcet", "merge", scenario, out, err,
+            flags, "pwcet", scenario, out, err,
             [&](Session& session, const SliceSpec& slice) {
                 return session.checkpoint(scenario, spec, slice,
                                           flags.checkpoint_out);
@@ -1050,43 +957,23 @@ int cmd_pwcet(const ParsedFlags& flags, std::ostream& out,
     return report_pwcet(r, scenario.config().ubd_analytic(), out);
 }
 
-/// Merge fan-ins treat each argument as a distinct slice, so the same
-/// path twice would double-count its shards; reject by name up front
-/// (the codec would also catch it as duplicate coverage, but a usage
-/// error should not cost a file load first).
-void require_unique_inputs(const std::vector<std::string>& inputs,
-                           const char* command) {
+/// A merge treats each argument as a distinct slice, so the same path
+/// twice would double-count its shards; reject by name up front (the
+/// codec would also catch it as duplicate coverage, but a usage error
+/// should not cost a file load first).
+void require_unique_inputs(const std::vector<std::string>& inputs) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
         for (std::size_t j = i + 1; j < inputs.size(); ++j) {
             if (inputs[i] == inputs[j]) {
                 throw std::invalid_argument(
-                    std::string(command) +
-                    ": duplicate checkpoint file '" + inputs[i] + "'");
+                    "merge: duplicate checkpoint file '" + inputs[i] + "'");
             }
         }
     }
 }
 
-int cmd_merge(const ParsedFlags& flags, std::ostream& out,
-              std::ostream& err) {
-    RRB_REQUIRE(!flags.inputs.empty(),
-                "merge needs at least one checkpoint file");
-    require_unique_inputs(flags.inputs, "merge");
-    TelemetrySession telemetry(flags, "merge");
-    const Session session;
-    const MergedPwcetCampaign merged = session.merge(flags.inputs);
-    telemetry.campaign(telemetry_info(merged.meta));
-    telemetry.finish(/*jobs=*/1, err);
-    out << "merge: " << flags.inputs.size() << " checkpoints, "
-        << merged.result.runs << " runs in blocks of "
-        << merged.meta.block_size << ", seed " << merged.meta.seed << "\n";
-    // From here the report is byte-identical to the reference
-    // single-process `pwcet` run — including the exit-code contract.
-    return report_pwcet(merged.result, merged.meta.ubd_analytic, out);
-}
-
 /// Everything a white-box campaign report prints after its header line
-/// — shared verbatim by `whitebox` and `merge-whitebox`, so a
+/// — shared verbatim by `whitebox` and a whitebox `merge`, so a
 /// distributed fan-in's report is byte-identical to the single-process
 /// reference from the second line on. Exit 0 = observed per-request
 /// delays bounded by the analytic ubd, 2 = a request waited longer
@@ -1120,12 +1007,12 @@ int report_whitebox(Cycle et_isolation, std::uint64_t nr,
 
 int cmd_whitebox(const ParsedFlags& flags, std::ostream& out,
                  std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    const Scenario scenario = build_scenario(flags, /*default_runs=*/20);
+    const Scenario scenario =
+        checked_campaign(flags.knobs, /*default_runs=*/20).scenario;
 
     if (flags.shard.has_value() || !flags.checkpoint_out.empty()) {
         return cmd_checkpoint(
-            flags, "whitebox", "merge-whitebox", scenario, out, err,
+            flags, "whitebox", scenario, out, err,
             [&](Session& session, const SliceSpec& slice) {
                 return session.checkpoint(scenario, slice,
                                           flags.checkpoint_out);
@@ -1142,39 +1029,47 @@ int cmd_whitebox(const ParsedFlags& flags, std::ostream& out,
                            scenario.config().ubd_analytic(), out);
 }
 
-int cmd_merge_whitebox(const ParsedFlags& flags, std::ostream& out,
-                       std::ostream& err) {
+/// `rrbtool merge F...`: the pwcet or the whitebox fan-in, whichever
+/// kind the first file's payload byte names. A file of the other kind
+/// then fails to load, refusing to merge across campaign kinds.
+int cmd_merge(const ParsedFlags& flags, std::ostream& out,
+              std::ostream& err) {
     RRB_REQUIRE(!flags.inputs.empty(),
-                "merge-whitebox needs at least one checkpoint file");
-    require_unique_inputs(flags.inputs, "merge-whitebox");
-    TelemetrySession telemetry(flags, "merge-whitebox");
+                "merge needs at least one checkpoint file");
+    require_unique_inputs(flags.inputs);
+    TelemetrySession telemetry(flags, "merge");
     const Session session;
-    const MergedWhiteboxCampaign merged =
-        session.merge_whitebox(flags.inputs);
+    // From the second line on, each report is byte-identical to the
+    // reference single-process run — including the exit-code contract.
+    if (checkpoint_kind(flags.inputs[0]) == PayloadKind::kWhitebox) {
+        const MergedWhiteboxCampaign merged =
+            session.merge_whitebox(flags.inputs);
+        telemetry.campaign(telemetry_info(merged.meta));
+        telemetry.finish(/*jobs=*/1, err);
+        out << "merge: " << flags.inputs.size() << " checkpoints, "
+            << merged.total.runs() << " runs, seed " << merged.meta.seed
+            << "\n";
+        return report_whitebox(merged.meta.et_isolation, merged.meta.nr,
+                               merged.total, merged.meta.ubd_analytic, out);
+    }
+    const MergedPwcetCampaign merged = session.merge(flags.inputs);
     telemetry.campaign(telemetry_info(merged.meta));
     telemetry.finish(/*jobs=*/1, err);
-    out << "merge-whitebox: " << flags.inputs.size() << " checkpoints, "
-        << merged.total.runs() << " runs, seed " << merged.meta.seed
-        << "\n";
-    // From here the report is byte-identical to the reference
-    // single-process `whitebox` run — including the exit-code contract.
-    return report_whitebox(merged.meta.et_isolation, merged.meta.nr,
-                           merged.total, merged.meta.ubd_analytic, out);
+    out << "merge: " << flags.inputs.size() << " checkpoints, "
+        << merged.result.runs << " runs in blocks of "
+        << merged.meta.block_size << ", seed " << merged.meta.seed << "\n";
+    return report_pwcet(merged.result, merged.meta.ubd_analytic, out);
 }
 
 int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
                     std::ostream& err) {
-    RRB_REQUIRE(flags.runs.value_or(1) >= 1, "--runs must be at least 1");
-    RRB_REQUIRE(flags.block_size >= 1, "--block-size must be at least 1");
-    const Scenario scenario =
-        build_scenario(flags, /*default_runs=*/40 * flags.block_size);
+    const CampaignSetup campaign = checked_campaign(flags.knobs);
+    const Scenario& scenario = campaign.scenario;
+    const PwcetSpec& spec = campaign.spec;
     SweepAxes axes;
     axes.cores = flags.cores_axis;
     axes.lbus = flags.lbus_axis;
     axes.arbiters = flags.arbiter_axis;
-    PwcetSpec spec;
-    spec.block_size = flags.block_size;
-    if (!flags.exceedances.empty()) spec.exceedance = flags.exceedances;
 
     const std::size_t runs = scenario.run_protocol().runs;
 
@@ -1228,7 +1123,7 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
         const bool bounded = p.result.high_water_mark <= etb;
         if (rr && !bounded) any_unbounded = true;
         if (!p.result.fit.valid()) any_degenerate = true;
-        out << p.cores << " " << p.lbus << " " << arbiter_name(p.arbiter)
+        out << p.cores << " " << p.lbus << " " << short_name(p.arbiter)
             << " " << p.result.high_water_mark << " " << etb << " "
             << (rr ? (bounded ? "yes" : "NO") : "n/a");
         for (const PwcetQuantile& q : p.result.quantiles) {
@@ -1248,8 +1143,9 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
     return 0;
 }
 
-int cmd_sweep(const ParsedFlags& flags, std::ostream& out) {
-    const MachineConfig config = build_config(flags);
+int cmd_sweep(const ParsedFlags& flags, std::ostream& out,
+              std::ostream& /*err*/) {
+    const MachineConfig config = flags.knobs.config();
     const UbdEstimate e = estimate_ubd(config, build_options(flags));
     const std::vector<std::string> names = {"dbus"};
     const std::vector<std::vector<double>> cols = {e.dbus};
@@ -1548,6 +1444,54 @@ int cmd_telemetry_diff(const ParsedFlags& flags, std::ostream& out,
     return exit_code;
 }
 
+const std::vector<CommandSpec>& command_specs() {
+    static const std::vector<CommandSpec> specs = {
+        {"estimate", cmd_estimate,
+         {"--cores", "--lbus", "--var", "--kmax", "--iterations",
+          "--nop-latency", "--store-span", "--csv"}},
+        {"calibrate", cmd_calibrate,
+         {"--cores", "--lbus", "--var", "--nop-latency"}},
+        {"baseline", cmd_baseline,
+         {"--cores", "--lbus", "--var", "--iterations"}},
+        {"isolation", cmd_isolation,
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
+          "--heartbeat"}},
+        {"contention", cmd_contention,
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
+          "--heartbeat"}},
+        {"slowdown", cmd_slowdown,
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
+          "--heartbeat"}},
+        {"campaign", cmd_campaign,
+         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
+          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
+        {"attribution", cmd_attribution,
+         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
+          "--iterations", "--telemetry", "--heartbeat", "--trace"}},
+        {"pwcet", cmd_pwcet,
+         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
+          "--iterations", "--block-size", "--exceedance", "--shard",
+          "--checkpoint-out", "--telemetry", "--heartbeat", "--trace"}},
+        {"batch", cmd_batch,
+         {"--out-dir", "--jobs", "--telemetry", "--heartbeat"},
+         /*takes_files=*/true},
+        {"merge", cmd_merge, {"--telemetry"}, /*takes_files=*/true},
+        {"whitebox", cmd_whitebox,
+         {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
+          "--iterations", "--shard", "--checkpoint-out", "--telemetry",
+          "--heartbeat", "--trace"}},
+        {"sweep", cmd_sweep,
+         {"--cores", "--lbus", "--var", "--kmax", "--iterations", "--csv"}},
+        {"sweep-pwcet", cmd_sweep_pwcet,
+         {"--var", "--cores-axis", "--lbus-axis", "--arbiter-axis",
+          "--runs", "--seed", "--jobs", "--iterations", "--block-size",
+          "--exceedance", "--telemetry", "--heartbeat", "--trace"}},
+        {"telemetry-diff", cmd_telemetry_diff, {"--max-regression-pct"},
+         /*takes_files=*/true},
+    };
+    return specs;
+}
+
 }  // namespace
 
 std::string usage() {
@@ -1573,12 +1517,12 @@ std::string usage() {
            "  batch        run a multi-scenario spec file as one flat\n"
            "               (campaign x shard) queue; one checkpoint per\n"
            "               scenario\n"
-           "  merge        merge pwcet checkpoint files into the full "
-           "campaign\n"
+           "  merge        merge pwcet or whitebox checkpoint files into "
+           "the\n"
+           "               full campaign\n"
            "  whitebox     white-box campaign: per-request delay / "
            "contender\n"
            "               histograms vs the analytic ubd\n"
-           "  merge-whitebox  merge whitebox checkpoint files\n"
            "  sweep-pwcet  grid of MachineConfigs, one streamed pWCET\n"
            "               campaign per point on one shared pool\n"
            "  sweep        dump the dbus(k) series as CSV\n"
@@ -1666,9 +1610,11 @@ std::string usage() {
            "                       checkpoint\n"
            "\n"
            "merge:\n"
-           "  rrbtool merge F1 F2 ...   merge checkpoint files; rejects\n"
-           "                       mismatched campaigns and duplicate or\n"
-           "                       missing slices\n"
+           "  rrbtool merge F1 F2 ...   merge pwcet or whitebox checkpoint\n"
+           "                       files (the first file's kind decides);\n"
+           "                       rejects mixed kinds, mismatched\n"
+           "                       campaigns and duplicate or missing\n"
+           "                       slices\n"
            "\n"
            "sweep-pwcet flags (plus the campaign and pwcet flags):\n"
            "  --cores-axis A,B,..  core counts to sweep (default: base)\n"
@@ -1700,30 +1646,7 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         // variable is unset or a test armed the injector itself). A
         // malformed spec lands in the invalid_argument handler below.
         const fault::ScopedEnvArm faults;
-        if (command == "estimate") return cmd_estimate(flags, out);
-        if (command == "calibrate") return cmd_calibrate(flags, out);
-        if (command == "baseline") return cmd_baseline(flags, out);
-        if (command == "isolation") return cmd_isolation(flags, out, err);
-        if (command == "contention") {
-            return cmd_contention(flags, out, err);
-        }
-        if (command == "slowdown") return cmd_slowdown(flags, out, err);
-        if (command == "campaign") return cmd_campaign(flags, out, err);
-        if (command == "attribution") {
-            return cmd_attribution(flags, out, err);
-        }
-        if (command == "telemetry-diff") {
-            return cmd_telemetry_diff(flags, out, err);
-        }
-        if (command == "pwcet") return cmd_pwcet(flags, out, err);
-        if (command == "batch") return cmd_batch(flags, out, err);
-        if (command == "merge") return cmd_merge(flags, out, err);
-        if (command == "whitebox") return cmd_whitebox(flags, out, err);
-        if (command == "merge-whitebox") {
-            return cmd_merge_whitebox(flags, out, err);
-        }
-        if (command == "sweep-pwcet") return cmd_sweep_pwcet(flags, out, err);
-        if (command == "sweep") return cmd_sweep(flags, out);
+        return spec->run(flags, out, err);
     } catch (const std::invalid_argument& e) {
         err << "error: " << e.what() << "\n";
         return 1;
@@ -1746,10 +1669,6 @@ int run(const std::vector<std::string>& args, std::ostream& out,
             << "' failed with an unknown error\n";
         return 70;
     }
-    // Unreachable while command_specs() and the dispatch above agree;
-    // fail loudly rather than silently succeed if they ever drift.
-    err << "error: unknown command '" << command << "'\n\n" << usage();
-    return 1;
 }
 
 }  // namespace rrb::cli

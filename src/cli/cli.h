@@ -26,8 +26,9 @@
 // for a scaled platform. Each command accepts only its own flag set and
 // exits non-zero naming any flag that does not apply. The campaign
 // commands are thin shells over the Scenario/Session API
-// (core/scenario.h, core/session.h): flags map 1:1 onto Scenario
-// builders and Session execution policy. Command implementations live
+// (core/scenario.h, core/session.h): flags parse into the CampaignKnobs
+// a batch spec's keys also fill, build_campaign maps them onto Scenario
+// builders, and the rest is Session execution policy. Command implementations live
 // here so they are unit-testable without spawning processes.
 #pragma once
 

@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include "core/campaign.h"
-#include "engine/campaign_engine.h"
 #include "engine/machine_lease.h"
 #include "machine/machine.h"
 #include "sim/contract.h"
@@ -81,20 +80,6 @@ SlowdownResult run_slowdown(const MachineConfig& config, const Program& scua,
                                            scua_core, max_cycles);
     RRB_ENSURE(result.contention.exec_time >= result.isolation.exec_time);
     return result;
-}
-
-std::vector<SlowdownResult> run_slowdown_grid(
-    const MachineConfig& config, const std::vector<Program>& scuas,
-    const std::vector<Program>& contenders, std::size_t jobs,
-    Cycle max_cycles) {
-    engine::EngineOptions engine;
-    engine.jobs = jobs;
-    return engine::run_grid(
-        scuas,
-        [&](const Program& scua) {
-            return run_slowdown(config, scua, contenders, 0, max_cycles);
-        },
-        engine);
 }
 
 }  // namespace rrb

@@ -85,15 +85,6 @@ struct ExperimentBackend {
     const std::vector<Program>& contenders, CoreId scua_core = 0,
     Cycle max_cycles = 1'000'000'000, const ExperimentBackend& backend = {});
 
-/// Grid version of run_slowdown: evaluates every scua concurrently on the
-/// campaign engine (`jobs` workers; 0 = hardware concurrency) and returns
-/// results in `scuas` order. Each worker runs on its own leased machine,
-/// so results are identical to calling run_slowdown in a loop.
-[[nodiscard]] std::vector<SlowdownResult> run_slowdown_grid(
-    const MachineConfig& config, const std::vector<Program>& scuas,
-    const std::vector<Program>& contenders, std::size_t jobs = 0,
-    Cycle max_cycles = 1'000'000'000);
-
 class Machine;
 
 namespace detail {

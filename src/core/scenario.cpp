@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/estimator.h"
+#include "kernels/autobench.h"
 #include "sim/contract.h"
 #include "sim/fnv.h"
 
@@ -105,6 +106,36 @@ void Scenario::validate() const {
     RRB_REQUIRE(!explicit_contenders_.has_value() ||
                     !explicit_contenders_->empty(),
                 "need at least one contender");
+}
+
+MachineConfig CampaignKnobs::config() const {
+    MachineConfig config =
+        (cores.has_value() || lbus.has_value())
+            ? MachineConfig::scaled(cores.value_or(4), lbus.value_or(9))
+            : (variant ? MachineConfig::ngmp_var()
+                       : MachineConfig::ngmp_ref());
+    if (arbiter.has_value()) config.arbiter = *arbiter;
+    config.validate();
+    return config;
+}
+
+CampaignSetup build_campaign(const CampaignKnobs& knobs,
+                             std::optional<std::size_t> default_runs) {
+    Scenario scenario =
+        Scenario::on(knobs.config())
+            .scua(make_autobench(Autobench::kCacheb, 0x0100'0000,
+                                 knobs.iterations, 9))
+            .rsk_contenders(OpKind::kLoad)
+            .runs(knobs.runs.value_or(
+                default_runs.value_or(40 * knobs.block_size)))
+            .seed(knobs.seed);
+    if (knobs.max_start_delay.has_value()) {
+        scenario.max_start_delay(*knobs.max_start_delay);
+    }
+    PwcetSpec spec;
+    spec.block_size = knobs.block_size;
+    if (!knobs.exceedance.empty()) spec.exceedance = knobs.exceedance;
+    return {std::move(scenario), std::move(spec)};
 }
 
 }  // namespace rrb

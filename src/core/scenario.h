@@ -20,6 +20,10 @@
 //
 // Scenarios are value types: cheap to copy, re-target (`with_config`)
 // and mutate per grid point without aliasing surprises.
+//
+// The campaign front ends — `rrbtool` flags and batch-spec keys — parse
+// into one CampaignKnobs struct, and build_campaign alone turns knobs
+// into a Scenario plus its PwcetSpec.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +31,7 @@
 #include <optional>
 #include <vector>
 
+#include "bus/arbiter.h"
 #include "core/campaign.h"
 #include "isa/program.h"
 #include "machine/config.h"
@@ -115,5 +120,52 @@ private:
     OpKind rsk_access_ = OpKind::kLoad;
     HwmCampaignOptions protocol_;
 };
+
+/// The statistical half of a pWCET campaign — everything that is not
+/// the run protocol (which the Scenario owns): EVT block size and the
+/// exceedance probabilities to quote quantiles at. Defaults come from
+/// PwcetCampaignOptions, the low-level single source of truth.
+struct PwcetSpec {
+    std::size_t block_size = PwcetCampaignOptions{}.block_size;
+    std::vector<double> exceedance = PwcetCampaignOptions{}.exceedance;
+};
+
+/// The knobs every campaign front end offers: the campaign commands'
+/// flags and the batch spec's keys. Unset optionals keep the
+/// platform's or the protocol's own value.
+struct CampaignKnobs {
+    std::optional<CoreId> cores;  ///< cores/lbus select the scaled
+    std::optional<Cycle> lbus;    ///< platform (defaults 4 / 9)
+    bool variant = false;         ///< NGMP variant, if neither is set
+    std::optional<ArbiterKind> arbiter;
+    std::uint64_t iterations = 40;  ///< the scua's loop iterations
+    std::optional<std::size_t> runs;
+    std::uint64_t seed = HwmCampaignOptions{}.seed;
+    std::size_t block_size = PwcetSpec{}.block_size;
+    std::vector<double> exceedance;  ///< empty = PwcetSpec's list
+    std::optional<Cycle> max_start_delay;
+
+    /// The validated platform: MachineConfig::scaled when cores or
+    /// lbus is set, the NGMP reference (or variant) otherwise, with
+    /// `arbiter` applied.
+    [[nodiscard]] MachineConfig config() const;
+};
+
+/// What build_campaign returns: the scenario and its statistical spec.
+struct CampaignSetup {
+    Scenario scenario;
+    PwcetSpec spec;
+};
+
+/// The campaign commands' scenario and spec: the cache-buster scua on
+/// knobs.config() against load-rsk contenders, each knob mapped 1:1
+/// onto a Scenario builder or PwcetSpec field. Runs default to
+/// `default_runs`, or to 40 EVT blocks when that is unset (a shorter
+/// campaign would not fill enough blocks for a fit). A batch scenario
+/// and the equivalent standalone command therefore build the same
+/// fingerprint by construction.
+[[nodiscard]] CampaignSetup build_campaign(
+    const CampaignKnobs& knobs,
+    std::optional<std::size_t> default_runs = std::nullopt);
 
 }  // namespace rrb

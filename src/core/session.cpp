@@ -325,11 +325,11 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
     scenario.validate();
     validate(spec);
 
-    // Materialize the enumeration. An empty axis contributes a single
+    // Enumerate every axis. An empty axis contributes a single
     // disengaged value: apply_axes leaves the base config's setting
     // completely untouched (re-timing the bus to an equal lbus would
     // still be a different machine).
-    const auto materialize = [](const auto& axis) {
+    const auto axis_values = [](const auto& axis) {
         using Value = typename std::decay_t<decltype(axis)>::value_type;
         std::vector<std::optional<Value>> values;
         if (axis.empty()) {
@@ -339,9 +339,9 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
         }
         return values;
     };
-    const auto cores = materialize(axes.cores);
-    const auto lbus = materialize(axes.lbus);
-    const auto arbiters = materialize(axes.arbiters);
+    const auto cores = axis_values(axes.cores);
+    const auto lbus = axis_values(axes.lbus);
+    const auto arbiters = axis_values(axes.arbiters);
 
     if (progress_ != nullptr) progress_->begin(axes.points());
 

@@ -60,15 +60,6 @@ void fold_pwcet_run(PwcetAccumulator& acc,
 
 }  // namespace detail
 
-/// The statistical half of a pWCET campaign — everything that is not
-/// the run protocol (which the Scenario owns): EVT block size and the
-/// exceedance probabilities to quote quantiles at. Defaults come from
-/// PwcetCampaignOptions, the low-level single source of truth.
-struct PwcetSpec {
-    std::size_t block_size = PwcetCampaignOptions{}.block_size;
-    std::vector<double> exceedance = PwcetCampaignOptions{}.exceedance;
-};
-
 /// Axes of a MachineConfig grid. Empty axis = keep the base scenario's
 /// value (a single implicit point on that axis); the grid is the cross
 /// product of the non-empty axes, enumerated cores-major, then lbus,

@@ -4,8 +4,10 @@
 // shard plan, the one per-shard body (fold_shard) and the one in-order
 // shard merge (merge_in_order). sched::CampaignScheduler runs every
 // campaign through them; reduce_indexed_shards runs an arbitrary indexed
-// fold through them on a pool of its own. The determinism contract is
-// "fold results into mergeable accumulators without ever holding them":
+// fold through them on a pool of its own. Campaigns reach all of this
+// through the Scenario/Session API (core/scenario.h, core/session.h).
+// The determinism contract is "fold results into mergeable accumulators
+// without ever holding them":
 //
 //   * Each shard owns a contiguous run range and folds it locally, in
 //     ascending run order, into its own accumulator.
@@ -23,15 +25,15 @@
 // `void merge(const Accumulator& later_shard)`.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/campaign_engine.h"
+#include "engine/progress.h"
 #include "engine/thread_pool.h"
 #include "fault/fault.h"
 #include "obs/telemetry.h"
@@ -41,6 +43,24 @@
 #include "stats/streaming.h"
 
 namespace rrb::engine {
+
+struct EngineOptions {
+    /// Worker threads; 0 means ThreadPool::default_jobs() (hardware
+    /// concurrency). The job count never changes results, only speed.
+    std::size_t jobs = 0;
+    /// Optional progress sink; begin() is called with the batch size and
+    /// tick() once per finished job.
+    ProgressCounter* progress = nullptr;
+};
+
+/// `options.jobs` resolved against the actual amount of work: 0 maps to
+/// hardware concurrency, and the pool is never wider than `work_items`.
+[[nodiscard]] inline std::size_t effective_jobs(
+    std::size_t requested, std::size_t work_items) noexcept {
+    const std::size_t jobs =
+        requested == 0 ? ThreadPool::default_jobs() : requested;
+    return std::max<std::size_t>(1, std::min(jobs, work_items));
+}
 
 /// Contiguous sharding of the run range [0, count). Pure function of
 /// `count`: the plan — and therefore every merge tree built from it —
@@ -176,10 +196,11 @@ template <typename Acc>
 }
 
 /// Folds the plan's shards [range.first, range.last) concurrently with
-/// fold_shard and returns the *unmerged* per-shard accumulators in shard
-/// order. `fold` must be safe to call concurrently on distinct
-/// accumulators. Progress begins with the range's index count and ticks
-/// once per index.
+/// fold_shard, on a pool of `engine.jobs` workers built for the call,
+/// and returns the *unmerged* per-shard accumulators in shard order.
+/// `fold` must be safe to call concurrently on distinct accumulators.
+/// Progress begins with the range's index count and ticks once per
+/// index.
 template <typename Accumulator, typename Fold>
 [[nodiscard]] std::vector<Accumulator> reduce_indexed_shards(
     const ReducePlan& plan, ReducePlan::ShardRange range, Fold&& fold,
@@ -191,14 +212,9 @@ template <typename Accumulator, typename Fold>
     }
     std::vector<Accumulator> shards(range.size(), init);
     if (!shards.empty()) {
-        // Borrow a shared pool when the caller provides one; otherwise
-        // build a batch-local pool. Neither changes results: the shard
-        // plan — and with it every merge tree — depends only on `count`.
-        std::optional<ThreadPool> local;
-        ThreadPool& pool =
-            engine.pool != nullptr
-                ? *engine.pool
-                : local.emplace(effective_jobs(engine.jobs, range.size()));
+        // The pool width never changes results: the shard plan — and
+        // with it every merge tree — depends only on `count`.
+        ThreadPool pool(effective_jobs(engine.jobs, range.size()));
         // The shard spans' parent is whatever span is open on the
         // *submitting* thread — captured here because the workers' own
         // span stacks are unrelated.
@@ -216,19 +232,6 @@ template <typename Accumulator, typename Fold>
         pool.wait_idle();  // rethrows the first shard failure
     }
     return shards;
-}
-
-/// Folds `fold(acc, i)` for i in [0, count) into a single accumulator:
-/// the full shard range via reduce_indexed_shards, then merge_in_order.
-/// A zero count returns `init`. Progress ticks once per index.
-template <typename Accumulator, typename Fold>
-[[nodiscard]] Accumulator reduce_indexed(std::uint64_t count, Fold&& fold,
-                                         Accumulator init,
-                                         const EngineOptions& engine = {}) {
-    const ReducePlan plan = ReducePlan::for_count(count);
-    std::vector<Accumulator> shards =
-        reduce_indexed_shards(plan, {0, plan.shards()}, fold, init, engine);
-    return shards.empty() ? init : merge_in_order(std::move(shards));
 }
 
 /// White-box campaign statistics: the gamma / ready-contenders /

@@ -20,8 +20,6 @@ const char* site_name(Site s) noexcept {
     return "unknown";
 }
 
-#if !defined(RRB_NO_FAULTS)
-
 namespace detail {
 std::atomic<bool> g_armed{false};
 }  // namespace detail
@@ -205,12 +203,5 @@ ScopedEnvArm::ScopedEnvArm() {
 ScopedEnvArm::~ScopedEnvArm() {
     if (armed_here_) FaultInjector::instance().disarm();
 }
-
-#else  // RRB_NO_FAULTS
-
-ScopedEnvArm::ScopedEnvArm() = default;
-ScopedEnvArm::~ScopedEnvArm() = default;
-
-#endif  // RRB_NO_FAULTS
 
 }  // namespace rrb::fault

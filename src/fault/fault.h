@@ -15,12 +15,9 @@
 //     hook (`should_fire` returns false without touching the
 //     injector). Every site sits off the per-run hot path — saves,
 //     shard boundaries, decode — so campaigns are bit-identical and
-//     hot-path rate is unchanged whether the hooks exist or not
+//     hot-path rate is unchanged whether the hooks are armed or not
 //     (tests/test_fault.cpp asserts the bit-identity the same way
 //     tests/test_telemetry.cpp does for counters).
-//   * Compiling with RRB_NO_FAULTS removes even the load: the hooks
-//     become constant-false inline functions and the optimizer deletes
-//     the failure branches.
 //   * Armed evaluation is deliberately boring: a mutex-guarded rule
 //     walk. Sites fire at most once per shard / save / campaign, never
 //     per run, so correctness (and TSan cleanliness) beats lock-free
@@ -106,8 +103,6 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-#if !defined(RRB_NO_FAULTS)
-
 namespace detail {
 /// Process-wide armed flag; `should_fire`'s only cost while disarmed.
 extern std::atomic<bool> g_armed;
@@ -171,17 +166,6 @@ private:
     if (!armed()) return false;
     return FaultInjector::instance().evaluate(site, key);
 }
-
-#else  // RRB_NO_FAULTS: hooks compile to constant false.
-
-[[nodiscard]] inline bool armed() noexcept { return false; }
-
-[[nodiscard]] inline bool should_fire(Site /*site*/,
-                                      std::uint64_t /*key*/ = 0) noexcept {
-    return false;
-}
-
-#endif  // RRB_NO_FAULTS
 
 /// RAII env arming for whole-process runs: arms from the RRB_FAULTS
 /// environment variable when it is set and non-empty, and disarms on

@@ -46,9 +46,7 @@ const char* counter_name(Counter c) noexcept {
 }
 
 namespace detail {
-#if !defined(RRB_NO_TELEMETRY)
 std::atomic<bool> g_enabled{false};
-#endif
 }  // namespace detail
 
 namespace {
@@ -82,15 +80,11 @@ TelemetryRegistry& TelemetryRegistry::instance() {
 }
 
 void TelemetryRegistry::enable() {
-#if !defined(RRB_NO_TELEMETRY)
     detail::g_enabled.store(true, std::memory_order_relaxed);
-#endif
 }
 
 void TelemetryRegistry::disable() {
-#if !defined(RRB_NO_TELEMETRY)
     detail::g_enabled.store(false, std::memory_order_relaxed);
-#endif
 }
 
 CounterSnapshot TelemetryRegistry::counters() const {
@@ -171,7 +165,6 @@ void TelemetryRegistry::close_span(std::uint64_t id) {
 }
 
 namespace detail {
-#if !defined(RRB_NO_TELEMETRY)
 CounterBlock* acquire_block() {
     // Registration is the one locked operation a worker performs, and
     // only once per thread: the block lives in the leaked registry, so
@@ -181,7 +174,6 @@ CounterBlock* acquire_block() {
     impl->blocks.emplace_back();
     return &impl->blocks.back();
 }
-#endif
 }  // namespace detail
 
 std::uint64_t current_span() noexcept { return t_current_span; }

@@ -6,16 +6,17 @@
 // cycles simulated, events skipped, lease hits, per-shard wall time)
 // without ever touching *what* it computed: every hook is strictly
 // out-of-band, so campaign results are bit-identical with telemetry
-// enabled, disabled, or compiled out (tests/test_telemetry.cpp asserts
-// exactly that on CLI output).
+// enabled or disabled (tests/test_telemetry.cpp asserts exactly that on
+// CLI output).
 //
 // Design:
 //
 //   * Counters live in per-worker CounterBlocks. A worker thread bumps
 //     its own cache-line-aligned block with relaxed atomics — no locks,
 //     no sharing — and the registry sums the blocks on read. This is the
-//     same discipline as engine::reduce_indexed: per-worker state,
-//     merged by the reader, so the hot path never synchronizes.
+//     same discipline as the sharded reduce (engine/reduce.h):
+//     per-worker state, merged by the reader, so the hot path never
+//     synchronizes.
 //   * Deterministic counters (runs completed, cycles simulated, events
 //     skipped) obey a merge law: the merged total is identical at every
 //     --jobs value, because the work they count is. Timing counters
@@ -26,9 +27,7 @@
 //     point / shard, never per run), so a mutex-guarded record list is
 //     fine where a per-run counter would not be.
 //   * Disabled is the default and costs one relaxed atomic load per
-//     hook. Compiling with RRB_NO_TELEMETRY removes even that (the
-//     hooks become empty inline functions) — the reference point for
-//     bench_hotpath's overhead measurement.
+//     hook.
 //
 // The registry is a process-lifetime singleton: worker blocks are
 // registered once per thread and never freed, so a cached thread-local
@@ -145,7 +144,6 @@ struct alignas(64) CounterBlock {
     std::array<std::atomic<std::uint64_t>, kCounterCount> values{};
 };
 
-#if !defined(RRB_NO_TELEMETRY)
 extern std::atomic<bool> g_enabled;
 /// Registers (once) and returns the calling thread's block.
 [[nodiscard]] CounterBlock* acquire_block();
@@ -153,31 +151,23 @@ extern std::atomic<bool> g_enabled;
     thread_local CounterBlock* block = nullptr;
     return block;
 }
-#endif
 
 }  // namespace detail
 
 /// True when telemetry collection is on. Hooks are no-ops otherwise.
 [[nodiscard]] inline bool enabled() noexcept {
-#if defined(RRB_NO_TELEMETRY)
-    return false;
-#else
     return detail::g_enabled.load(std::memory_order_relaxed);
-#endif
 }
 
 /// The hot-path hook: bump counter `c` by `n` on the calling thread's
 /// block. One relaxed load (disabled) or one relaxed load + one relaxed
-/// add (enabled); nothing when compiled out.
-inline void count([[maybe_unused]] Counter c,
-                  [[maybe_unused]] std::uint64_t n = 1) noexcept {
-#if !defined(RRB_NO_TELEMETRY)
+/// add (enabled).
+inline void count(Counter c, std::uint64_t n = 1) noexcept {
     if (!enabled()) return;
     detail::CounterBlock*& block = detail::tls_block();
     if (block == nullptr) block = detail::acquire_block();
     block->values[static_cast<std::size_t>(c)].fetch_add(
         n, std::memory_order_relaxed);
-#endif
 }
 
 /// Process-lifetime singleton owning the worker blocks and the span
@@ -221,9 +211,7 @@ public:
 private:
     TelemetryRegistry();
     struct Impl;
-#if !defined(RRB_NO_TELEMETRY)
     friend detail::CounterBlock* detail::acquire_block();
-#endif
     Impl* impl_;  ///< leaked on purpose: see module comment
 };
 

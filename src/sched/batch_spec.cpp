@@ -1,34 +1,22 @@
 #include "sched/batch_spec.h"
 
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
 
-#include "kernels/autobench.h"
 #include "sim/parse.h"
 
 namespace rrb::sched {
 
 namespace {
 
-/// One [scenario] block as written, before materialization. Defaults
-/// mirror the pwcet command's flag defaults — the equivalence the CI
-/// byte-diff relies on.
+/// One [scenario] block as written: its name and the knobs its keys
+/// set, which build_campaign turns into the scenario exactly as it does
+/// the pwcet command's flags.
 struct SpecEntry {
     std::string name;
-    std::size_t line = 0;  ///< where the block header sits (messages)
-    std::optional<CoreId> cores;
-    std::optional<Cycle> lbus;
-    bool variant = false;
-    std::optional<ArbiterKind> arbiter;
-    std::uint64_t iterations = 40;
-    std::optional<std::size_t> runs;
-    std::uint64_t seed = 1;
-    std::size_t block_size = 50;
-    std::vector<double> exceedance;
-    std::optional<Cycle> max_start_delay;
+    CampaignKnobs knobs;
 };
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
@@ -77,15 +65,6 @@ bool parse_bool(std::string_view text, std::size_t line,
     fail(line, key + " needs true or false");
 }
 
-ArbiterKind parse_arbiter(std::string_view text, std::size_t line) {
-    if (text == "rr") return ArbiterKind::kRoundRobin;
-    if (text == "tdma") return ArbiterKind::kTdma;
-    if (text == "wrr") return ArbiterKind::kWeightedRoundRobin;
-    if (text == "fixed") return ArbiterKind::kFixedPriority;
-    fail(line, "unknown arbiter '" + std::string(text) +
-                   "' (rr, tdma, wrr, fixed)");
-}
-
 std::vector<double> parse_exceedance(std::string_view text,
                                      std::size_t line) {
     std::vector<double> values;
@@ -93,15 +72,12 @@ std::vector<double> parse_exceedance(std::string_view text,
     std::istringstream stream{std::string(text)};
     while (std::getline(stream, item, ',')) {
         const std::string_view trimmed = trim(item);
-        char* end = nullptr;
-        const std::string owned(trimmed);
-        const double value = std::strtod(owned.c_str(), &end);
-        if (owned.empty() || end != owned.c_str() + owned.size() ||
-            !(value > 0.0 && value < 1.0)) {
+        const std::optional<double> value = parse_real(trimmed);
+        if (!value || !(*value > 0.0 && *value < 1.0)) {
             fail(line, "exceedance needs probabilities in (0,1), got '" +
-                           owned + "'");
+                           std::string(trimmed) + "'");
         }
-        values.push_back(value);
+        values.push_back(*value);
     }
     if (values.empty()) {
         fail(line, "exceedance needs a comma-separated probability list");
@@ -109,67 +85,39 @@ std::vector<double> parse_exceedance(std::string_view text,
     return values;
 }
 
-void apply_key(SpecEntry& entry, std::string_view key,
+void apply_key(CampaignKnobs& knobs, std::string_view key,
                std::string_view value, std::size_t line) {
     const std::string k(key);
     if (key == "cores") {
-        entry.cores = parse_number<CoreId>(value, line, k);
+        knobs.cores = parse_number<CoreId>(value, line, k);
     } else if (key == "lbus") {
-        entry.lbus = parse_number<Cycle>(value, line, k);
+        knobs.lbus = parse_number<Cycle>(value, line, k);
     } else if (key == "var") {
-        entry.variant = parse_bool(value, line, k);
+        knobs.variant = parse_bool(value, line, k);
     } else if (key == "arbiter") {
-        entry.arbiter = parse_arbiter(value, line);
+        knobs.arbiter = arbiter_named(value);
+        if (!knobs.arbiter) {
+            fail(line, "unknown arbiter '" + std::string(value) +
+                           "' (rr, tdma, wrr, fixed)");
+        }
     } else if (key == "iterations") {
-        entry.iterations = parse_number<std::uint64_t>(value, line, k);
+        knobs.iterations = parse_number<std::uint64_t>(value, line, k);
     } else if (key == "runs") {
-        entry.runs = parse_number<std::size_t>(value, line, k);
+        knobs.runs = parse_number<std::size_t>(value, line, k);
     } else if (key == "seed") {
-        entry.seed = parse_number<std::uint64_t>(value, line, k);
+        knobs.seed = parse_number<std::uint64_t>(value, line, k);
     } else if (key == "block-size") {
-        entry.block_size = parse_number<std::size_t>(value, line, k);
-        if (entry.block_size == 0) {
+        knobs.block_size = parse_number<std::size_t>(value, line, k);
+        if (knobs.block_size == 0) {
             fail(line, "block-size must be at least 1");
         }
     } else if (key == "exceedance") {
-        entry.exceedance = parse_exceedance(value, line);
+        knobs.exceedance = parse_exceedance(value, line);
     } else if (key == "max-start-delay") {
-        entry.max_start_delay = parse_number<Cycle>(value, line, k);
+        knobs.max_start_delay = parse_number<Cycle>(value, line, k);
     } else {
         fail(line, "unknown key '" + k + "'");
     }
-}
-
-/// The pwcet command's scenario construction, key for key: scaled
-/// platform when cores/lbus are set (defaults 4 / 9), NGMP ref/var
-/// otherwise; cache-buster scua against load-rsk contenders; runs
-/// defaulting to 40 blocks. Divergence here would silently break the
-/// batch-vs-standalone byte-identity the spec format promises.
-BatchItem materialize(const SpecEntry& entry) {
-    MachineConfig config =
-        (entry.cores.has_value() || entry.lbus.has_value())
-            ? MachineConfig::scaled(entry.cores.value_or(4),
-                                    entry.lbus.value_or(9))
-            : (entry.variant ? MachineConfig::ngmp_var()
-                             : MachineConfig::ngmp_ref());
-    if (entry.arbiter.has_value()) config.arbiter = *entry.arbiter;
-    config.validate();
-
-    Scenario scenario =
-        Scenario::on(config)
-            .scua(make_autobench(Autobench::kCacheb, 0x0100'0000,
-                                 entry.iterations, 9))
-            .rsk_contenders(OpKind::kLoad)
-            .runs(entry.runs.value_or(40 * entry.block_size))
-            .seed(entry.seed);
-    if (entry.max_start_delay.has_value()) {
-        scenario.max_start_delay(*entry.max_start_delay);
-    }
-
-    PwcetSpec spec;
-    spec.block_size = entry.block_size;
-    if (!entry.exceedance.empty()) spec.exceedance = entry.exceedance;
-    return BatchItem{entry.name, std::move(scenario), std::move(spec)};
 }
 
 }  // namespace
@@ -205,10 +153,7 @@ std::vector<BatchItem> parse_batch_spec(const std::string& text) {
                                       std::string(name) + "'");
                 }
             }
-            SpecEntry entry;
-            entry.name = std::string(name);
-            entry.line = line_no;
-            entries.push_back(std::move(entry));
+            entries.push_back({std::string(name), {}});
             continue;
         }
         const std::size_t eq = line.find('=');
@@ -218,7 +163,7 @@ std::vector<BatchItem> parse_batch_spec(const std::string& text) {
         if (entries.empty()) {
             fail(line_no, "key outside any [scenario] block");
         }
-        apply_key(entries.back(), trim(line.substr(0, eq)),
+        apply_key(entries.back().knobs, trim(line.substr(0, eq)),
                   trim(line.substr(eq + 1)), line_no);
     }
     if (entries.empty()) {
@@ -229,7 +174,9 @@ std::vector<BatchItem> parse_batch_spec(const std::string& text) {
     std::vector<BatchItem> items;
     items.reserve(entries.size());
     for (const SpecEntry& entry : entries) {
-        items.push_back(materialize(entry));
+        CampaignSetup setup = build_campaign(entry.knobs);
+        items.push_back({entry.name, std::move(setup.scenario),
+                         std::move(setup.spec)});
     }
     return items;
 }

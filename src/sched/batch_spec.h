@@ -22,10 +22,11 @@
 // 40 blocks), seed (default 1), block-size (default 50), exceedance
 // (comma-separated probabilities in (0,1)), max-start-delay (cycles).
 //
-// Materialization mirrors the pwcet command's flag handling key for
-// key: a spec entry and the equivalent `rrbtool pwcet` invocation
-// build the *same scenario fingerprint*, so a batch checkpoint merges
-// and byte-diffs against a standalone run (CI does exactly that).
+// Keys parse into the same CampaignKnobs the pwcet command's flags do,
+// and build_campaign (core/scenario.h) turns either into the scenario:
+// a spec entry and the equivalent `rrbtool pwcet` invocation build the
+// *same scenario fingerprint*, so a batch checkpoint merges and
+// byte-diffs against a standalone run (CI does exactly that).
 // Scenario names become checkpoint file stems and must be unique and
 // filesystem-safe ([A-Za-z0-9._-]).
 #pragma once

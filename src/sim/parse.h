@@ -1,10 +1,13 @@
-// Checked decimal parsing for every number a user types: CLI flags,
-// batch-spec keys and fault-spec fields all go through parse_decimal,
-// so "18446744073709551617" or a core count that only fits after
-// truncation is rejected instead of wrapping into a different value.
+// Checked parsing for every number a user types: CLI flags, batch-spec
+// keys and fault-spec fields all go through parse_decimal (integers)
+// or parse_real (probabilities, percentages), so "18446744073709551617"
+// or a core count that only fits after truncation is rejected instead
+// of wrapping into a different value, and "1e-9x" is rejected instead
+// of read as its prefix.
 #pragma once
 
 #include <charconv>
+#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <string>
@@ -24,6 +27,20 @@ template <typename T>
     const char* const end = text.data() + text.size();
     const auto [stop, error] = std::from_chars(text.data(), end, value);
     if (text.empty() || error != std::errc{} || stop != end) {
+        return std::nullopt;
+    }
+    return value;
+}
+
+/// All of `text` as a double, read by std::strtod ("1e-9", "0.001",
+/// "2.5"): whatever strtod reads, provided it reads every character.
+/// An empty text or any unread suffix yields nullopt; range checks are
+/// the caller's.
+[[nodiscard]] inline std::optional<double> parse_real(std::string_view text) {
+    const std::string owned(text);
+    char* end = nullptr;
+    const double value = std::strtod(owned.c_str(), &end);
+    if (owned.empty() || end != owned.c_str() + owned.size()) {
         return std::nullopt;
     }
     return value;

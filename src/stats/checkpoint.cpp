@@ -31,15 +31,10 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {'R', 'R', 'B', 'C', 'K', 'P', 'T', '1'};
 constexpr std::uint32_t kFormatVersion = 2;
 
-enum PayloadKind : std::uint8_t {
-    kPayloadPwcet = 1,
-    kPayloadWhitebox = 2,
-};
-
-const char* payload_name(std::uint8_t kind) {
+const char* payload_name(PayloadKind kind) {
     switch (kind) {
-        case kPayloadPwcet: return "pwcet";
-        case kPayloadWhitebox: return "whitebox";
+        case PayloadKind::kPwcet: return "pwcet";
+        case PayloadKind::kWhitebox: return "whitebox";
     }
     return "unknown";
 }
@@ -185,29 +180,6 @@ StreamingBlockMaxima CheckpointCodec::load_block_maxima(CheckpointReader& r) {
     }
     if (filled_total != a.count_) {
         corrupt("block fills do not sum to the observation count");
-    }
-    return a;
-}
-
-void CheckpointCodec::save(CheckpointWriter& w,
-                           const StreamingPeaksOverThreshold& a) {
-    w.f64(a.threshold_);
-    w.u64(a.count_);
-    w.u64(a.exceedances_.size());
-    for (const double v : a.exceedances_) w.f64(v);
-}
-
-StreamingPeaksOverThreshold CheckpointCodec::load_pot(CheckpointReader& r) {
-    const double threshold = r.f64();
-    StreamingPeaksOverThreshold a(threshold);
-    a.count_ = r.u64();
-    const std::uint64_t n = r.u64();
-    if (n > a.count_) corrupt("more exceedances than observations");
-    a.exceedances_.reserve(capped_count(r, n, 8));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const double v = r.f64();
-        if (!(v > threshold)) corrupt("exceedance not above the threshold");
-        a.exceedances_.push_back(v);
     }
     return a;
 }
@@ -445,7 +417,7 @@ struct PayloadTraits;
 
 template <>
 struct PayloadTraits<PwcetAccumulator> {
-    static constexpr PayloadKind kKind = kPayloadPwcet;
+    static constexpr PayloadKind kKind = PayloadKind::kPwcet;
     static void check_meta(const CheckpointMeta& meta) {
         if (meta.block_size == 0) corrupt("block size 0");
     }
@@ -464,7 +436,7 @@ struct PayloadTraits<PwcetAccumulator> {
 
 template <>
 struct PayloadTraits<WhiteboxAccumulator> {
-    static constexpr PayloadKind kKind = kPayloadWhitebox;
+    static constexpr PayloadKind kKind = PayloadKind::kWhitebox;
     static void check_meta(const CheckpointMeta& meta) {
         if (meta.block_size != 0 || !meta.exceedance.empty()) {
             corrupt("whitebox checkpoint carrying EVT parameters");
@@ -484,7 +456,7 @@ struct PayloadTraits<WhiteboxAccumulator> {
 void encode_header(CheckpointWriter& w, PayloadKind kind) {
     for (const std::uint8_t b : kMagic) w.u8(b);
     w.u32(kFormatVersion);
-    w.u8(kind);
+    w.u8(static_cast<std::uint8_t>(kind));
 }
 
 /// Appends the trailer checksum over everything written so far.
@@ -498,10 +470,9 @@ std::vector<std::uint8_t> seal(const CheckpointWriter& w) {
     return bytes;
 }
 
-/// Verifies magic, checksum, version and payload kind; returns a reader
-/// positioned at the metadata.
-CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
-                                 PayloadKind expected_kind) {
+/// Verifies magic, checksum and version; returns a reader positioned at
+/// the payload kind byte.
+CheckpointReader open_container(std::span<const std::uint8_t> bytes) {
     if (bytes.size() < sizeof(kMagic) + 4 + 1 + 8) {
         corrupt("too short to hold a header");
     }
@@ -528,7 +499,15 @@ CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
             std::to_string(version) + " (this build reads version " +
             std::to_string(kFormatVersion) + ")");
     }
-    const std::uint8_t kind = r.u8();
+    return r;
+}
+
+/// open_container, then the payload kind check; returns a reader
+/// positioned at the metadata.
+CheckpointReader open_checkpoint(std::span<const std::uint8_t> bytes,
+                                 PayloadKind expected_kind) {
+    CheckpointReader r = open_container(bytes);
+    const auto kind = static_cast<PayloadKind>(r.u8());
     if (kind != expected_kind) {
         throw CheckpointError(
             std::string("checkpoint holds a ") + payload_name(kind) +
@@ -598,6 +577,18 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
                               "could not read checkpoint file");
     }
     return bytes;
+}
+
+/// `decode` of the bytes of the file at `path`; a CheckpointError that
+/// names no file is re-thrown naming `path`.
+template <typename Decode>
+auto decode_file(const std::string& path, Decode&& decode) {
+    try {
+        return decode(read_file(path));
+    } catch (const CheckpointError& e) {
+        if (!e.path().empty()) throw;
+        throw CheckpointError(e.kind(), path, e.reason());
+    }
 }
 
 [[noreturn]] void io_error(int fd, const std::string& path,
@@ -700,12 +691,15 @@ void save_checkpoint(const std::string& path,
 
 template <typename Acc>
 Checkpoint<Acc> load_checkpoint(const std::string& path) {
-    try {
-        return decode_checkpoint<Acc>(read_file(path));
-    } catch (const CheckpointError& e) {
-        if (!e.path().empty()) throw;
-        throw CheckpointError(e.kind(), path, e.reason());
-    }
+    return decode_file(path, [](const std::vector<std::uint8_t>& bytes) {
+        return decode_checkpoint<Acc>(bytes);
+    });
+}
+
+PayloadKind checkpoint_kind(const std::string& path) {
+    return decode_file(path, [](const std::vector<std::uint8_t>& bytes) {
+        return static_cast<PayloadKind>(open_container(bytes).u8());
+    });
 }
 
 // ----------------------------------------------------------- merge

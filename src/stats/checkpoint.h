@@ -136,11 +136,6 @@ struct CheckpointCodec {
     [[nodiscard]] static StreamingBlockMaxima load_block_maxima(
         CheckpointReader& r);
 
-    static void save(CheckpointWriter& w,
-                     const StreamingPeaksOverThreshold& a);
-    [[nodiscard]] static StreamingPeaksOverThreshold load_pot(
-        CheckpointReader& r);
-
     static void save(CheckpointWriter& w, const Histogram& a);
     [[nodiscard]] static Histogram load_histogram(CheckpointReader& r);
 
@@ -247,6 +242,15 @@ void save_checkpoint(const std::string& path,
                      const Checkpoint<Acc>& checkpoint);
 template <typename Acc>
 [[nodiscard]] Checkpoint<Acc> load_checkpoint(const std::string& path);
+
+/// The payload kind byte container v2 tags every file with.
+enum class PayloadKind : std::uint8_t { kPwcet = 1, kWhitebox = 2 };
+
+/// The payload kind of the checkpoint file at `path`, read after the
+/// magic, checksum and version checks decode runs: failing one throws
+/// the CheckpointError load_checkpoint would. The kind byte is returned
+/// as stored; loading the file as a kind it is not rejects it.
+[[nodiscard]] PayloadKind checkpoint_kind(const std::string& path);
 
 /// The pwcet spellings of the codec.
 inline constexpr auto& encode_pwcet_checkpoint =

@@ -76,43 +76,6 @@ std::vector<double> StreamingBlockMaxima::maxima() const {
 
 GumbelFit StreamingBlockMaxima::fit() const { return fit_gumbel(maxima()); }
 
-// ------------------------------------------- StreamingPeaksOverThreshold
-
-void StreamingPeaksOverThreshold::add(std::uint64_t run_index,
-                                      double value) {
-    (void)run_index;  // order is the caller's contract; nothing keyed here
-    ++count_;
-    if (value > threshold_) exceedances_.push_back(value);
-}
-
-void StreamingPeaksOverThreshold::add(std::uint64_t run_index,
-                                      const Measurement& m) {
-    add(run_index, static_cast<double>(m.exec_time));
-}
-
-void StreamingPeaksOverThreshold::merge(
-    const StreamingPeaksOverThreshold& other) {
-    RRB_REQUIRE(threshold_ == other.threshold_,
-                "merging POT streams with different thresholds");
-    // Later shard: append keeps the exceedances in run order.
-    exceedances_.insert(exceedances_.end(), other.exceedances_.begin(),
-                        other.exceedances_.end());
-    count_ += other.count_;
-}
-
-double StreamingPeaksOverThreshold::exceedance_rate() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(exceedances_.size()) /
-                             static_cast<double>(count_);
-}
-
-std::vector<double> StreamingPeaksOverThreshold::excesses() const {
-    std::vector<double> out;
-    out.reserve(exceedances_.size());
-    for (const double v : exceedances_) out.push_back(v - threshold_);
-    return out;
-}
-
 // ---------------------------------------------------- WhiteboxAccumulator
 
 void WhiteboxAccumulator::add(std::uint64_t run_index, const Measurement& m) {

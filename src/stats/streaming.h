@@ -169,54 +169,6 @@ private:
     std::map<std::uint64_t, Block> blocks_;  ///< block index -> state
 };
 
-/// Streaming peaks-over-threshold: the exceedance store a GPD (or
-/// exponential-tail) fitter needs, produced on the same fold/merge
-/// contract as the other accumulators so a POT-based pWCET path can
-/// land later without touching the reduce engine. Counts every
-/// observation, keeps only those strictly above the threshold — in
-/// fold order, which the reduce engine's contiguous shards plus
-/// shard-order merging make run order. Live memory is O(exceedances),
-/// which a well-chosen threshold keeps a small fraction of runs.
-class StreamingPeaksOverThreshold {
-public:
-    explicit StreamingPeaksOverThreshold(double threshold = 0.0)
-        : threshold_(threshold) {}
-
-    /// Folds the observation of run `run_index`. The index does not
-    /// enter the state (exceedances are kept in fold order); it is part
-    /// of the campaign-accumulator concept's signature.
-    void add(std::uint64_t run_index, double value);
-    /// Campaign form: folds the run's execution time, so the
-    /// accumulator rides a scheduler campaign unchanged.
-    void add(std::uint64_t run_index, const Measurement& m);
-
-    /// Folds a later shard in (other's runs follow this one's).
-    /// Precondition: equal thresholds.
-    void merge(const StreamingPeaksOverThreshold& other);
-
-    [[nodiscard]] double threshold() const noexcept { return threshold_; }
-    /// All observations folded, exceeding or not.
-    [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-    [[nodiscard]] std::size_t exceedance_count() const noexcept {
-        return exceedances_.size();
-    }
-    /// Empirical P(X > threshold); 0 on an empty stream.
-    [[nodiscard]] double exceedance_rate() const noexcept;
-    /// The observations above the threshold, in run order.
-    [[nodiscard]] const std::vector<double>& exceedances() const noexcept {
-        return exceedances_;
-    }
-    /// The excesses (value - threshold) a GPD fitter consumes.
-    [[nodiscard]] std::vector<double> excesses() const;
-
-private:
-    friend struct CheckpointCodec;
-
-    double threshold_;
-    std::uint64_t count_ = 0;
-    std::vector<double> exceedances_;
-};
-
 /// White-box campaign statistics: the per-request histograms and series
 /// the validation figures need, produced shard-wise. Histogram merge is
 /// exact integer addition (associative and commutative); the exec-time

@@ -118,23 +118,6 @@ TEST(CheckpointCodec, BlockMaximaRoundTripWithPartialBlocks) {
     EXPECT_EQ(b.maxima(), a.maxima());
 }
 
-TEST(CheckpointCodec, PeaksOverThresholdRoundTrip) {
-    StreamingPeaksOverThreshold a(100.0);
-    for (std::uint64_t i = 0; i < 40; ++i) {
-        a.add(i, static_cast<double>((i * 733) % 200));
-    }
-    round_trip(a, [](CheckpointReader& r) {
-        return CheckpointCodec::load_pot(r);
-    });
-    CheckpointWriter w;
-    CheckpointCodec::save(w, a);
-    CheckpointReader r(w.bytes());
-    const StreamingPeaksOverThreshold b = CheckpointCodec::load_pot(r);
-    EXPECT_EQ(b.threshold(), a.threshold());
-    EXPECT_EQ(b.count(), a.count());
-    EXPECT_EQ(b.exceedances(), a.exceedances());
-}
-
 TEST(CheckpointCodec, WhiteboxAccumulatorRoundTrip) {
     WhiteboxAccumulator empty;
     round_trip(empty, [](CheckpointReader& r) {
@@ -693,11 +676,11 @@ std::vector<std::uint8_t> read_bytes(const std::string& path) {
 
 /// The scenario the CLI builds for `--runs 8 --iterations 10 --seed 7`.
 Scenario golden_scenario() {
-    return Scenario::on(MachineConfig::ngmp_ref())
-        .scua(make_autobench(Autobench::kCacheb, 0x0100'0000, 10, 9))
-        .rsk_contenders(OpKind::kLoad)
-        .runs(8)
-        .seed(7);
+    CampaignKnobs knobs;
+    knobs.iterations = 10;
+    knobs.runs = 8;
+    knobs.seed = 7;
+    return build_campaign(knobs).scenario;
 }
 
 void expect_same_bits(double a, double b, const char* what) {
@@ -749,6 +732,45 @@ TEST(GoldenCheckpoint, WhiteboxV2LoadsMergesAndReencodesByteForByte) {
     EXPECT_EQ(merged.meta.et_isolation, fresh.et_isolation);
     EXPECT_EQ(merged.meta.nr, fresh.nr);
     expect_same_whitebox(merged.total, fresh.stats, "golden whitebox");
+}
+
+TEST(CheckpointKind, ReadsThePayloadByteAndFailsAsLoadWould) {
+    EXPECT_EQ(checkpoint_kind(golden_path("pwcet-v2.ckpt")),
+              PayloadKind::kPwcet);
+    EXPECT_EQ(checkpoint_kind(golden_path("whitebox-v2.ckpt")),
+              PayloadKind::kWhitebox);
+
+    // Every file the container checks reject fails the peek with the
+    // exact error a load reports.
+    const auto error = [](auto&& call) -> std::string {
+        try {
+            (void)call();
+        } catch (const CheckpointError& e) {
+            return e.what();
+        }
+        return "no error";
+    };
+    const std::vector<std::uint8_t> good =
+        read_bytes(golden_path("pwcet-v2.ckpt"));
+    std::vector<std::uint8_t> future = good;
+    future[8] += 1;  // the version, with a valid checksum
+    reseal(future);
+    std::vector<std::uint8_t> flipped = good;
+    flipped[good.size() / 2] ^= 0x01;
+    std::vector<std::uint8_t> magic = good;
+    magic[0] = 'X';
+    const std::string path = temp_path("kind_broken");
+    for (const std::vector<std::uint8_t>& bytes :
+         {future, flipped, magic, std::vector<std::uint8_t>(5, 0)}) {
+        write_bytes(path, bytes);
+        const std::string peeked = error([&] { return checkpoint_kind(path); });
+        EXPECT_NE(peeked, "no error");
+        EXPECT_EQ(peeked,
+                  error([&] { return load_pwcet_checkpoint(path); }));
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(error([&] { return checkpoint_kind(path); }),
+              error([&] { return load_pwcet_checkpoint(path); }));
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 #include <iterator>
 #include <sstream>
 
+#include "core/session.h"
+#include "sched/batch_spec.h"
+#include "stats/checkpoint.h"
+
 namespace rrb::cli {
 namespace {
 
@@ -82,7 +86,6 @@ TEST(Cli, TelemetryFlagsOnlyApplyToCampaignCommands) {
     EXPECT_EQ(invoke({"sweep", "--heartbeat", "1"}).code, 1);
     // merge writes a report but has no live campaign to pulse.
     EXPECT_EQ(invoke({"merge", "--heartbeat", "1"}).code, 1);
-    EXPECT_EQ(invoke({"merge-whitebox", "--heartbeat", "1"}).code, 1);
 }
 
 TEST(Cli, TelemetryFlagValueValidation) {
@@ -377,25 +380,19 @@ TEST(Cli, MergeValidation) {
     EXPECT_EQ(half.code, 1);
     EXPECT_NE(half.err.find("incomplete campaign"), std::string::npos);
     std::remove(path.c_str());
-}
 
-TEST(Cli, MergeWhiteboxValidation) {
-    // Zero inputs and duplicate file arguments are usage errors for the
-    // white-box merge too — same guard, same message shape.
-    const CliResult none = invoke({"merge-whitebox"});
-    EXPECT_EQ(none.code, 1);
-    EXPECT_NE(none.err.find("at least one checkpoint"), std::string::npos);
-
-    const std::string path = testing::TempDir() + "rrb_wb_dup.ckpt";
+    // Whitebox files take the same guard: the same file twice is a
+    // usage error before any I/O.
+    const std::string wb = testing::TempDir() + "rrb_wb_dup.ckpt";
     EXPECT_EQ(invoke({"whitebox", "--runs", "8", "--iterations", "15",
-                      "--shard", "0/2", "--checkpoint-out", path})
+                      "--shard", "0/2", "--checkpoint-out", wb})
                   .code,
               0);
-    const CliResult dup = invoke({"merge-whitebox", path, path});
-    EXPECT_EQ(dup.code, 1);
-    EXPECT_NE(dup.err.find("duplicate checkpoint file"),
+    const CliResult wb_dup = invoke({"merge", wb, wb});
+    EXPECT_EQ(wb_dup.code, 1);
+    EXPECT_NE(wb_dup.err.find("duplicate checkpoint file"),
               std::string::npos);
-    std::remove(path.c_str());
+    std::remove(wb.c_str());
 }
 
 TEST(Cli, WhiteboxReportsDelayHistogramsVsUbd) {
@@ -408,14 +405,14 @@ TEST(Cli, WhiteboxReportsDelayHistogramsVsUbd) {
     EXPECT_NE(r.out.find("ready contenders:"), std::string::npos);
 }
 
-TEST(Cli, WhiteboxShardAndMergeWhiteboxReproduceTheReference) {
+TEST(Cli, WhiteboxShardAndMergeReproduceTheReference) {
     const std::string dir = testing::TempDir();
     const CliResult reference =
         invoke({"whitebox", "--runs", "24", "--jobs", "2", "--iterations",
                 "15", "--seed", "9"});
     EXPECT_EQ(reference.code, 0);
 
-    std::vector<std::string> merge_args = {"merge-whitebox"};
+    std::vector<std::string> merge_args = {"merge"};
     for (const char* shard : {"0/3", "1/3", "2/3"}) {
         const std::string path =
             dir + "rrb_cli_wb_shard_" + std::string(1, shard[0]) + ".ckpt";
@@ -426,12 +423,15 @@ TEST(Cli, WhiteboxShardAndMergeWhiteboxReproduceTheReference) {
         EXPECT_EQ(r.code, 0) << r.err;
         EXPECT_NE(r.out.find("checkpoint written to " + path),
                   std::string::npos);
+        EXPECT_NE(r.out.find("merge with 'rrbtool merge'"),
+                  std::string::npos);
         merge_args.push_back(path);
     }
 
+    // `merge` reads the whitebox kind off the files.
     const CliResult merged = invoke(merge_args);
     EXPECT_EQ(merged.code, 0) << merged.err;
-    EXPECT_NE(merged.out.find("merge-whitebox: 3 checkpoints, 24 runs"),
+    EXPECT_NE(merged.out.find("merge: 3 checkpoints, 24 runs, seed 9"),
               std::string::npos);
     // Byte-identical from line 2: the distributed fan-in reproduces the
     // single-process report exactly.
@@ -443,18 +443,36 @@ TEST(Cli, WhiteboxShardAndMergeWhiteboxReproduceTheReference) {
     }
 }
 
-TEST(Cli, MergeWhiteboxRejectsPwcetCheckpoints) {
+TEST(Cli, MergeRejectsMixedCampaignKinds) {
     const std::string dir = testing::TempDir();
-    const std::string path = dir + "rrb_cli_wb_cross.ckpt";
-    const CliResult made =
-        invoke({"pwcet", "--runs", "16", "--block-size", "4", "--jobs",
-                "2", "--iterations", "15", "--shard", "0/1",
-                "--checkpoint-out", path});
-    ASSERT_EQ(made.code, 0) << made.err;
-    const CliResult crossed = invoke({"merge-whitebox", path});
-    EXPECT_EQ(crossed.code, 1);
-    EXPECT_NE(crossed.err.find("pwcet"), std::string::npos);
-    std::remove(path.c_str());
+    const std::string pwcet = dir + "rrb_cli_cross_pwcet.ckpt";
+    const std::string whitebox = dir + "rrb_cli_cross_wb.ckpt";
+    ASSERT_EQ(invoke({"pwcet", "--runs", "16", "--block-size", "4",
+                      "--jobs", "2", "--iterations", "15", "--shard", "0/1",
+                      "--checkpoint-out", pwcet})
+                  .code,
+              0);
+    ASSERT_EQ(invoke({"whitebox", "--runs", "16", "--jobs", "2",
+                      "--iterations", "15", "--shard", "0/1",
+                      "--checkpoint-out", whitebox})
+                  .code,
+              0);
+    // Whichever kind comes first, the other one is refused by name.
+    for (const auto& files : {std::vector<std::string>{pwcet, whitebox},
+                              std::vector<std::string>{whitebox, pwcet}}) {
+        const CliResult crossed = invoke({"merge", files[0], files[1]});
+        EXPECT_EQ(crossed.code, 1);
+        EXPECT_NE(crossed.err.find(files[1]), std::string::npos)
+            << crossed.err;
+        EXPECT_NE(crossed.err.find("pwcet"), std::string::npos);
+        EXPECT_NE(crossed.err.find("whitebox"), std::string::npos);
+        EXPECT_NE(crossed.err.find("refusing to merge across campaign "
+                                   "kinds"),
+                  std::string::npos);
+        EXPECT_TRUE(crossed.out.empty());
+    }
+    std::remove(pwcet.c_str());
+    std::remove(whitebox.c_str());
 }
 
 TEST(Cli, WhiteboxValidatesFlags) {
@@ -466,8 +484,11 @@ TEST(Cli, WhiteboxValidatesFlags) {
                                   "--checkpoint-out", "/tmp/x.ckpt"});
     EXPECT_EQ(bad.code, 1);
     EXPECT_NE(bad.err.find("--shard"), std::string::npos);
-    // merge-whitebox needs files.
-    EXPECT_EQ(invoke({"merge-whitebox"}).code, 1);
+    // `merge` reads whitebox files; there is no merge-whitebox.
+    const CliResult gone = invoke({"merge-whitebox"});
+    EXPECT_EQ(gone.code, 1);
+    EXPECT_NE(gone.err.find("unknown command 'merge-whitebox'"),
+              std::string::npos);
 }
 
 TEST(Cli, PositionalArgumentsAreRejectedOutsideMerge) {
@@ -778,6 +799,60 @@ TEST(Cli, EstimateMatchesTheGoldenSweeps) {
         EXPECT_EQ(read_file(csv), read_file(dir + own_name)) << golden.name;
         std::remove(csv.c_str());
     }
+}
+
+// ------------------------------------------- flags vs batch-spec keys
+
+TEST(Cli, PwcetFlagsAndBatchKeysWriteIdenticalCheckpoints) {
+    // Each knob spelled as `pwcet` flags and as the equivalent
+    // [scenario] keys: `pwcet --shard 0/1` and `batch` must write the
+    // same checkpoint bytes — the contract CI's batch byte-diff relies
+    // on. The defaults point and the block-size point leave runs to the
+    // 40-block default.
+    const struct {
+        std::vector<std::string> flags;
+        std::string keys;
+    } points[] = {
+        {{}, ""},
+        {{"--var", "--runs", "64"}, "var = true\nruns = 64\n"},
+        {{"--cores", "2", "--lbus", "5", "--runs", "64"},
+         "cores = 2\nlbus = 5\nruns = 64\n"},
+        {{"--iterations", "12", "--runs", "64"},
+         "iterations = 12\nruns = 64\n"},
+        {{"--runs", "48"}, "runs = 48\n"},
+        {{"--seed", "11", "--runs", "64"}, "seed = 11\nruns = 64\n"},
+        {{"--block-size", "3"}, "block-size = 3\n"},
+        {{"--exceedance", "1e-4", "--runs", "64"},
+         "exceedance = 1e-4\nruns = 64\n"},
+        {{"--exceedance", "0.01", "--exceedance", "1e-5", "--runs", "64"},
+         "exceedance = 0.01, 1e-5\nruns = 64\n"},
+    };
+    std::string spec;
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        spec += "[scenario p" + std::to_string(i) + "]\n" + points[i].keys;
+    }
+    const std::vector<BatchItem> items = sched::parse_batch_spec(spec);
+    ASSERT_EQ(items.size(), std::size(points));
+    Session session;
+    session.jobs(2);
+    const BatchResult batch = session.batch(items);
+
+    const std::string path = testing::TempDir() + "rrb_cli_knobs.ckpt";
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        std::vector<std::string> args = {"pwcet"};
+        args.insert(args.end(), points[i].flags.begin(),
+                    points[i].flags.end());
+        args.insert(args.end(), {"--jobs", "2", "--shard", "0/1",
+                                 "--checkpoint-out", path});
+        const CliResult r = invoke(args);
+        ASSERT_EQ(r.code, 0) << "point " << i << ": " << r.err;
+        ASSERT_TRUE(batch.points[i].ok) << batch.points[i].error;
+        const std::vector<std::uint8_t> bytes =
+            encode_pwcet_checkpoint(batch.points[i].checkpoint);
+        EXPECT_EQ(read_file(path), std::string(bytes.begin(), bytes.end()))
+            << "point " << i << " (" << points[i].keys << ")";
+    }
+    std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,19 +1,17 @@
-// Tests of the parallel execution layer: deterministic seeding, ordered
-// grid collection, exception propagation and progress accounting, plus
-// HWM campaigns matching their serial reference at every job count.
-#include "engine/campaign_engine.h"
+// Tests of the parallel execution layer: deterministic seeding, the
+// worker budget and progress accounting, plus HWM campaigns matching
+// their serial reference at every job count.
+#include "engine/reduce.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "core/campaign.h"
 #include "core/estimator.h"
-#include "core/experiment.h"
 #include "core/scenario.h"
 #include "core/session.h"
 #include "engine/progress.h"
@@ -144,62 +142,6 @@ TEST(Progress, EmptyBatchIsDone) {
     EXPECT_DOUBLE_EQ(progress.fraction(), 1.0);
 }
 
-// ---------------------------------------------------------------- grid
-
-TEST(RunGrid, EmptyGridReturnsEmpty) {
-    const std::vector<int> points;
-    const auto results =
-        engine::run_grid(points, [](const int x) { return x * 2; });
-    EXPECT_TRUE(results.empty());
-}
-
-TEST(RunGrid, CollectsResultsInGridOrder) {
-    std::vector<int> points;
-    for (int i = 0; i < 50; ++i) points.push_back(i);
-    engine::EngineOptions eng;
-    eng.jobs = 4;
-    const auto results = engine::run_grid(
-        points,
-        [](const int x) {
-            // Stagger finish order so out-of-order completion would show.
-            if (x % 7 == 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            }
-            return x * 3;
-        },
-        eng);
-    ASSERT_EQ(results.size(), points.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i], static_cast<int>(i) * 3);
-    }
-}
-
-TEST(RunGrid, PropagatesPointExceptions) {
-    std::vector<int> points = {0, 1, 2, 3};
-    engine::EngineOptions eng;
-    eng.jobs = 2;
-    EXPECT_THROW(
-        (void)engine::run_grid(
-            points,
-            [](const int x) {
-                if (x == 2) throw std::runtime_error("bad grid point");
-                return x;
-            },
-            eng),
-        std::runtime_error);
-}
-
-TEST(RunGrid, ReportsProgress) {
-    std::vector<int> points = {1, 2, 3, 4, 5};
-    engine::ProgressCounter progress;
-    engine::EngineOptions eng;
-    eng.jobs = 2;
-    eng.progress = &progress;
-    (void)engine::run_grid(points, [](const int x) { return x; }, eng);
-    EXPECT_EQ(progress.total(), 5u);
-    EXPECT_EQ(progress.completed(), 5u);
-}
-
 // ------------------------------------------------- campaign determinism
 
 HwmCampaignOptions small_campaign() {
@@ -294,29 +236,6 @@ TEST(HwmCampaignResult, SlowdownClampsWhenHwmBelowIsolation) {
     EXPECT_DOUBLE_EQ(r.hwm_slowdown_per_request(), 0.0);
     r.high_water_mark = 1270;
     EXPECT_DOUBLE_EQ(r.hwm_slowdown_per_request(), 27.0);
-}
-
-// -------------------------------------------------------- grid rewires
-
-TEST(SlowdownGrid, MatchesSerialRunSlowdown) {
-    const MachineConfig cfg = MachineConfig::ngmp_ref();
-    const std::vector<Program> scuas = {
-        make_autobench(Autobench::kCanrdr, 0x0100'0000, 30, 2),
-        make_autobench(Autobench::kTblook, 0x0200'0000, 30, 3),
-    };
-    const std::vector<Program> contenders =
-        make_rsk_contenders(cfg, OpKind::kLoad);
-    const std::vector<SlowdownResult> grid =
-        run_slowdown_grid(cfg, scuas, contenders, /*jobs=*/2);
-    ASSERT_EQ(grid.size(), scuas.size());
-    for (std::size_t i = 0; i < scuas.size(); ++i) {
-        const SlowdownResult serial =
-            run_slowdown(cfg, scuas[i], contenders);
-        EXPECT_EQ(grid[i].isolation.exec_time, serial.isolation.exec_time);
-        EXPECT_EQ(grid[i].contention.exec_time, serial.contention.exec_time);
-        EXPECT_EQ(grid[i].isolation.bus_requests,
-                  serial.isolation.bus_requests);
-    }
 }
 
 }  // namespace

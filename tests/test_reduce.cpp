@@ -76,7 +76,7 @@ TEST(ReducePlan, SlicesPartitionTheShardsContiguously) {
     EXPECT_THROW((void)tiny.slice(0, 0), std::invalid_argument);
 }
 
-// -------------------------------------------------------- reduce_indexed
+// ------------------------------------------------ reduce_indexed_shards
 
 /// Toy accumulator recording the fold order — merge appends, so the
 /// reduced order must be exactly 0..n-1 whatever the job count.
@@ -88,11 +88,22 @@ struct OrderAccumulator {
     }
 };
 
-TEST(ReduceIndexed, FoldOrderIsRunOrderAtEveryJobCount) {
+/// Every shard of the plan for `count` folded by reduce_indexed_shards,
+/// then merged in shard order.
+template <typename Accumulator, typename Fold>
+Accumulator reduce_all(std::uint64_t count, Fold&& fold,
+                       const Accumulator& init,
+                       const engine::EngineOptions& eng) {
+    const engine::ReducePlan plan = engine::ReducePlan::for_count(count);
+    return engine::merge_in_order(engine::reduce_indexed_shards(
+        plan, {0, plan.shards()}, fold, init, eng));
+}
+
+TEST(ReduceIndexedShards, FoldOrderIsRunOrderAtEveryJobCount) {
     for (const std::size_t jobs : {1u, 2u, 5u, 16u}) {
         engine::EngineOptions eng;
         eng.jobs = jobs;
-        const OrderAccumulator acc = engine::reduce_indexed(
+        const OrderAccumulator acc = reduce_all(
             1000,
             [](OrderAccumulator& a, std::uint64_t i) { a.fold(i); },
             OrderAccumulator{}, eng);
@@ -147,21 +158,12 @@ TEST(ReduceIndexedShards, EmptyRangeYieldsNoShards) {
         std::invalid_argument);
 }
 
-TEST(ReduceIndexed, ZeroCountReturnsInit) {
-    OrderAccumulator init;
-    init.order = {42};
-    const OrderAccumulator acc = engine::reduce_indexed(
-        0, [](OrderAccumulator& a, std::uint64_t i) { a.fold(i); },
-        std::move(init));
-    EXPECT_EQ(acc.order, (std::vector<std::uint64_t>{42}));
-}
-
-TEST(ReduceIndexed, InitSeedsEveryShard) {
+TEST(ReduceIndexedShards, InitSeedsEveryShard) {
     // The initial accumulator's configuration (here: block size) must
     // reach every shard-local copy.
     engine::EngineOptions eng;
     eng.jobs = 4;
-    const StreamingBlockMaxima acc = engine::reduce_indexed(
+    const StreamingBlockMaxima acc = reduce_all(
         600,
         [](StreamingBlockMaxima& a, std::uint64_t i) {
             a.add(i, static_cast<double>(i % 17));
@@ -171,11 +173,11 @@ TEST(ReduceIndexed, InitSeedsEveryShard) {
     EXPECT_EQ(acc.complete_blocks(), 24u);
 }
 
-TEST(ReduceIndexed, PropagatesFoldExceptions) {
+TEST(ReduceIndexedShards, PropagatesFoldExceptions) {
     engine::EngineOptions eng;
     eng.jobs = 2;
     EXPECT_THROW(
-        (void)engine::reduce_indexed(
+        (void)reduce_all(
             100,
             [](OrderAccumulator& a, std::uint64_t i) {
                 if (i == 57) throw std::runtime_error("bad fold");
@@ -185,12 +187,12 @@ TEST(ReduceIndexed, PropagatesFoldExceptions) {
         std::runtime_error);
 }
 
-TEST(ReduceIndexed, ReportsProgressPerRun) {
+TEST(ReduceIndexedShards, ReportsProgressPerRun) {
     engine::ProgressCounter progress;
     engine::EngineOptions eng;
     eng.jobs = 3;
     eng.progress = &progress;
-    (void)engine::reduce_indexed(
+    (void)reduce_all(
         500, [](OrderAccumulator& a, std::uint64_t i) { a.fold(i); },
         OrderAccumulator{}, eng);
     EXPECT_EQ(progress.total(), 500u);
@@ -313,31 +315,6 @@ TEST(PwcetCampaign, Validates) {
     opt.exceedance = {0.0};
     EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
     EXPECT_THROW((void)run(small_pwcet(), {}), std::invalid_argument);
-}
-
-TEST(ReduceIndexed, PeaksOverThresholdRidesTheReducePathUnchanged) {
-    // The POT accumulator satisfies the campaign-accumulator concept,
-    // so it shards through reduce_indexed with no engine changes —
-    // exceedances arrive in run order at every job count.
-    StreamingPeaksOverThreshold serial(600.0);
-    const auto value = [](std::uint64_t i) {
-        return static_cast<double>((i * 733) % 1000);
-    };
-    for (std::uint64_t i = 0; i < 400; ++i) serial.add(i, value(i));
-
-    for (const std::size_t jobs : {1u, 4u}) {
-        engine::EngineOptions eng;
-        eng.jobs = jobs;
-        const StreamingPeaksOverThreshold sharded = engine::reduce_indexed(
-            400,
-            [&](StreamingPeaksOverThreshold& acc, std::uint64_t i) {
-                acc.add(i, value(i));
-            },
-            StreamingPeaksOverThreshold(600.0), eng);
-        EXPECT_EQ(sharded.count(), serial.count()) << "jobs " << jobs;
-        EXPECT_EQ(sharded.exceedances(), serial.exceedances())
-            << "jobs " << jobs;
-    }
 }
 
 // -------------------------------------------------- white-box campaigns

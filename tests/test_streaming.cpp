@@ -207,67 +207,6 @@ Measurement whitebox_sample(Cycle t, std::uint64_t gamma_value) {
     return m;
 }
 
-TEST(PeaksOverThreshold, KeepsOnlyExceedancesInFoldOrder) {
-    StreamingPeaksOverThreshold pot(100.0);
-    pot.add(0, 50.0);
-    pot.add(1, 150.0);
-    pot.add(2, 100.0);  // equal to the threshold: not an exceedance
-    pot.add(3, 275.0);
-    EXPECT_EQ(pot.count(), 4u);
-    EXPECT_EQ(pot.exceedance_count(), 2u);
-    EXPECT_EQ(pot.exceedances(), (std::vector<double>{150.0, 275.0}));
-    EXPECT_EQ(pot.excesses(), (std::vector<double>{50.0, 175.0}));
-    EXPECT_DOUBLE_EQ(pot.exceedance_rate(), 0.5);
-}
-
-TEST(PeaksOverThreshold, EmptyStreamHasZeroRate) {
-    const StreamingPeaksOverThreshold pot(1.0);
-    EXPECT_EQ(pot.count(), 0u);
-    EXPECT_DOUBLE_EQ(pot.exceedance_rate(), 0.0);
-    EXPECT_TRUE(pot.exceedances().empty());
-}
-
-TEST(PeaksOverThreshold, MergeOfDisjointShardsEqualsSerialFold) {
-    // The merge law the reduce engine relies on: folding a contiguous
-    // later range into its own accumulator and merging equals one
-    // serial fold — exceedances come out in run order.
-    const std::vector<double> xs = uniform_sample(500, 99);
-    const double threshold = 700.0;
-
-    StreamingPeaksOverThreshold serial(threshold);
-    for (std::size_t i = 0; i < xs.size(); ++i) serial.add(i, xs[i]);
-
-    for (const std::size_t split : {1u, 123u, 250u, 499u}) {
-        StreamingPeaksOverThreshold first(threshold);
-        StreamingPeaksOverThreshold second(threshold);
-        for (std::size_t i = 0; i < split; ++i) first.add(i, xs[i]);
-        for (std::size_t i = split; i < xs.size(); ++i) {
-            second.add(i, xs[i]);
-        }
-        first.merge(second);
-        EXPECT_EQ(first.count(), serial.count()) << "split " << split;
-        EXPECT_EQ(first.exceedances(), serial.exceedances())
-            << "split " << split;
-    }
-}
-
-TEST(PeaksOverThreshold, MergeRejectsMismatchedThresholds) {
-    StreamingPeaksOverThreshold a(10.0);
-    const StreamingPeaksOverThreshold b(20.0);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
-TEST(PeaksOverThreshold, MeasurementOverloadFoldsExecTime) {
-    StreamingPeaksOverThreshold pot(100.0);
-    Measurement m;
-    m.exec_time = 250;
-    pot.add(0, m);
-    m.exec_time = 90;
-    pot.add(1, m);
-    EXPECT_EQ(pot.count(), 2u);
-    EXPECT_EQ(pot.exceedances(), (std::vector<double>{250.0}));
-}
-
 TEST(WhiteboxAccumulator, ShardMergeEqualsSerialFold) {
     std::vector<Measurement> ms;
     for (Cycle t = 0; t < 10; ++t) {
