@@ -19,8 +19,10 @@
 // counter is a global operator new/delete interposer, so nothing can
 // hide — when the pwcet fold allocates beyond one block-maxima node per
 // block, when arming attribution costs more than
-// kMaxAttributionOverheadPct of the unarmed rate, or when the replayed
-// estimate is less than kMinEstimateSpeedup times faster. All rates are
+// kMaxAttributionOverheadPct of the unarmed rate, when the hot or the
+// armed pass never skips a steady-state period (periods_fast_forwarded,
+// docs/replay.md), or when the replayed estimate is less than
+// kMinEstimateSpeedup times faster. All rates are
 // best-sustained-window estimates (see ChunkTimer)
 // so bursty co-tenant load on shared CI hosts does not poison the
 // telemetry/attribution overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
@@ -157,6 +159,15 @@ struct PathResult {
     /// complete one window — rates then fall back to the whole pass.
     double chunk_seconds_best = 0.0;
     std::uint64_t chunk_runs = 0;
+    /// Scua loop-body periods the steady-state fast-forward skipped,
+    /// summed over the timed runs (hot and armed passes).
+    std::uint64_t periods = 0;
+
+    [[nodiscard]] double periods_per_run() const {
+        return runs > 0 ? static_cast<double>(periods) /
+                              static_cast<double>(runs)
+                        : 0.0;
+    }
 
     [[nodiscard]] double runs_per_sec() const {
         if (chunk_runs > 0) {
@@ -197,6 +208,7 @@ void fold_best(PathResult& best, const PathResult& sample) {
     }
     best.allocs_per_run =
         std::max(best.allocs_per_run, sample.allocs_per_run);
+    best.periods = std::min(best.periods, sample.periods);
     best.seconds = std::min(best.seconds, sample.seconds);
     if (sample.chunk_runs > 0 &&
         (best.chunk_runs == 0 ||
@@ -286,6 +298,14 @@ double baseline_runs_per_sec(const char* path, const char* section) {
     return std::strtod(value, nullptr);
 }
 
+/// Periods the steady-state fast-forward skipped in the run this thread
+/// just made on its leased machine for `config` (a lease cache hit,
+/// which never allocates).
+std::uint64_t leased_periods(const MachineConfig& config) {
+    engine::MachineLease lease(config);
+    return lease.machine().periods_fast_forwarded();
+}
+
 /// The naive reference: fresh machine, naive stepping, per-run program
 /// loads — semantically the pre-PR execution path. Runs the run indices
 /// [first, first + runs) so its finishes are comparable one-to-one with
@@ -340,6 +360,7 @@ PathResult run_hot(const MachineConfig& config, const Program& scua,
         for (std::uint64_t run = warmup; run < warmup + runs; ++run) {
             const Cycle finish = detail::hwm_campaign_run(
                 config, scua, contenders, options, run, campaign);
+            result.periods += leased_periods(config);
             result.cycles += finish;
             result.hwm = std::max(result.hwm, finish);
             finishes.push_back(finish);
@@ -423,6 +444,7 @@ PathResult run_attributed(const MachineConfig& config, const Program& scua,
         for (std::uint64_t run = warmup; run < warmup + runs; ++run) {
             const Cycle finish = detail::hwm_campaign_attribute(
                 config, scua, contenders, options, run, acc, campaign);
+            result.periods += leased_periods(config);
             result.cycles += finish;
             result.hwm = std::max(result.hwm, finish);
             finishes.push_back(finish);
@@ -626,7 +648,8 @@ int main(int argc, char** argv) {
         "  \"runs\": %llu,\n"
         "  \"warmup_runs\": %llu,\n"
         "  \"hot\": {\"runs_per_sec\": %s, \"cycles_per_sec\": %s, "
-        "\"allocations_per_run\": %s},\n"
+        "\"allocations_per_run\": %s, "
+        "\"periods_fast_forwarded_per_run\": %s},\n"
         "  \"naive\": {\"runs_per_sec\": %s, \"cycles_per_sec\": "
         "%s},\n"
         "  \"speedup_runs_per_sec\": %s,\n"
@@ -645,6 +668,7 @@ int main(int argc, char** argv) {
         json_number("%.1f", hot.runs_per_sec()).c_str(),
         json_number("%.3e", hot.cycles_per_sec()).c_str(),
         json_number("%.4f", hot.allocs_per_run).c_str(),
+        json_number("%.2f", hot.periods_per_run()).c_str(),
         json_number("%.1f", naive.runs_per_sec()).c_str(),
         json_number("%.3e", naive.cycles_per_sec()).c_str(),
         json_number("%.2f", speedup).c_str(),
@@ -667,6 +691,7 @@ int main(int argc, char** argv) {
         "    \"overhead_pct\": %s,\n"
         "    \"mismatches_vs_unarmed\": %llu,\n"
         "    \"allocations_per_run\": %s,\n"
+        "    \"periods_fast_forwarded_per_run\": %s,\n"
         "    \"closed_accounting\": %s,\n"
         "    \"machine_cycles\": %llu\n"
         "  },\n"
@@ -683,6 +708,7 @@ int main(int argc, char** argv) {
         json_number("%.2f", attribution_overhead_pct).c_str(),
         static_cast<unsigned long long>(attribution_mismatches),
         json_number("%.4f", hot_attributed.allocs_per_run).c_str(),
+        json_number("%.2f", hot_attributed.periods_per_run()).c_str(),
         attribution_closed ? "true" : "false",
         static_cast<unsigned long long>(attribution.machine_cycles()),
         json_number("%.4f", estimated ? estimate.seconds : NAN).c_str(),
@@ -725,6 +751,21 @@ int main(int argc, char** argv) {
                      "FAIL: hot path performed %.4f heap allocations per "
                      "run in steady state (must be 0)\n",
                      hot.allocs_per_run);
+        rc = 1;
+    }
+    // The workload's schedule turns periodic early in every run: a pass
+    // that never fast-forwards has lost the steady-state skip.
+    if (hot.runs > 0 && hot.periods == 0) {
+        std::fprintf(stderr,
+                     "FAIL: the hot pass fast-forwarded no steady-state "
+                     "period (periods_fast_forwarded must be above 0)\n");
+        rc = 1;
+    }
+    if (hot_attributed.runs > 0 && hot_attributed.periods == 0) {
+        std::fprintf(stderr,
+                     "FAIL: the attribution-armed pass fast-forwarded no "
+                     "steady-state period (periods_fast_forwarded must be "
+                     "above 0)\n");
         rc = 1;
     }
     if (fold.allocations > fold.block_nodes) {

@@ -75,6 +75,16 @@ public:
         (void)duration;
         return earliest;
     }
+
+    /// The policy's whole state as one word, when that state does not
+    /// depend on absolute time: the steady-state fast-forward
+    /// (docs/replay.md) compares it between two periods and leaves it
+    /// as it is across the skipped ones. nullopt — the default, and
+    /// TDMA, whose slots are absolute time — keeps a run from ever
+    /// skipping periods.
+    [[nodiscard]] virtual std::optional<std::uint64_t> state_word() const {
+        return std::nullopt;
+    }
 };
 
 /// Round-robin: after core ci is granted, the priority order for the next
@@ -90,6 +100,9 @@ public:
     void granted(CoreId core, Cycle now) override;
     [[nodiscard]] std::string name() const override { return "round-robin"; }
     void reset() override;
+    [[nodiscard]] std::optional<std::uint64_t> state_word() const override {
+        return head_;
+    }
 
     /// Core that currently holds the highest priority (exposed for tests
     /// that assert the rotation sequence of Figures 2/3).
@@ -111,6 +124,9 @@ public:
     void granted(CoreId core, Cycle now) override;
     [[nodiscard]] std::string name() const override { return "fixed-priority"; }
     void reset() override {}
+    [[nodiscard]] std::optional<std::uint64_t> state_word() const override {
+        return 0;  // stateless
+    }
 
 private:
     CoreId num_cores_;
@@ -159,6 +175,9 @@ public:
         return "weighted-round-robin";
     }
     void reset() override;
+    [[nodiscard]] std::optional<std::uint64_t> state_word() const override {
+        return std::uint64_t{head_} << 32 | credits_;
+    }
 
     [[nodiscard]] CoreId head() const noexcept { return head_; }
     [[nodiscard]] std::uint32_t credits_left() const noexcept {

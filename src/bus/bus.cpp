@@ -41,7 +41,7 @@ void Bus::post(const BusRequest& request) {
     // exactly the old every-port scan.
     const std::uint64_t others = pending_count_ + (has_active_ ? 1 : 0);
     BusCoreCounters& ctr = counters_[request.core];
-    ctr.ready_contenders.add(others);
+    observe(ctr.ready_contenders, others, log_);
     ++ctr.requests;
 
     port.pending = request;
@@ -190,7 +190,7 @@ void Bus::grant(CoreId winner, Cycle now) {
     ctr.busy_cycles += active_.duration;
     ctr.wait_cycles += gamma;
     ctr.max_wait = std::max(ctr.max_wait, gamma);
-    ctr.gamma.add(gamma);
+    observe(ctr.gamma, gamma, log_);
 
     if (tracer_ && tracer_->enabled()) {
         tracer_->record(now, TraceKind::kBusGrant, winner, gamma);
@@ -276,6 +276,16 @@ Cycle Bus::next_pending_cycle(Cycle now) const {
                                         c, port.pending.duration, earliest));
     }
     return next;
+}
+
+void Bus::shift_time(Cycle delta) noexcept {
+    if (has_active_) {
+        active_.ready += delta;
+        busy_until_ += delta;
+    }
+    for (Port& port : ports_) {
+        if (port.has_pending) port.pending.ready += delta;
+    }
 }
 
 void Bus::reset() {

@@ -100,14 +100,23 @@ public:
 
     /// True when `core` has a request waiting or in service.
     [[nodiscard]] bool busy(CoreId core) const;
+    /// True when `core` has a request waiting (not yet granted).
+    [[nodiscard]] bool has_pending(CoreId core) const noexcept {
+        return ports_[core].has_pending;
+    }
+    /// True while a transaction holds the bus.
+    [[nodiscard]] bool in_service() const noexcept { return has_active_; }
 
     /// Phase 1 of a cycle: completes a transaction whose service ends at
-    /// `now` and notifies the client. Call before cores execute. Inline
-    /// early-out: this runs every stepped cycle, and most cycles nothing
-    /// completes.
-    void complete_phase(Cycle now) {
-        if (!has_active_ || busy_until_ != now) return;
+    /// `now` and notifies the client. Call before cores execute. Returns
+    /// the completed transaction's core, kNoCore when none completes.
+    /// Inline early-out: this runs every stepped cycle, and most cycles
+    /// nothing completes.
+    CoreId complete_phase(Cycle now) {
+        if (!has_active_ || busy_until_ != now) return kNoCore;
+        const CoreId owner = active_.core;
         complete_now(now);
+        return owner;
     }
 
     /// The transaction whose service ends at `now`, or null when none
@@ -186,6 +195,49 @@ public:
     /// accounting invariant (a campaign run can end mid-transaction).
     void flush_attribution(Cycle limit);
 
+    // ------------------------- steady-state fast-forward (docs/replay.md)
+    /// While non-null, every histogram observation is also noted here.
+    void attach_observation_log(ObservationLog* log) noexcept { log_ = log; }
+
+    /// Emits the in-service and pending requests relative to `now` —
+    /// cycles as offsets, a miss request's address as its DRAM row
+    /// `row_of(addr)` (the only way an address steers timing) — and the
+    /// arbiter's state word. Precondition: arbiter().state_word().
+    template <class Sink, class RowOf>
+    void timing_state(Cycle now, Sink& sink, RowOf row_of) const {
+        const auto request = [&](const BusRequest& r) {
+            sink(std::uint64_t{r.core} | std::uint64_t(r.op) << 32);
+            sink(r.ready - now);  // modular: equal offsets, equal words
+            sink(r.duration);
+            sink(r.tag);
+            if (r.op == BusOp::kMissRequest) sink(row_of(r.addr));
+        };
+        sink(has_active_ ? busy_until_ - now : kNoCycle);
+        if (has_active_) request(active_);
+        for (const Port& port : ports_) {
+            sink(port.has_pending ? 1 : 0);
+            if (port.has_pending) request(port.pending);
+        }
+        sink(*arbiter_->state_word());
+    }
+
+    /// Calls f(counter) on every additive PMC (max_wait and the
+    /// histograms excluded: a repeated period leaves the maximum as it
+    /// is, and histograms repeat through the observation log).
+    template <class F>
+    void visit_counters(F&& f) {
+        for (BusCoreCounters& ctr : counters_) {
+            f(ctr.requests);
+            f(ctr.busy_cycles);
+            f(ctr.wait_cycles);
+        }
+        f(total_busy_cycles_);
+    }
+
+    /// Moves every absolute cycle of the in-service and pending
+    /// requests `delta` cycles later.
+    void shift_time(Cycle delta) noexcept;
+
 private:
     struct Port {
         BusRequest pending;
@@ -228,6 +280,7 @@ private:
     BusClient* client_ = nullptr;
     Tracer* tracer_ = nullptr;
     CycleAttribution* attr_ = nullptr;
+    ObservationLog* log_ = nullptr;
 };
 
 }  // namespace rrb

@@ -72,6 +72,18 @@ struct CacheStats {
                                : static_cast<double>(misses()) /
                                      static_cast<double>(accesses());
     }
+
+    /// Calls f(counter) on every field (the steady-state fast-forward
+    /// scales them by the skipped periods).
+    template <class F>
+    void for_each(F&& f) {
+        f(read_hits);
+        f(read_misses);
+        f(write_hits);
+        f(write_misses);
+        f(evictions);
+        f(writebacks);
+    }
 };
 
 /// Outcome of one access.
@@ -155,6 +167,9 @@ public:
     /// skips the functional lookups and re-applies the pre-decoded
     /// outcome counts instead. Statistics only — tag/replacement state
     /// is deliberately untouched (the replaying core never reads it).
+    /// The statistics, for the steady-state fast-forward's counter
+    /// scaling (Machine::run_core) — the replay path's only writes.
+    [[nodiscard]] CacheStats& replay_stats() noexcept { return stats_; }
     void replay_read_hits(std::uint64_t n) noexcept {
         stats_.read_hits += n;
     }

@@ -57,6 +57,11 @@ public:
     /// Statistics-only injection for replay mode (Cache::replay_*): the
     /// replaying core re-applies the baked outcome of one partition read
     /// without touching tag/replacement state — which it never consults.
+    /// Core `core`'s partition statistics, for the steady-state
+    /// fast-forward's counter scaling (see Cache::replay_stats).
+    [[nodiscard]] CacheStats& replay_stats(CoreId core) noexcept {
+        return partitions_[core].replay_stats();
+    }
     void replay_read(CoreId core, bool hit, bool evicted) noexcept {
         Cache& p = partitions_[core];
         if (hit) {

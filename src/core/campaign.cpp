@@ -80,6 +80,15 @@ Cycle count_campaign_run(const Machine& machine,
     obs::count(obs::kEventsSkipped, machine.events_skipped());
     obs::count(obs::kCyclesSkipped, machine.cycles_skipped());
     obs::count(obs::kBusOnlySteps, machine.bus_only_steps());
+    using Kind = Machine::StepKind;
+    obs::count(obs::kStepsScuaCompletion,
+               machine.steps(Kind::kScuaCompletion));
+    obs::count(obs::kStepsScuaTick, machine.steps(Kind::kScuaTick));
+    obs::count(obs::kStepsDramEvent, machine.steps(Kind::kDramEvent));
+    obs::count(obs::kStepsContender, machine.steps(Kind::kContender));
+    obs::count(obs::kStepsArbitration, machine.steps(Kind::kArbitration));
+    obs::count(obs::kPeriodsFastForwarded, machine.periods_fast_forwarded());
+    obs::count(obs::kCyclesFastForwarded, machine.cycles_fast_forwarded());
     return finish;
 }
 

@@ -1,6 +1,7 @@
 #include "cpu/core.h"
 
-#include "replay/microop.h"
+#include <algorithm>
+
 #include "sim/contract.h"
 
 namespace rrb {
@@ -42,6 +43,7 @@ void InOrderCore::attach_script(const replay::MicroOpScript* script) {
     script_ = script;
     l2_baked_ = script_ != nullptr && script_->l2_baked;
     rp_ = 0;
+    ops_done_ = 0;
     remaining_instrs_ =
         script_ != nullptr ? script_->total_instructions : 0;
 }
@@ -63,6 +65,7 @@ void InOrderCore::restart(Cycle start_delay) {
     fetch_memo_tick_ = 0;
     attr_cause_dirty_ = true;  // pending resets to kIdle when (re)armed
     rp_ = 0;
+    ops_done_ = 0;
     remaining_instrs_ =
         script_ != nullptr ? script_->total_instructions : 0;
     stats_.reset();
@@ -265,8 +268,8 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
             ++stats_.load_miss_requests;
             const Cycle ready = now + config_.dl1_latency;
             if (prev_load_completion_ != kNoCycle) {
-                stats_.load_injection_delta.add(ready -
-                                                prev_load_completion_);
+                observe(stats_.load_injection_delta,
+                        ready - prev_load_completion_, log_);
             }
             waiting_load_ = true;
             const Addr line = addr & dl1_line_mask_;
@@ -296,6 +299,7 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
 void InOrderCore::advance_rp(std::uint32_t ops, std::uint64_t instrs)
     noexcept {
     remaining_instrs_ -= instrs;
+    ops_done_ += ops;
     if (remaining_instrs_ == 0) {
         rp_ += ops;
         retired_all_ = true;
@@ -330,7 +334,8 @@ Cycle InOrderCore::replay_load_miss(const replay::MicroOp& op, Cycle now) {
     ++stats_.load_miss_requests;
     const Cycle ready = now + op.cycles;  // cycles = dl1_latency
     if (prev_load_completion_ != kNoCycle) {
-        stats_.load_injection_delta.add(ready - prev_load_completion_);
+        observe(stats_.load_injection_delta, ready - prev_load_completion_,
+                log_);
     }
     waiting_load_ = true;
     return ready;
@@ -496,6 +501,47 @@ Cycle InOrderCore::tick(Cycle now) {
     enter_execution(now);
     return script_ != nullptr ? replay_execute(now)
                               : execute_instruction(now);
+}
+
+InOrderCore::Phase InOrderCore::phase(Cycle now) const noexcept {
+    if (done_) return Phase::kDone;
+    if (ops_done_ == 0 && !waiting_on_bus() && now < next_free_) {
+        return Phase::kDormant;
+    }
+    return Phase::kActive;
+}
+
+std::uint64_t InOrderCore::repeatable_periods(std::uint64_t period_ops) const
+    noexcept {
+    // Every op of the next k periods, and the one under the cursor
+    // after them (plus one lookahead op, the bus-only step's), must
+    // equal the op a period earlier: positions [rp_, rp_ + k·d + 1]
+    // against d back. Ops equal at lag L chain into equality at lag d
+    // when L divides d, so positions [rp_ - d + L, rp_ + k·d + 1] must
+    // lie in one repeat run of lag L.
+    const std::uint64_t d = period_ops;
+    std::uint64_t best = 0;
+    const auto at_lag = [&](std::uint64_t lag,
+                            const std::vector<std::uint16_t>& repeat) {
+        if (lag == 0 || d % lag != 0 || rp_ + lag < d) return;
+        const std::uint64_t from = rp_ + lag - d;
+        if (from >= repeat.size()) return;
+        const std::uint64_t run = repeat[from];
+        if (run + lag < d + 2) return;
+        best = std::max(best, (run + lag - d - 2) / d);
+    };
+    at_lag(1, script_->repeat_prev);
+    at_lag(script_->pass_ops, script_->repeat_pass);
+    return best;
+}
+
+void InOrderCore::fast_forward(std::uint64_t ops, std::uint64_t instrs,
+                               Cycle delta) noexcept {
+    rp_ += static_cast<std::uint32_t>(ops);
+    ops_done_ += ops;
+    remaining_instrs_ -= instrs;
+    next_free_ += delta;
+    if (prev_load_completion_ != kNoCycle) prev_load_completion_ += delta;
 }
 
 void InOrderCore::enter_execution(Cycle now) noexcept {

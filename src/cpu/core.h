@@ -25,16 +25,12 @@
 #include "cache/cache.h"
 #include "isa/program.h"
 #include "machine/attribution.h"
+#include "replay/microop.h"
 #include "sim/ring_buffer.h"
 #include "sim/types.h"
 #include "stats/histogram.h"
 
 namespace rrb {
-
-namespace replay {
-struct MicroOp;
-struct MicroOpScript;
-}  // namespace replay
 
 /// Which continuation a completed bus transaction resumes on its core —
 /// the POD completion token that replaced per-request std::function
@@ -208,6 +204,9 @@ public:
     [[nodiscard]] bool has_script() const noexcept {
         return script_ != nullptr;
     }
+    [[nodiscard]] const replay::MicroOpScript* script() const noexcept {
+        return script_;
+    }
     /// True when the attached script carries baked L2 outcomes — the
     /// machine then skips this core's live L2 partition entirely
     /// (lookups at issue time and the per-run partition warm).
@@ -228,6 +227,84 @@ public:
     [[nodiscard]] bool waiting_on_bus() const noexcept {
         return waiting_ifetch_ || waiting_load_;
     }
+
+    // ------------------------- steady-state fast-forward (docs/replay.md)
+    // Replay mode only: the machine skips whole periods of a run only
+    // when every core with a program replays.
+
+    /// kDormant: still inside its start delay, nothing executed yet —
+    /// it starts at release_cycle(). kDone: finished. kActive otherwise.
+    enum class Phase : std::uint8_t { kDormant, kActive, kDone };
+    [[nodiscard]] Phase phase(Cycle now) const noexcept;
+    [[nodiscard]] Cycle release_cycle() const noexcept { return next_free_; }
+    [[nodiscard]] std::uint64_t remaining_instructions() const noexcept {
+        return remaining_instrs_;
+    }
+    /// Script ops consumed since the last restart, and the cursor.
+    [[nodiscard]] std::uint64_t ops_done() const noexcept { return ops_done_; }
+    [[nodiscard]] std::uint32_t script_cursor() const noexcept { return rp_; }
+
+    /// Emits an active core's execution state relative to `now`: flags,
+    /// next_free_ clamped at `now`, the injection-delta reference as an
+    /// offset, the store buffer and the op under the cursor.
+    template <class Sink>
+    void timing_state(Cycle now, Sink& sink) const {
+        sink(std::uint64_t{fetched_} | std::uint64_t{waiting_ifetch_} << 1 |
+             std::uint64_t{waiting_load_} << 2 |
+             std::uint64_t{retired_all_} << 3 |
+             std::uint64_t{drain_in_flight_} << 4 |
+             std::uint64_t{attr_cause_dirty_} << 5);
+        sink(next_free_ > now ? next_free_ - now : 0);
+        sink(prev_load_completion_ == kNoCycle ? kNoCycle
+                                               : now - prev_load_completion_);
+        sink(store_buffer_.size());
+        for (std::size_t i = 0; i < store_buffer_.size(); ++i) {
+            sink(store_buffer_.at(i));
+        }
+        if (rp_ < script_->ops.size()) {
+            const replay::TimingKey key = replay::timing_key(script_->ops[rp_]);
+            sink(key.shape);
+            sink(key.cycles);
+            sink(key.span);
+        } else {
+            sink(kNoCycle);
+        }
+    }
+
+    /// Calls f(counter) on every additive statistic of the core and its
+    /// L1s (the injection-delta histogram repeats through the
+    /// observation log).
+    template <class F>
+    void visit_counters(F&& f) {
+        f(stats_.instructions);
+        f(stats_.loads);
+        f(stats_.stores);
+        f(stats_.nops);
+        f(stats_.load_miss_requests);
+        f(stats_.ifetch_requests);
+        f(stats_.store_drains);
+        f(stats_.store_full_stall_cycles);
+        f(stats_.load_gate_stall_cycles);
+        il1_.replay_stats().for_each(f);
+        dl1_.replay_stats().for_each(f);
+    }
+
+    /// Whole periods of `period_ops` script ops, past the period that
+    /// just ended at the cursor, over which every op the core touches is
+    /// timing-equal to the op `period_ops` before it (the script's
+    /// repeat bounds, MicroOpScript::repeat_prev / repeat_pass). 0 when
+    /// the last period crossed a region boundary of the script.
+    [[nodiscard]] std::uint64_t repeatable_periods(
+        std::uint64_t period_ops) const noexcept;
+
+    /// Skips `ops` script ops that retire `instrs` instructions and moves
+    /// every absolute cycle of the core `delta` cycles later — the state
+    /// naive stepping reaches after the skipped periods.
+    void fast_forward(std::uint64_t ops, std::uint64_t instrs,
+                      Cycle delta) noexcept;
+
+    /// While non-null, every histogram observation is also noted here.
+    void attach_observation_log(ObservationLog* log) noexcept { log_ = log; }
 
 private:
     void start_drain_if_needed(Cycle now);
@@ -307,6 +384,8 @@ private:
     // authority in replay mode (pc_/iteration_ stay untouched).
     const replay::MicroOpScript* script_ = nullptr;
     std::uint32_t rp_ = 0;
+    std::uint64_t ops_done_ = 0;  ///< ops consumed (the fast-forward's
+                                  ///< period length in ops)
     std::uint64_t remaining_instrs_ = 0;
     bool l2_baked_ = false;  ///< mirror of script_->l2_baked (hot path)
 
@@ -318,6 +397,7 @@ private:
     /// deref into the attribution arrays (~6k instructions/run on the
     /// bench workload).
     bool attr_cause_dirty_ = true;
+    ObservationLog* log_ = nullptr;
 
     CoreStats stats_;
 };

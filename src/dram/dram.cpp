@@ -99,10 +99,12 @@ std::optional<std::size_t> MemoryController::pick(Cycle now) const {
     return std::nullopt;
 }
 
-void MemoryController::tick(Cycle now) {
+bool MemoryController::tick(Cycle now) {
+    bool acted = false;
     // Refresh: at every tREFI boundary all banks go busy for tRFC.
     if (config_.refresh_interval > 0 && now > 0 &&
         now % config_.refresh_interval == 0) {
+        acted = true;
         ++stats_.refreshes;
         for (Bank& bank : banks_) {
             bank.ready_at = std::max(bank.ready_at,
@@ -117,10 +119,12 @@ void MemoryController::tick(Cycle now) {
     // Completions first so a dependent requester sees data this cycle.
     for (auto it = in_flight_.begin(); it != in_flight_.end();) {
         if (it->completion == now) {
+            acted = true;
             const InFlight done = *it;
             it = in_flight_.erase(it);
             stats_.total_latency += done.completion - done.request.arrival;
-            stats_.latency.add(done.completion - done.request.arrival);
+            observe(stats_.latency, done.completion - done.request.arrival,
+                    log_);
             // Charge the service interval before the client posts the
             // fill response (whose wait clock starts at `now`).
             if (attr_ != nullptr && !done.request.is_write) {
@@ -133,7 +137,7 @@ void MemoryController::tick(Cycle now) {
     }
 
     const std::optional<std::size_t> index = pick(now);
-    if (!index) return;
+    if (!index) return acted;
 
     const DramRequest chosen = queue_[*index];
     queue_.erase(queue_.begin() +
@@ -206,6 +210,7 @@ void MemoryController::tick(Cycle now) {
     }
 
     in_flight_.push_back({chosen, now + latency, service_class});
+    return true;
 }
 
 void MemoryController::flush_attribution(Cycle limit) {
@@ -252,6 +257,28 @@ Cycle MemoryController::next_event_cycle(Cycle now) const {
         next = std::min(next, std::max(at, now));
     }
     return next;
+}
+
+bool MemoryController::at_rest(Cycle now) const noexcept {
+    if (!idle() || data_bus_free_at_ > now) return false;
+    return std::all_of(banks_.begin(), banks_.end(),
+                       [now](const Bank& bank) { return bank.ready_at <= now; });
+}
+
+bool MemoryController::rows_aligned() const noexcept {
+    return std::all_of(banks_.begin(), banks_.end(), [&](const Bank& bank) {
+        return bank.open_row == banks_.front().open_row;
+    });
+}
+
+void MemoryController::shift_time(Cycle delta) noexcept {
+    for (Bank& bank : banks_) bank.ready_at += delta;
+    data_bus_free_at_ += delta;
+    for (DramRequest& q : queue_) q.arrival += delta;
+    for (InFlight& f : in_flight_) {
+        f.request.arrival += delta;
+        f.completion += delta;
+    }
 }
 
 void MemoryController::reset() {

@@ -141,8 +141,9 @@ public:
     void enqueue(const DramRequest& request);
 
     /// Advances the controller to cycle `now` (call once per cycle,
-    /// monotonically).
-    void tick(Cycle now);
+    /// monotonically). Returns whether anything happened: a refresh, a
+    /// completion or an issue (the machine's step-kind counters).
+    bool tick(Cycle now);
 
     /// Earliest future cycle at which tick() would change state: the
     /// next in-flight completion, the first cycle a queued request
@@ -179,6 +180,63 @@ public:
     /// Settles attribution up to `limit` for queued and in-flight reads —
     /// the cut-off path of the closed accounting invariant.
     void flush_attribution(Cycle limit);
+
+    // ------------------------- steady-state fast-forward (docs/replay.md)
+    /// While non-null, every latency observation is also noted here.
+    void attach_observation_log(ObservationLog* log) noexcept { log_ = log; }
+
+    /// True when nothing is queued or in flight, every bank accepts a
+    /// command at `now` and the data bus is free: the controller then
+    /// acts only when a request arrives.
+    [[nodiscard]] bool at_rest(Cycle now) const noexcept;
+    /// True when every bank has the same row open (or every bank is
+    /// closed). A controller at rest with aligned rows treats all banks
+    /// alike, so which bank a lone access goes to cannot matter.
+    [[nodiscard]] bool rows_aligned() const noexcept;
+
+    /// Emits the queue, the in-flight requests and the banks relative to
+    /// `now`: cycles as offsets, with a bank's or the data bus's
+    /// readiness clamped at `now` (earlier readiness acts alike).
+    template <class Sink>
+    void timing_state(Cycle now, Sink& sink) const {
+        const auto request = [&](const DramRequest& r) {
+            sink(std::uint64_t{r.core} | std::uint64_t{r.is_write} << 32);
+            sink(now - r.arrival);
+            sink(r.tag);
+            sink(r.addr);
+        };
+        const auto clamped = [now](Cycle at) { return at > now ? at - now : 0; };
+        sink(queue_.size());
+        for (const DramRequest& q : queue_) request(q);
+        sink(in_flight_.size());
+        for (const InFlight& f : in_flight_) {
+            request(f.request);
+            sink(f.completion - now);
+            sink(static_cast<std::uint64_t>(f.service_class));
+        }
+        for (const Bank& bank : banks_) {
+            sink(bank.open_row.value_or(kNoCycle));
+            sink(clamped(bank.ready_at));
+        }
+        sink(clamped(data_bus_free_at_));
+    }
+
+    /// Calls f(counter) on every additive statistic (the latency
+    /// histogram repeats through the observation log).
+    template <class F>
+    void visit_counters(F&& f) {
+        f(stats_.reads);
+        f(stats_.writes);
+        f(stats_.refreshes);
+        f(stats_.row_hits);
+        f(stats_.row_misses);
+        f(stats_.row_conflicts);
+        f(stats_.total_latency);
+    }
+
+    /// Moves every absolute cycle — bank and data-bus readiness, queued
+    /// arrivals, in-flight completions — `delta` cycles later.
+    void shift_time(Cycle delta) noexcept;
 
 private:
     struct Bank {
@@ -223,6 +281,7 @@ private:
     DramClient* client_ = nullptr;
     Tracer* tracer_ = nullptr;
     CycleAttribution* attr_ = nullptr;
+    ObservationLog* log_ = nullptr;
 };
 
 }  // namespace rrb

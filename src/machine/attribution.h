@@ -181,6 +181,44 @@ public:
         advance(victim, until);
     }
 
+    // ------------------------- steady-state fast-forward (docs/replay.md)
+    /// Emits core `core`'s cursors relative to `now`, its pending cause
+    /// and its deferred wait accumulators. The bus-wait cursor is only
+    /// read while the core has a bus request pending, so it is emitted
+    /// only then.
+    template <class Sink>
+    void timing_state(CoreId core, Cycle now, bool bus_pending,
+                      Sink& sink) const {
+        const std::uint64_t* slot =
+            wait_slots_.data() + core * slot_stride_;
+        sink(charged_until_[core] - now);  // modular offset
+        sink(static_cast<std::uint64_t>(pending_[core]));
+        sink(bus_pending ? slot[kSlotCursor] - now : kNoCycle);
+        sink(slot[kSlotWaitAcc]);
+        sink(slot[kSlotDeadAcc]);
+    }
+
+    /// Calls f(counter) on every timeline bucket, dead-slot PMC and
+    /// blame cell.
+    template <class F>
+    void visit_counters(F&& f) {
+        for (std::uint64_t& bucket : timeline_) f(bucket);
+        for (std::size_t v = 0; v < num_cores_; ++v) {
+            std::uint64_t* slot = wait_slots_.data() + v * slot_stride_;
+            f(slot[kSlotDead]);
+            for (std::size_t w = 0; w < num_cores_; ++w) {
+                f(slot[kSlotBlame + w]);
+            }
+        }
+    }
+
+    /// Moves core `core`'s demand and bus-wait cursors `delta` cycles
+    /// later.
+    void shift_core(CoreId core, Cycle delta) noexcept {
+        charged_until_[core] += delta;
+        wait_slot(core)[kSlotCursor] += delta;
+    }
+
     // ------------------------------------------------------ views
     [[nodiscard]] std::size_t num_cores() const noexcept {
         return num_cores_;

@@ -1,6 +1,7 @@
 #include "machine/machine.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "replay/microop.h"
 #include "sim/contract.h"
@@ -24,7 +25,14 @@ Machine::Machine(MachineConfig config)
       l2_(config.l2_geometry, config.num_cores, config.l2_replacement,
           config.l2_write_policy, config.l2_alloc_policy),
       dram_(config.dram),
-      attribution_(config.num_cores) {
+      attribution_(config.num_cores),
+      // Snapshot room for every core's execution state, port queue and
+      // cursors, the bus's requests and the controller's queue and
+      // banks; a state that outgrows it only never matches.
+      ff_(64 + std::size_t{config.num_cores} *
+                   (40 + config.core.store_buffer_entries) +
+              std::size_t{config.dram.num_banks} * 2,
+          config.num_cores) {
     config_.validate();
     bus_ = std::make_unique<Bus>(
         config_.num_cores,
@@ -46,6 +54,12 @@ Machine::Machine(MachineConfig config)
     has_program_.assign(config_.num_cores, false);
     core_next_.assign(config_.num_cores, kNoCycle);
     dram_refresh_ = config_.dram.refresh_interval > 0;
+    // One slot per additive counter, attribution's included.
+    std::size_t counters = 0;
+    const auto count = [&counters](std::uint64_t&) { ++counters; };
+    visit_counters(count);  // unarmed
+    attribution_.visit_counters(count);
+    ff_.counters.assign(counters, 0);
 }
 
 InOrderCore& Machine::core(CoreId id) {
@@ -118,6 +132,9 @@ void Machine::reset_keep_programs() {
     events_skipped_ = 0;
     cycles_skipped_ = 0;
     bus_only_steps_ = 0;
+    periods_fast_forwarded_ = 0;
+    cycles_fast_forwarded_ = 0;
+    step_kinds_.fill(0);
     if (attr_ != nullptr) attribution_.reset();
     bus_->reset();
     dram_.reset();
@@ -284,14 +301,16 @@ void Machine::dram_complete(const DramRequest& request, Cycle completion) {
 }
 
 Cycle Machine::step() {
-    bus_->complete_phase(now_);  // may rewind core_next_ entries to 0
+    // May rewind core_next_ entries to 0.
+    const CoreId completed = bus_->complete_phase(now_);
     // The memory controller only acts when it holds work or refresh is
     // configured; requests enqueued during the completion phase above
     // are visible to this check, so the gate is exact.
     const bool dram_active = dram_refresh_ || !dram_.idle();
-    if (dram_active) dram_.tick(now_);
+    const bool dram_acted = dram_active && dram_.tick(now_);
     const Cycle after = now_ + 1;
     Cycle next = kNoCycle;
+    unsigned ticked = 0;  // bit 0: the scua ticked, bit 1: a contender
     for (CoreId c = 0; c < cores_.size(); ++c) {
         // Programless cores hold kNoCycle permanently, so this one gate
         // covers both "no program" and "provably inert this cycle".
@@ -306,8 +325,16 @@ Cycle Machine::step() {
         if (core_next < after) core_next = after;
         core_next_[c] = core_next;
         next = std::min(next, core_next);
+        ticked |= c == scua_ ? 1u : 2u;
     }
     bus_->arbitrate_phase(now_);
+    // The step's kind is its first event in StepKind order: one bit per
+    // kind, arbitration always set, the lowest set bit wins.
+    const bool completion = completed != kNoCore;
+    const unsigned events =
+        (completion && completed == scua_ ? 1u : 0u) | (ticked & 1u) << 1 |
+        (dram_acted ? 4u : 0u) | (completion || ticked != 0 ? 8u : 0u) | 16u;
+    ++step_kinds_[static_cast<std::size_t>(std::countr_zero(events))];
     ++now_;
     // Core ticks may have enqueued victim writebacks: re-check activity.
     if (dram_refresh_ || !dram_.idle()) {
@@ -399,8 +426,24 @@ Cycle Machine::run_core(CoreId core_id, Cycle max_cycles) {
     const InOrderCore& target = *cores_[core_id];
     Cycle next_hint = now_;
     quiet_until_ = now_;  // unknown until the first step
+    scua_ = core_id;
+    struct Finish {
+        Machine& machine;
+        ~Finish() {
+            machine.end_fast_forward();
+            machine.scua_ = kNoCore;
+        }
+    } finish{*this};
+    begin_fast_forward(core_id);
     while (!target.done() && now_ < limit) {
         next_hint = step_or_skip(next_hint, limit);
+        // The scua's remaining-instruction count falls below the bound
+        // exactly when it retires a loop body's last instruction (the
+        // bound is 0 when the run does not fast-forward).
+        if (target.remaining_instructions() < ff_.boundary_above)
+            [[unlikely]] {
+            at_scua_boundary(core_id, next_hint, limit);
+        }
     }
     return target.done() ? target.finish_cycle() : kNoCycle;
 }

@@ -17,6 +17,16 @@
 // dispatch, the DRAM gate or the core scan (docs/replay.md). Naive
 // stepping and traced runs always take the four phases.
 //
+// Steady-state fast-forward: a campaign run's schedule turns exactly
+// periodic early. At each retirement of the scua's last loop-body
+// instruction run_core compares the whole timing state, relative to
+// now, with the previous such boundary's; when they match and every
+// core's next ops repeat the last period's, it skips k whole periods in
+// one step — shifting every absolute cycle by k periods and adding k
+// times the period's change to every counter, histogram and
+// attribution cell (docs/replay.md). Only replayed runs with cycle
+// skipping on and the tracer off ever skip.
+//
 // Hot-path design (PR 5): the machine is the single BusClient/DramClient
 // — completions dispatch through a fixed switch on (op, tag) instead of
 // per-request closures; per-port queues are reusable rings; reset() /
@@ -27,6 +37,7 @@
 // stepping on a fresh machine (tests/test_hotpath.cpp is the proof).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -41,6 +52,7 @@
 #include "sim/ring_buffer.h"
 #include "sim/trace.h"
 #include "sim/types.h"
+#include "stats/histogram.h"
 
 namespace rrb {
 
@@ -136,6 +148,32 @@ public:
     /// header comment) — observability like the skip statistics.
     [[nodiscard]] std::uint64_t bus_only_steps() const noexcept {
         return bus_only_steps_;
+    }
+    /// Scua loop-body periods the steady-state fast-forward skipped
+    /// since the last reset, and the cycles they spanned.
+    [[nodiscard]] std::uint64_t periods_fast_forwarded() const noexcept {
+        return periods_fast_forwarded_;
+    }
+    [[nodiscard]] std::uint64_t cycles_fast_forwarded() const noexcept {
+        return cycles_fast_forwarded_;
+    }
+
+    /// What a full four-phase step did, by precedence: a completion
+    /// owned by the scua (run_core's core), a scua tick, a memory
+    /// controller event, a contender's completion or tick, else only
+    /// bus arbitration. Every cycle since the last reset is one of a
+    /// step of some kind, a bus-only step, a skipped cycle or a
+    /// fast-forwarded cycle.
+    enum class StepKind : std::uint8_t {
+        kScuaCompletion,
+        kScuaTick,
+        kDramEvent,
+        kContender,
+        kArbitration,
+        kCount
+    };
+    [[nodiscard]] std::uint64_t steps(StepKind kind) const noexcept {
+        return step_kinds_[static_cast<std::size_t>(kind)];
     }
 
     [[nodiscard]] const MachineConfig& config() const noexcept {
@@ -246,6 +284,35 @@ private:
     /// Returns what step() would.
     Cycle bus_only_step(CoreId owner);
 
+    // Steady-state fast-forward (machine/fast_forward.cpp). The boundary
+    // hook stays out of line, so the run loop stays small enough for its
+    // per-cycle callees to inline.
+    /// Decides whether this run may skip periods and, when it may, arms
+    /// the boundary tracking and the observation log for scua `scua`.
+    void begin_fast_forward(CoreId scua);
+    void end_fast_forward() noexcept;
+    /// The scua retired a loop body's last instruction: compare, maybe
+    /// skip, and start recording the next period. A skip lands at a
+    /// boundary with `next_hint` reset to "unknown" (now_).
+    [[gnu::noinline]] void at_scua_boundary(CoreId scua, Cycle& next_hint,
+                                            Cycle limit);
+    /// The bound the scua's remaining-instruction count falls below when
+    /// its next loop body ends; 0 when no boundary lies ahead.
+    [[nodiscard]] std::uint64_t next_scua_boundary(
+        std::uint64_t remaining) const noexcept;
+    /// Writes the relative timing state over the last boundary's and
+    /// returns whether the two are equal.
+    bool capture_state();
+    [[nodiscard]] std::uint64_t skippable_periods(Cycle period,
+                                                  Cycle limit) const;
+    void skip_periods(std::uint64_t periods, Cycle period);
+    void record_boundary();
+    /// Calls f(counter) on every additive counter of the machine —
+    /// cores, L1s, L2 partitions, bus, DRAM and, armed, attribution.
+    template <class F>
+    void visit_counters(F&& f);
+    [[nodiscard]] std::uint64_t dram_row(Addr addr) const noexcept;
+
     MachineConfig config_;
     std::unique_ptr<Bus> bus_;
     WayPartitionedCache l2_;
@@ -265,6 +332,12 @@ private:
     std::uint64_t events_skipped_ = 0;  ///< fast-forwards since reset
     std::uint64_t cycles_skipped_ = 0;  ///< cycles jumped since reset
     std::uint64_t bus_only_steps_ = 0;  ///< bus-only steps since reset
+    std::array<std::uint64_t, static_cast<std::size_t>(StepKind::kCount)>
+        step_kinds_{};
+    /// The core run_core runs to completion (kNoCore in run()): the
+    /// step-kind counters tell its events from the contenders'.
+    CoreId scua_ = kNoCore;
+
     /// Earliest next event of every core and the memory controller as of
     /// the last step — before it only the bus can act. Set by step(),
     /// kept by bus_only_step() (which moves neither), and reset to now_
@@ -276,6 +349,50 @@ private:
     /// attr_ points at attribution_ while armed, else nullptr.
     CycleAttribution attribution_;
     CycleAttribution* attr_ = nullptr;
+    // Cold: touched only at scua loop-body boundaries, so kept off the
+    // cache lines the per-cycle loop reads.
+    std::uint64_t periods_fast_forwarded_ = 0;
+    std::uint64_t cycles_fast_forwarded_ = 0;
+    /// Steady-state fast-forward storage, sized at construction.
+    struct FastForward {
+        /// Per core, where its script stood at the last boundary.
+        struct Mark {
+            std::uint64_t ops_done = 0;
+            std::uint64_t remaining = 0;
+            std::uint32_t cursor = 0;
+        };
+        FastForward(std::size_t state_words, std::size_t num_cores)
+            : state(state_words), marks(num_cores), log(kLogEntries) {}
+        /// Histogram observations one period may log — about 35 on the
+        /// default pwcet scenario. A run whose period outgrows it stops
+        /// fast-forwarding (at_scua_boundary).
+        static constexpr std::size_t kLogEntries = 256;
+
+        std::vector<std::uint64_t> state;  ///< relative timing state
+        std::size_t state_size = 0;        ///< words used at the last one
+        std::vector<std::uint64_t> counters;  ///< additive counters
+        std::vector<Mark> marks;
+        ObservationLog log;  ///< histogram observations since then
+        std::uint64_t dram_reads = 0;
+        std::uint64_t dram_writes = 0;
+        Cycle boundary_at = 0;     ///< now_ at the last boundary
+        std::uint64_t body = 0;    ///< scua instructions per loop body
+        std::uint64_t total = 0;   ///< scua instructions per run
+        std::uint64_t boundary_above = 0;  ///< see next_scua_boundary
+        bool recorded = false;     ///< counters/marks/log are valid
+    };
+    FastForward ff_;
 };
+
+template <class F>
+void Machine::visit_counters(F&& f) {
+    for (CoreId c = 0; c < cores_.size(); ++c) {
+        cores_[c]->visit_counters(f);
+        l2_.replay_stats(c).for_each(f);
+    }
+    bus_->visit_counters(f);
+    dram_.visit_counters(f);
+    if (attr_ != nullptr) attribution_.visit_counters(f);
+}
 
 }  // namespace rrb

@@ -13,6 +13,13 @@ const char* counter_name(Counter c) noexcept {
         case kEventsSkipped: return "events_skipped";
         case kCyclesSkipped: return "cycles_skipped";
         case kBusOnlySteps: return "bus_only_steps";
+        case kStepsScuaCompletion: return "steps_scua_completion";
+        case kStepsScuaTick: return "steps_scua_tick";
+        case kStepsDramEvent: return "steps_dram_event";
+        case kStepsContender: return "steps_contender";
+        case kStepsArbitration: return "steps_arbitration";
+        case kPeriodsFastForwarded: return "periods_fast_forwarded";
+        case kCyclesFastForwarded: return "cycles_fast_forwarded";
         case kLeaseHits: return "lease_hits";
         case kLeaseMisses: return "lease_misses";
         case kLeaseEvictions: return "lease_evictions";

@@ -52,6 +52,15 @@ enum Counter : unsigned {
     kEventsSkipped,      ///< event-driven fast-forwards taken (determ.)
     kCyclesSkipped,      ///< cycles fast-forwarded over (deterministic)
     kBusOnlySteps,       ///< cycles run as bus-only steps (determ.)
+    kStepsScuaCompletion,  ///< full steps completing a scua transaction
+    kStepsScuaTick,        ///< full steps ticking the scua (otherwise)
+    kStepsDramEvent,       ///< full steps with a memory controller event
+    kStepsContender,       ///< full steps with only contender events
+    kStepsArbitration,     ///< full steps with only bus arbitration
+                           ///< (the five step kinds are deterministic)
+    kPeriodsFastForwarded, ///< scua loop-body periods skipped by the
+                           ///< steady-state fast-forward (determ.)
+    kCyclesFastForwarded,  ///< cycles those periods spanned (determ.)
     kLeaseHits,          ///< MachineLease found a cached machine
     kLeaseMisses,        ///< MachineLease constructed a machine
     kLeaseEvictions,     ///< cached machines destroyed by the LRU cap

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -318,6 +319,61 @@ void build_spans(std::vector<MicroOp>& ops, std::size_t begin,
     }
 }
 
+/// Fills the script's repeat bounds (MicroOpScript::repeat_prev /
+/// repeat_pass) over each region, scanning backwards so a run's length
+/// is one more than the next op's (saturating: a shorter bound only
+/// skips fewer periods at a time). A looping script gets no
+/// repeat_pass: only a flat scua scans it.
+void build_repeats(MicroOpScript& script, const L2PartitionSpec* l2) {
+    const std::vector<MicroOp>& ops = script.ops;
+    const bool rows = script.l2_baked && l2 != nullptr &&
+                      l2->dram_row_span != 0;
+    // Each op's timing key plus where a bus-going miss lands — its DRAM
+    // row when the L2 outcome is baked, the line itself otherwise (the
+    // live L2 decides), 0 for everything else, which the kind and flags
+    // tell apart — packed once for the two lag scans.
+    struct Key {
+        TimingKey timing;
+        std::uint64_t bus = 0;
+        bool operator==(const Key&) const = default;
+    };
+    std::vector<Key> keys(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const MicroOp& op = ops[i];
+        Key& key = keys[i];
+        key.timing = timing_key(op);
+        const bool to_bus = op.kind == MicroOp::Kind::kLoadMiss ||
+                            op.kind == MicroOp::Kind::kIfetchMiss;
+        if (!to_bus || (script.l2_baked && op.l2_hit())) continue;
+        if (!rows) {
+            key.bus = op.line;
+            continue;
+        }
+        const Addr dram_addr =
+            l2->dram_capacity != 0 ? op.line % l2->dram_capacity : op.line;
+        key.bus = dram_addr / l2->dram_row_span;
+    }
+    const auto fill = [&](std::vector<std::uint16_t>& repeat,
+                          std::size_t lag) {
+        repeat.assign(ops.size(), 0);
+        if (lag == 0) return;
+        const std::size_t bounds[] = {0, script.loop_start,
+                                      script.tail_start, ops.size()};
+        for (std::size_t r = 0; r + 1 < std::size(bounds); ++r) {
+            const std::size_t begin = bounds[r];
+            const std::size_t end = bounds[r + 1];
+            for (std::size_t i = end; i-- > begin;) {
+                if (i < begin + lag || !(keys[i] == keys[i - lag])) continue;
+                const std::uint16_t next = i + 1 < end ? repeat[i + 1] : 0;
+                repeat[i] = static_cast<std::uint16_t>(
+                    next == UINT16_MAX ? next : next + 1);
+            }
+        }
+    };
+    fill(script.repeat_prev, 1);
+    if (!script.looping) fill(script.repeat_pass, script.pass_ops);
+}
+
 }  // namespace
 
 std::unique_ptr<MicroOpScript> decode_program(const Program& program,
@@ -439,6 +495,9 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
             why = f.failed;
             return nullptr;
         }
+        if (script->pass_ops == 0 && f.iteration > 0) {
+            script->pass_ops = static_cast<std::uint32_t>(ops.size());
+        }
     }
 
     if (!script->looping) {
@@ -454,6 +513,7 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
                     config.loads_wait_store_buffer);
     }
     script->ops.assign(ops.begin(), ops.end());
+    build_repeats(*script, l2);
     return script;
 }
 

@@ -58,6 +58,13 @@ struct L2PartitionSpec {
     WritePolicy write_policy = WritePolicy::kWriteBack;
     AllocPolicy alloc_policy = AllocPolicy::kWriteAllocate;
     std::uint64_t rng_seed = 1;
+    /// Where the partition's misses land in DRAM: address bytes per DRAM
+    /// row across all banks (DramConfig::row_bytes * num_banks), within
+    /// a `dram_capacity`-byte wrap. Two misses repeat each other in the
+    /// script's repeat bounds only when they open the same row. 0 (the
+    /// default) compares their line addresses instead.
+    std::uint64_t dram_row_span = 0;
+    std::uint64_t dram_capacity = 0;
 };
 
 /// Decodes `program` as core `core_id` (the id fixes the L1 victim-RNG

@@ -91,6 +91,30 @@ struct MicroOp {
     std::uint16_t span_loads = 0;     ///< kLoadHit count (= DL1 read hits)
 };
 
+/// Everything about an op that decides its timing and statistics: every
+/// field but the line address. Two ops with equal keys advance a core
+/// identically wherever their lines lead.
+struct TimingKey {
+    std::uint64_t shape = 0;   ///< kind, flags (baked cache outcomes
+                               ///< included), chain hits, nops, instrs,
+                               ///< span_ops
+    std::uint64_t cycles = 0;  ///< cycles, span_cycles
+    std::uint64_t span = 0;    ///< the other span aggregates
+    bool operator==(const TimingKey&) const = default;
+};
+
+[[nodiscard]] inline TimingKey timing_key(const MicroOp& op) noexcept {
+    return {std::uint64_t(op.kind) | std::uint64_t{op.flags} << 8 |
+                std::uint64_t{op.il1_chain_hits} << 16 |
+                std::uint64_t{op.nops} << 24 |
+                std::uint64_t{op.instrs} << 32 |
+                std::uint64_t{op.span_ops} << 48,
+            std::uint64_t{op.cycles} | std::uint64_t{op.span_cycles} << 32,
+            std::uint64_t{op.span_instrs} | std::uint64_t{op.span_nops} << 16 |
+                std::uint64_t{op.span_il1_hits} << 32 |
+                std::uint64_t{op.span_loads} << 48};
+}
+
 /// The decoded script for one (program, core config) pair.
 ///
 /// Layout: ops = [prologue][loop][tail]. Finite programs decode fully
@@ -116,6 +140,19 @@ struct MicroOpScript {
     std::uint64_t tail_instrs = 0;    ///< instructions in the tail region
     std::uint64_t loop_instrs = 0;    ///< instructions per loop pass
     std::uint64_t total_instructions = 0;  ///< of the decoded program
+
+    /// Repeat bounds for the steady-state fast-forward (docs/replay.md).
+    /// repeat_prev[i] counts the ops from i on, within i's region, that
+    /// each repeat the op before them; repeat_pass[i] the same against
+    /// the op `pass_ops` earlier, pass_ops being the op count of the
+    /// program's first body pass. "Repeat" means an equal timing_key
+    /// and, for an op whose baked L2 miss goes to DRAM, the same DRAM
+    /// row.
+    /// Both saturate at UINT16_MAX; a looping script (never a
+    /// fast-forwarding scua) has no repeat_pass.
+    std::uint32_t pass_ops = 0;
+    std::vector<std::uint16_t> repeat_prev;
+    std::vector<std::uint16_t> repeat_pass;
 };
 
 }  // namespace rrb::replay

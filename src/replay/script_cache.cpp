@@ -68,6 +68,9 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
             l2_spec.write_policy = config.l2_write_policy;
             l2_spec.alloc_policy = config.l2_alloc_policy;
             l2_spec.rng_seed = machine.l2().partition_rng_seed(c);
+            l2_spec.dram_row_span =
+                config.dram.row_bytes * config.dram.num_banks;
+            l2_spec.dram_capacity = config.dram.capacity_bytes;
             Decline why = Decline::kNone;
             std::unique_ptr<MicroOpScript> script =
                 decode_program(program, config.core, c, &l2_spec, {}, &why);

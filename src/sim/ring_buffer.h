@@ -44,6 +44,10 @@ public:
         RRB_REQUIRE(index < size_, "ring buffer index out of range");
         return buffer_[(head_ + index) & mask_];
     }
+    [[nodiscard]] T& at(std::size_t index) {
+        RRB_REQUIRE(index < size_, "ring buffer index out of range");
+        return buffer_[(head_ + index) & mask_];
+    }
 
     void pop_front() {
         RRB_REQUIRE(size_ > 0, "pop of an empty ring buffer");

@@ -15,6 +15,9 @@ inline constexpr Cycle kNoCycle = std::numeric_limits<Cycle>::max();
 /// Identifier of a bus requester (a core, in this model).
 using CoreId = std::uint32_t;
 
+/// Sentinel for "no core".
+inline constexpr CoreId kNoCore = std::numeric_limits<CoreId>::max();
+
 /// Physical byte address as seen by caches / bus / DRAM.
 using Addr = std::uint64_t;
 

@@ -84,4 +84,53 @@ private:
     std::uint64_t total_ = 0;
 };
 
+/// A bounded log of histogram observations. The steady-state
+/// fast-forward (Machine::run_core, docs/replay.md) logs one recorded
+/// period's observations and re-adds each of them once per skipped
+/// period. Storage is sized at construction: a period that outgrows it
+/// only marks the log overflowed, and that period is then not skipped.
+class ObservationLog {
+public:
+    explicit ObservationLog(std::size_t capacity) : entries_(capacity) {}
+
+    void note(Histogram& histogram, std::uint64_t value) noexcept {
+        if (size_ == entries_.size()) {
+            overflowed_ = true;
+            return;
+        }
+        entries_[size_++] = {&histogram, value};
+    }
+
+    void clear() noexcept {
+        size_ = 0;
+        overflowed_ = false;
+    }
+    [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
+
+    /// Adds every logged observation `times` more times. Never
+    /// allocates: each value was added once already, so its histogram
+    /// spans it.
+    void replay(std::uint64_t times) const {
+        for (std::size_t i = 0; i < size_; ++i) {
+            entries_[i].histogram->add(entries_[i].value, times);
+        }
+    }
+
+private:
+    struct Entry {
+        Histogram* histogram = nullptr;
+        std::uint64_t value = 0;
+    };
+    std::vector<Entry> entries_;
+    std::size_t size_ = 0;
+    bool overflowed_ = false;
+};
+
+/// histogram.add(value), also noted in `log` while one records.
+inline void observe(Histogram& histogram, std::uint64_t value,
+                    ObservationLog* log) {
+    histogram.add(value);
+    if (log != nullptr) [[unlikely]] log->note(histogram, value);
+}
+
 }  // namespace rrb

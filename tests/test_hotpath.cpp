@@ -282,6 +282,87 @@ TEST(HotPathDifferential, GridIsBitIdenticalToFreshNaiveReference) {
     EXPECT_GT(bus_only_steps[1], 0u);
 }
 
+/// Every cycle of a run is a full step of one kind, a bus-only step, a
+/// skipped cycle or a fast-forwarded cycle.
+std::uint64_t accounted_cycles(const Machine& m) {
+    std::uint64_t cycles =
+        m.bus_only_steps() + m.cycles_skipped() + m.cycles_fast_forwarded();
+    for (std::size_t kind = 0;
+         kind < static_cast<std::size_t>(Machine::StepKind::kCount); ++kind) {
+        cycles += m.steps(static_cast<Machine::StepKind>(kind));
+    }
+    return cycles;
+}
+
+TEST(HotPathDifferential, LongScuasFastForwardBitIdentically) {
+    // The steady-state fast-forward skips whole scua loop-body periods.
+    // Long cacheb scuas make it skip many of them: 150 iterations is
+    // the attribution campaign's length, 640 crosses many contender loop
+    // wraps, and 4,096 crosses the DRAM row change at iteration 1,024
+    // and the 64 KiB walk's wrap at 2,048, where the scua's baked L2
+    // outcome flips from miss to hit. Every run must equal fresh naive
+    // stepping, armed or not, and account for every cycle by step kind;
+    // every eligible run must skip periods, and TDMA runs (absolute-time
+    // slots) never may.
+    std::vector<GridPoint> grid;
+    for (GridPoint& point : config_grid()) {
+        if (point.name == "ngmp_ref" || point.name == "scaled_2x5" ||
+            point.name == "wrr" || point.name == "refresh" ||
+            point.name == "tdma") {
+            grid.push_back(std::move(point));
+        }
+    }
+    ASSERT_EQ(grid.size(), 5u);
+    for (const GridPoint& point : grid) {
+        const std::vector<Program> contenders =
+            make_rsk_contenders(point.config, OpKind::kLoad);
+        for (const std::uint64_t iterations : {150ULL, 640ULL, 4096ULL}) {
+            const Program scua = make_autobench(
+                Autobench::kCacheb, 0x0100'0000, iterations, 9);
+            HwmCampaignOptions options;
+            options.runs = 2;
+            options.seed = 3;
+            for (const bool armed : {false, true}) {
+                engine::MachineLease lease(point.config);
+                Machine& hot = lease.machine();
+                for (std::uint64_t run = 0; run < options.runs; ++run) {
+                    const std::string what =
+                        point.name + "/cacheb" + std::to_string(iterations) +
+                        (armed ? "/armed" : "") + "/run" +
+                        std::to_string(run);
+                    if (armed) hot.arm_attribution();
+                    const Cycle hot_finish = detail::execute_campaign_run(
+                        hot, lease.campaign(), scua, contenders, options,
+                        run, &lease.scripts());
+                    Machine ref(point.config);
+                    ref.set_cycle_skipping(false);
+                    if (armed) ref.arm_attribution();
+                    std::uint64_t no_campaign = 0;
+                    const Cycle ref_finish = detail::execute_campaign_run(
+                        ref, no_campaign, scua, contenders, options, run);
+                    EXPECT_EQ(hot_finish, ref_finish) << what;
+                    expect_same_measurement(
+                        detail::snapshot_measurement(hot, 0, hot_finish,
+                                                     false),
+                        detail::snapshot_measurement(ref, 0, ref_finish,
+                                                     false),
+                        what);
+                    expect_same_machine(hot, ref, what);
+                    EXPECT_EQ(accounted_cycles(hot), hot.now()) << what;
+                    EXPECT_EQ(accounted_cycles(ref), ref.now()) << what;
+                    EXPECT_EQ(ref.periods_fast_forwarded(), 0u) << what;
+                    if (point.name == "tdma") {
+                        EXPECT_EQ(hot.periods_fast_forwarded(), 0u) << what;
+                    } else {
+                        EXPECT_GT(hot.periods_fast_forwarded(), 0u) << what;
+                    }
+                    hot.disarm_attribution();
+                }
+            }
+        }
+    }
+}
+
 TEST(HotPathDifferential, StallCountersMatchNaivePath) {
     // Stall PMCs (full store buffer, load gate) charge per cycle; the
     // skipper must observe every one of those cycles. Drive a reused

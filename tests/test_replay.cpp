@@ -232,6 +232,31 @@ TEST(ScriptDecode, BakedAndUnbakedScriptsAgreeOnEverythingButL2Flags) {
     }
 }
 
+TEST(ScriptDecode, RepeatBoundsStopWhereTheWalkChanges) {
+    // cacheb walks 64 KiB in 32-byte steps, one DL1 miss per 32-op loop
+    // body. A body repeats the one before it until the DL1 fills
+    // (iteration 512: its miss evicts), the walk crosses a DRAM row
+    // (iteration 1,024: 32 KiB per row across the four banks) and the
+    // walk wraps (iteration 2,048: the L2 partition starts hitting).
+    const MachineConfig config = MachineConfig::ngmp_ref();
+    Machine machine(config);
+    replay::L2PartitionSpec spec = partition_spec(machine, config, 0);
+    spec.dram_row_span = config.dram.row_bytes * config.dram.num_banks;
+    spec.dram_capacity = config.dram.capacity_bytes;
+    const auto script = replay::decode_program(
+        make_autobench(Autobench::kCacheb, 0x0100'0000, 4096, 9),
+        config.core, 0, &spec);
+    ASSERT_NE(script, nullptr);
+    ASSERT_FALSE(script->looping);
+    ASSERT_EQ(script->pass_ops, 32u);
+    const auto body = [](std::uint32_t iteration) { return iteration * 32; };
+    EXPECT_EQ(script->repeat_pass[body(1)], body(512) - body(1));
+    EXPECT_EQ(script->repeat_pass[body(513)], body(1024) - body(513));
+    EXPECT_EQ(script->repeat_pass[body(1025)], body(2048) - body(1025));
+    // A body's ops differ from their neighbours: no lag-1 run covers one.
+    EXPECT_LT(script->repeat_prev[body(1)], 32u);
+}
+
 TEST(PrepareScripts, SharesOneScriptAcrossEqualPrograms) {
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);

@@ -133,8 +133,11 @@ TEST(Telemetry, SpansNestAcrossThreads) {
 // results they ride along with.
 TEST(Telemetry, DeterministicCountersObeyTheMergeLaw) {
     const std::vector<Counter> deterministic = {
-        kRunsCompleted, kCyclesSimulated, kEventsSkipped, kCyclesSkipped,
-        kBusOnlySteps, kShardsCompleted, kReplayRuns, kReplayFallbackRuns};
+        kRunsCompleted,        kCyclesSimulated,     kEventsSkipped,
+        kCyclesSkipped,        kBusOnlySteps,        kStepsScuaCompletion,
+        kStepsScuaTick,        kStepsDramEvent,      kStepsContender,
+        kStepsArbitration,     kPeriodsFastForwarded, kCyclesFastForwarded,
+        kShardsCompleted,      kReplayRuns,          kReplayFallbackRuns};
     CounterSnapshot at_one;
     {
         const ScopedTelemetry scoped;
@@ -156,10 +159,20 @@ TEST(Telemetry, DeterministicCountersObeyTheMergeLaw) {
         EXPECT_EQ(at_one[c], at_four[c]) << counter_name(c);
     }
     EXPECT_GT(at_one[kCyclesSimulated], 0u);
-    // The default scenario's rsk contenders keep the bus saturated with
-    // replayed L2-hit loads: most of each run's ~460 stepped cycles are
-    // bus-only steps (about 280).
-    EXPECT_GT(at_one[kBusOnlySteps], 200u * at_one[kRunsCompleted]);
+    // The default scenario's schedule turns periodic within a few of the
+    // scua's 40 loop bodies: the steady-state fast-forward skips most of
+    // the rest (about 27 periods per run).
+    EXPECT_GT(at_one[kPeriodsFastForwarded], 10u * at_one[kRunsCompleted]);
+    // Every cycle of a run — its finish cycle plus the cycle it finishes
+    // in — is a step of one kind, a bus-only step, a skipped cycle or a
+    // fast-forwarded one.
+    for (const CounterSnapshot& at : {at_one, at_four}) {
+        EXPECT_EQ(at[kStepsScuaCompletion] + at[kStepsScuaTick] +
+                      at[kStepsDramEvent] + at[kStepsContender] +
+                      at[kStepsArbitration] + at[kBusOnlySteps] +
+                      at[kCyclesSkipped] + at[kCyclesFastForwarded],
+                  at[kCyclesSimulated] + at[kRunsCompleted]);
+    }
 }
 
 TEST(Telemetry, CampaignSpansFormTheHierarchy) {
