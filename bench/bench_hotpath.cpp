@@ -19,10 +19,10 @@
 // counter is a global operator new/delete interposer, so nothing can
 // hide — when the pwcet fold allocates beyond one block-maxima node per
 // block, when arming attribution costs more than
-// kMaxAttributionOverheadPct of the unarmed rate, when the hot or the
-// armed pass never skips a steady-state period (periods_fast_forwarded,
-// docs/replay.md), or when the replayed estimate is less than
-// kMinEstimateSpeedup times faster. All rates are
+// kMaxAttributionOverheadPct of the unarmed rate, when the hot pass,
+// the armed pass or the replayed estimate never skips a steady-state
+// period (periods_fast_forwarded, docs/replay.md), or when the replayed
+// estimate is less than kMinEstimateSpeedup times faster. All rates are
 // best-sustained-window estimates (see ChunkTimer)
 // so bursty co-tenant load on shared CI hosts does not poison the
 // telemetry/attribution overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
@@ -460,17 +460,51 @@ PathResult run_attributed(const MachineConfig& config, const Program& scua,
     return result;
 }
 
-/// Best (shortest) wall time of one estimate per path, and whether the
-/// two paths' sweeps ever disagreed.
+/// Best (shortest) wall time of one estimate per path, whether the two
+/// paths' sweeps ever disagreed, and the replayed sweep's isolation and
+/// contention runs with the periods they fast-forwarded.
 struct EstimatePass {
     double seconds = 0.0;
     double naive_seconds = 0.0;
     std::uint64_t mismatches = 0;
+    std::uint64_t runs = 0;
+    std::uint64_t periods = 0;
 
     [[nodiscard]] double speedup() const {
         return seconds > 0.0 ? naive_seconds / seconds : 0.0;
     }
+    [[nodiscard]] double periods_per_run() const {
+        return runs > 0 ? static_cast<double>(periods) /
+                              static_cast<double>(runs)
+                        : 0.0;
+    }
 };
+
+/// The replayed sweep's runs, counted by the backend below (the
+/// estimate pass runs on the main thread only).
+EstimatePass* counted_pass = nullptr;
+
+/// The experiment primitives, counting each run and the periods it
+/// fast-forwarded on this thread's leased machine.
+Measurement counted_isolation(const MachineConfig& config,
+                              const Program& scua, CoreId scua_core,
+                              Cycle max_cycles) {
+    const Measurement m = run_isolation(config, scua, scua_core, max_cycles);
+    ++counted_pass->runs;
+    counted_pass->periods += leased_periods(config);
+    return m;
+}
+
+Measurement counted_contention(const MachineConfig& config,
+                               const Program& scua,
+                               const std::vector<Program>& contenders,
+                               CoreId scua_core, Cycle max_cycles) {
+    const Measurement m =
+        run_contention(config, scua, contenders, scua_core, max_cycles);
+    ++counted_pass->runs;
+    counted_pass->periods += leased_periods(config);
+    return m;
+}
 
 /// One rotation of the estimate pass: each path estimates once, from a
 /// cold machine cache, as a fresh `rrbtool estimate` would.
@@ -488,7 +522,12 @@ void time_estimates(const MachineConfig& config, EstimatePass& pass) {
         if (best == 0.0 || s < best) best = s;
         return e;
     };
-    const UbdEstimate hot = timed({}, pass.seconds);
+    // Every rotation's sweep is the same: count the last one.
+    pass.runs = 0;
+    pass.periods = 0;
+    counted_pass = &pass;
+    const UbdEstimate hot =
+        timed({&counted_isolation, &counted_contention}, pass.seconds);
     const UbdEstimate naive =
         timed(reference::fresh_machines(), pass.naive_seconds);
     if (hot.et_isolation != naive.et_isolation ||
@@ -701,6 +740,7 @@ int main(int argc, char** argv) {
         "    \"seconds\": %s,\n"
         "    \"naive_seconds\": %s,\n"
         "    \"speedup\": %s,\n"
+        "    \"periods_fast_forwarded_per_run\": %s,\n"
         "    \"mismatches_vs_naive\": %llu\n"
         "  }\n"
         "}\n",
@@ -715,6 +755,8 @@ int main(int argc, char** argv) {
         json_number("%.4f", estimated ? estimate.naive_seconds : NAN)
             .c_str(),
         json_number("%.2f", estimated ? estimate.speedup() : NAN).c_str(),
+        json_number("%.2f", estimated ? estimate.periods_per_run() : NAN)
+            .c_str(),
         static_cast<unsigned long long>(estimate.mismatches));
     json += attr_json;
 
@@ -830,6 +872,16 @@ int main(int argc, char** argv) {
                      "%.0f%% ceiling (armed runs must replay, not "
                      "interpret)\n",
                      attribution_overhead_pct, kMaxAttributionOverheadPct);
+        rc = 1;
+    }
+    // The rsk-nop runs settle within a few bodies: a replayed sweep
+    // that never fast-forwards has lost the steady-state skip of looping
+    // scuas.
+    if (estimated && estimate.periods == 0) {
+        std::fprintf(stderr,
+                     "FAIL: the replayed estimate fast-forwarded no "
+                     "steady-state period (periods_fast_forwarded must be "
+                     "above 0)\n");
         rc = 1;
     }
     if (estimate.mismatches != 0) {

@@ -22,6 +22,8 @@ struct CacheGeometry {
     std::uint32_t ways = 4;
     std::uint32_t line_bytes = 32;
 
+    bool operator==(const CacheGeometry&) const = default;
+
     [[nodiscard]] std::uint64_t num_sets() const noexcept {
         return size_bytes / (static_cast<std::uint64_t>(ways) * line_bytes);
     }

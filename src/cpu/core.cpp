@@ -511,33 +511,97 @@ InOrderCore::Phase InOrderCore::phase(Cycle now) const noexcept {
     return Phase::kActive;
 }
 
+bool InOrderCore::in_loop_region() const noexcept {
+    return script_->looping && rp_ >= script_->loop_start &&
+           rp_ < script_->tail_start;
+}
+
 std::uint64_t InOrderCore::repeatable_periods(std::uint64_t period_ops) const
     noexcept {
     // Every op of the next k periods, and the one under the cursor
     // after them (plus one lookahead op, the bus-only step's), must
-    // equal the op a period earlier: positions [rp_, rp_ + k·d + 1]
-    // against d back. Ops equal at lag L chain into equality at lag d
-    // when L divides d, so positions [rp_ - d + L, rp_ + k·d + 1] must
-    // lie in one repeat run of lag L.
+    // equal the op a period earlier: stream positions [p, p + k·d + 1]
+    // against d back, p the cursor's. Ops equal at lag L chain into
+    // equality at lag d when L divides d, so positions
+    // [p - d + L, p + k·d + 1] must lie in one repeat run of lag L.
+    // The stream is the cursor's walk: the prologue and the tail once,
+    // straight through, and the loop region modulo its size until the
+    // tail — so the period must lie in the cursor's current region, and
+    // in the loop region k stops before the tail.
+    const replay::MicroOpScript& script = *script_;
     const std::uint64_t d = period_ops;
+    const bool cyclic = in_loop_region();
+    const std::uint64_t loop_ops = script.tail_start - script.loop_start;
     std::uint64_t best = 0;
     const auto at_lag = [&](std::uint64_t lag,
                             const std::vector<std::uint16_t>& repeat) {
-        if (lag == 0 || d % lag != 0 || rp_ + lag < d) return;
-        const std::uint64_t from = rp_ + lag - d;
-        if (from >= repeat.size()) return;
+        if (lag == 0 || d % lag != 0) return;
+        std::uint64_t from = 0;
+        if (cyclic) {
+            // The cursor has walked the prologue once, then the loop
+            // region: the period began in it when ops_done_ - d reaches
+            // loop_start.
+            if (ops_done_ < script.loop_start + d) return;
+            from = rp_ + loop_ops - (d - lag) % loop_ops;
+            if (from >= script.tail_start) from -= loop_ops;
+        } else {
+            const std::uint64_t first =
+                rp_ < script.loop_start ? 0 : script.tail_start;
+            if (rp_ + lag < first + d) return;
+            from = rp_ + lag - d;
+            if (from >= repeat.size()) return;
+        }
         const std::uint64_t run = repeat[from];
         if (run + lag < d + 2) return;
         best = std::max(best, (run + lag - d - 2) / d);
     };
-    at_lag(1, script_->repeat_prev);
-    at_lag(script_->pass_ops, script_->repeat_pass);
+    at_lag(1, script.repeat_prev);
+    at_lag(script.pass_ops, script.repeat_pass);
+    if (cyclic && best > 0) {
+        // Loop passes the cursor still begins, this one included: the
+        // tail holds the last tail_instrs instructions, and every pass
+        // retires at least one before the cursor reaches its end.
+        const std::uint64_t passes =
+            (remaining_instrs_ - script.tail_instrs + script.loop_instrs -
+             1) /
+            script.loop_instrs;
+        const std::uint64_t ahead =
+            script.tail_start - rp_ + (passes - 1) * loop_ops;
+        best = std::min(best, ahead < 2 ? 0 : (ahead - 2) / d);
+    }
     return best;
+}
+
+bool InOrderCore::may_repeat(std::uint64_t period_ops) const noexcept {
+    if (period_ops == 0 || !in_loop_region()) return true;
+    // A lag serves when the whole region repeats at it (its runs
+    // saturate) or when a run could still span the two periods and the
+    // lookahead repeatable_periods asks for.
+    const replay::MicroOpScript& script = *script_;
+    const std::uint64_t d = period_ops;
+    const std::uint64_t loop_ops = script.tail_start - script.loop_start;
+    const auto serves = [&](std::uint64_t lag,
+                            const std::vector<std::uint16_t>& repeat) {
+        return lag != 0 && d % lag == 0 &&
+               (repeat[script.loop_start] == UINT16_MAX ||
+                loop_ops - 1 + lag >= 2 * d + 2);
+    };
+    return serves(1, script.repeat_prev) ||
+           serves(script.pass_ops, script.repeat_pass);
 }
 
 void InOrderCore::fast_forward(std::uint64_t ops, std::uint64_t instrs,
                                Cycle delta) noexcept {
-    rp_ += static_cast<std::uint32_t>(ops);
+    if (in_loop_region()) {
+        // repeatable_periods kept the landing before the tail.
+        const std::uint64_t loop_ops =
+            script_->tail_start - script_->loop_start;
+        rp_ = static_cast<std::uint32_t>(
+            script_->loop_start +
+            (rp_ - script_->loop_start + ops) % loop_ops);
+    } else {
+        rp_ += static_cast<std::uint32_t>(ops);
+    }
     ops_done_ += ops;
     remaining_instrs_ -= instrs;
     next_free_ += delta;

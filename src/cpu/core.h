@@ -82,6 +82,7 @@ struct CoreConfig {
     /// waits until the store buffer has fully drained before issuing.
     bool loads_wait_store_buffer = true;
 
+    bool operator==(const CoreConfig&) const = default;
     void validate() const;
 };
 
@@ -240,9 +241,8 @@ public:
     [[nodiscard]] std::uint64_t remaining_instructions() const noexcept {
         return remaining_instrs_;
     }
-    /// Script ops consumed since the last restart, and the cursor.
+    /// Script ops consumed since the last restart.
     [[nodiscard]] std::uint64_t ops_done() const noexcept { return ops_done_; }
-    [[nodiscard]] std::uint32_t script_cursor() const noexcept { return rp_; }
 
     /// Emits an active core's execution state relative to `now`: flags,
     /// next_free_ clamped at `now`, the injection-delta reference as an
@@ -292,14 +292,24 @@ public:
     /// Whole periods of `period_ops` script ops, past the period that
     /// just ended at the cursor, over which every op the core touches is
     /// timing-equal to the op `period_ops` before it (the script's
-    /// repeat bounds, MicroOpScript::repeat_prev / repeat_pass). 0 when
-    /// the last period crossed a region boundary of the script.
+    /// repeat bounds, MicroOpScript::repeat_prev / repeat_pass). In the
+    /// loop region the cursor's walk wraps, and the periods end before
+    /// the tail. 0 when the last period began in an earlier region of
+    /// the script.
     [[nodiscard]] std::uint64_t repeatable_periods(
         std::uint64_t period_ops) const noexcept;
 
-    /// Skips `ops` script ops that retire `instrs` instructions and moves
-    /// every absolute cycle of the core `delta` cycles later — the state
-    /// naive stepping reaches after the skipped periods.
+    /// False when no cursor position could repeat a period of
+    /// `period_ops` ops: the cursor walks a loop region whose ops do
+    /// not all repeat at any lag dividing the period, and no run of
+    /// repeating ops — always shorter than the region — spans two
+    /// periods.
+    [[nodiscard]] bool may_repeat(std::uint64_t period_ops) const noexcept;
+
+    /// Skips `ops` script ops that retire `instrs` instructions (modulo
+    /// the loop region while the cursor is in it) and moves every
+    /// absolute cycle of the core `delta` cycles later — the state naive
+    /// stepping reaches after the skipped periods.
     void fast_forward(std::uint64_t ops, std::uint64_t instrs,
                       Cycle delta) noexcept;
 
@@ -340,6 +350,8 @@ private:
     [[nodiscard]] std::uint32_t wrap_rp(std::uint32_t rp,
                                         std::uint64_t remaining) const
         noexcept;
+    /// Whether the cursor is in a looping script's loop region.
+    [[nodiscard]] bool in_loop_region() const noexcept;
     [[nodiscard]] Addr fetch_addr() const noexcept;
     void advance_pc();
 

@@ -34,6 +34,8 @@ struct DramTiming {
     Cycle t_burst = 2;    ///< 4-transfer burst on the 64-bit DDR bus
     Cycle t_overhead = 2; ///< controller decode / command bus
 
+    bool operator==(const DramTiming&) const = default;
+
     /// DDR2-667 (Kingston KVR667D2S5/2G-like) timings scaled to a 200MHz
     /// core: 15ns tRCD/tCL/tRP => 3 cycles, 6ns burst => 2 cycles.
     [[nodiscard]] static DramTiming ddr2_667_at_200mhz() { return {}; }
@@ -65,6 +67,7 @@ struct DramConfig {
     Cycle refresh_interval = 0;
     Cycle refresh_duration = 26;
 
+    bool operator==(const DramConfig&) const = default;
     void validate() const;
 
     /// Address mapping: line-interleaved across banks

@@ -11,7 +11,6 @@
 namespace rrb::engine {
 
 struct MachineLease::Entry {
-    std::uint64_t config_fingerprint = 0;
     std::uint64_t campaign = 0;  ///< fingerprint of installed programs
     std::uint32_t pins = 0;      ///< live leases holding this entry
     std::unique_ptr<Machine> machine;
@@ -46,9 +45,8 @@ void MachineLease::evict_down_to_cap() {
 
 MachineLease::MachineLease(const MachineConfig& config) {
     std::vector<std::unique_ptr<Entry>>& cache = thread_cache();
-    const std::uint64_t fingerprint = config.fingerprint();
     for (std::size_t i = 0; i < cache.size(); ++i) {
-        if (cache[i]->config_fingerprint != fingerprint) continue;
+        if (!(cache[i]->machine->config() == config)) continue;
         if (i != 0) {
             // Move-to-front LRU; entries are pointer-stable.
             std::rotate(cache.begin(), cache.begin() + i,
@@ -61,7 +59,6 @@ MachineLease::MachineLease(const MachineConfig& config) {
     }
     obs::count(obs::kLeaseMisses);
     auto entry = std::make_unique<Entry>();
-    entry->config_fingerprint = fingerprint;
     entry->machine = std::make_unique<Machine>(config);
     entry->pins = 1;
     entry_ = entry.get();

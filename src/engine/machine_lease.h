@@ -4,8 +4,9 @@
 // the bus, cores, ports and ~10k cache line entries — only to simulate a
 // few thousand cycles and throw it all away. Machine::reset() restores
 // construction state without reallocating, so the engine can keep one
-// machine per (worker thread, config fingerprint) and hand it out run
-// after run.
+// machine per (worker thread, config) and hand it out run after run. A
+// lease finds its machine by comparing configs field by field — cheaper
+// than hashing one per run.
 //
 // The cache is thread_local: campaign runs execute on ThreadPool workers
 // (and the caller's thread), each of which touches its own machines with

@@ -7,8 +7,7 @@ namespace rrb {
 namespace {
 
 /// splitmix64-chained u64 folder (see rrb::fingerprint(Program) for the
-/// rationale): the machine-lease cache hashes the config once per
-/// campaign run, so the byte-at-a-time FNV chain is too slow here.
+/// rationale): faster than the byte-at-a-time FNV chain.
 class FastHash {
 public:
     void u64(std::uint64_t v) noexcept {

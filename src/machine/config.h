@@ -40,6 +40,10 @@ struct MachineConfig {
 
     DramConfig dram;
 
+    /// Field by field: equal configs build behaviorally identical
+    /// Machines (the per-worker machine cache, engine::MachineLease,
+    /// keys on it).
+    bool operator==(const MachineConfig&) const = default;
     void validate() const;
 
     /// Bus occupancy of one L2 load hit — the paper's lbus.
@@ -58,10 +62,10 @@ struct MachineConfig {
         return (num_cores - 1) * load_hit_service();
     }
 
-    /// Content hash over every timing-relevant field. Two configs with
-    /// equal fingerprints build behaviorally identical Machines; the
-    /// per-worker machine cache (engine::MachineLease) keys on it, and
-    /// Scenario::fingerprint folds it in.
+    /// Content hash over every field. Two configs with equal
+    /// fingerprints build behaviorally identical Machines; the campaign
+    /// scheduler buckets work by it, and Scenario::fingerprint folds it
+    /// in.
     [[nodiscard]] std::uint64_t fingerprint() const;
 
     /// The paper's reference NGMP model: 4 cores, DL1 latency 1 (so the

@@ -2,19 +2,23 @@
 // a campaign run instead of stepping it (docs/replay.md, "Steady-state
 // fast-forward").
 //
-// Boundary: each retirement of the scua's last loop-body instruction.
-// At each one the machine's timing state relative to now_ overwrites the
-// previous boundary's and is compared with it in the same pass, a few
-// dozen words — cheap enough that no period-length filter is needed in
-// front of it. Two equal states a period P apart, with every
+// Boundary: each retirement of the scua's last loop-body instruction,
+// flat or looping scua alike. At each one the machine's timing state
+// relative to now_ overwrites the previous boundary's and is compared
+// with it in the same pass: one walk over a few dozen words per core,
+// with no cheaper filter in front of it (any filter that skips the
+// capture leaves a stale state, and the first match comes a period
+// later). Two equal states a period P apart, with every
 // counter and histogram observation of that period recorded, mean that
 // the next k periods replay the recorded one exactly — as long as no
-// core's ops in them differ from the ops a period earlier, no dormant
-// core is released, no DRAM refresh intervenes and the run limit is not
-// passed. The machine then moves every absolute cycle k·P later and
-// adds k times the period's change to every counter, histogram and
-// attribution cell: the state and statistics naive stepping would
-// reach, without the steps.
+// core's ops in them differ from the ops a period earlier (a cursor in
+// a loop region counts modulo the region, and stops before the tail),
+// no dormant core is released, no DRAM refresh intervenes and the run
+// limit is not passed. The machine then moves every absolute cycle k·P
+// later and adds k times the period's change to every counter,
+// histogram and attribution cell: the state and statistics naive
+// stepping would reach, without the steps. A run where no skip can come
+// stops the bookkeeping (at_scua_boundary).
 #include <algorithm>
 
 #include "machine/machine.h"
@@ -77,28 +81,19 @@ void Machine::begin_fast_forward(CoreId scua) {
     const InOrderCore& target = *cores_[scua];
     ff_.body = target.program().body.size();
     ff_.total = target.program().total_instructions();
-    // A looping scua (the estimator's rsk-nop) wraps its cursor every
-    // few bodies, and no repeat bound crosses a wrap: it could skip at
-    // most a couple of periods per loop pass, which measured less than
-    // the boundary bookkeeping costs. Only flat scuas fast-forward.
-    if (target.script()->looping) return;
     ff_.boundary_above = next_scua_boundary(target.remaining_instructions());
     ff_.boundary_at = now_;
     ff_.state_size = 0;
     ff_.recorded = false;
-    ff_.log.clear();
-    bus_->attach_observation_log(&ff_.log);
-    dram_.attach_observation_log(&ff_.log);
-    for (std::unique_ptr<InOrderCore>& core : cores_) {
-        core->attach_observation_log(&ff_.log);
-    }
 }
 
-void Machine::end_fast_forward() noexcept {
-    bus_->attach_observation_log(nullptr);
-    dram_.attach_observation_log(nullptr);
+void Machine::end_fast_forward() noexcept { attach_observation_log(nullptr); }
+
+void Machine::attach_observation_log(ObservationLog* log) noexcept {
+    bus_->attach_observation_log(log);
+    dram_.attach_observation_log(log);
     for (std::unique_ptr<InOrderCore>& core : cores_) {
-        core->attach_observation_log(nullptr);
+        core->attach_observation_log(log);
     }
 }
 
@@ -114,12 +109,15 @@ std::uint64_t Machine::next_scua_boundary(std::uint64_t remaining) const
 
 void Machine::at_scua_boundary(CoreId scua, Cycle& next_hint, Cycle limit) {
     const InOrderCore& target = *cores_[scua];
-    if (ff_.recorded && ff_.log.overflowed()) {
-        // A period with more observations than the log holds can never
-        // be skipped, and its neighbours are as large: stop paying for
-        // boundaries and logging for the rest of the run.
+    // Stops paying for boundaries and logging for the rest of the run.
+    const auto give_up = [this] {
         end_fast_forward();
         ff_.boundary_above = 0;
+    };
+    if (ff_.recorded && ff_.log.overflowed()) {
+        // A period with more distinct observations than the log holds
+        // can never be skipped, and its neighbours are as large.
+        give_up();
         return;
     }
     ff_.boundary_above = next_scua_boundary(target.remaining_instructions());
@@ -137,9 +135,27 @@ void Machine::at_scua_boundary(CoreId scua, Cycle& next_hint, Cycle limit) {
             ff_.boundary_at = now_;
             ff_.boundary_above =
                 next_scua_boundary(target.remaining_instructions());
+        } else if (!periods_may_repeat()) {
+            // The state repeats, but some core's ops never can over a
+            // period this long — a loop whose phase moves every period.
+            // Matching again would only find the same period.
+            give_up();
+            return;
         }
     }
     record_boundary();
+}
+
+bool Machine::periods_may_repeat() const noexcept {
+    for (CoreId c = 0; c < cores_.size(); ++c) {
+        if (!has_program_[c]) continue;
+        const InOrderCore& core = *cores_[c];
+        if (core.phase(now_) == InOrderCore::Phase::kActive &&
+            !core.may_repeat(core.ops_done() - ff_.marks[c].ops_done)) {
+            return false;
+        }
+    }
+    return true;
 }
 
 bool Machine::capture_state() {
@@ -240,14 +256,8 @@ std::uint64_t Machine::skippable_periods(Cycle period, Cycle limit) const {
                                    (core.release_cycle() - now_) / period);
                 break;
             case InOrderCore::Phase::kActive: {
-                const FastForward::Mark& mark = ff_.marks[c];
-                const std::uint64_t ops = core.ops_done() - mark.ops_done;
-                // A cursor that wrapped inside the period left its
-                // region: the repeat bounds do not cover it.
-                if (std::uint64_t{core.script_cursor()} !=
-                    std::uint64_t{mark.cursor} + ops) {
-                    return 0;
-                }
+                const std::uint64_t ops =
+                    core.ops_done() - ff_.marks[c].ops_done;
                 if (ops > 0) {
                     periods = std::min(periods, core.repeatable_periods(ops));
                 }
@@ -294,12 +304,14 @@ void Machine::skip_periods(std::uint64_t periods, Cycle period) {
 }
 
 void Machine::record_boundary() {
+    // Only periods between two boundaries are ever replayed: the
+    // observations before the first one need no log.
+    if (!ff_.recorded) attach_observation_log(&ff_.log);
     std::size_t i = 0;
     visit_counters([&](std::uint64_t& counter) { ff_.counters[i++] = counter; });
     for (CoreId c = 0; c < cores_.size(); ++c) {
         const InOrderCore& core = *cores_[c];
-        ff_.marks[c] = {core.ops_done(), core.remaining_instructions(),
-                        core.script_cursor()};
+        ff_.marks[c] = {core.ops_done(), core.remaining_instructions()};
     }
     ff_.dram_reads = dram_.stats().reads;
     ff_.dram_writes = dram_.stats().writes;

@@ -288,9 +288,13 @@ private:
     // hook stays out of line, so the run loop stays small enough for its
     // per-cycle callees to inline.
     /// Decides whether this run may skip periods and, when it may, arms
-    /// the boundary tracking and the observation log for scua `scua`.
+    /// the boundary tracking for scua `scua` (the observation log
+    /// follows at its first boundary).
     void begin_fast_forward(CoreId scua);
     void end_fast_forward() noexcept;
+    /// Points every component's histogram observations at `log` (null:
+    /// none).
+    void attach_observation_log(ObservationLog* log) noexcept;
     /// The scua retired a loop body's last instruction: compare, maybe
     /// skip, and start recording the next period. A skip lands at a
     /// boundary with `next_hint` reset to "unknown" (now_).
@@ -305,6 +309,10 @@ private:
     bool capture_state();
     [[nodiscard]] std::uint64_t skippable_periods(Cycle period,
                                                   Cycle limit) const;
+    /// False when some active core's script rules out repeating the
+    /// period just recorded from any cursor position
+    /// (InOrderCore::may_repeat).
+    [[nodiscard]] bool periods_may_repeat() const noexcept;
     void skip_periods(std::uint64_t periods, Cycle period);
     void record_boundary();
     /// Calls f(counter) on every additive counter of the machine —
@@ -359,20 +367,19 @@ private:
         struct Mark {
             std::uint64_t ops_done = 0;
             std::uint64_t remaining = 0;
-            std::uint32_t cursor = 0;
         };
         FastForward(std::size_t state_words, std::size_t num_cores)
-            : state(state_words), marks(num_cores), log(kLogEntries) {}
-        /// Histogram observations one period may log — about 35 on the
-        /// default pwcet scenario. A run whose period outgrows it stops
-        /// fast-forwarding (at_scua_boundary).
-        static constexpr std::size_t kLogEntries = 256;
+            : state(state_words), marks(num_cores) {}
 
         std::vector<std::uint64_t> state;  ///< relative timing state
         std::size_t state_size = 0;        ///< words used at the last one
         std::vector<std::uint64_t> counters;  ///< additive counters
         std::vector<Mark> marks;
-        ObservationLog log;  ///< histogram observations since then
+        /// Histogram observations since then: at most 26 distinct
+        /// pairs per period on the default pwcet scenario, 62 in the
+        /// estimator's. A run whose period outgrows the log stops
+        /// fast-forwarding (at_scua_boundary).
+        ObservationLog log;
         std::uint64_t dram_reads = 0;
         std::uint64_t dram_writes = 0;
         Cycle boundary_at = 0;     ///< now_ at the last boundary

@@ -322,8 +322,9 @@ void build_spans(std::vector<MicroOp>& ops, std::size_t begin,
 /// Fills the script's repeat bounds (MicroOpScript::repeat_prev /
 /// repeat_pass) over each region, scanning backwards so a run's length
 /// is one more than the next op's (saturating: a shorter bound only
-/// skips fewer periods at a time). A looping script gets no
-/// repeat_pass: only a flat scua scans it.
+/// skips fewer periods at a time). The loop region is scanned as the
+/// cursor walks it, cyclically: its first op follows its last, the
+/// body's end that charges loop control.
 void build_repeats(MicroOpScript& script, const L2PartitionSpec* l2) {
     const std::vector<MicroOp>& ops = script.ops;
     const bool rows = script.l2_baked && l2 != nullptr &&
@@ -353,25 +354,50 @@ void build_repeats(MicroOpScript& script, const L2PartitionSpec* l2) {
             l2->dram_capacity != 0 ? op.line % l2->dram_capacity : op.line;
         key.bus = dram_addr / l2->dram_row_span;
     }
+    const auto extend = [](std::uint16_t next) {
+        return static_cast<std::uint16_t>(next == UINT16_MAX ? next
+                                                             : next + 1);
+    };
     const auto fill = [&](std::vector<std::uint16_t>& repeat,
                           std::size_t lag) {
         repeat.assign(ops.size(), 0);
         if (lag == 0) return;
-        const std::size_t bounds[] = {0, script.loop_start,
-                                      script.tail_start, ops.size()};
-        for (std::size_t r = 0; r + 1 < std::size(bounds); ++r) {
-            const std::size_t begin = bounds[r];
-            const std::size_t end = bounds[r + 1];
+        // The prologue and the tail are walked once, straight through.
+        const auto straight = [&](std::size_t begin, std::size_t end) {
             for (std::size_t i = end; i-- > begin;) {
                 if (i < begin + lag || !(keys[i] == keys[i - lag])) continue;
-                const std::uint16_t next = i + 1 < end ? repeat[i + 1] : 0;
-                repeat[i] = static_cast<std::uint16_t>(
-                    next == UINT16_MAX ? next : next + 1);
+                repeat[i] = extend(i + 1 < end ? repeat[i + 1] : 0);
             }
+        };
+        straight(0, script.loop_start);
+        straight(script.tail_start, ops.size());
+        // The loop region is walked cyclically: its op i follows op
+        // i - lag modulo the region. Runs end where an op differs from
+        // that predecessor, so the backward scan starts at such an op;
+        // a region without one repeats forever (saturated).
+        const std::size_t begin = script.loop_start;
+        const std::size_t size = script.tail_start - begin;
+        if (size == 0) return;
+        const std::size_t shift = lag % size;
+        const auto repeats = [&](std::size_t i) {
+            const std::size_t from = i >= shift ? i - shift : i + size - shift;
+            return keys[begin + i] == keys[begin + from];
+        };
+        std::size_t stop = 0;
+        while (stop < size && repeats(stop)) ++stop;
+        if (stop == size) {
+            std::fill_n(repeat.begin() + begin, size, UINT16_MAX);
+            return;
+        }
+        std::uint16_t next = 0;
+        for (std::size_t n = 0, i = stop; n < size;
+             ++n, i = i == 0 ? size - 1 : i - 1) {
+            next = repeats(i) ? extend(next) : 0;
+            repeat[begin + i] = next;
         }
     };
     fill(script.repeat_prev, 1);
-    if (!script.looping) fill(script.repeat_pass, script.pass_ops);
+    fill(script.repeat_pass, script.pass_ops);
 }
 
 }  // namespace

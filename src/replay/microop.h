@@ -147,9 +147,10 @@ struct MicroOpScript {
     /// the op `pass_ops` earlier, pass_ops being the op count of the
     /// program's first body pass. "Repeat" means an equal timing_key
     /// and, for an op whose baked L2 miss goes to DRAM, the same DRAM
-    /// row.
-    /// Both saturate at UINT16_MAX; a looping script (never a
-    /// fast-forwarding scua) has no repeat_pass.
+    /// row. In the loop region both count as the cursor walks it:
+    /// modulo the region, the op before loop_start being the region's
+    /// last (the body's end, which charges loop control). Both
+    /// saturate at UINT16_MAX.
     std::uint32_t pass_ops = 0;
     std::vector<std::uint16_t> repeat_prev;
     std::vector<std::uint16_t> repeat_pass;

@@ -20,9 +20,10 @@
 // value.
 //
 // Lease affinity: workers keep per-thread machine caches keyed by
-// MachineConfig::fingerprint (engine::MachineLease). The dispatch loop
-// prefers handing a worker another item of the fingerprint it just ran
-// — the machine is hot in its cache — and falls back to *stealing* from
+// config (engine::MachineLease); work is bucketed by
+// MachineConfig::fingerprint. The dispatch loop prefers handing a
+// worker another item of the fingerprint it just ran — the machine is
+// hot in its cache — and falls back to *stealing* from
 // the fingerprint class with the most work left, so no core ever idles
 // while any queue is non-empty. Dispatch decisions are observable via
 // the sched_* telemetry counters (hits + steals == dispatches).

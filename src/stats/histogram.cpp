@@ -1,7 +1,9 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
 #include "sim/contract.h"
 
@@ -132,6 +134,51 @@ void Histogram::merge(const Histogram& other) {
         if (other.dense_[v] != 0) add(v, other.dense_[v]);
     }
     for (const auto& [value, count] : other.overflow_) add(value, count);
+}
+
+void ObservationLog::note_slow(Histogram& histogram,
+                               std::uint64_t value) noexcept {
+    if (overflowed_) return;
+    if (value > UINT32_MAX) {
+        overflowed_ = true;
+        return;
+    }
+    // Open addressing over twice the capacity, on the stack: the log's
+    // own storage stays one entry per pair. A slot holds an entry's
+    // index + 1. The entries merge in place, in first-seen order.
+    constexpr int kSlotBits = 9;
+    constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+    static_assert(kSlots >= 2 * kCapacity);
+    std::array<std::uint16_t, kSlots> slots{};
+    std::size_t kept = 0;
+    // Counts or keeps one entry; false when it fits neither.
+    const auto merge = [&](const Entry entry) {
+        std::size_t slot =
+            ((reinterpret_cast<std::uintptr_t>(entry.histogram) ^
+              std::uint64_t{entry.value} << 32) *
+             0x9E37'79B9'7F4A'7C15ULL) >>
+            (64 - kSlotBits);
+        for (;; slot = (slot + 1) % kSlots) {
+            if (slots[slot] == 0) {
+                if (kept == kCapacity) return false;
+                entries_[kept++] = entry;
+                slots[slot] = static_cast<std::uint16_t>(kept);
+                return true;
+            }
+            Entry& same = entries_[slots[slot] - 1];
+            if (same.histogram == entry.histogram &&
+                same.value == entry.value) {
+                if (same.count > UINT32_MAX - entry.count) return false;
+                same.count += entry.count;
+                return true;
+            }
+        }
+    };
+    bool fits = true;
+    for (std::size_t i = 0; i < size_; ++i) fits &= merge(entries_[i]);
+    fits &= merge({&histogram, static_cast<std::uint32_t>(value), 1});
+    size_ = kept;
+    overflowed_ = !fits;
 }
 
 }  // namespace rrb

@@ -87,18 +87,26 @@ private:
 /// A bounded log of histogram observations. The steady-state
 /// fast-forward (Machine::run_core, docs/replay.md) logs one recorded
 /// period's observations and re-adds each of them once per skipped
-/// period. Storage is sized at construction: a period that outgrows it
-/// only marks the log overflowed, and that period is then not skipped.
+/// period. An entry is a (histogram, value) pair with a count: notes
+/// append, and a full log merges its equal pairs, so a period fits while
+/// it holds at most kCapacity distinct pairs however many observations
+/// it makes (the estimator's rsk-nop periods: up to 2,520 observations
+/// on at most 62 pairs). Storage is sized at construction: a period that
+/// outgrows it, or observes a value above 32 bits, only marks the log
+/// overflowed, and that period is then not skipped.
 class ObservationLog {
 public:
-    explicit ObservationLog(std::size_t capacity) : entries_(capacity) {}
+    static constexpr std::size_t kCapacity = 256;
+
+    ObservationLog() : entries_(kCapacity) {}
 
     void note(Histogram& histogram, std::uint64_t value) noexcept {
-        if (size_ == entries_.size()) {
-            overflowed_ = true;
+        if (size_ < kCapacity && value <= UINT32_MAX) [[likely]] {
+            entries_[size_++] = {&histogram,
+                                 static_cast<std::uint32_t>(value), 1};
             return;
         }
-        entries_[size_++] = {&histogram, value};
+        note_slow(histogram, value);
     }
 
     void clear() noexcept {
@@ -112,15 +120,21 @@ public:
     /// spans it.
     void replay(std::uint64_t times) const {
         for (std::size_t i = 0; i < size_; ++i) {
-            entries_[i].histogram->add(entries_[i].value, times);
+            const Entry& entry = entries_[i];
+            entry.histogram->add(entry.value, entry.count * times);
         }
     }
 
 private:
     struct Entry {
         Histogram* histogram = nullptr;
-        std::uint64_t value = 0;
+        std::uint32_t value = 0;
+        std::uint32_t count = 0;
     };
+    /// A note into a full log (merge equal pairs, then count or append
+    /// the new one) or of a value too large to log.
+    void note_slow(Histogram& histogram, std::uint64_t value) noexcept;
+
     std::vector<Entry> entries_;
     std::size_t size_ = 0;
     bool overflowed_ = false;

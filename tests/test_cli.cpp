@@ -770,9 +770,10 @@ std::string read_file(const std::string& path) {
 
 TEST(Cli, EstimateMatchesTheGoldenSweeps) {
     // tests/golden/estimate-*.{csv,txt} were written by rrbtool before
-    // the estimator replayed: the paper's numbers, pinned byte for byte
-    // against every later speed-up. The .txt holds stdout with the CSV
-    // written to the golden file's own name.
+    // the estimator replayed (estimate-c8: before its runs
+    // fast-forwarded): the paper's numbers, pinned byte for byte against
+    // every later speed-up. The .txt holds stdout with the CSV written
+    // to the golden file's own name.
     const struct {
         std::string name;
         std::vector<std::string> args;
@@ -781,6 +782,8 @@ TEST(Cli, EstimateMatchesTheGoldenSweeps) {
         {"estimate-c6-l5",
          {"--cores", "6", "--lbus", "5", "--kmax", "80", "--iterations",
           "20"}},
+        {"estimate-c8",
+         {"--cores", "8", "--kmax", "160", "--iterations", "20"}},
     };
     for (const auto& golden : goldens) {
         const std::string dir = std::string(RRB_SOURCE_DIR) + "/tests/golden/";

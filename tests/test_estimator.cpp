@@ -282,6 +282,14 @@ TEST(EstimatorOracle, PlatformsMatchTheFreshMachineInterpreter) {
     for (const auto& [name, cfg] : platforms) {
         expect_estimates_match_oracle(cfg, oracle_options(cfg), name);
     }
+    // Ten iterations barely reach a steady state; at forty the
+    // steady-state fast-forward skips most of every run's periods.
+    for (const auto& [name, cfg] : {platforms[0], platforms[2]}) {
+        UbdEstimatorOptions opt = oracle_options(cfg);
+        opt.rsk_iterations = 40;
+        expect_estimates_match_oracle(cfg, opt,
+                                      std::string(name) + " at 40 iterations");
+    }
 }
 
 TEST(EstimatorOracle, L1PoliciesAndSlowNopsMatchTheOracle) {

@@ -104,6 +104,60 @@ TEST(Histogram, Merge) {
     EXPECT_EQ(a.count(7), 1u);
 }
 
+TEST(ObservationLog, EqualPairsCoalesceAndReplayTheirCounts) {
+    // Far more observations than entries, on a few (histogram, value)
+    // pairs: the full log merges equal pairs instead of overflowing, and
+    // replay adds each pair count × times — the histograms then hold
+    // 1 + times copies of what was observed.
+    Histogram a;
+    Histogram b;
+    ObservationLog log;
+    for (std::uint64_t i = 0; i < 5'000; ++i) {
+        observe(a, i % 7, &log);
+        if (i % 3 == 0) observe(b, 4'000 + i % 2, &log);
+    }
+    ASSERT_FALSE(log.overflowed());
+    const Histogram a_once = a;
+    const Histogram b_once = b;
+    log.replay(4);
+    EXPECT_EQ(a.total(), 5 * a_once.total());
+    EXPECT_EQ(b.total(), 5 * b_once.total());
+    for (const auto& [value, count] : a_once.buckets()) {
+        EXPECT_EQ(a.count(value), 5 * count) << value;
+    }
+    for (const auto& [value, count] : b_once.buckets()) {
+        EXPECT_EQ(b.count(value), 5 * count) << value;
+    }
+
+    // clear() forgets the period: nothing more to replay.
+    log.clear();
+    log.replay(9);
+    EXPECT_EQ(a.total(), 5 * a_once.total());
+}
+
+TEST(ObservationLog, TheFirstPairPastCapacityOverflows) {
+    Histogram h;
+    ObservationLog log;
+    for (std::uint64_t v = 0; v < ObservationLog::kCapacity; ++v) {
+        observe(h, v, &log);
+    }
+    // A full log of distinct pairs still counts a repeated pair.
+    observe(h, 7, &log);
+    ASSERT_FALSE(log.overflowed());
+    log.replay(2);
+    EXPECT_EQ(h.count(7), 6u);
+    EXPECT_EQ(h.count(0), 3u);
+
+    observe(h, ObservationLog::kCapacity, &log);  // the 257th pair
+    EXPECT_TRUE(log.overflowed());
+    log.clear();
+    EXPECT_FALSE(log.overflowed());
+
+    // A value beyond 32 bits cannot be logged either.
+    observe(h, std::uint64_t{1} << 32, &log);
+    EXPECT_TRUE(log.overflowed());
+}
+
 /// Random histogram over a small value domain so merges collide often.
 Histogram random_histogram(std::uint64_t seed, std::size_t entries) {
     Pcg32 rng(seed);

@@ -294,6 +294,39 @@ std::uint64_t accounted_cycles(const Machine& m) {
     return cycles;
 }
 
+/// One run of `scua` against `contenders` on the leased machine —
+/// replaying, cycle skipping, fast-forwarding — and on a fresh naively
+/// stepped machine, armed or not: every statistic, histogram and
+/// attribution cell must agree, and every cycle must be accounted for by
+/// step kind. Returns the periods the leased run fast-forwarded.
+std::uint64_t expect_fast_forward_exact(
+    engine::MachineLease& lease, const MachineConfig& config,
+    const Program& scua, const std::vector<Program>& contenders,
+    const HwmCampaignOptions& options, std::uint64_t run, bool armed,
+    const std::string& what) {
+    Machine& hot = lease.machine();
+    if (armed) hot.arm_attribution();
+    const Cycle hot_finish = detail::execute_campaign_run(
+        hot, lease.campaign(), scua, contenders, options, run,
+        &lease.scripts());
+    Machine ref(config);
+    ref.set_cycle_skipping(false);
+    if (armed) ref.arm_attribution();
+    std::uint64_t no_campaign = 0;
+    const Cycle ref_finish = detail::execute_campaign_run(
+        ref, no_campaign, scua, contenders, options, run);
+    EXPECT_EQ(hot_finish, ref_finish) << what;
+    expect_same_measurement(
+        detail::snapshot_measurement(hot, 0, hot_finish, false),
+        detail::snapshot_measurement(ref, 0, ref_finish, false), what);
+    expect_same_machine(hot, ref, what);
+    EXPECT_EQ(accounted_cycles(hot), hot.now()) << what;
+    EXPECT_EQ(accounted_cycles(ref), ref.now()) << what;
+    EXPECT_EQ(ref.periods_fast_forwarded(), 0u) << what;
+    hot.disarm_attribution();
+    return hot.periods_fast_forwarded();
+}
+
 TEST(HotPathDifferential, LongScuasFastForwardBitIdentically) {
     // The steady-state fast-forward skips whole scua loop-body periods.
     // Long cacheb scuas make it skip many of them: 150 iterations is
@@ -324,39 +357,107 @@ TEST(HotPathDifferential, LongScuasFastForwardBitIdentically) {
             options.seed = 3;
             for (const bool armed : {false, true}) {
                 engine::MachineLease lease(point.config);
-                Machine& hot = lease.machine();
                 for (std::uint64_t run = 0; run < options.runs; ++run) {
                     const std::string what =
                         point.name + "/cacheb" + std::to_string(iterations) +
                         (armed ? "/armed" : "") + "/run" +
                         std::to_string(run);
-                    if (armed) hot.arm_attribution();
-                    const Cycle hot_finish = detail::execute_campaign_run(
-                        hot, lease.campaign(), scua, contenders, options,
-                        run, &lease.scripts());
-                    Machine ref(point.config);
-                    ref.set_cycle_skipping(false);
-                    if (armed) ref.arm_attribution();
-                    std::uint64_t no_campaign = 0;
-                    const Cycle ref_finish = detail::execute_campaign_run(
-                        ref, no_campaign, scua, contenders, options, run);
-                    EXPECT_EQ(hot_finish, ref_finish) << what;
-                    expect_same_measurement(
-                        detail::snapshot_measurement(hot, 0, hot_finish,
-                                                     false),
-                        detail::snapshot_measurement(ref, 0, ref_finish,
-                                                     false),
-                        what);
-                    expect_same_machine(hot, ref, what);
-                    EXPECT_EQ(accounted_cycles(hot), hot.now()) << what;
-                    EXPECT_EQ(accounted_cycles(ref), ref.now()) << what;
-                    EXPECT_EQ(ref.periods_fast_forwarded(), 0u) << what;
+                    const std::uint64_t periods = expect_fast_forward_exact(
+                        lease, point.config, scua, contenders, options, run,
+                        armed, what);
                     if (point.name == "tdma") {
-                        EXPECT_EQ(hot.periods_fast_forwarded(), 0u) << what;
+                        EXPECT_EQ(periods, 0u) << what;
                     } else {
-                        EXPECT_GT(hot.periods_fast_forwarded(), 0u) << what;
+                        EXPECT_GT(periods, 0u) << what;
                     }
-                    hot.disarm_attribution();
+                }
+            }
+        }
+    }
+}
+
+TEST(HotPathDifferential, LoopingScuasFastForwardBitIdentically) {
+    // The estimator's scuas loop: an rsk-nop script re-enters a loop
+    // region of one or more bodies (four on scaled(8,9) at large k), so
+    // the fast-forward moves every cursor modulo its loop region and
+    // stops before the scua's tail. k spans the saw-tooth — 0, either
+    // side of ubd, and 2·ubd + 3 where the scua misses whole rounds —
+    // and 10, 40 and 200 iterations leave the loop 2 to 199 passes.
+    // Each isolation and contention run, with the estimator's protocol
+    // (no release offsets), must equal fresh naive stepping, armed or
+    // not. TDMA runs and runs with store programs (a live L2 partition)
+    // never skip. Every isolation run skips, and every load-contender
+    // sweep on a round-robin bus, except where the design forbids it:
+    // refresh windows 1,560 cycles apart leave room for two periods only
+    // at k = 0 in isolation, and under WRR the scua's three slots a
+    // round keep a contender's 40-load pass from spanning whole periods.
+    std::vector<GridPoint> grid = {
+        {"ngmp_ref", MachineConfig::ngmp_ref()},
+        {"scaled_8x9", MachineConfig::scaled(8, 9)},
+        {"scaled_6x5", MachineConfig::scaled(6, 5)},
+        {"scaled_2x9", MachineConfig::scaled(2, 9)},
+    };
+    for (GridPoint& point : config_grid()) {
+        if (point.name == "wrr" || point.name == "refresh" ||
+            point.name == "tdma") {
+            grid.push_back(std::move(point));
+        }
+    }
+    ASSERT_EQ(grid.size(), 7u);
+    HwmCampaignOptions options;
+    options.runs = 1;
+    options.max_start_delay = 0;
+    for (const GridPoint& point : grid) {
+        const MachineConfig& config = point.config;
+        const Cycle ubd = config.ubd_analytic();
+        const bool periodic_dram = point.name != "refresh";
+        const bool round_robin = point.name.rfind("scaled", 0) == 0 ||
+                                 point.name == "ngmp_ref";
+        const struct {
+            std::string name;
+            std::vector<Program> programs;
+        } contender_sets[] = {
+            {"isolation", {}},
+            {"load", make_rsk_contenders(config, OpKind::kLoad, 8)},
+            {"store", make_rsk_contenders(config, OpKind::kStore, 8)},
+        };
+        for (const auto& [contention, contenders] : contender_sets) {
+            for (const bool armed : {false, true}) {
+                engine::MachineLease lease(config);
+                std::uint64_t periods = 0;
+                for (const Cycle k : {Cycle{0}, ubd - 1, ubd, 2 * ubd + 3}) {
+                    for (const std::uint64_t iterations :
+                         {10ULL, 40ULL, 200ULL}) {
+                        RskParams params;
+                        params.dl1_geometry = config.core.dl1_geometry;
+                        params.il1_geometry = config.core.il1_geometry;
+                        params.unroll = 8;
+                        params.iterations = iterations;
+                        params.data_base = 0x0010'0000;
+                        const Program scua = make_rsk_nop(
+                            params, static_cast<std::uint32_t>(k));
+                        const std::string what =
+                            point.name + "/" + contention + "/k" +
+                            std::to_string(k) + "/i" +
+                            std::to_string(iterations) +
+                            (armed ? "/armed" : "");
+                        const std::uint64_t run_periods =
+                            expect_fast_forward_exact(lease, config, scua,
+                                                      contenders, options, 0,
+                                                      armed, what);
+                        if (contention == "isolation" && periodic_dram &&
+                            point.name != "tdma") {
+                            EXPECT_GT(run_periods, 0u) << what;
+                        }
+                        periods += run_periods;
+                    }
+                }
+                const std::string what =
+                    point.name + "/" + contention + (armed ? "/armed" : "");
+                if (point.name == "tdma" || contention == "store") {
+                    EXPECT_EQ(periods, 0u) << what;
+                } else if (contention == "isolation" || round_robin) {
+                    EXPECT_GT(periods, 0u) << what;
                 }
             }
         }

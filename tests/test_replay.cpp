@@ -257,6 +257,62 @@ TEST(ScriptDecode, RepeatBoundsStopWhereTheWalkChanges) {
     EXPECT_LT(script->repeat_prev[body(1)], 32u);
 }
 
+TEST(ScriptDecode, LoopRegionRepeatBoundsWrap) {
+    // The estimator's 8-core scua at k = 160: five groups of five loads,
+    // each followed by 160 nops (547 ops a body), twenty iterations. Its
+    // loop region holds four bodies and the tail three. In the region
+    // the bounds count as the cursor walks it, modulo the region: every
+    // body repeats the one before it, so the body-lag bound never ends,
+    // while the region's first op (a load) does not repeat the region's
+    // last (the body's closing nops, loop control folded in).
+    const MachineConfig config = MachineConfig::scaled(8, 9);
+    Machine machine(config);
+    const replay::L2PartitionSpec spec = partition_spec(machine, config, 0);
+    RskParams params;
+    params.dl1_geometry = config.core.dl1_geometry;
+    params.il1_geometry = config.core.il1_geometry;
+    params.unroll = 5;
+    params.iterations = 20;
+    params.data_base = 0x0010'0000;
+    const auto scua = replay::decode_program(make_rsk_nop(params, 160),
+                                             config.core, 0, &spec);
+    ASSERT_NE(scua, nullptr);
+    ASSERT_TRUE(scua->looping);
+    ASSERT_EQ(scua->pass_ops, 547u);
+    EXPECT_EQ(scua->loop_start, 547u);
+    EXPECT_EQ(scua->tail_start - scua->loop_start, 4 * 547u);
+    EXPECT_EQ(scua->ops.size() - scua->tail_start, 3 * 547u);
+    for (std::uint32_t i = scua->loop_start; i < scua->tail_start; ++i) {
+        ASSERT_EQ(scua->repeat_pass[i], UINT16_MAX) << "op " << i;
+    }
+    EXPECT_EQ(scua->repeat_prev[scua->loop_start], 0u);
+    // Straight regions stop at their end: the tail's last body repeats
+    // the one before it up to the script's last op.
+    EXPECT_EQ(scua->repeat_pass[scua->ops.size() - 547], 547u);
+
+    // A load contender: one 40-load pass whose last load (kWrap)
+    // charges loop control. At lag 1 every run stops at the kWrap op
+    // and at the load after it — the region's first, across the wrap.
+    Program contender = make_rsk_contenders(config, OpKind::kLoad, 8)[0];
+    contender.iterations = 1'000;
+    const auto rsk = replay::decode_program(contender, config.core, 1,
+                                            &spec);
+    ASSERT_NE(rsk, nullptr);
+    ASSERT_TRUE(rsk->looping);
+    const std::uint32_t begin = rsk->loop_start;
+    const std::uint32_t end = rsk->tail_start;
+    ASSERT_EQ(end - begin, 40u);
+    ASSERT_NE(rsk->ops[end - 1].flags & replay::MicroOp::kWrap, 0);
+    EXPECT_EQ(rsk->repeat_prev[begin], 0u);
+    EXPECT_EQ(rsk->repeat_prev[begin + 1], 38u);
+    EXPECT_EQ(rsk->repeat_prev[end - 2], 1u);
+    EXPECT_EQ(rsk->repeat_prev[end - 1], 0u);
+    // The pass lag is the region itself: every op repeats.
+    EXPECT_EQ(rsk->pass_ops, 40u);
+    EXPECT_EQ(rsk->repeat_pass[begin], UINT16_MAX);
+    EXPECT_EQ(rsk->repeat_pass[end - 1], UINT16_MAX);
+}
+
 TEST(PrepareScripts, SharesOneScriptAcrossEqualPrograms) {
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);
