@@ -228,27 +228,50 @@ std::uint64_t Cache::state_fingerprint() const {
     // and the L2 partition replica at every body wrap.
     WordHash h;
     const std::uint32_t ways = geometry_.ways;
-    const bool ordered = replacement_ == ReplacementPolicy::kLru ||
-                         replacement_ == ReplacementPolicy::kFifo;
-    // Valid lines only, each after the count of invalid lines before
-    // it: the replicas the decoder fingerprints are mostly empty, so the
-    // scan is what costs.
+    if (replacement_ == ReplacementPolicy::kLru ||
+        replacement_ == ReplacementPolicy::kFifo) {
+        // Which way holds a line is unobservable here: a hit finds it by
+        // tag, a fill takes an invalid way or the smallest order, and
+        // either outcome names the line, not the way. So each set's
+        // valid lines are hashed in order rank (orders are unique
+        // ticks), one word each: the line number, which names the set,
+        // and the dirty bit. Sets come in index order, so the words also
+        // tell how many lines each set holds. The scan skips invalid
+        // lines one compare each: the replicas are mostly empty.
+        for (std::size_t idx = 0; idx < valid_gen_.size(); ++idx) {
+            if (valid_gen_[idx] != generation_) continue;
+            // idx is its set's first valid way.
+            const std::size_t end = idx - idx % ways + ways;
+            const std::uint64_t set = idx / ways;
+            const auto next_after = [&](std::uint64_t after) {
+                std::size_t next = end;
+                for (std::size_t w = idx; w < end; ++w) {
+                    if (valid_gen_[w] == generation_ &&
+                        meta_[w].order > after &&
+                        (next == end || meta_[w].order < meta_[next].order)) {
+                        next = w;
+                    }
+                }
+                return next;
+            };
+            for (std::size_t w = next_after(0); w != end;
+                 w = next_after(meta_[w].order)) {
+                const std::uint64_t line = tags_[w] << set_shift_ | set;
+                h.u64(line << 1 | (meta_[w].dirty ? 1 : 0));
+            }
+            idx = end - 1;
+        }
+        return h.value();
+    }
+    // PLRU and random victims name a way, so lines are hashed in way
+    // order: valid lines only, each after the count of invalid lines
+    // before it — the replicas the decoder fingerprints are mostly
+    // empty, so the scan is what costs.
     std::size_t next = 0;  // first line not yet accounted for
     for (std::size_t idx = 0; idx < valid_gen_.size(); ++idx) {
         if (valid_gen_[idx] != generation_) continue;
-        // Absolute order ticks grow forever; only their per-set rank
-        // among valid ways is behaviorally meaningful.
-        std::uint64_t rank = 0;
-        const std::size_t first_way = idx - idx % ways;
-        for (std::size_t o = first_way; ordered && o < first_way + ways;
-             ++o) {
-            if (valid_gen_[o] == generation_ &&
-                meta_[o].order < meta_[idx].order) {
-                ++rank;
-            }
-        }
-        // The gap fits 32 bits (no cache has 2^32 lines), rank < ways.
-        h.u64((idx - next) << 32 | rank << 1 | (meta_[idx].dirty ? 1 : 0));
+        // The gap fits 32 bits (no cache has 2^32 lines).
+        h.u64((idx - next) << 32 | (meta_[idx].dirty ? 1 : 0));
         h.u64(tags_[idx]);
         next = idx + 1;
     }

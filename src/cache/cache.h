@@ -187,11 +187,13 @@ public:
         }
     }
 
-    /// Canonical hash of the functional state: per-line validity and
-    /// tags, replacement state in a representation-independent form
-    /// (LRU/FIFO orders as per-set ranks, not absolute ticks; PLRU
-    /// bits; the victim RNG state), and nothing else. Two caches with
-    /// equal fingerprints produce identical outcome sequences for any
+    /// Canonical hash of the functional state, and nothing else: under
+    /// LRU/FIFO each set's valid lines and dirty bits in order-rank
+    /// order, whatever ways hold them (absolute ticks and way positions
+    /// are unobservable); under PLRU and random replacement, whose
+    /// victims name a way, per-way validity, tags and dirty bits plus
+    /// the PLRU bits or the victim RNG state. Two caches with equal
+    /// fingerprints produce identical outcome sequences for any
     /// identical future access stream. Statistics are excluded. Used by
     /// the replay decoder's loop detection (src/replay/decode.cpp).
     [[nodiscard]] std::uint64_t state_fingerprint() const;

@@ -1,6 +1,7 @@
 #include "cpu/core.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/contract.h"
 
@@ -558,18 +559,22 @@ std::uint64_t InOrderCore::repeatable_periods(std::uint64_t period_ops) const
     at_lag(1, script.repeat_prev);
     at_lag(script.pass_ops, script.repeat_pass);
     if (cyclic && best > 0) {
-        // Loop passes the cursor still begins, this one included: the
-        // tail holds the last tail_instrs instructions, and every pass
-        // retires at least one before the cursor reaches its end.
-        const std::uint64_t passes =
-            (remaining_instrs_ - script.tail_instrs + script.loop_instrs -
-             1) /
-            script.loop_instrs;
-        const std::uint64_t ahead =
-            script.tail_start - rp_ + (passes - 1) * loop_ops;
+        const std::uint64_t ahead = loop_ops_ahead();
         best = std::min(best, ahead < 2 ? 0 : (ahead - 2) / d);
     }
     return best;
+}
+
+std::uint64_t InOrderCore::loop_ops_ahead() const noexcept {
+    // Loop passes the cursor still begins, this one included: the tail
+    // holds the last tail_instrs instructions, and every pass retires at
+    // least one before the cursor reaches its end.
+    const replay::MicroOpScript& script = *script_;
+    const std::uint64_t passes =
+        (remaining_instrs_ - script.tail_instrs + script.loop_instrs - 1) /
+        script.loop_instrs;
+    return script.tail_start - rp_ +
+           (passes - 1) * (script.tail_start - script.loop_start);
 }
 
 bool InOrderCore::may_repeat(std::uint64_t period_ops) const noexcept {
@@ -588,6 +593,26 @@ bool InOrderCore::may_repeat(std::uint64_t period_ops) const noexcept {
     };
     return serves(1, script.repeat_prev) ||
            serves(script.pass_ops, script.repeat_pass);
+}
+
+std::uint64_t InOrderCore::whole_pass_periods(std::uint64_t period_ops) const
+    noexcept {
+    if (period_ops == 0) return 1;
+    if (!in_loop_region()) return 0;
+    // At a lag whose bound saturates, every op of the region repeats the
+    // op that lag earlier, so m periods repeat wherever the cursor
+    // stands once the lag divides m·period_ops.
+    const replay::MicroOpScript& script = *script_;
+    std::uint64_t best = 0;
+    const auto at_lag = [&](std::uint64_t lag,
+                            const std::vector<std::uint16_t>& repeat) {
+        if (lag == 0 || repeat[script.loop_start] != UINT16_MAX) return;
+        const std::uint64_t m = lag / std::gcd(lag, period_ops);
+        if (best == 0 || m < best) best = m;
+    };
+    at_lag(1, script.repeat_prev);
+    at_lag(script.pass_ops, script.repeat_pass);
+    return best;
 }
 
 void InOrderCore::fast_forward(std::uint64_t ops, std::uint64_t instrs,

@@ -306,6 +306,19 @@ public:
     /// periods.
     [[nodiscard]] bool may_repeat(std::uint64_t period_ops) const noexcept;
 
+    /// The fewest periods of `period_ops` ops after which the cursor has
+    /// walked whole passes of its loop region: the smallest m for which
+    /// a lag whose repeat bound saturates over the region divides
+    /// m·period_ops — every op then repeats the op m periods earlier,
+    /// wherever the cursor stands. 1 for a period without ops; 0 when
+    /// the cursor is outside its loop region or no lag saturates.
+    [[nodiscard]] std::uint64_t whole_pass_periods(
+        std::uint64_t period_ops) const noexcept;
+
+    /// Script ops the cursor still walks before the tail. Precondition:
+    /// the cursor is in its loop region.
+    [[nodiscard]] std::uint64_t loop_ops_ahead() const noexcept;
+
     /// Skips `ops` script ops that retire `instrs` instructions (modulo
     /// the loop region while the cursor is in it) and moves every
     /// absolute cycle of the core `delta` cycles later — the state naive

@@ -1,6 +1,7 @@
 #include "isa/program.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/contract.h"
 #include "sim/fnv.h"
@@ -137,7 +138,7 @@ Program make_trace_program(const std::vector<TraceOp>& trace,
                 break;
         }
     }
-    return b.build();
+    return std::move(b).build();
 }
 
 ProgramBuilder::ProgramBuilder(std::string name) {
@@ -157,18 +158,16 @@ ProgramBuilder& ProgramBuilder::store(AddrPattern addr) {
 ProgramBuilder& ProgramBuilder::nop(std::uint32_t count,
                                     std::uint32_t latency) {
     RRB_REQUIRE(latency >= 1, "latency must be at least one cycle");
-    for (std::uint32_t i = 0; i < count; ++i) {
-        prog_.body.push_back({OpKind::kNop, latency, {}});
-    }
+    prog_.body.insert(prog_.body.end(), count,
+                      Instruction{OpKind::kNop, latency, {}});
     return *this;
 }
 
 ProgramBuilder& ProgramBuilder::alu(std::uint32_t count,
                                     std::uint32_t latency) {
     RRB_REQUIRE(latency >= 1, "latency must be at least one cycle");
-    for (std::uint32_t i = 0; i < count; ++i) {
-        prog_.body.push_back({OpKind::kAlu, latency, {}});
-    }
+    prog_.body.insert(prog_.body.end(), count,
+                      Instruction{OpKind::kAlu, latency, {}});
     return *this;
 }
 
@@ -197,9 +196,14 @@ ProgramBuilder& ProgramBuilder::loop_control(std::uint32_t cycles) {
     return *this;
 }
 
-Program ProgramBuilder::build() const {
+Program ProgramBuilder::build() const& {
     RRB_REQUIRE(!prog_.body.empty(), "program body must not be empty");
     return prog_;
+}
+
+Program ProgramBuilder::build() && {
+    RRB_REQUIRE(!prog_.body.empty(), "program body must not be empty");
+    return std::move(prog_);
 }
 
 }  // namespace rrb

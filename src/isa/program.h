@@ -137,7 +137,9 @@ public:
     ProgramBuilder& code_base(Addr base);
     ProgramBuilder& loop_control(std::uint32_t cycles);
 
-    [[nodiscard]] Program build() const;
+    [[nodiscard]] Program build() const&;
+    /// build() that moves the program out of a builder that is done.
+    [[nodiscard]] Program build() &&;
 
 private:
     Program prog_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "sim/contract.h"
 
@@ -64,7 +65,7 @@ Program make_rsk_nop(RskParams params, std::uint32_t k) {
     }
     b.iterations(params.iterations);
     b.loop_control(2);
-    return b.build();
+    return std::move(b).build();
 }
 
 Program make_rsk_l2miss(RskParams params, std::uint64_t footprint_bytes,
@@ -100,7 +101,7 @@ Program make_rsk_l2miss(RskParams params, std::uint64_t footprint_bytes,
     }
     b.iterations(params.iterations);
     b.loop_control(2);
-    return b.build();
+    return std::move(b).build();
 }
 
 Program make_nop_kernel(std::size_t body_nops, std::uint64_t iterations,
@@ -112,7 +113,7 @@ Program make_nop_kernel(std::size_t body_nops, std::uint64_t iterations,
     b.nop(static_cast<std::uint32_t>(body_nops), nop_latency);
     b.iterations(iterations);
     b.loop_control(2);
-    return b.build();
+    return std::move(b).build();
 }
 
 }  // namespace rrb

@@ -17,9 +17,13 @@
 // limit is not passed. The machine then moves every absolute cycle k·P
 // later and adds k times the period's change to every counter,
 // histogram and attribution cell: the state and statistics naive
-// stepping would reach, without the steps. A run where no skip can come
-// stops the bookkeeping (at_scua_boundary).
+// stepping would reach, without the steps. When one body cannot repeat
+// because a contender's loop wraps at a different op every body, the
+// period compared becomes a super-period of m bodies after which every
+// loop has walked whole passes (Machine::super_period). A run where no
+// skip can come stops the bookkeeping (at_scua_boundary).
 #include <algorithm>
+#include <numeric>
 
 #include "machine/machine.h"
 
@@ -82,8 +86,9 @@ void Machine::begin_fast_forward(CoreId scua) {
     ff_.body = target.program().body.size();
     ff_.total = target.program().total_instructions();
     ff_.boundary_above = next_scua_boundary(target.remaining_instructions());
-    ff_.boundary_at = now_;
     ff_.state_size = 0;
+    ff_.stride = 1;
+    ff_.uncaptured = 0;
     ff_.recorded = false;
 }
 
@@ -121,9 +126,14 @@ void Machine::at_scua_boundary(CoreId scua, Cycle& next_hint, Cycle limit) {
         return;
     }
     ff_.boundary_above = next_scua_boundary(target.remaining_instructions());
+    if (ff_.uncaptured > 0) {
+        // Inside a super-period: only its end is compared.
+        --ff_.uncaptured;
+        return;
+    }
     const Cycle period = now_ - ff_.boundary_at;
-    ff_.boundary_at = now_;
     const bool same = capture_state();
+    std::uint64_t stride = 1;
     if (same && ff_.recorded) {
         const std::uint64_t periods = skippable_periods(period, limit);
         if (periods > 0) {
@@ -132,17 +142,26 @@ void Machine::at_scua_boundary(CoreId scua, Cycle& next_hint, Cycle limit) {
             // just captured; the next iteration steps (next event and
             // quiet horizon "unknown").
             next_hint = now_;
-            ff_.boundary_at = now_;
             ff_.boundary_above =
                 next_scua_boundary(target.remaining_instructions());
-        } else if (!periods_may_repeat()) {
-            // The state repeats, but some core's ops never can over a
-            // period this long — a loop whose phase moves every period.
-            // Matching again would only find the same period.
-            give_up();
-            return;
+        } else if (ff_.stride == 1 && !periods_may_repeat()) {
+            // The state repeats, but some core's ops never can over one
+            // body — a loop whose phase moves every body. They can over
+            // m bodies that walk whole passes of every loop: record this
+            // boundary and compare m bodies later.
+            stride = super_period(scua);
+            if (stride == 0) {
+                give_up();
+                return;
+            }
         }
+    } else if (ff_.stride > 1) {
+        // A super-period that did not repeat: its neighbours move too.
+        give_up();
+        return;
     }
+    ff_.stride = stride;
+    ff_.uncaptured = stride - 1;
     record_boundary();
 }
 
@@ -156,6 +175,30 @@ bool Machine::periods_may_repeat() const noexcept {
         }
     }
     return true;
+}
+
+std::uint64_t Machine::super_period(CoreId scua) const noexcept {
+    const InOrderCore& target = *cores_[scua];
+    // No super-period outlasts the scua's remaining bodies.
+    const std::uint64_t cap = target.remaining_instructions() / ff_.body;
+    std::uint64_t m = 1;
+    for (CoreId c = 0; c < cores_.size(); ++c) {
+        if (!has_program_[c]) continue;
+        const InOrderCore& core = *cores_[c];
+        if (core.phase(now_) != InOrderCore::Phase::kActive) continue;
+        const std::uint64_t periods =
+            core.whole_pass_periods(core.ops_done() - ff_.marks[c].ops_done);
+        if (periods == 0) return 0;
+        const std::uint64_t factor = periods / std::gcd(m, periods);
+        if (factor > cap / m) return 0;
+        m *= factor;
+    }
+    // The super-period recorded from here and one skipped one must end
+    // before the scua's tail, with the lookahead op
+    // InOrderCore::repeatable_periods asks for.
+    const std::uint64_t body_ops =
+        target.ops_done() - ff_.marks[scua].ops_done;
+    return target.loop_ops_ahead() >= 2 * m * body_ops + 2 ? m : 0;
 }
 
 bool Machine::capture_state() {
@@ -299,7 +342,7 @@ void Machine::skip_periods(std::uint64_t periods, Cycle period) {
     if (attr_ != nullptr) attribution_.active_grant() += delta;
     now_ += delta;
     quiet_until_ = now_;  // unknown: the next step recomputes it
-    periods_fast_forwarded_ += periods;
+    periods_fast_forwarded_ += periods * ff_.stride;  // scua bodies
     cycles_fast_forwarded_ += delta;
 }
 
@@ -315,6 +358,7 @@ void Machine::record_boundary() {
     }
     ff_.dram_reads = dram_.stats().reads;
     ff_.dram_writes = dram_.stats().writes;
+    ff_.boundary_at = now_;
     ff_.log.clear();
     ff_.recorded = true;
 }

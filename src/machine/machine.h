@@ -313,6 +313,14 @@ private:
     /// period just recorded from any cursor position
     /// (InOrderCore::may_repeat).
     [[nodiscard]] bool periods_may_repeat() const noexcept;
+    /// The fewest scua bodies after which every active core has walked
+    /// whole passes of its loop region (InOrderCore::whole_pass_periods)
+    /// — the super-period compared when single bodies cannot repeat; 0
+    /// when there is none, or no room before the scua's tail for the
+    /// recorded one and one skipped.
+    [[nodiscard]] std::uint64_t super_period(CoreId scua) const noexcept;
+    /// Skips `periods` recorded periods of `period` cycles, each
+    /// ff_.stride scua bodies.
     void skip_periods(std::uint64_t periods, Cycle period);
     void record_boundary();
     /// Calls f(counter) on every additive counter of the machine —
@@ -382,10 +390,13 @@ private:
         ObservationLog log;
         std::uint64_t dram_reads = 0;
         std::uint64_t dram_writes = 0;
-        Cycle boundary_at = 0;     ///< now_ at the last boundary
+        Cycle boundary_at = 0;     ///< now_ at the recorded boundary
         std::uint64_t body = 0;    ///< scua instructions per loop body
         std::uint64_t total = 0;   ///< scua instructions per run
         std::uint64_t boundary_above = 0;  ///< see next_scua_boundary
+        std::uint64_t stride = 1;  ///< scua bodies per compared period
+        std::uint64_t uncaptured = 0;  ///< boundaries to pass before the
+                                       ///< super-period's compare
         bool recorded = false;     ///< counters/marks/log are valid
     };
     FastForward ff_;

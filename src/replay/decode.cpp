@@ -46,10 +46,16 @@ struct FunctionalCore {
         // Mirror of Machine::warm_static_footprint's IL1 half: the
         // replaying core skips the per-run warm, so the decode-time
         // replica must start from the same warmed state every run does.
+        // That warm visits each instruction, in address order; only the
+        // first visit of a line installs it (the rest find it present),
+        // so warming each code line once reaches the same state.
         const std::uint32_t il1_line = config.il1_geometry.line_bytes;
-        for (std::size_t i = 0; i < program.body.size(); ++i) {
-            const Addr pc_addr = program.code_base + i * Program::kInstrBytes;
-            il1.warm(pc_addr / il1_line * il1_line);
+        const Addr last_line =
+            (program.code_base + program.code_bytes() - 1) / il1_line *
+            il1_line;
+        for (Addr line = program.code_base / il1_line * il1_line;
+             line <= last_line; line += il1_line) {
+            il1.warm(line);
         }
         if (l2_spec != nullptr && program.count(OpKind::kStore) == 0) {
             // Storeless: the partition sees only this core's loads and

@@ -174,6 +174,51 @@ TEST(Cache, RandomReplacementStaysWithinSet) {
     EXPECT_FALSE(c.probe(32));
 }
 
+TEST(Cache, FingerprintIgnoresWayPlacementOnlyUnderLruAndFifo) {
+    // Lines a..d of one set, read in that order (after a dirty line in
+    // another set): `placed` fills ways 0-3 with them. `rotated` first
+    // fills way 0 with e, so d later evicts e — the oldest under LRU and
+    // FIFO, and tree-PLRU's victim too after four fills in way order —
+    // and the same lines in the same order sit one way on. Under LRU and
+    // FIFO, whose victims follow the order alone, the two fingerprint
+    // alike, while another order (`swapped`: b before a) still tells.
+    // Under PLRU and random replacement, whose victims name a way, the
+    // same lines in other ways must not fingerprint alike: `swapped`
+    // (b in way 0, a in way 1, every fill into an invalid way, so no
+    // PLRU bit or RNG draw differs) and, under PLRU, `rotated`.
+    const CacheGeometry geo{16 * 1024, 4, 32};
+    const Addr stride = geo.set_stride();
+    const Addr a = 0x0;
+    const Addr b = a + stride;
+    const Addr c = a + 2 * stride;
+    const Addr d = a + 3 * stride;
+    const Addr e = a + 4 * stride;
+    const auto run = [&](ReplacementPolicy policy,
+                         std::initializer_list<Addr> reads) {
+        Cache cache(geo, policy, WritePolicy::kWriteBack,
+                    AllocPolicy::kWriteAllocate, 7);
+        cache.write(0x20);
+        for (const Addr addr : reads) cache.read(addr);
+        return cache;
+    };
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::kLru, ReplacementPolicy::kFifo,
+          ReplacementPolicy::kPlru, ReplacementPolicy::kRandom}) {
+        const bool by_order = policy == ReplacementPolicy::kLru ||
+                              policy == ReplacementPolicy::kFifo;
+        const Cache placed = run(policy, {a, b, c, d});
+        const Cache swapped = run(policy, {b, a, c, d});
+        EXPECT_NE(placed.state_fingerprint(), swapped.state_fingerprint())
+            << int(policy);
+        if (policy == ReplacementPolicy::kRandom) continue;
+        const Cache rotated = run(policy, {e, a, b, c, d});
+        ASSERT_FALSE(rotated.probe(e)) << int(policy);
+        EXPECT_EQ(placed.state_fingerprint() == rotated.state_fingerprint(),
+                  by_order)
+            << int(policy);
+    }
+}
+
 TEST(Cache, MissRatio) {
     Cache c = make_lru();
     c.read(0x0);

@@ -6,15 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <string>
 
+#include "core/analytic.h"
 #include "core/calibrate.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
+#include "core/session.h"
 #include "core/store_span.h"
 #include "engine/machine_lease.h"
 #include "kernels/rsk.h"
 #include "obs/telemetry.h"
+#include "replay/script_cache.h"
 #include "serial_reference.h"
 
 namespace rrb {
@@ -174,6 +179,50 @@ TEST(Estimator, TwoCoreLoadContenderIsConservativeAndFlagged) {
     }
 }
 
+TEST(EstimatorProperty, GridRecoversEquationOneAndBoundsCampaigns) {
+    // The paper's guarantees on a fixed grid of 3-8 cores x lbus 3-9:
+    // with the CLI's options (unroll 8, 20 iterations) and a sweep of
+    // max(70, 3·ubd + 10) steps, the estimator returns Equation 1's ubd
+    // from execution times alone, and no run of a short pwcet campaign
+    // (the CLI's cacheb scua against load-rsk contenders) exceeds
+    // ETB = et_isolation + nr·ubd. From k_max 102 on the IL1 caps the
+    // sweep's unroll below the contenders' 8: 5 cores at lbus 9 (unroll
+    // 6), 8 at lbus 5 (7) and 8 at lbus 9 (4).
+    const struct {
+        CoreId cores;
+        Cycle lbus;
+    } grid[] = {{3, 3}, {3, 9}, {4, 6}, {5, 9},
+                {6, 5}, {7, 3}, {8, 5}, {8, 9}};
+    for (const auto& [cores, lbus] : grid) {
+        const std::string what =
+            std::to_string(cores) + " cores, lbus " + std::to_string(lbus);
+        const Cycle ubd = ubd_eq1(cores, lbus);
+        CampaignKnobs knobs;
+        knobs.cores = cores;
+        knobs.lbus = lbus;
+        knobs.iterations = 20;
+        knobs.runs = 100;
+        knobs.block_size = 10;
+        const MachineConfig cfg = knobs.config();
+        UbdEstimatorOptions opt;
+        opt.k_max = static_cast<std::uint32_t>(
+            std::max<Cycle>(70, 3 * ubd + 10));
+        opt.unroll = 8;
+        opt.rsk_iterations = 20;
+        const UbdEstimate e = estimate_ubd(cfg, opt);
+        EXPECT_TRUE(e.found) << what;
+        EXPECT_EQ(e.ubd, ubd) << what;
+
+        const CampaignSetup setup = build_campaign(knobs);
+        Session session;
+        session.jobs(1);
+        const PwcetCampaignResult campaign =
+            session.pwcet(setup.scenario, setup.spec);
+        EXPECT_EQ(campaign.runs, 100u) << what;
+        EXPECT_LE(campaign.high_water_mark, campaign.etb(ubd)) << what;
+    }
+}
+
 // ------------------------------------ replayed sweeps vs the oracle
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -290,6 +339,15 @@ TEST(EstimatorOracle, PlatformsMatchTheFreshMachineInterpreter) {
         expect_estimates_match_oracle(cfg, opt,
                                       std::string(name) + " at 40 iterations");
     }
+    // Past k_max 101 the IL1 caps the scua's unroll below the
+    // contenders' 8 (unroll 7 here), and at 20 iterations most
+    // contention runs skip super-periods of whole contender passes.
+    const MachineConfig capped = MachineConfig::scaled(8, 5);
+    UbdEstimatorOptions opt = oracle_options(capped);
+    opt.k_max = 115;
+    opt.rsk_iterations = 20;
+    expect_estimates_match_oracle(capped, opt,
+                                  "scaled(8,5), capped unroll");
 }
 
 TEST(EstimatorOracle, L1PoliciesAndSlowNopsMatchTheOracle) {
@@ -337,6 +395,68 @@ TEST(EstimatorOracle, SweepDecodesEachProgramOnce) {
     // Experiment runs stay out of the campaign counters.
     EXPECT_EQ(counters[obs::kRunsCompleted], 0u);
     EXPECT_EQ(counters[obs::kReplayRuns], 0u);
+}
+
+// ------------------------------------ super-period fast-forward
+
+/// What the counting contention backend below saw of the sweep's runs.
+struct SweepCount {
+    std::uint64_t runs = 0;
+    std::uint64_t bodies = 0;  ///< scua bodies fast-forwarded
+    std::uint64_t one_body_loops = 0;  ///< scuas with one-body loop
+                                       ///< region and tail
+};
+SweepCount* sweep_count = nullptr;
+
+/// run_contention, counting the runs that finish (the saturation probe
+/// stops at its window), the scua bodies each fast-forwarded on this
+/// thread's leased machine, and the shape of the scua's script.
+Measurement counted_contention(const MachineConfig& config,
+                               const Program& scua,
+                               const std::vector<Program>& contenders,
+                               CoreId scua_core, Cycle max_cycles) {
+    const Measurement m =
+        run_contention(config, scua, contenders, scua_core, max_cycles);
+    if (m.deadline_reached) return m;
+    engine::MachineLease lease(config);
+    ++sweep_count->runs;
+    sweep_count->bodies += lease.machine().periods_fast_forwarded();
+    const replay::MicroOpScript* script =
+        lease.scripts().per_core[scua_core];
+    if (script != nullptr && script->looping &&
+        script->tail_start - script->loop_start == script->pass_ops &&
+        script->ops.size() - script->tail_start == script->pass_ops) {
+        ++sweep_count->one_body_loops;
+    }
+    return m;
+}
+
+TEST(EstimatorFastForward, EightCoreSweepSkipsSuperPeriods) {
+    // `rrbtool estimate --cores 8 --kmax 160 --iterations 20`: the IL1
+    // caps the scua body at five groups (25 loads) while the seven
+    // contenders keep 40-load passes, so every contender's loop wrap
+    // moves each scua body and no single body repeats. A super-period
+    // of 4 or 8 bodies walks whole contender passes. Under
+    // LRU the scua folds after one body (its ways rotate, its lines'
+    // order does not), leaving a one-body tail: room in 20 iterations
+    // for one recorded super-period and one skipped.
+    engine::MachineLease::drop_thread_cache();
+    const MachineConfig cfg = MachineConfig::scaled(8, 9);
+    UbdEstimatorOptions opt;
+    opt.k_max = 160;
+    opt.unroll = 8;
+    opt.rsk_iterations = 20;
+    SweepCount count;
+    sweep_count = &count;
+    ExperimentBackend backend;
+    backend.contention = &counted_contention;
+    const UbdEstimate e = estimate_ubd(cfg, opt, backend);
+    sweep_count = nullptr;
+    EXPECT_TRUE(e.found);
+    EXPECT_EQ(e.ubd, cfg.ubd_analytic());
+    ASSERT_EQ(count.runs, 161u);
+    EXPECT_GE(count.bodies, 1'400u) << "of " << count.runs * 20;
+    EXPECT_EQ(count.one_body_loops, count.runs);
 }
 
 }  // namespace

@@ -464,6 +464,88 @@ TEST(HotPathDifferential, LoopingScuasFastForwardBitIdentically) {
     }
 }
 
+TEST(HotPathDifferential, SuperPeriodsFastForwardBitIdentically) {
+    // The 8-core sweep at k_max 160 caps the scua's unroll at five
+    // groups (25 loads a body) while the contenders keep eight (40-load
+    // passes): each contender's loop wrap moves every body, so only a
+    // super-period of m bodies, after which every contender has walked
+    // whole passes, can repeat. k spans one, two and three bus rounds
+    // (7 x 9 = 63 cycles) per scua load: a contender issues 25, 50 or
+    // 75 loads a body, m is 8, 4 or 8, and 20 iterations leave room for
+    // one recorded super-period and one skipped (three at m = 4), 40
+    // iterations for more. At k = 62 the loop control at the end of each
+    // scua body makes it miss one more round: a contender issues 26
+    // loads a body, m = 20 fits neither run, and the runs give up. On
+    // three cores at lbus 3, against contenders that idle after each
+    // load (one 17-cycle nop), some super-periods end in another state
+    // than they began although every contender walked whole passes:
+    // those runs (k = 38, 42, 71) must give up, not skip; the others
+    // skip. Each run must equal fresh naive stepping, armed or not, and
+    // fast-forward the scua bodies expected.
+    const auto scua_at = [](const MachineConfig& config, std::uint32_t k,
+                            std::uint64_t iterations) {
+        RskParams params;
+        params.dl1_geometry = config.core.dl1_geometry;
+        params.il1_geometry = config.core.il1_geometry;
+        params.unroll = 5;
+        params.iterations = iterations;
+        params.data_base = 0x0010'0000;
+        return make_rsk_nop(params, k);
+    };
+    HwmCampaignOptions options;
+    options.runs = 1;
+    options.max_start_delay = 0;
+    const MachineConfig eight = MachineConfig::scaled(8, 9);
+    const MachineConfig three = MachineConfig::scaled(3, 3);
+    const struct {
+        std::uint32_t k;
+        std::uint64_t bodies_at_20;  ///< fast-forwarded at 20 iterations
+    } points[] = {{0, 8},    {40, 8},   {62, 0},   {63, 12},
+                  {100, 12}, {135, 8},  {136, 8},  {160, 8}};
+    for (const bool armed : {false, true}) {
+        const std::string tag = armed ? "/armed" : "";
+        {
+            engine::MachineLease lease(eight);
+            const std::vector<Program> contenders =
+                make_rsk_contenders(eight, OpKind::kLoad, 8);
+            for (const auto& [k, bodies_at_20] : points) {
+                for (const std::uint64_t iterations : {20ULL, 40ULL}) {
+                    const std::string what = "8 cores/k" + std::to_string(k) +
+                                             "/i" +
+                                             std::to_string(iterations) + tag;
+                    const std::uint64_t bodies = expect_fast_forward_exact(
+                        lease, eight, scua_at(eight, k, iterations),
+                        contenders, options, 0, armed, what);
+                    if (iterations == 20) {
+                        EXPECT_EQ(bodies, bodies_at_20) << what;
+                    } else if (k != 62) {
+                        EXPECT_GT(bodies, bodies_at_20) << what;
+                    }
+                }
+            }
+        }
+        engine::MachineLease lease(three);
+        RskParams idle;
+        idle.dl1_geometry = three.core.dl1_geometry;
+        idle.unroll = 8;
+        idle.data_base = 0x0800'0000;
+        idle.code_base = 0x0004'0000;
+        idle.nop_latency = 17;
+        const std::vector<Program> contenders = {make_rsk_nop(idle, 1)};
+        for (const std::uint32_t k : {13u, 38u, 42u, 56u, 71u, 77u}) {
+            const std::string what = "3 cores/k" + std::to_string(k) + tag;
+            const std::uint64_t bodies = expect_fast_forward_exact(
+                lease, three, scua_at(three, k, 40), contenders, options, 0,
+                armed, what);
+            if (k == 38 || k == 42 || k == 71) {
+                EXPECT_EQ(bodies, 0u) << what;
+            } else {
+                EXPECT_GT(bodies, 0u) << what;
+            }
+        }
+    }
+}
+
 TEST(HotPathDifferential, StallCountersMatchNaivePath) {
     // Stall PMCs (full store buffer, load gate) charge per cycle; the
     // skipper must observe every one of those cycles. Drive a reused

@@ -259,12 +259,17 @@ TEST(ScriptDecode, RepeatBoundsStopWhereTheWalkChanges) {
 
 TEST(ScriptDecode, LoopRegionRepeatBoundsWrap) {
     // The estimator's 8-core scua at k = 160: five groups of five loads,
-    // each followed by 160 nops (547 ops a body), twenty iterations. Its
-    // loop region holds four bodies and the tail three. In the region
-    // the bounds count as the cursor walks it, modulo the region: every
-    // body repeats the one before it, so the body-lag bound never ends,
-    // while the region's first op (a load) does not repeat the region's
-    // last (the body's closing nops, loop control folded in).
+    // each followed by 160 nops (547 ops a body), twenty iterations.
+    // Every body's 25 DL1 fills move its five lines one way on (four
+    // ways), so the same lines in the same order sit in other ways. LRU
+    // victims follow the order alone: the scua folds after one body, and
+    // its loop region and tail are one body each. PLRU victims name a
+    // way: it folds when the ways come round, after four bodies, and the
+    // tail holds three. In the region the bounds count as the cursor
+    // walks it, modulo the region: every body repeats the one before
+    // it, so the body-lag bound never ends, while the region's first op
+    // (a load) does not repeat the region's last (the body's closing
+    // nops, loop control folded in).
     const MachineConfig config = MachineConfig::scaled(8, 9);
     Machine machine(config);
     const replay::L2PartitionSpec spec = partition_spec(machine, config, 0);
@@ -274,8 +279,23 @@ TEST(ScriptDecode, LoopRegionRepeatBoundsWrap) {
     params.unroll = 5;
     params.iterations = 20;
     params.data_base = 0x0010'0000;
-    const auto scua = replay::decode_program(make_rsk_nop(params, 160),
-                                             config.core, 0, &spec);
+    const Program program = make_rsk_nop(params, 160);
+    const auto lru =
+        replay::decode_program(program, config.core, 0, &spec);
+    ASSERT_NE(lru, nullptr);
+    ASSERT_TRUE(lru->looping);
+    ASSERT_EQ(lru->pass_ops, 547u);
+    EXPECT_EQ(lru->loop_start, 547u);
+    EXPECT_EQ(lru->tail_start - lru->loop_start, 547u);
+    EXPECT_EQ(lru->ops.size() - lru->tail_start, 547u);
+    for (std::uint32_t i = lru->loop_start; i < lru->tail_start; ++i) {
+        ASSERT_EQ(lru->repeat_pass[i], UINT16_MAX) << "op " << i;
+    }
+    EXPECT_EQ(lru->repeat_prev[lru->loop_start], 0u);
+
+    CoreConfig plru = config.core;
+    plru.l1_replacement = ReplacementPolicy::kPlru;
+    const auto scua = replay::decode_program(program, plru, 0, &spec);
     ASSERT_NE(scua, nullptr);
     ASSERT_TRUE(scua->looping);
     ASSERT_EQ(scua->pass_ops, 547u);
