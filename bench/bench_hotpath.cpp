@@ -22,10 +22,11 @@
 // kMaxAttributionOverheadPct of the unarmed rate, when the hot pass,
 // the armed pass or the replayed estimate never skips a steady-state
 // period (periods_fast_forwarded, docs/replay.md), or when the replayed
-// estimate is less than kMinEstimateSpeedup times faster. All rates are
-// best-sustained-window estimates (see ChunkTimer)
-// so bursty co-tenant load on shared CI hosts does not poison the
-// telemetry/attribution overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
+// estimate is less than kMinEstimateSpeedup times faster. Every pass is
+// timed in the main thread's CPU time, and all rates are
+// best-sustained-window estimates (see ChunkTimer), so bursty co-tenant
+// load on shared CI hosts does not poison the telemetry/attribution
+// overhead ratios. CI runs this as the perf-smoke stage; the numbers live in
 // BENCH_hotpath.json.
 //
 // Deliberately not a google-benchmark binary: the allocation interposer
@@ -40,6 +41,8 @@
 #include <cstring>
 #include <new>
 #include <string>
+
+#include <time.h>
 
 #include "core/campaign.h"
 #include "core/estimator.h"
@@ -143,7 +146,23 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace {
 
 using namespace rrb;
-using Clock = std::chrono::steady_clock;
+/// The calling thread's CPU time. Every pass runs on the main thread,
+/// so a pass is charged for its own work only, not for the time a
+/// shared host spends running other tenants while it waits.
+struct Clock {
+    using duration = std::chrono::nanoseconds;
+    using rep = duration::rep;
+    using period = duration::period;
+    using time_point = std::chrono::time_point<Clock>;
+    static constexpr bool is_steady = true;
+
+    static time_point now() noexcept {
+        timespec ts{};
+        clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+        return time_point(std::chrono::seconds(ts.tv_sec) +
+                          std::chrono::nanoseconds(ts.tv_nsec));
+    }
+};
 
 struct PathResult {
     double seconds = 0.0;
@@ -151,8 +170,8 @@ struct PathResult {
     std::uint64_t cycles = 0;  ///< sum of simulated finish cycles
     std::uint64_t hwm = 0;     ///< campaign HWM — the bit-identity witness
     double allocs_per_run = 0.0;
-    /// Best (shortest) wall time over any kChunkRuns-long window, and
-    /// the window size. CI hosts are shared and bursty; the best
+    /// Best (shortest) thread CPU time over any kChunkRuns-long window,
+    /// and the window size. CI hosts are shared and bursty; the best
     /// sustained window is the robust rate estimator (min-time, as in
     /// timeit), applied identically to every pass so overhead ratios
     /// compare like with like. Zero when the pass was too short to
@@ -460,7 +479,7 @@ PathResult run_attributed(const MachineConfig& config, const Program& scua,
     return result;
 }
 
-/// Best (shortest) wall time of one estimate per path, whether the two
+/// Best (shortest) CPU time of one estimate per path, whether the two
 /// paths' sweeps ever disagreed, and the replayed sweep's isolation and
 /// contention runs with the periods they fast-forwarded.
 struct EstimatePass {

@@ -149,22 +149,6 @@ CacheAccess Cache::install(std::uint64_t set, std::uint64_t tag, bool dirty) {
     return result;
 }
 
-CacheAccess Cache::read(Addr addr) {
-    const std::uint64_t set = set_of(addr);
-    const std::uint64_t tag = tag_of(addr);
-    if (const auto way = find_way(set, tag)) {
-        ++stats_.read_hits;
-        touch(set, *way);
-        CacheAccess result;
-        result.hit = true;
-        return result;
-    }
-    ++stats_.read_misses;
-    CacheAccess result = install(set, tag, /*dirty=*/false);
-    result.hit = false;
-    return result;
-}
-
 CacheAccess Cache::write(Addr addr) {
     const std::uint64_t set = set_of(addr);
     const std::uint64_t tag = tag_of(addr);

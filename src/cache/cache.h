@@ -103,23 +103,20 @@ public:
           std::uint64_t rng_seed = 1);
 
     /// Performs a read; on miss the line is allocated (the caller charges
-    /// the fill latency / bus traffic).
-    CacheAccess read(Addr addr);
-
-    /// read() for callers that only need the hit/miss outcome (the L1s:
-    /// write-through, so victim information is never consumed). Same
-    /// state transitions and statistics, no access-record materialized.
-    bool read_hit(Addr addr) {
+    /// the fill latency / bus traffic). Defined here so the hit path
+    /// inlines into the per-instruction L1 lookups.
+    CacheAccess read(Addr addr) {
         const std::uint64_t set = set_of(addr);
         const std::uint64_t tag = tag_of(addr);
         if (const auto way = find_way(set, tag)) {
             ++stats_.read_hits;
             touch(set, *way);
-            return true;
+            CacheAccess result;
+            result.hit = true;
+            return result;
         }
         ++stats_.read_misses;
-        (void)install(set, tag, /*dirty=*/false);
-        return false;
+        return install(set, tag, /*dirty=*/false);
     }
 
     /// Performs a write. Write-through no-allocate: miss does not fill.
@@ -210,8 +207,7 @@ private:
         bool dirty = false;
     };
 
-    /// Index into the way array of the hit line, if present. Defined in
-    /// the header so the read fast paths inline it.
+    /// Index into the way array of the hit line, if present.
     [[nodiscard]] std::optional<std::uint32_t> find_way(
         std::uint64_t set, std::uint64_t tag) const {
         const std::uint64_t* tags = &tags_[line_index(set, 0)];

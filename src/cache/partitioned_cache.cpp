@@ -47,9 +47,9 @@ bool WayPartitionedCache::probe(CoreId core, Addr addr) const {
     return partitions_[core].probe(addr);
 }
 
-void WayPartitionedCache::warm(CoreId core, Addr addr) {
+Cache& WayPartitionedCache::partition(CoreId core) {
     RRB_REQUIRE(core < partitions_.size(), "core id out of range");
-    partitions_[core].warm(addr);
+    return partitions_[core];
 }
 
 void WayPartitionedCache::flush() {

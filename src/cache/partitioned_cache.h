@@ -29,8 +29,8 @@ public:
     CacheAccess read(CoreId core, Addr addr);
     CacheAccess write(CoreId core, Addr addr);
     [[nodiscard]] bool probe(CoreId core, Addr addr) const;
-    /// Installs a line without counting statistics (warm-up support).
-    void warm(CoreId core, Addr addr);
+    /// Core `core`'s partition (warm-up support: Cache::warm).
+    [[nodiscard]] Cache& partition(CoreId core);
     void flush();
     /// Power-on restore of every partition (see Cache::reset).
     void reset();

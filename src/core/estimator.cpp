@@ -26,14 +26,15 @@ std::vector<Program> make_rsk_contenders(const MachineConfig& config,
     return {make_rsk(params)};
 }
 
-namespace {
-
-/// One unroll factor for the whole sweep, sized so even the largest body
-/// (k = k_max) fits the IL1. A factor that varied with k would vary the
-/// per-measurement request count nr and destroy the periodicity of
-/// dbus(k).
-std::uint32_t sweep_unroll(const MachineConfig& config,
-                           const UbdEstimatorOptions& options) {
+void run_rsk_nop_sweep(
+    const MachineConfig& config, const UbdEstimatorOptions& options,
+    OpKind access, const std::vector<Program>& contenders,
+    const ExperimentBackend& backend,
+    const std::function<void(std::uint32_t, const SlowdownResult&)>& visit) {
+    // One unroll factor for the whole sweep, sized so even the largest
+    // body (k = k_max) fits the IL1. A factor that varied with k would
+    // vary the per-measurement request count nr and destroy the
+    // periodicity of dbus(k).
     const std::uint64_t il1_capacity_instrs =
         config.core.il1_geometry.size_bytes / Program::kInstrBytes;
     const std::uint64_t largest_group =
@@ -41,26 +42,25 @@ std::uint32_t sweep_unroll(const MachineConfig& config,
         (1 + options.k_max);
     const std::uint64_t cap =
         std::max<std::uint64_t>(1, il1_capacity_instrs / largest_group);
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(options.unroll, cap));
-}
-
-Program make_scua_rsk_nop(const MachineConfig& config,
-                          const UbdEstimatorOptions& options,
-                          std::uint32_t unroll, std::uint32_t k) {
     RskParams params;
     params.dl1_geometry = config.core.dl1_geometry;
     params.il1_geometry = config.core.il1_geometry;
-    params.access = options.access;
-    params.unroll = unroll;
+    params.access = access;
+    params.unroll = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(options.unroll, cap));
     params.iterations = options.rsk_iterations;
     params.nop_latency = options.nop_latency;
     params.data_base = 0x0010'0000;
     params.code_base = 0x0000'0000;
-    return make_rsk_nop(params, k);
+    for (std::uint32_t k = 0; k <= options.k_max; ++k) {
+        const SlowdownResult r =
+            run_slowdown(config, make_rsk_nop(params, k), contenders, 0,
+                         options.max_cycles_per_run, backend);
+        RRB_ENSURE(!r.isolation.deadline_reached &&
+                   !r.contention.deadline_reached);
+        visit(k, r);
+    }
 }
-
-}  // namespace
 
 UbdEstimate estimate_ubd(const MachineConfig& config,
                          const UbdEstimatorOptions& options,
@@ -115,22 +115,17 @@ UbdEstimate estimate_ubd(const MachineConfig& config,
     }
 
     // Step 3: the k sweep.
-    const std::uint32_t unroll = sweep_unroll(config, options);
     estimate.dbus.reserve(options.k_max + 1);
-    for (std::uint32_t k = 0; k <= options.k_max; ++k) {
-        const Program scua = make_scua_rsk_nop(config, options, unroll, k);
-        const SlowdownResult r =
-            run_slowdown(config, scua, contenders, 0,
-                         options.max_cycles_per_run, backend);
-        RRB_ENSURE(!r.isolation.deadline_reached &&
-                   !r.contention.deadline_reached);
-        if (k == 0) estimate.nr = r.isolation.bus_requests;
-        estimate.et_isolation.push_back(
-            static_cast<double>(r.isolation.exec_time));
-        estimate.et_contention.push_back(
-            static_cast<double>(r.contention.exec_time));
-        estimate.dbus.push_back(static_cast<double>(r.slowdown()));
-    }
+    run_rsk_nop_sweep(
+        config, options, options.access, contenders, backend,
+        [&estimate](std::uint32_t k, const SlowdownResult& r) {
+            if (k == 0) estimate.nr = r.isolation.bus_requests;
+            estimate.et_isolation.push_back(
+                static_cast<double>(r.isolation.exec_time));
+            estimate.et_contention.push_back(
+                static_cast<double>(r.contention.exec_time));
+            estimate.dbus.push_back(static_cast<double>(r.slowdown()));
+        });
 
     // Step 4: period detection (Equation 3) with detector cross-checking.
     double lo = estimate.dbus[0];

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -101,5 +102,15 @@ struct UbdEstimate {
 /// the estimator and by the validation benches.
 [[nodiscard]] std::vector<Program> make_rsk_contenders(
     const MachineConfig& config, OpKind access, std::uint32_t unroll = 32);
+
+/// The k sweep both estimators take (Section 4): for k = 0..k_max, one
+/// slowdown run of an rsk-nop(`access`, k) scua against `contenders`,
+/// all at the one unroll factor that fits the largest body (k = k_max)
+/// in the IL1. `visit(k, result)` sees each run.
+void run_rsk_nop_sweep(
+    const MachineConfig& config, const UbdEstimatorOptions& options,
+    OpKind access, const std::vector<Program>& contenders,
+    const ExperimentBackend& backend,
+    const std::function<void(std::uint32_t, const SlowdownResult&)>& visit);
 
 }  // namespace rrb

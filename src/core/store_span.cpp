@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/experiment.h"
-#include "kernels/rsk.h"
 #include "sim/contract.h"
 
 namespace rrb {
@@ -18,35 +17,13 @@ StoreSpanEstimate estimate_ubd_store_span(
     const std::vector<Program> contenders =
         make_rsk_contenders(config, OpKind::kStore, options.unroll);
 
-    // One unroll factor for the whole sweep (see estimator.cpp).
-    const std::uint64_t il1_capacity_instrs =
-        config.core.il1_geometry.size_bytes / Program::kInstrBytes;
-    const std::uint64_t largest_group =
-        static_cast<std::uint64_t>(config.core.dl1_geometry.ways + 1) *
-        (1 + options.k_max);
-    const auto unroll = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        options.unroll,
-        std::max<std::uint64_t>(1, il1_capacity_instrs / largest_group)));
-
     StoreSpanEstimate estimate;
     estimate.dbus.reserve(options.k_max + 1);
-    for (std::uint32_t k = 0; k <= options.k_max; ++k) {
-        RskParams params;
-        params.dl1_geometry = config.core.dl1_geometry;
-        params.il1_geometry = config.core.il1_geometry;
-        params.access = OpKind::kStore;
-        params.unroll = unroll;
-        params.iterations = options.rsk_iterations;
-        params.nop_latency = options.nop_latency;
-        params.data_base = 0x0010'0000;
-        const Program scua = make_rsk_nop(params, k);
-        const SlowdownResult r =
-            run_slowdown(config, scua, contenders, 0,
-                         options.max_cycles_per_run, backend);
-        RRB_ENSURE(!r.isolation.deadline_reached &&
-                   !r.contention.deadline_reached);
-        estimate.dbus.push_back(static_cast<double>(r.slowdown()));
-    }
+    run_rsk_nop_sweep(config, options, OpKind::kStore, contenders, backend,
+                      [&estimate](std::uint32_t, const SlowdownResult& r) {
+                          estimate.dbus.push_back(
+                              static_cast<double>(r.slowdown()));
+                      });
 
     const double plateau = estimate.dbus.front();
     if (plateau <= 0.0) return estimate;  // no contention at all

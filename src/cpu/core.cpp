@@ -20,14 +20,7 @@ InOrderCore::InOrderCore(CoreId id, const CoreConfig& config,
     : id_(id),
       config_(config),
       port_(port),
-      il1_(config.il1_geometry, config.l1_replacement,
-           WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
-           /*rng_seed=*/id * 2 + 1),
-      dl1_(config.dl1_geometry, config.l1_replacement,
-           WritePolicy::kWriteThrough, AllocPolicy::kNoWriteAllocate,
-           /*rng_seed=*/id * 2 + 2),
-      il1_line_mask_(~static_cast<Addr>(config.il1_geometry.line_bytes - 1)),
-      dl1_line_mask_(~static_cast<Addr>(config.dl1_geometry.line_bytes - 1)),
+      functional_(id, config, program_),
       store_buffer_(config.store_buffer_entries) {
     config_.validate();
 }
@@ -50,8 +43,7 @@ void InOrderCore::attach_script(const replay::MicroOpScript* script) {
 }
 
 void InOrderCore::restart(Cycle start_delay) {
-    iteration_ = 0;
-    pc_ = 0;
+    functional_.restart();
     next_free_ = start_delay;
     fetched_ = false;
     waiting_ifetch_ = false;
@@ -62,8 +54,6 @@ void InOrderCore::restart(Cycle start_delay) {
     store_buffer_.clear();
     drain_in_flight_ = false;
     prev_load_completion_ = kNoCycle;
-    fetch_memo_line_ = kNoCycle;
-    fetch_memo_tick_ = 0;
     attr_cause_dirty_ = true;  // pending resets to kIdle when (re)armed
     rp_ = 0;
     ops_done_ = 0;
@@ -74,8 +64,8 @@ void InOrderCore::restart(Cycle start_delay) {
 
 void InOrderCore::reset() {
     restart(0);
-    il1_.reset();
-    dl1_.reset();
+    il1().reset();
+    dl1().reset();
 }
 
 Cycle InOrderCore::finish_cycle() const {
@@ -83,21 +73,14 @@ Cycle InOrderCore::finish_cycle() const {
     return finish_cycle_;
 }
 
-Addr InOrderCore::fetch_addr() const noexcept {
-    return program_.code_base + pc_ * Program::kInstrBytes;
-}
-
-void InOrderCore::advance_pc() {
+void InOrderCore::retire_instruction() {
     fetched_ = false;
     ++stats_.instructions;
-    ++pc_;
-    if (pc_ == program_.body.size()) {
-        pc_ = 0;
-        ++iteration_;
+    if (functional_.retire()) {
         // Loop decrement + branch overhead at every body boundary. The
         // paper unrolls rsk bodies precisely to keep this below 2%.
         next_free_ += program_.loop_control_cycles;
-        if (iteration_ == program_.iterations) retired_all_ = true;
+        retired_all_ = functional_.finished();
     }
 }
 
@@ -107,7 +90,8 @@ void InOrderCore::start_drain_if_needed(Cycle now) {
     const Addr addr = store_buffer_.front();
     // ready = now: the head entry is eligible the same cycle the previous
     // drain completed — injection time 0, the delta = 0 case of Eq. 2.
-    port_.request(BusOp::kDataStore, addr, now, BusSlot::kStoreDrain);
+    port_.request(BusOp::kDataStore, addr, now, BusSlot::kStoreDrain,
+                  L2Outcome::kLive);
 }
 
 void InOrderCore::on_bus_complete(BusSlot slot, Cycle completion) {
@@ -137,12 +121,13 @@ void InOrderCore::complete_load(Cycle completion) {
     if (script_ == nullptr) {
         // pc advances here so loop-control overhead at a body
         // boundary is charged after the data returns.
-        advance_pc();
+        retire_instruction();
         return;
     }
-    // Replay twin of advance_pc: the kLoadMiss op stayed current while
-    // its fill was in flight; retire it now, charging a body-boundary's
-    // loop control after the data returns, exactly like the interpreter.
+    // Replay counterpart of retire_instruction: the kLoadMiss op stayed
+    // current while its fill was in flight; retire it now, charging a
+    // body-boundary's loop control after the data returns, exactly like
+    // the interpreter.
     fetched_ = false;
     ++stats_.instructions;
     if ((script_->ops[rp_].flags & replay::MicroOp::kWrap) != 0) {
@@ -189,66 +174,31 @@ Cycle InOrderCore::stall(Cycle now, std::uint64_t& pmc,
 }
 
 Cycle InOrderCore::execute_instruction(Cycle now) {
-    const Instruction& instr = program_.body[pc_];
-
     // Instruction fetch through IL1 (free when it hits; stalls on miss).
     if (!fetched_) {
-        const Addr line = fetch_addr() & il1_line_mask_;
-        if (line == fetch_memo_line_ &&
-            il1_.access_tick() == fetch_memo_tick_) {
-            il1_.read_repeat_hit();
-            fetched_ = true;
-        } else {
-            const bool hit = il1_.read_hit(fetch_addr());
-            if (!hit) {
-                fetch_memo_line_ = kNoCycle;
-                ++stats_.ifetch_requests;
-                waiting_ifetch_ = true;
-                port_.request(BusOp::kInstrFetch, line, now,
-                              BusSlot::kIfetch);
-                return kNoCycle;  // the fill completion wakes us
-            }
-            fetched_ = true;
-            fetch_memo_line_ = line;
-            fetch_memo_tick_ = il1_.access_tick();
+        const FunctionalCore::Lookup fetch = functional_.fetch();
+        if (!fetch.hit) {
+            ++stats_.ifetch_requests;
+            waiting_ifetch_ = true;
+            port_.request(BusOp::kInstrFetch, fetch.line, now,
+                          BusSlot::kIfetch, L2Outcome::kLive);
+            return kNoCycle;  // the fill completion wakes us
         }
+        fetched_ = true;
     }
 
-    switch (instr.kind) {
+    switch (functional_.instruction().kind) {
         case OpKind::kNop:
         case OpKind::kAlu: {
-            if (instr.kind == OpKind::kNop) ++stats_.nops;
-            next_free_ = now + instr.latency;
-            advance_pc();
-            // Batch the rest of a straight nop/alu run whose fetches are
-            // guaranteed memo hits (same warm code line, no intervening
-            // IL1 state change): pure compute touches neither memory nor
-            // the bus, so executing instruction k of the run "early"
-            // while setting next_free_ to the exact naive-stepping value
-            // leaves every scua-observable identical — the machine then
-            // skips the whole run in one jump instead of one tick per
-            // instruction. The cap bounds the lookahead a core that
-            // never finishes (an infinite-iteration contender) can have
-            // accumulated when the run is cut off by the scua finishing.
-            constexpr std::uint32_t kMaxComputeBatch = 64;
-            std::uint32_t batched = 0;
-            while (!retired_all_ && batched < kMaxComputeBatch) {
-                const Instruction& chained = program_.body[pc_];
-                if (chained.kind != OpKind::kNop &&
-                    chained.kind != OpKind::kAlu) {
-                    break;
-                }
-                const Addr chain_line = fetch_addr() & il1_line_mask_;
-                if (chain_line != fetch_memo_line_ ||
-                    il1_.access_tick() != fetch_memo_tick_) {
-                    break;
-                }
-                il1_.read_repeat_hit();
-                if (chained.kind == OpKind::kNop) ++stats_.nops;
-                next_free_ += chained.latency;
-                advance_pc();
-                ++batched;
-            }
+            // The batch executes the rest of a straight run "early" with
+            // next_free_ at the exact naive-stepping value, so the
+            // machine skips the whole run in one jump.
+            const FunctionalCore::Batch batch = functional_.compute_batch();
+            stats_.nops += batch.nops;
+            stats_.instructions += batch.instrs;
+            fetched_ = false;
+            next_free_ = now + batch.cycles;
+            retired_all_ = functional_.finished();
             return next_free_;
         }
         case OpKind::kLoad: {
@@ -260,10 +210,10 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
                              StallCause::kStoreGate);
             }
             ++stats_.loads;
-            const Addr addr = instr.addr.address(iteration_);
-            if (dl1_.read_hit(addr)) {
+            const FunctionalCore::Lookup access = functional_.load();
+            if (access.hit) {
                 next_free_ = now + config_.dl1_latency;
-                advance_pc();
+                retire_instruction();
                 return next_free_;
             }
             ++stats_.load_miss_requests;
@@ -273,8 +223,8 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
                         ready - prev_load_completion_, log_);
             }
             waiting_load_ = true;
-            const Addr line = addr & dl1_line_mask_;
-            port_.request(BusOp::kDataLoad, line, ready, BusSlot::kLoad);
+            port_.request(BusOp::kDataLoad, access.line, ready,
+                          BusSlot::kLoad, L2Outcome::kLive);
             return kNoCycle;  // the fill completion wakes us
         }
         case OpKind::kStore: {
@@ -285,12 +235,9 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
                              StallCause::kStoreBufferFull);
             }
             ++stats_.stores;
-            const Addr addr = instr.addr.address(iteration_);
-            dl1_.write(addr);  // write-through, no-allocate
-            const Addr line = addr & dl1_line_mask_;
-            store_buffer_.push_back(line);
+            store_buffer_.push_back(functional_.store().line);
             next_free_ = now + 1;  // retires as soon as buffered
-            advance_pc();
+            retire_instruction();
             return next_free_;
         }
     }
@@ -324,14 +271,14 @@ std::uint32_t InOrderCore::wrap_rp(std::uint32_t rp,
 void InOrderCore::replay_fetch(const replay::MicroOp& op) noexcept {
     if (fetched_) return;
     if ((op.flags & replay::MicroOp::kIl1FetchHit) != 0) {
-        il1_.replay_read_hits(1);
+        il1().replay_read_hits(1);
     }
     fetched_ = true;
 }
 
 Cycle InOrderCore::replay_load_miss(const replay::MicroOp& op, Cycle now) {
     ++stats_.loads;
-    dl1_.replay_read_miss((op.flags & replay::MicroOp::kDl1Evict) != 0);
+    dl1().replay_read_miss((op.flags & replay::MicroOp::kDl1Evict) != 0);
     ++stats_.load_miss_requests;
     const Cycle ready = now + op.cycles;  // cycles = dl1_latency
     if (prev_load_completion_ != kNoCycle) {
@@ -355,18 +302,18 @@ Cycle InOrderCore::replay_execute(Cycle now) {
     if (op.span_ops >= 2 && !fetched_ &&
         ((op.flags & replay::MicroOp::kSpanNeedsClean) == 0 ||
          (store_buffer_.empty() && !drain_in_flight_))) {
-        il1_.replay_read_hits(op.span_il1_hits);
+        il1().replay_read_hits(op.span_il1_hits);
         stats_.instructions += op.span_instrs;
         stats_.nops += op.span_nops;
         if (op.span_loads != 0) {
             stats_.loads += op.span_loads;
-            dl1_.replay_read_hits(op.span_loads);
+            dl1().replay_read_hits(op.span_loads);
         }
         if ((op.flags & replay::MicroOp::kSpanStore) != 0) {
             const replay::MicroOp& last =
                 script_->ops[rp_ + op.span_ops - 1];
             ++stats_.stores;
-            dl1_.replay_write((last.flags &
+            dl1().replay_write((last.flags &
                                replay::MicroOp::kDl1WriteHit) != 0);
             store_buffer_.push_back(last.line);
         }
@@ -381,10 +328,10 @@ Cycle InOrderCore::replay_execute(Cycle now) {
         case replay::MicroOp::Kind::kCompute: {
             if (!fetched_) {
                 if ((op.flags & replay::MicroOp::kIl1FetchHit) != 0) {
-                    il1_.replay_read_hits(1);
+                    il1().replay_read_hits(1);
                 }
             }
-            il1_.replay_read_hits(op.il1_chain_hits);
+            il1().replay_read_hits(op.il1_chain_hits);
             stats_.instructions += op.instrs;
             stats_.nops += op.nops;
             fetched_ = false;
@@ -405,7 +352,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             }
             if (op.kind == replay::MicroOp::Kind::kLoadHit) {
                 ++stats_.loads;
-                dl1_.replay_read_hits(1);
+                dl1().replay_read_hits(1);
                 stats_.instructions += 1;
                 fetched_ = false;
                 next_free_ = now + op.cycles;
@@ -413,14 +360,8 @@ Cycle InOrderCore::replay_execute(Cycle now) {
                 return next_free_;
             }
             const Cycle ready = replay_load_miss(op, now);
-            if (l2_baked_) {
-                port_.request_baked(BusOp::kDataLoad, op.line, ready,
-                                    BusSlot::kLoad, op.l2_hit(),
-                                    op.l2_evict());
-            } else {
-                port_.request(BusOp::kDataLoad, op.line, ready,
-                              BusSlot::kLoad);
-            }
+            port_.request(BusOp::kDataLoad, op.line, ready, BusSlot::kLoad,
+                          l2_outcome(op, l2_baked_));
             return kNoCycle;  // the fill completion wakes us
         }
         case replay::MicroOp::Kind::kStore: {
@@ -430,7 +371,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
                              StallCause::kStoreBufferFull);
             }
             ++stats_.stores;
-            dl1_.replay_write(
+            dl1().replay_write(
                 (op.flags & replay::MicroOp::kDl1WriteHit) != 0);
             store_buffer_.push_back(op.line);
             stats_.instructions += 1;
@@ -440,21 +381,15 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             return next_free_;
         }
         case replay::MicroOp::Kind::kIfetchMiss: {
-            il1_.replay_read_miss(
+            il1().replay_read_miss(
                 (op.flags & replay::MicroOp::kIl1Evict) != 0);
             ++stats_.ifetch_requests;
             waiting_ifetch_ = true;
             // The op is consumed now; the next op is this same
             // instruction re-executed with fetched_ set by the fill.
             advance_rp(1, 0);
-            if (l2_baked_) {
-                port_.request_baked(BusOp::kInstrFetch, op.line, now,
-                                    BusSlot::kIfetch, op.l2_hit(),
-                                    op.l2_evict());
-            } else {
-                port_.request(BusOp::kInstrFetch, op.line, now,
-                              BusSlot::kIfetch);
-            }
+            port_.request(BusOp::kInstrFetch, op.line, now, BusSlot::kIfetch,
+                          l2_outcome(op, l2_baked_));
             return kNoCycle;  // the fill completion wakes us
         }
     }

@@ -23,6 +23,7 @@
 
 #include "bus/bus.h"
 #include "cache/cache.h"
+#include "cpu/functional_core.h"
 #include "isa/program.h"
 #include "machine/attribution.h"
 #include "replay/microop.h"
@@ -43,27 +44,33 @@ enum class BusSlot : std::uint8_t {
     kStoreDrain,  ///< store-buffer head drained into the L2
 };
 
+/// How a bus-going read meets the core's L2 partition: looked up live
+/// at issue, or pre-decoded into a replay script with baked L2 outcomes
+/// (MicroOpScript::l2_baked) as a hit, a miss, or a miss whose install
+/// evicts a (clean) line.
+enum class L2Outcome : std::uint8_t { kLive, kHit, kMiss, kMissEvict };
+
+/// The outcome a replayed miss op carries: its baked one when the script
+/// bakes L2 outcomes, else a live lookup.
+[[nodiscard]] inline L2Outcome l2_outcome(const replay::MicroOp& op,
+                                          bool baked) noexcept {
+    if (!baked) return L2Outcome::kLive;
+    if (op.l2_hit()) return L2Outcome::kHit;
+    return op.l2_evict() ? L2Outcome::kMissEvict : L2Outcome::kMiss;
+}
+
 /// Interface the machine gives each core for memory traffic that leaves
-/// the L1s. The implementation decides L2 hit/miss, bus occupancy and
-/// split transactions; when the transaction finishes — data available
-/// (loads / fetches) or write performed (stores) — the implementation
-/// calls InOrderCore::on_bus_complete(slot, completion_cycle).
+/// the L1s. The implementation decides L2 hit/miss (or takes the baked
+/// `l2` outcome), bus occupancy and split transactions; when the
+/// transaction finishes — data available (loads / fetches) or write
+/// performed (stores) — the implementation calls
+/// InOrderCore::on_bus_complete(slot, completion_cycle). Test ports,
+/// which model no L2, ignore `l2`.
 class CoreBusPort {
 public:
     virtual ~CoreBusPort() = default;
-    virtual void request(BusOp op, Addr addr, Cycle ready, BusSlot slot) = 0;
-
-    /// request() for a transaction whose L2 outcome was pre-decoded into
-    /// the replay script (MicroOpScript::l2_baked): `l2_hit`/`l2_evict`
-    /// stand in for the live partition lookup the machine would perform
-    /// at issue time. The default ignores the hints and performs a live
-    /// request — correct for test ports, which model no L2.
-    virtual void request_baked(BusOp op, Addr addr, Cycle ready,
-                               BusSlot slot, bool l2_hit, bool l2_evict) {
-        (void)l2_hit;
-        (void)l2_evict;
-        request(op, addr, ready, slot);
-    }
+    virtual void request(BusOp op, Addr addr, Cycle ready, BusSlot slot,
+                         L2Outcome l2) = 0;
 };
 
 struct CoreConfig {
@@ -118,9 +125,12 @@ struct CoreStats {
 class InOrderCore {
 public:
     InOrderCore(CoreId id, const CoreConfig& config, CoreBusPort& port);
+    // The functional core refers to program_.
+    InOrderCore(const InOrderCore&) = delete;
+    InOrderCore& operator=(const InOrderCore&) = delete;
 
     /// Installs the program and resets execution state (not cache
-    /// contents; use warm_static_footprint()/flush as needed).
+    /// contents; use warm_code()/flush as needed).
     /// `start_delay` holds the core idle until that cycle — used by the
     /// measurement campaigns to randomize the alignment between the scua
     /// and its contenders.
@@ -176,12 +186,19 @@ public:
     [[nodiscard]] Cycle finish_cycle() const;
 
     [[nodiscard]] const CoreStats& stats() const noexcept { return stats_; }
-    [[nodiscard]] Cache& il1() noexcept { return il1_; }
-    [[nodiscard]] Cache& dl1() noexcept { return dl1_; }
-    [[nodiscard]] const Cache& il1() const noexcept { return il1_; }
-    [[nodiscard]] const Cache& dl1() const noexcept { return dl1_; }
+    [[nodiscard]] Cache& il1() noexcept { return functional_.il1(); }
+    [[nodiscard]] Cache& dl1() noexcept { return functional_.dl1(); }
+    [[nodiscard]] const Cache& il1() const noexcept {
+        return functional_.il1();
+    }
+    [[nodiscard]] const Cache& dl1() const noexcept {
+        return functional_.dl1();
+    }
     [[nodiscard]] CoreId id() const noexcept { return id_; }
     [[nodiscard]] const Program& program() const noexcept { return program_; }
+    /// Warms every code line of the program into the IL1 (the code half
+    /// of Machine::warm_static_footprint).
+    void warm_code() { functional_.warm_code(); }
 
     /// Store buffer occupancy (tests / introspection). The entry being
     /// drained remains in the buffer until its transaction completes.
@@ -285,8 +302,8 @@ public:
         f(stats_.store_drains);
         f(stats_.store_full_stall_cycles);
         f(stats_.load_gate_stall_cycles);
-        il1_.replay_stats().for_each(f);
-        dl1_.replay_stats().for_each(f);
+        il1().replay_stats().for_each(f);
+        dl1().replay_stats().for_each(f);
     }
 
     /// Whole periods of `period_ops` script ops, past the period that
@@ -334,8 +351,8 @@ private:
     /// Executes at cycle `now`, returning the core's next event cycle
     /// (each terminal branch knows it outright).
     Cycle execute_instruction(Cycle now);
-    /// execute_instruction's replay twin: drives the attached script
-    /// through the same port/store-buffer/stall machinery.
+    /// execute_instruction's replay counterpart: drives the attached
+    /// script through the same port/store-buffer/stall machinery.
     Cycle replay_execute(Cycle now);
     /// The kLoad case of on_bus_complete: the data arrived at
     /// `completion`; retire the load and advance the pc (or cursor).
@@ -365,21 +382,17 @@ private:
         noexcept;
     /// Whether the cursor is in a looping script's loop region.
     [[nodiscard]] bool in_loop_region() const noexcept;
-    [[nodiscard]] Addr fetch_addr() const noexcept;
-    void advance_pc();
+    /// The interpreter's retirement of the instruction at the pc:
+    /// PMC, pc advance, loop control at a body wrap, retirement.
+    void retire_instruction();
 
     CoreId id_;
     CoreConfig config_;
     CoreBusPort& port_;
-    Cache il1_;
-    Cache dl1_;
     Program program_;
-    Addr il1_line_mask_;  ///< ~(line_bytes - 1), line rounding sans divide
-    Addr dl1_line_mask_;
+    FunctionalCore functional_;  ///< runs program_ when interpreting
 
     // Execution state.
-    std::uint64_t iteration_ = 0;
-    std::size_t pc_ = 0;
     Cycle next_free_ = 0;       ///< core can start an instruction here
     bool fetched_ = false;      ///< current instruction passed ifetch
     bool waiting_ifetch_ = false;
@@ -396,17 +409,9 @@ private:
     // Injection-time bookkeeping.
     Cycle prev_load_completion_ = kNoCycle;
 
-    // Fetch memo: the IL1 line of the last instruction fetch that hit,
-    // valid while the IL1's access_tick is unchanged (no other touch or
-    // install happened). Straight-line code re-fetches the same 32-byte
-    // line for ~8 instructions; the memo turns those lookups into one
-    // compare + a hit-counter bump with bit-identical cache behavior.
-    Addr fetch_memo_line_ = kNoCycle;
-    std::uint64_t fetch_memo_tick_ = 0;
-
     // Replay state: the attached script (null = interpret), the cursor
     // into its ops, and the instructions left to retire — the retirement
-    // authority in replay mode (pc_/iteration_ stay untouched).
+    // authority in replay mode (the functional core stays untouched).
     const replay::MicroOpScript* script_ = nullptr;
     std::uint32_t rp_ = 0;
     std::uint64_t ops_done_ = 0;  ///< ops consumed (the fast-forward's

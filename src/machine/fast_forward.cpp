@@ -219,9 +219,7 @@ bool Machine::capture_state() {
         for (std::size_t i = 0; i < port.queue_.size(); ++i) {
             const Port::Queued& q = port.queue_.at(i);
             sink(std::uint64_t(q.op) | std::uint64_t(q.slot) << 8 |
-                 std::uint64_t{q.baked} << 16 |
-                 std::uint64_t{q.l2_hit} << 17 |
-                 std::uint64_t{q.l2_evict} << 18);
+                 std::uint64_t(q.l2) << 16);
             sink(q.ready - now_);
             sink(q.addr);
         }

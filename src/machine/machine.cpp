@@ -101,29 +101,14 @@ void Machine::warm_static_footprint(CoreId core_id) {
     RRB_REQUIRE(core_id < cores_.size(), "core id out of range");
     RRB_REQUIRE(has_program_[core_id], "core has no program");
     InOrderCore& core = *cores_[core_id];
-    const Program& program = core.program();
-    const std::uint32_t il1_line = core.il1().geometry().line_bytes;
-    const std::uint32_t l2_line = config_.l2_geometry.line_bytes;
     // A replaying core never consults its IL1 state (outcomes are baked
-    // into the script, whose decoder replicated this warm), so the
-    // per-run IL1 warm is pure overhead for it. Same for its L2
+    // into the script, whose decoder ran this warm on its replica), so
+    // the per-run IL1 warm is pure overhead for it. Same for its L2
     // partition when the script carries baked L2 outcomes; otherwise
     // the partition is live and the warm stays.
-    const bool warm_il1 = !core.has_script();
-    const bool warm_l2 = !core.replay_l2_baked();
-    if (!warm_il1 && !warm_l2) return;
-
-    for (std::size_t i = 0; i < program.body.size(); ++i) {
-        if (warm_il1) {
-            const Addr pc = program.code_base + i * Program::kInstrBytes;
-            core.il1().warm(pc / il1_line * il1_line);
-        }
-        if (!warm_l2) continue;
-        const Instruction& instr = program.body[i];
-        if ((instr.kind == OpKind::kLoad || instr.kind == OpKind::kStore) &&
-            instr.addr.kind == AddrPattern::Kind::kFixed) {
-            l2_.warm(core_id, instr.addr.base / l2_line * l2_line);
-        }
+    if (!core.has_script()) core.warm_code();
+    if (!core.replay_l2_baked()) {
+        FunctionalCore::warm_data(core.program(), l2_.partition(core_id));
     }
 }
 
@@ -156,30 +141,18 @@ void Machine::reset() {
     std::fill(core_next_.begin(), core_next_.end(), kNoCycle);
 }
 
-void Machine::Port::request(BusOp op, Addr addr, Cycle ready, BusSlot slot) {
+void Machine::Port::request(BusOp op, Addr addr, Cycle ready, BusSlot slot,
+                            L2Outcome l2) {
     if (!busy_ && queue_.empty()) {
         // Idle port: issue directly, skipping the queue round-trip (the
         // ready re-base below is a no-op for a fresh request, whose
         // ready is always >= now).
         busy_ = true;
-        machine_.issue(core_, op, addr, std::max(ready, machine_.now_),
-                       slot);
+        machine_.issue(core_, op, addr, std::max(ready, machine_.now_), slot,
+                       l2);
         return;
     }
-    queue_.push_back({op, addr, ready, slot});
-}
-
-void Machine::Port::request_baked(BusOp op, Addr addr, Cycle ready,
-                                  BusSlot slot, bool l2_hit, bool l2_evict) {
-    if (!busy_ && queue_.empty()) {
-        busy_ = true;
-        machine_.issue_baked(core_, op, addr,
-                             std::max(ready, machine_.now_), slot, l2_hit,
-                             l2_evict);
-        return;
-    }
-    queue_.push_back({op, addr, ready, slot, /*baked=*/true, l2_hit,
-                      l2_evict});
+    queue_.push_back({op, addr, ready, slot, l2});
 }
 
 void Machine::Port::try_issue(Cycle now) {
@@ -196,16 +169,11 @@ void Machine::Port::try_issue(Cycle now) {
         machine_.attr_->charge(core_, StallCause::kCompute, next.ready);
         machine_.attr_->charge(core_, StallCause::kPortQueue, ready);
     }
-    if (next.baked) {
-        machine_.issue_baked(core_, next.op, next.addr, ready, next.slot,
-                             next.l2_hit, next.l2_evict);
-    } else {
-        machine_.issue(core_, next.op, next.addr, ready, next.slot);
-    }
+    machine_.issue(core_, next.op, next.addr, ready, next.slot, next.l2);
 }
 
 void Machine::issue(CoreId core, BusOp op, Addr addr, Cycle ready,
-                    BusSlot slot) {
+                    BusSlot slot, L2Outcome l2) {
     switch (op) {
         case BusOp::kDataStore: {
             bus_->post({core, op, addr, ready, config_.store_service_cycles,
@@ -216,20 +184,27 @@ void Machine::issue(CoreId core, BusOp op, Addr addr, Cycle ready,
         case BusOp::kInstrFetch: {
             // The L2 outcome is deterministic; decide it now to size the
             // transaction (hit: bus held until the L2 answers; miss: split).
-            const CacheAccess l2_access = l2_.read(core, addr);
-            if (l2_access.hit) {
+            // Replayed storeless programs, the common case, carry it baked.
+            if (l2 == L2Outcome::kLive) [[unlikely]] {
+                const CacheAccess access = l2_.read(core, addr);
+                l2 = access.hit ? L2Outcome::kHit : L2Outcome::kMiss;
+                if (access.dirty_eviction && access.victim_line) {
+                    const Addr victim_addr =
+                        *access.victim_line * config_.l2_geometry.line_bytes;
+                    dram_.enqueue({core,
+                                   victim_addr % config_.dram.capacity_bytes,
+                                   /*is_write=*/true, now_, 0});
+                }
+            } else {
+                l2_.replay_read(core, l2 == L2Outcome::kHit,
+                                l2 == L2Outcome::kMissEvict);
+            }
+            if (l2 == L2Outcome::kHit) {
                 bus_->post({core, op, addr, ready,
                             config_.load_hit_service(), slot_tag(slot)});
                 return;
             }
             // Split transaction: address phase, DRAM access, fill response.
-            if (l2_access.dirty_eviction && l2_access.victim_line) {
-                const Addr victim_addr =
-                    *l2_access.victim_line * config_.l2_geometry.line_bytes;
-                dram_.enqueue({core,
-                               victim_addr % config_.dram.capacity_bytes,
-                               /*is_write=*/true, now_, 0});
-            }
             bus_->post({core, BusOp::kMissRequest, addr, ready,
                         config_.miss_request_cycles, slot_tag(slot)});
             return;
@@ -239,22 +214,6 @@ void Machine::issue(CoreId core, BusOp op, Addr addr, Cycle ready,
             break;  // internal ops are never issued through ports
     }
     RRB_ENSURE(false);
-}
-
-void Machine::issue_baked(CoreId core, BusOp op, Addr addr, Cycle ready,
-                          BusSlot slot, bool l2_hit, bool l2_evict) {
-    // Statistics injection stands in for the live partition read; the
-    // transaction shape mirrors issue()'s load/fetch case exactly. No
-    // victim-writeback branch: a baked (storeless) partition never
-    // holds a dirty line, which the decoder enforced.
-    l2_.replay_read(core, l2_hit, l2_evict);
-    if (l2_hit) {
-        bus_->post({core, op, addr, ready, config_.load_hit_service(),
-                    slot_tag(slot)});
-        return;
-    }
-    bus_->post({core, BusOp::kMissRequest, addr, ready,
-                config_.miss_request_cycles, slot_tag(slot)});
 }
 
 void Machine::finish_transaction(CoreId core, BusSlot slot,
@@ -380,8 +339,8 @@ Cycle Machine::bus_only_step(CoreId owner) {
     // the retire-and-reissue below.
     bus_->release(now_);
     const replay::MicroOp& miss = cores_[owner]->reissue_load(now_);
-    issue_baked(owner, BusOp::kDataLoad, miss.line, now_ + miss.cycles,
-                BusSlot::kLoad, miss.l2_hit(), miss.l2_evict());
+    issue(owner, BusOp::kDataLoad, miss.line, now_ + miss.cycles,
+          BusSlot::kLoad, l2_outcome(miss, /*baked=*/true));
     bus_->arbitrate_phase(now_);
     ++now_;
     ++bus_only_steps_;

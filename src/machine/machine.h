@@ -224,24 +224,18 @@ private:
     public:
         Port(Machine& machine, CoreId core)
             : machine_(machine), core_(core), queue_(4) {}
-        void request(BusOp op, Addr addr, Cycle ready,
-                     BusSlot slot) override;
-        void request_baked(BusOp op, Addr addr, Cycle ready, BusSlot slot,
-                           bool l2_hit, bool l2_evict) override;
+        void request(BusOp op, Addr addr, Cycle ready, BusSlot slot,
+                     L2Outcome l2) override;
         void try_issue(Cycle now);
 
     private:
         /// POD queue entry — the whole continuation is the BusSlot tag.
-        /// `baked` routes the issue through the pre-decoded L2 outcome
-        /// (issue_baked) instead of the live partition lookup.
         struct Queued {
             BusOp op = BusOp::kDataLoad;
             Addr addr = 0;
             Cycle ready = 0;
             BusSlot slot = BusSlot::kLoad;
-            bool baked = false;
-            bool l2_hit = false;
-            bool l2_evict = false;
+            L2Outcome l2 = L2Outcome::kLive;
         };
         friend class Machine;
         Machine& machine_;
@@ -250,14 +244,13 @@ private:
         RingBuffer<Queued> queue_;
     };
 
-    void issue(CoreId core, BusOp op, Addr addr, Cycle ready, BusSlot slot);
-    /// issue() with the L2 outcome pre-decoded into the replay script:
-    /// injects the partition statistics and posts the right transaction
-    /// shape without reading the live partition (replay mode, storeless
-    /// programs only — the partition never holds dirty lines, so no
-    /// victim writeback can be owed).
-    void issue_baked(CoreId core, BusOp op, Addr addr, Cycle ready,
-                     BusSlot slot, bool l2_hit, bool l2_evict);
+    /// Posts a core's request to the bus. A load or fetch is sized by its
+    /// L2 outcome — looked up in the live partition, or baked into the
+    /// replay script, which then only injects the partition statistics
+    /// (storeless programs only: the partition never holds a dirty line,
+    /// so no victim writeback can be owed).
+    void issue(CoreId core, BusOp op, Addr addr, Cycle ready, BusSlot slot,
+               L2Outcome l2);
     /// Completion fan-in from the bus / memory controller: the fixed
     /// dispatch table that replaced the per-request closures. `tag`
     /// carries the BusSlot through the whole split-transaction chain.

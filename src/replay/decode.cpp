@@ -14,8 +14,6 @@ namespace rrb::replay {
 
 namespace {
 
-constexpr std::uint32_t kMaxComputeBatch = 64;  // mirror of core.cpp
-
 /// Decode scratch capacity kept per thread between decodes (~2.5 MB).
 constexpr std::size_t kMaxScratchOps = std::size_t{1} << 16;
 
@@ -25,53 +23,24 @@ constexpr std::size_t kMaxSpanOps = 4096;
 constexpr std::uint32_t kMaxSpanInstrs = 0xF000;
 constexpr std::uint64_t kMaxSpanCycles = 0x7000'0000;
 
-/// The functional half of InOrderCore: replica L1s, pc/iteration, the
-/// fetch memo. Every state transition mirrors execute_instruction /
-/// advance_pc exactly; a step that cannot be scripted sets `failed`.
-struct FunctionalCore {
-    FunctionalCore(const Program& program, const CoreConfig& config,
-                   CoreId core_id, const L2PartitionSpec* l2_spec)
-        : program(program),
-          config(config),
-          il1(config.il1_geometry, config.l1_replacement,
-              WritePolicy::kWriteThrough, AllocPolicy::kWriteAllocate,
-              /*rng_seed=*/core_id * 2 + 1),
-          dl1(config.dl1_geometry, config.l1_replacement,
-              WritePolicy::kWriteThrough, AllocPolicy::kNoWriteAllocate,
-              /*rng_seed=*/core_id * 2 + 2),
-          il1_line_mask(
-              ~static_cast<Addr>(config.il1_geometry.line_bytes - 1)),
-          dl1_line_mask(
-              ~static_cast<Addr>(config.dl1_geometry.line_bytes - 1)) {
-        // Mirror of Machine::warm_static_footprint's IL1 half: the
-        // replaying core skips the per-run warm, so the decode-time
-        // replica must start from the same warmed state every run does.
-        // That warm visits each instruction, in address order; only the
-        // first visit of a line installs it (the rest find it present),
-        // so warming each code line once reaches the same state.
-        const std::uint32_t il1_line = config.il1_geometry.line_bytes;
-        const Addr last_line =
-            (program.code_base + program.code_bytes() - 1) / il1_line *
-            il1_line;
-        for (Addr line = program.code_base / il1_line * il1_line;
-             line <= last_line; line += il1_line) {
-            il1.warm(line);
-        }
+/// One decode: drives a FunctionalCore — the interpreter's own
+/// functional half, on replica L1s — and records each step's outcomes as
+/// one op, baking L2 outcomes from a partition replica. A step that
+/// cannot be scripted sets `failed`.
+struct Recorder {
+    Recorder(const Program& program, const CoreConfig& config,
+             CoreId core_id, const L2PartitionSpec* l2_spec)
+        : core(core_id, config, program), dl1_latency(config.dl1_latency) {
+        // The replaying core skips the per-run warm, so the decode-time
+        // replicas start from the state every run's warm reaches.
+        core.warm_code();
         if (l2_spec != nullptr && program.count(OpKind::kStore) == 0) {
             // Storeless: the partition sees only this core's loads and
-            // fetches, in program order — replicable. Mirror the warm of
-            // Machine::warm_static_footprint's L2 half.
+            // fetches, in program order — replicable.
             l2.emplace(l2_spec->geometry, l2_spec->replacement,
                        l2_spec->write_policy, l2_spec->alloc_policy,
                        l2_spec->rng_seed);
-            const std::uint32_t l2_line = l2_spec->geometry.line_bytes;
-            for (const Instruction& instr : program.body) {
-                if ((instr.kind == OpKind::kLoad ||
-                     instr.kind == OpKind::kStore) &&
-                    instr.addr.kind == AddrPattern::Kind::kFixed) {
-                    l2->warm(instr.addr.base / l2_line * l2_line);
-                }
-            }
+            FunctionalCore::warm_data(program, *l2);
         }
     }
 
@@ -90,152 +59,79 @@ struct FunctionalCore {
         if (access.dirty_eviction) failed = Decline::kDirtyReplica;
     }
 
-    [[nodiscard]] Addr fetch_addr() const noexcept {
-        return program.code_base + pc * Program::kInstrBytes;
-    }
-
-    /// advance_pc mirror; returns true when the body wrapped.
-    bool advance() noexcept {
-        fetched = false;
-        ++emitted_instrs;
-        ++pc;
-        if (pc == program.body.size()) {
-            pc = 0;
-            ++iteration;
-            return true;
-        }
-        return false;
-    }
-
-    [[nodiscard]] bool retired() const noexcept {
-        return emitted_instrs == instr_budget;
-    }
-
-    [[nodiscard]] bool memo_valid() const noexcept {
-        return memo_tick == il1.access_tick() && memo_line != kNoCycle;
-    }
-
     /// Decodes one op (one interpreter tick of forward progress) into
-    /// `ops`. Precondition: !retired().
+    /// `ops`. Precondition: !core.finished().
     void step(std::vector<MicroOp>& ops) {
         MicroOp op;
-        const Instruction& instr = program.body[pc];
-
         if (!fetched) {
-            const Addr line = fetch_addr() & il1_line_mask;
-            if (line == memo_line && il1.access_tick() == memo_tick) {
-                op.flags |= MicroOp::kIl1FetchHit;
-                fetched = true;
-            } else {
-                const CacheAccess access = il1.read(fetch_addr());
-                if (!access.hit) {
-                    memo_line = kNoCycle;
-                    fetched = true;  // the fill completion sets fetched_
-                    MicroOp miss;
-                    miss.kind = MicroOp::Kind::kIfetchMiss;
-                    miss.line = line;
-                    if (access.victim_line) miss.flags |= MicroOp::kIl1Evict;
-                    if (l2) bake_l2(miss);
-                    ops.push_back(miss);
-                    return;  // same instruction continues next step
-                }
-                op.flags |= MicroOp::kIl1FetchHit;
-                fetched = true;
-                memo_line = line;
-                memo_tick = il1.access_tick();
+            const FunctionalCore::Lookup fetch = core.fetch();
+            // A miss's fill completion sets the interpreter's flag: the
+            // next op executes the instruction it fetched.
+            fetched = true;
+            if (!fetch.hit) {
+                MicroOp miss;
+                miss.kind = MicroOp::Kind::kIfetchMiss;
+                miss.line = fetch.line;
+                if (fetch.evicted) miss.flags |= MicroOp::kIl1Evict;
+                if (l2) bake_l2(miss);
+                ops.push_back(miss);
+                return;  // same instruction continues next step
             }
+            op.flags |= MicroOp::kIl1FetchHit;
         }
 
-        switch (instr.kind) {
+        const std::uint32_t loop_control = core.program().loop_control_cycles;
+        op.instrs = 1;
+        switch (core.instruction().kind) {
             case OpKind::kNop:
             case OpKind::kAlu: {
-                op.kind = MicroOp::Kind::kCompute;
-                op.instrs = 1;
-                if (instr.kind == OpKind::kNop) op.nops = 1;
-                std::uint64_t cycles = instr.latency;
-                if (advance()) cycles += program.loop_control_cycles;
-                std::uint32_t batched = 0;
-                while (!retired() && batched < kMaxComputeBatch) {
-                    const Instruction& chained = program.body[pc];
-                    if (chained.kind != OpKind::kNop &&
-                        chained.kind != OpKind::kAlu) {
-                        break;
-                    }
-                    const Addr chain_line = fetch_addr() & il1_line_mask;
-                    if (chain_line != memo_line ||
-                        il1.access_tick() != memo_tick) {
-                        break;
-                    }
-                    ++op.il1_chain_hits;
-                    if (chained.kind == OpKind::kNop) ++op.nops;
-                    cycles += chained.latency;
-                    ++op.instrs;
-                    if (advance()) cycles += program.loop_control_cycles;
-                    ++batched;
-                }
-                if (cycles > 0xFFFF'FFFFULL) {
+                const FunctionalCore::Batch batch = core.compute_batch();
+                if (batch.cycles > 0xFFFF'FFFFULL) {
                     failed = Decline::kOpCap;
                     return;
                 }
-                op.cycles = static_cast<std::uint32_t>(cycles);
-                ops.push_back(op);
-                return;
+                op.kind = MicroOp::Kind::kCompute;
+                op.instrs = static_cast<std::uint16_t>(batch.instrs);
+                op.nops = static_cast<std::uint8_t>(batch.nops);
+                op.il1_chain_hits = static_cast<std::uint8_t>(batch.instrs - 1);
+                op.cycles = static_cast<std::uint32_t>(batch.cycles);
+                break;
             }
             case OpKind::kLoad: {
-                const Addr addr = instr.addr.address(iteration);
-                const CacheAccess access = dl1.read(addr);
-                op.instrs = 1;
+                const FunctionalCore::Lookup access = core.load();
+                const bool wrapped = core.retire();
+                op.cycles = dl1_latency;
                 if (access.hit) {
                     op.kind = MicroOp::Kind::kLoadHit;
-                    std::uint64_t cycles = config.dl1_latency;
-                    if (advance()) cycles += program.loop_control_cycles;
-                    op.cycles = static_cast<std::uint32_t>(cycles);
-                } else {
-                    op.kind = MicroOp::Kind::kLoadMiss;
-                    op.cycles = config.dl1_latency;
-                    op.line = addr & dl1_line_mask;
-                    if (access.victim_line) op.flags |= MicroOp::kDl1Evict;
-                    if (l2) bake_l2(op);
-                    // The completion delivers the wrap's loop_control.
-                    if (advance()) op.flags |= MicroOp::kWrap;
+                    if (wrapped) op.cycles += loop_control;
+                    break;
                 }
-                ops.push_back(op);
-                return;
+                op.kind = MicroOp::Kind::kLoadMiss;
+                op.line = access.line;
+                if (access.evicted) op.flags |= MicroOp::kDl1Evict;
+                if (l2) bake_l2(op);
+                // The completion delivers the wrap's loop_control.
+                if (wrapped) op.flags |= MicroOp::kWrap;
+                break;
             }
             case OpKind::kStore: {
-                const Addr addr = instr.addr.address(iteration);
-                const CacheAccess access = dl1.write(addr);
+                const FunctionalCore::Lookup access = core.store();
                 op.kind = MicroOp::Kind::kStore;
-                op.instrs = 1;
                 if (access.hit) op.flags |= MicroOp::kDl1WriteHit;
-                op.line = addr & dl1_line_mask;
-                std::uint64_t cycles = 1;
-                if (advance()) cycles += program.loop_control_cycles;
-                op.cycles = static_cast<std::uint32_t>(cycles);
-                ops.push_back(op);
-                return;
+                op.line = access.line;
+                op.cycles = 1 + (core.retire() ? loop_control : 0);
+                break;
             }
         }
-        RRB_ENSURE(false);
+        fetched = false;
+        ops.push_back(op);
     }
 
-    const Program& program;
-    const CoreConfig& config;
-    Cache il1;
-    Cache dl1;
+    FunctionalCore core;
+    std::uint32_t dl1_latency;
     /// L2 partition replica; engaged = outcomes are being baked.
     std::optional<Cache> l2;
-    Addr il1_line_mask;
-    Addr dl1_line_mask;
-
-    std::size_t pc = 0;
-    std::uint64_t iteration = 0;
-    bool fetched = false;
-    Addr memo_line = kNoCycle;
-    std::uint64_t memo_tick = 0;
-
-    std::uint64_t emitted_instrs = 0;
-    std::uint64_t instr_budget = 0;
+    bool fetched = false;  ///< the instruction at the pc passed its fetch
     Decline failed = Decline::kNone;
 };
 
@@ -244,12 +140,12 @@ struct FunctionalCore {
 /// at two boundaries mean the op streams from them are identical, since
 /// decode is a pure function of this state once addresses are
 /// iteration-independent.
-std::uint64_t boundary_fingerprint(const FunctionalCore& f) {
+std::uint64_t boundary_fingerprint(const Recorder& r) {
     Fnv1a h;
-    h.u64(f.il1.state_fingerprint());
-    h.u64(f.dl1.state_fingerprint());
-    if (f.l2) h.u64(f.l2->state_fingerprint());
-    h.u64(f.memo_valid() ? f.memo_line : kNoCycle);
+    h.u64(r.core.il1().state_fingerprint());
+    h.u64(r.core.dl1().state_fingerprint());
+    if (r.l2) h.u64(r.l2->state_fingerprint());
+    h.u64(r.core.memo_line());
     return h.value();
 }
 
@@ -452,9 +348,9 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
     auto script = std::make_unique<MicroOpScript>();
     script->total_instructions = program.total_instructions();
 
-    FunctionalCore f(program, config, core_id, l2);
-    script->l2_baked = f.l2.has_value();
-    f.instr_budget = script->total_instructions;
+    Recorder r(program, config, core_id, l2);
+    FunctionalCore& core = r.core;
+    script->l2_baked = r.l2.has_value();
 
     struct Boundary {
         std::uint64_t hash = 0;
@@ -480,11 +376,11 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
     std::vector<MicroOp>& ops = scratch;
     ops.clear();
 
-    while (!f.retired()) {
-        if (seeking_loop && f.pc == 0 && !f.fetched &&
-            f.iteration > last_boundary_iteration) {
-            last_boundary_iteration = f.iteration;
-            const std::uint64_t hash = boundary_fingerprint(f);
+    while (!core.finished()) {
+        if (seeking_loop && core.pc() == 0 && !r.fetched &&
+            core.iteration() > last_boundary_iteration) {
+            last_boundary_iteration = core.iteration();
+            const std::uint64_t hash = boundary_fingerprint(r);
             for (const Boundary& b : boundaries) {
                 if (b.hash != hash) continue;
                 // Steady state: the stream from boundary b repeats
@@ -494,23 +390,23 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
                 script->looping = true;
                 script->loop_start = b.op_index;
                 script->tail_start = static_cast<std::uint32_t>(ops.size());
-                script->loop_instrs = f.emitted_instrs - b.instrs;
+                script->loop_instrs = core.retired() - b.instrs;
                 const std::uint64_t rem =
                     script->total_instructions - b.instrs;
                 script->tail_instrs =
                     (rem - 1) % script->loop_instrs + 1;
-                f.instr_budget = f.emitted_instrs + script->tail_instrs;
+                core.finish_at(core.retired() + script->tail_instrs);
                 seeking_loop = false;
                 break;
             }
             if (seeking_loop && boundaries.size() < limits.max_boundaries) {
                 boundaries.push_back({hash,
                                       static_cast<std::uint32_t>(ops.size()),
-                                      f.emitted_instrs});
+                                      core.retired()});
             } else if (seeking_loop) {
                 // Budget spent without a loop: stop fingerprinting. At a
                 // boundary the rest is whole body passes.
-                if (cannot_fit(f.instr_budget - f.emitted_instrs,
+                if (cannot_fit(script->total_instructions - core.retired(),
                                ops.size())) {
                     why = Decline::kBoundaryCap;
                     return nullptr;
@@ -522,12 +418,12 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
             why = Decline::kOpCap;
             return nullptr;
         }
-        f.step(ops);
-        if (f.failed != Decline::kNone) {
-            why = f.failed;
+        r.step(ops);
+        if (r.failed != Decline::kNone) {
+            why = r.failed;
             return nullptr;
         }
-        if (script->pass_ops == 0 && f.iteration > 0) {
+        if (script->pass_ops == 0 && core.iteration() > 0) {
             script->pass_ops = static_cast<std::uint32_t>(ops.size());
         }
     }

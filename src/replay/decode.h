@@ -1,12 +1,13 @@
 // One-shot decode pass: program + core config -> micro-op script.
 //
-// The decoder runs the *functional* half of InOrderCore::execute_instruction
-// against replica L1 caches: instruction fetch through a warmed IL1
-// (mirroring Machine::warm_static_footprint), nop/alu batching with the
-// fetch memo, DL1 lookups with real replacement state, address-pattern
-// evaluation per iteration. Timing never enters: stall retries resolve to
-// the same next access, so the emitted op stream is exact for every run
-// of the campaign regardless of seeds, start delays or contention.
+// The decoder drives the interpreter's own functional half
+// (cpu/functional_core.h) on replica L1s warmed by the same static warm
+// as Machine::warm_static_footprint: instruction fetch with the memo,
+// nop/alu batching, DL1 lookups with real replacement state, address
+// patterns per iteration — and records each step as one op. Timing never
+// enters: stall retries resolve to the same next access, so the emitted
+// op stream is exact for every run of the campaign regardless of seeds,
+// start delays or contention.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "core/session.h"
+#include "fault/fault.h"
 #include "sched/batch_spec.h"
 #include "stats/checkpoint.h"
 
@@ -768,40 +769,93 @@ std::string read_file(const std::string& path) {
     return {std::istreambuf_iterator<char>(in), {}};
 }
 
+/// Runs `estimate args --csv <tmp>` and diffs stdout and the CSV with
+/// tests/golden/<name>.{txt,csv}; the .txt names the CSV by the golden
+/// file's own name.
+void expect_estimate_golden(const std::string& name,
+                            const std::vector<std::string>& args) {
+    const std::string dir = std::string(RRB_SOURCE_DIR) + "/tests/golden/";
+    const std::string csv = "/tmp/rrbtool_" + name + ".csv";
+    std::vector<std::string> argv = {"estimate"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    argv.insert(argv.end(), {"--csv", csv});
+    const CliResult r = invoke(argv);
+    EXPECT_EQ(r.code, 0) << name << ": " << r.err;
+    std::string expected = read_file(dir + name + ".txt");
+    const std::string own_name = name + ".csv";
+    const std::size_t at = expected.find(own_name);
+    ASSERT_NE(at, std::string::npos) << name;
+    expected.replace(at, own_name.size(), csv);
+    EXPECT_EQ(r.out, expected) << name;
+    EXPECT_EQ(read_file(csv), read_file(dir + own_name)) << name;
+    std::remove(csv.c_str());
+}
+
 TEST(Cli, EstimateMatchesTheGoldenSweeps) {
     // tests/golden/estimate-*.{csv,txt} were written by rrbtool before
     // the estimator replayed (estimate-c8: before its runs
     // fast-forwarded): the paper's numbers, pinned byte for byte against
-    // every later speed-up. The .txt holds stdout with the CSV written
-    // to the golden file's own name.
+    // every later speed-up.
+    expect_estimate_golden("estimate-ref",
+                           {"--kmax", "70", "--iterations", "40"});
+    expect_estimate_golden(
+        "estimate-c6-l5",
+        {"--cores", "6", "--lbus", "5", "--kmax", "80", "--iterations", "20"});
+    expect_estimate_golden(
+        "estimate-c8", {"--cores", "8", "--kmax", "160", "--iterations", "20"});
+}
+
+TEST(Cli, SingleRunCommandsMatchTheirGoldens) {
+    // tests/golden/cli/*.txt hold the stdout of each single-run command
+    // as rrbtool wrote it before the interpreter and the replay decoder
+    // shared one functional core.
     const struct {
         std::string name;
         std::vector<std::string> args;
     } goldens[] = {
-        {"estimate-ref", {"--kmax", "70", "--iterations", "40"}},
-        {"estimate-c6-l5",
-         {"--cores", "6", "--lbus", "5", "--kmax", "80", "--iterations",
-          "20"}},
-        {"estimate-c8",
-         {"--cores", "8", "--kmax", "160", "--iterations", "20"}},
+        {"calibrate", {"calibrate"}},
+        {"calibrate-c8", {"calibrate", "--cores", "8"}},
+        {"baseline", {"baseline"}},
+        {"baseline-c8", {"baseline", "--cores", "8"}},
+        {"isolation", {"isolation"}},
+        {"isolation-c8", {"isolation", "--cores", "8"}},
+        {"contention", {"contention"}},
+        {"contention-c8", {"contention", "--cores", "8"}},
+        {"slowdown", {"slowdown"}},
+        {"slowdown-c8", {"slowdown", "--cores", "8"}},
+        {"sweep", {"sweep"}},
+        {"sweep-c8", {"sweep", "--cores", "8"}},
+        {"estimate-store-span",
+         {"estimate", "--store-span", "--kmax", "40", "--iterations", "20"}},
     };
+    const std::string dir =
+        std::string(RRB_SOURCE_DIR) + "/tests/golden/cli/";
     for (const auto& golden : goldens) {
-        const std::string dir = std::string(RRB_SOURCE_DIR) + "/tests/golden/";
-        const std::string csv = "/tmp/rrbtool_" + golden.name + ".csv";
-        std::vector<std::string> args = {"estimate"};
-        args.insert(args.end(), golden.args.begin(), golden.args.end());
-        args.insert(args.end(), {"--csv", csv});
-        const CliResult r = invoke(args);
+        const CliResult r = invoke(golden.args);
         EXPECT_EQ(r.code, 0) << golden.name << ": " << r.err;
-        std::string expected = read_file(dir + golden.name + ".txt");
-        const std::string own_name = golden.name + ".csv";
-        const std::size_t at = expected.find(own_name);
-        ASSERT_NE(at, std::string::npos) << golden.name;
-        expected.replace(at, own_name.size(), csv);
-        EXPECT_EQ(r.out, expected) << golden.name;
-        EXPECT_EQ(read_file(csv), read_file(dir + own_name)) << golden.name;
-        std::remove(csv.c_str());
+        EXPECT_EQ(r.err, "") << golden.name;
+        EXPECT_EQ(r.out, read_file(dir + golden.name + ".txt"))
+            << golden.name;
     }
+}
+
+TEST(Cli, InterpretedCoresReproduceTheReplayedBytes) {
+    // The decode-overflow fault declines every decode, so every core of
+    // every run interprets: the interpreter must write the bytes replay
+    // writes.
+    const std::vector<std::string> pwcet = {"pwcet", "--runs", "200",
+                                            "--jobs", "1"};
+    const CliResult replayed = invoke(pwcet);
+    struct Disarm {
+        ~Disarm() { fault::FaultInjector::instance().disarm(); }
+    } disarm;
+    fault::FaultInjector::instance().arm("decode-overflow");
+    expect_estimate_golden("estimate-ref",
+                           {"--kmax", "70", "--iterations", "40"});
+    const CliResult interpreted = invoke(pwcet);
+    EXPECT_EQ(interpreted.code, replayed.code);
+    EXPECT_EQ(interpreted.out, replayed.out);
+    EXPECT_EQ(interpreted.err, replayed.err);
 }
 
 // ------------------------------------------- flags vs batch-spec keys

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "kernels/rsk.h"
+
 namespace rrb {
 namespace {
 
@@ -17,7 +19,8 @@ public:
 
     void attach(InOrderCore* core) { core_ = core; }
 
-    void request(BusOp op, Addr addr, Cycle ready, BusSlot slot) override {
+    void request(BusOp op, Addr addr, Cycle ready, BusSlot slot,
+                 L2Outcome /*l2*/) override {
         log.push_back({op, addr, ready});
         pending_.push_back({ready + latency_, slot});
     }
@@ -312,6 +315,118 @@ TEST(InOrderCore, ConfigValidation) {
     cfg = {};
     cfg.store_buffer_entries = 0;
     EXPECT_THROW(InOrderCore(0, cfg, port), std::invalid_argument);
+}
+
+// ------------------------------------------------- the functional core
+
+TEST(FunctionalCore, NopRunStopsAtTheEndOfItsIl1Line) {
+    // 32-byte lines hold 8 instructions: a warm 20-nop body batches
+    // 8 + 8 + 4, each batch starting on a fresh line (a full IL1 read,
+    // not a memo hit).
+    const Program p = ProgramBuilder("nops").nop(20).loop_control(0).build();
+    FunctionalCore core(0, CoreConfig{}, p);
+    core.warm_code();
+    for (const std::uint32_t expected : {8u, 8u, 4u}) {
+        const std::uint64_t reads = core.il1().stats().read_hits;
+        const FunctionalCore::Lookup fetch = core.fetch();
+        ASSERT_TRUE(fetch.hit);
+        EXPECT_EQ(fetch.line, core.pc() * Program::kInstrBytes);
+        const FunctionalCore::Batch batch = core.compute_batch();
+        EXPECT_EQ(batch.instrs, expected);
+        EXPECT_EQ(batch.nops, expected);
+        EXPECT_EQ(batch.cycles, expected);
+        // One hit for the fetch, one memo hit per chained instruction.
+        EXPECT_EQ(core.il1().stats().read_hits - reads, expected);
+    }
+    EXPECT_TRUE(core.finished());
+    // A body that starts mid-line batches only the rest of that line.
+    const Program offset = ProgramBuilder("nops").code_base(20).nop(20).build();
+    FunctionalCore shifted(0, CoreConfig{}, offset);
+    shifted.warm_code();
+    ASSERT_TRUE(shifted.fetch().hit);
+    EXPECT_EQ(shifted.compute_batch().instrs, 3u);
+}
+
+TEST(FunctionalCore, NopRunStopsAtALoadAndAtRetirement) {
+    const Program p = ProgramBuilder("mixed")
+                          .nop(3)
+                          .load(AddrPattern::fixed(0x1000))
+                          .alu(2, 5)
+                          .loop_control(4)
+                          .build();
+    FunctionalCore core(0, CoreConfig{}, p);
+    core.warm_code();
+    ASSERT_TRUE(core.fetch().hit);
+    FunctionalCore::Batch batch = core.compute_batch();
+    EXPECT_EQ(batch.instrs, 3u);
+    EXPECT_EQ(core.instruction().kind, OpKind::kLoad);
+    ASSERT_TRUE(core.fetch().hit);
+    const FunctionalCore::Lookup load = core.load();
+    EXPECT_FALSE(load.hit);
+    EXPECT_EQ(load.line, 0x1000u);
+    EXPECT_FALSE(core.retire());
+    // The alus close the only iteration: the batch stops at retirement
+    // and charges the body's loop control once.
+    ASSERT_TRUE(core.fetch().hit);
+    batch = core.compute_batch();
+    EXPECT_EQ(batch.instrs, 2u);
+    EXPECT_EQ(batch.nops, 0u);
+    EXPECT_EQ(batch.cycles, 2u * 5 + 4);
+    EXPECT_TRUE(core.finished());
+    EXPECT_EQ(core.retired(), 6u);
+    // A budget cut short stops a batch the same way.
+    core.restart();
+    core.finish_at(2);
+    ASSERT_TRUE(core.fetch().hit);
+    EXPECT_EQ(core.compute_batch().instrs, 2u);
+    EXPECT_TRUE(core.finished());
+}
+
+TEST(FunctionalCore, OneInstructionLoopChainsSixtyFourAfterItsFirst) {
+    // The saturation probe's scua: one nop, looping. Every instruction
+    // wraps the body, so a batch of 1 + kMaxComputeBatch instructions
+    // charges loop control 65 times — and the next batch fetches
+    // through the memo.
+    const Program probe = make_nop_kernel(1, 100);
+    FunctionalCore core(0, CoreConfig{}, probe);
+    core.warm_code();
+    ASSERT_TRUE(core.fetch().hit);
+    FunctionalCore::Batch batch = core.compute_batch();
+    EXPECT_EQ(batch.instrs, 1 + FunctionalCore::kMaxComputeBatch);
+    EXPECT_EQ(batch.nops, 65u);
+    EXPECT_EQ(batch.cycles, 65u * (1 + probe.loop_control_cycles));
+    EXPECT_EQ(core.iteration(), 65u);
+    EXPECT_EQ(core.pc(), 0u);
+    EXPECT_EQ(core.memo_line(), 0u);
+    ASSERT_TRUE(core.fetch().hit);
+    batch = core.compute_batch();
+    EXPECT_EQ(batch.instrs, 35u);  // the budget ends the second batch
+    EXPECT_TRUE(core.finished());
+    EXPECT_EQ(core.il1().stats().read_hits, 100u);
+    EXPECT_EQ(core.il1().stats().read_misses, 0u);
+}
+
+TEST(FunctionalCore, Il1MissClearsTheFetchMemo) {
+    // Cold code: a miss installs the line but leaves no memo, so the
+    // instruction after it re-reads the IL1 before chaining resumes.
+    const Program p = ProgramBuilder("nops").nop(16).build();
+    FunctionalCore core(0, CoreConfig{}, p);
+    FunctionalCore::Lookup fetch = core.fetch();
+    EXPECT_FALSE(fetch.hit);
+    EXPECT_EQ(fetch.line, 0u);
+    EXPECT_EQ(core.memo_line(), kNoCycle);
+    EXPECT_EQ(core.compute_batch().instrs, 1u);  // nothing chains
+    fetch = core.fetch();
+    EXPECT_TRUE(fetch.hit);
+    EXPECT_EQ(core.memo_line(), 0u);
+    EXPECT_EQ(core.compute_batch().instrs, 7u);
+    // The next line is cold: its miss clears the valid memo.
+    fetch = core.fetch();
+    EXPECT_FALSE(fetch.hit);
+    EXPECT_EQ(fetch.line, 32u);
+    EXPECT_EQ(core.memo_line(), kNoCycle);
+    EXPECT_EQ(core.compute_batch().instrs, 1u);
+    EXPECT_EQ(core.il1().stats().read_misses, 2u);
 }
 
 }  // namespace

@@ -9,7 +9,11 @@
 // contracts.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,7 @@
 #include "replay/decode.h"
 #include "replay/microop.h"
 #include "replay/script_cache.h"
+#include "sim/fnv.h"
 
 namespace rrb {
 namespace {
@@ -556,6 +561,164 @@ TEST(ScriptPool, InjectedDeclinesAreNotRemembered) {
     EXPECT_EQ(disarmed[obs::kReplayDecodes], 1u);
     EXPECT_EQ(disarmed[obs::kReplayDeclinesInjected], 0u);
     engine::MachineLease::drop_thread_cache();
+}
+
+// ------------------------------------------------------ scripts golden
+
+/// One line per script: every MicroOpScript field folded into one hash,
+/// or the decline reason.
+std::string script_line(const replay::MicroOpScript* script,
+                        replay::Decline why) {
+    if (script == nullptr) {
+        static const char* const kReasons[] = {"none", "op-cap",
+                                               "boundary-cap",
+                                               "dirty-replica", "injected"};
+        return std::string("declined ") +
+               kReasons[static_cast<std::size_t>(why)];
+    }
+    Fnv1a h;
+    for (const replay::MicroOp& op : script->ops) {
+        for (const std::uint64_t field :
+             {std::uint64_t(op.kind), std::uint64_t{op.flags},
+              std::uint64_t{op.il1_chain_hits}, std::uint64_t{op.nops},
+              std::uint64_t{op.instrs}, std::uint64_t{op.span_ops},
+              std::uint64_t{op.cycles}, op.line,
+              std::uint64_t{op.span_cycles}, std::uint64_t{op.span_instrs},
+              std::uint64_t{op.span_nops}, std::uint64_t{op.span_il1_hits},
+              std::uint64_t{op.span_loads}}) {
+            h.u64(field);
+        }
+    }
+    for (const std::uint64_t field :
+         {std::uint64_t{script->looping}, std::uint64_t{script->l2_baked},
+          std::uint64_t{script->loop_start},
+          std::uint64_t{script->tail_start}, script->tail_instrs,
+          script->loop_instrs, script->total_instructions,
+          std::uint64_t{script->pass_ops}}) {
+        h.u64(field);
+    }
+    for (const std::uint16_t bound : script->repeat_prev) h.u64(bound);
+    for (const std::uint16_t bound : script->repeat_pass) h.u64(bound);
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(h.value()));
+    return "ops " + std::to_string(script->ops.size()) + " loop " +
+           std::to_string(script->loop_start) + ".." +
+           std::to_string(script->tail_start) + " hash " + hash;
+}
+
+/// The decode of every program the estimator and the campaigns run, on
+/// four platforms under each L1 replacement policy, as prepare_scripts
+/// decodes it (scuas as core 0, contenders as core 1).
+std::string decode_scripts_golden() {
+    const struct {
+        const char* name;
+        MachineConfig config;
+    } platforms[] = {
+        {"ngmp_ref", MachineConfig::ngmp_ref()},
+        {"ngmp_var", MachineConfig::ngmp_var()},
+        {"scaled-8-9", MachineConfig::scaled(8, 9)},
+        {"scaled-6-5", MachineConfig::scaled(6, 5)},
+    };
+    const struct {
+        const char* name;
+        ReplacementPolicy policy;
+    } policies[] = {
+        {"lru", ReplacementPolicy::kLru},
+        {"fifo", ReplacementPolicy::kFifo},
+        {"plru", ReplacementPolicy::kPlru},
+        {"random", ReplacementPolicy::kRandom},
+    };
+    const std::uint64_t cycle_cap = 200'000'000;
+    std::string out;
+    for (const auto& platform : platforms) {
+        for (const auto& policy : policies) {
+            MachineConfig config = platform.config;
+            config.core.l1_replacement = policy.policy;
+            struct Entry {
+                std::string name;
+                Program program;
+                CoreId core;
+            };
+            std::vector<Entry> programs;
+            for (const std::uint32_t unroll : {5u, 8u}) {
+                for (const std::uint32_t k : {0u, 1u, 7u, 8u, 9u, 40u, 160u}) {
+                    RskParams params;
+                    params.dl1_geometry = config.core.dl1_geometry;
+                    params.il1_geometry = config.core.il1_geometry;
+                    params.unroll = unroll;
+                    params.iterations = 20;
+                    params.data_base = 0x0010'0000;
+                    params.code_base = 0;
+                    programs.push_back({"rsk-nop-u" + std::to_string(unroll) +
+                                            "-k" + std::to_string(k),
+                                        make_rsk_nop(params, k), 0});
+                }
+            }
+            for (const OpKind access : {OpKind::kLoad, OpKind::kStore}) {
+                Program contender =
+                    make_rsk_contenders(config, access, 8).front();
+                contender.iterations = cycle_cap;
+                programs.push_back({access == OpKind::kLoad
+                                        ? "rsk-load-contender"
+                                        : "rsk-store-contender",
+                                    std::move(contender), 1});
+            }
+            programs.push_back(
+                {"delta-nop", make_nop_kernel(2048, 64, 1), 0});
+            programs.push_back(
+                {"saturation-probe", make_nop_kernel(1, 50'000), 0});
+            for (const Autobench kernel : all_autobench()) {
+                programs.push_back(
+                    {std::string("autobench-") + to_string(kernel),
+                     make_autobench(kernel, 0x0100'0000, 12, 9), 0});
+            }
+            Machine machine(config);
+            for (const Entry& entry : programs) {
+                replay::L2PartitionSpec spec;
+                spec.geometry = machine.l2().partition_geometry();
+                spec.replacement = config.l2_replacement;
+                spec.write_policy = config.l2_write_policy;
+                spec.alloc_policy = config.l2_alloc_policy;
+                spec.rng_seed = machine.l2().partition_rng_seed(entry.core);
+                spec.dram_row_span =
+                    config.dram.row_bytes * config.dram.num_banks;
+                spec.dram_capacity = config.dram.capacity_bytes;
+                replay::Decline why = replay::Decline::kNone;
+                const auto script = replay::decode_program(
+                    entry.program, config.core, entry.core, &spec, {}, &why);
+                out += std::string(platform.name) + " " + policy.name + " " +
+                       entry.name + ": " + script_line(script.get(), why) +
+                       "\n";
+            }
+        }
+    }
+    return out;
+}
+
+TEST(ScriptDecode, MatchesTheGoldenScripts) {
+    // tests/golden/scripts.txt pins the decoder's output. The
+    // interpreter and the decoder share one functional core, so a change
+    // to a shared rule moves both sides of every differential suite
+    // alike, but it moves these hashes. A mismatch writes the recomputed
+    // file to the test temp dir; re-blessing it is a test change.
+    const std::string golden_path =
+        std::string(RRB_SOURCE_DIR) + "/tests/golden/scripts.txt";
+    std::ifstream in(golden_path, std::ios::binary);
+    const std::string expected{std::istreambuf_iterator<char>(in), {}};
+    const std::string actual = decode_scripts_golden();
+    if (actual == expected) return;
+    const std::string written = testing::TempDir() + "scripts.txt";
+    std::ofstream(written, std::ios::binary) << actual;
+    std::istringstream want(expected);
+    std::istringstream got(actual);
+    std::string a;
+    std::string b;
+    std::size_t line = 0;
+    while (std::getline(want, a) && std::getline(got, b) && a == b) ++line;
+    ADD_FAILURE() << "scripts differ from " << golden_path << " at line "
+                  << line + 1 << ":\n  golden: " << a << "\n  decoded: " << b
+                  << "\nrecomputed file: " << written;
 }
 
 }  // namespace
