@@ -4,84 +4,27 @@
 
 namespace rrb {
 
-RoundRobinArbiter::RoundRobinArbiter(CoreId num_cores)
-    : num_cores_(num_cores), head_(0) {
+Arbiter::Arbiter(ArbiterKind kind, CoreId num_cores, Cycle tdma_slot_cycles,
+                 std::vector<std::uint32_t> wrr_weights)
+    : kind_(kind), num_cores_(num_cores), slot_cycles_(tdma_slot_cycles) {
     RRB_REQUIRE(num_cores >= 1, "need at least one core");
-}
-
-std::optional<CoreId> RoundRobinArbiter::pick(
-    std::span<const ArbCandidate> candidates, Cycle /*now*/) {
-    RRB_ENSURE(candidates.size() == num_cores_);
-    // head_..end then 0..head_ — rotation priority without the
-    // per-candidate modulo (this runs once per bus grant).
-    for (CoreId core = head_; core < num_cores_; ++core) {
-        if (candidates[core].ready) return core;
+    if (kind == ArbiterKind::kTdma) {
+        RRB_REQUIRE(tdma_slot_cycles >= 1, "slot must be at least one cycle");
     }
-    for (CoreId core = 0; core < head_; ++core) {
-        if (candidates[core].ready) return core;
+    if (kind == ArbiterKind::kWeightedRoundRobin) {
+        if (wrr_weights.empty()) wrr_weights.assign(num_cores, 1);
+        RRB_REQUIRE(wrr_weights.size() == num_cores,
+                    "one weight per core required");
+        for (const std::uint32_t w : wrr_weights) {
+            RRB_REQUIRE(w >= 1, "every weight must be >= 1");
+        }
+        weights_ = std::move(wrr_weights);
     }
-    return std::nullopt;
+    reset();
 }
 
-void RoundRobinArbiter::granted(CoreId core, Cycle /*now*/) {
-    RRB_ENSURE(core < num_cores_);
-    head_ = (core + 1) % num_cores_;
-}
-
-void RoundRobinArbiter::reset() { head_ = 0; }
-
-FixedPriorityArbiter::FixedPriorityArbiter(CoreId num_cores)
-    : num_cores_(num_cores) {
-    RRB_REQUIRE(num_cores >= 1, "need at least one core");
-}
-
-std::optional<CoreId> FixedPriorityArbiter::pick(
-    std::span<const ArbCandidate> candidates, Cycle /*now*/) {
-    RRB_ENSURE(candidates.size() == num_cores_);
-    for (CoreId core = 0; core < num_cores_; ++core) {
-        if (candidates[core].ready) return core;
-    }
-    return std::nullopt;
-}
-
-void FixedPriorityArbiter::granted(CoreId core, Cycle /*now*/) {
-    RRB_ENSURE(core < num_cores_);
-}
-
-TdmaArbiter::TdmaArbiter(CoreId num_cores, Cycle slot_cycles)
-    : num_cores_(num_cores), slot_cycles_(slot_cycles) {
-    RRB_REQUIRE(num_cores >= 1, "need at least one core");
-    RRB_REQUIRE(slot_cycles >= 1, "slot must be at least one cycle");
-}
-
-std::optional<CoreId> TdmaArbiter::pick(
-    std::span<const ArbCandidate> candidates, Cycle now) {
-    RRB_ENSURE(candidates.size() == num_cores_);
-    const CoreId owner =
-        static_cast<CoreId>((now / slot_cycles_) % num_cores_);
-    if (!candidates[owner].ready) return std::nullopt;
-    const Cycle slot_end = (now / slot_cycles_ + 1) * slot_cycles_;
-    if (now + candidates[owner].duration > slot_end) return std::nullopt;
-    return owner;
-}
-
-void TdmaArbiter::granted(CoreId core, Cycle /*now*/) {
-    RRB_ENSURE(core < num_cores_);
-}
-
-bool TdmaArbiter::grants_alone(CoreId core, Cycle duration,
-                               Cycle now) const {
-    // Mirror pick(): only the slot owner may win, and only when the
-    // transaction fits in the remainder of the slot.
-    const CoreId owner =
-        static_cast<CoreId>((now / slot_cycles_) % num_cores_);
-    if (core != owner) return false;
-    const Cycle slot_end = (now / slot_cycles_ + 1) * slot_cycles_;
-    return now + duration <= slot_end;
-}
-
-Cycle TdmaArbiter::next_grant_cycle(CoreId core, Cycle duration,
-                                    Cycle earliest) const {
+Cycle Arbiter::tdma_grant_cycle(CoreId core, Cycle duration,
+                                Cycle earliest) const noexcept {
     // A transaction longer than a whole slot can never be granted: no
     // slot has room for it from any starting cycle.
     if (duration > slot_cycles_) return kNoCycle;
@@ -96,83 +39,18 @@ Cycle TdmaArbiter::next_grant_cycle(CoreId core, Cycle duration,
     // current slot only have less room, and intervening slots belong to
     // other cores).
     Cycle next_slot = slot + 1;
-    const CoreId at = static_cast<CoreId>(next_slot % num_cores_);
+    const auto at = static_cast<CoreId>(next_slot % num_cores_);
     next_slot += core >= at ? core - at : num_cores_ - at + core;
     return next_slot * slot_cycles_;
 }
 
-WeightedRoundRobinArbiter::WeightedRoundRobinArbiter(
-    std::vector<std::uint32_t> weights)
-    : weights_(std::move(weights)), head_(0) {
-    RRB_REQUIRE(!weights_.empty(), "need at least one core");
-    for (const std::uint32_t w : weights_) {
-        RRB_REQUIRE(w >= 1, "every weight must be >= 1");
-    }
-    credits_ = weights_[0];
-}
-
-void WeightedRoundRobinArbiter::advance_head() {
-    head_ = (head_ + 1) % static_cast<CoreId>(weights_.size());
-    credits_ = weights_[head_];
-}
-
-std::optional<CoreId> WeightedRoundRobinArbiter::pick(
-    std::span<const ArbCandidate> candidates, Cycle /*now*/) {
-    RRB_ENSURE(candidates.size() == weights_.size());
-    const auto n = static_cast<CoreId>(weights_.size());
-    for (CoreId offset = 0; offset < n; ++offset) {
-        const CoreId core = (head_ + offset) % n;
-        if (candidates[core].ready) return core;
-    }
-    return std::nullopt;
-}
-
-void WeightedRoundRobinArbiter::granted(CoreId core, Cycle /*now*/) {
-    RRB_ENSURE(core < weights_.size());
-    if (core != head_) {
-        // Work-conserving grant to a lower-priority core: the head keeps
-        // its position and remaining credits (it was simply not ready).
-        return;
-    }
-    RRB_ENSURE(credits_ >= 1);
-    --credits_;
-    if (credits_ == 0) advance_head();
-}
-
-std::uint64_t WeightedRoundRobinArbiter::worst_case_window(
-    CoreId core) const {
-    RRB_REQUIRE(core < weights_.size(), "core id out of range");
+std::uint64_t Arbiter::worst_case_window(CoreId core) const {
+    RRB_REQUIRE(kind_ == ArbiterKind::kWeightedRoundRobin,
+                "worst-case window of a weighted round-robin arbiter");
+    RRB_REQUIRE(core < num_cores_, "core id out of range");
     std::uint64_t total = 0;
     for (const std::uint32_t w : weights_) total += w;
     return total - weights_[core];
-}
-
-void WeightedRoundRobinArbiter::reset() {
-    head_ = 0;
-    credits_ = weights_[0];
-}
-
-std::unique_ptr<Arbiter> make_arbiter(ArbiterKind kind, CoreId num_cores,
-                                      Cycle tdma_slot_cycles,
-                                      std::vector<std::uint32_t> weights) {
-    switch (kind) {
-        case ArbiterKind::kRoundRobin:
-            return std::make_unique<RoundRobinArbiter>(num_cores);
-        case ArbiterKind::kFixedPriority:
-            return std::make_unique<FixedPriorityArbiter>(num_cores);
-        case ArbiterKind::kTdma:
-            return std::make_unique<TdmaArbiter>(num_cores, tdma_slot_cycles);
-        case ArbiterKind::kWeightedRoundRobin: {
-            if (weights.empty()) {
-                weights.assign(num_cores, 1);  // degenerates to plain RR
-            }
-            RRB_REQUIRE(weights.size() == num_cores,
-                        "one weight per core required");
-            return std::make_unique<WeightedRoundRobinArbiter>(
-                std::move(weights));
-        }
-    }
-    RRB_ENSURE(false);
 }
 
 }  // namespace rrb

@@ -17,15 +17,10 @@ const char* to_string(BusOp op) noexcept {
     return "?";
 }
 
-Bus::Bus(CoreId num_cores, std::unique_ptr<Arbiter> arbiter)
+Bus::Bus(Arbiter arbiter)
     : arbiter_(std::move(arbiter)),
-      ports_(num_cores),
-      counters_(num_cores),
-      candidates_(num_cores) {
-    RRB_REQUIRE(num_cores >= 1, "need at least one core");
-    RRB_REQUIRE(arbiter_ != nullptr, "arbiter required");
-    rr_ = dynamic_cast<RoundRobinArbiter*>(arbiter_.get());
-}
+      ports_(arbiter_.num_cores()),
+      counters_(arbiter_.num_cores()) {}
 
 void Bus::post(const BusRequest& request) {
     RRB_REQUIRE(request.core < ports_.size(), "core id out of range");
@@ -118,55 +113,14 @@ void Bus::account_completion(const BusRequest& finished, Cycle now) {
 }
 
 void Bus::arbitrate_pending(Cycle now) {
-    if (rr_ != nullptr) {
-        // Monomorphized round-robin: scan the ports directly in rotation
-        // order and grant the first eligible one. Identical outcome to
-        // the generic candidate-table path below — RR's pick() is the
-        // same scan, and its grants_alone() is unconditionally true — at
-        // a fraction of the cost (no table build, no virtual pick).
-        const CoreId n = static_cast<CoreId>(ports_.size());
-        const CoreId head = rr_->highest_priority();
-        for (CoreId i = 0; i < n; ++i) {
-            CoreId c = head + i;
-            if (c >= n) c -= n;
+    const CoreId winner = arbiter_.pick(
+        now,
+        [this, now](CoreId c) {
             const Port& port = ports_[c];
-            if (port.has_pending && port.pending.ready <= now) {
-                grant(c, now);
-                return;
-            }
-        }
-        return;
-    }
-
-    if (pending_count_ == 1) {
-        // Sole contender: every policy either grants it or leaves the
-        // bus idle (TDMA slot timing) — no candidate table needed.
-        for (CoreId c = 0; c < ports_.size(); ++c) {
-            const Port& port = ports_[c];
-            if (!port.has_pending) continue;
-            if (port.pending.ready <= now &&
-                arbiter_->grants_alone(c, port.pending.duration, now)) {
-                grant(c, now);
-            }
-            return;
-        }
-    }
-
-    bool any = false;
-    for (CoreId c = 0; c < ports_.size(); ++c) {
-        const Port& port = ports_[c];
-        if (port.has_pending && port.pending.ready <= now) {
-            candidates_[c] = {true, port.pending.duration};
-            any = true;
-        } else {
-            candidates_[c] = {};
-        }
-    }
-    if (!any) return;
-
-    const std::optional<CoreId> winner = arbiter_->pick(candidates_, now);
-    if (!winner) return;  // e.g. TDMA slot owner not ready
-    grant(*winner, now);
+            return port.has_pending && port.pending.ready <= now;
+        },
+        [this](CoreId c) { return ports_[c].pending.duration; });
+    if (winner != kNoCore) grant(winner, now);  // else e.g. TDMA slot idle
 }
 
 void Bus::grant(CoreId winner, Cycle now) {
@@ -177,11 +131,7 @@ void Bus::grant(CoreId winner, Cycle now) {
     port.has_pending = false;
     --pending_count_;
 
-    if (rr_ != nullptr) {
-        rr_->granted(winner, now);  // final class: devirtualized
-    } else {
-        arbiter_->granted(winner, now);
-    }
+    arbiter_.granted(winner);
     busy_until_ = now + active_.duration;
     total_busy_cycles_ += active_.duration;
 
@@ -264,16 +214,14 @@ Cycle Bus::next_pending_cycle(Cycle now) const {
         if (!port.has_pending) continue;
         // Earliest cycle this request could win arbitration. For every
         // work-conserving policy that is simply its ready cycle (or now,
-        // when already ready); TDMA's override adds the slot wait, so
-        // the skipper can fast-forward straight to the owned slot
-        // instead of stepping cycle by cycle until the arbiter grants.
-        // Exactness: the per-core bound is the minimum winnable cycle,
-        // so no pick() between now and the minimum could grant anyone.
+        // when already ready); TDMA adds the slot wait, so the skipper
+        // can fast-forward straight to the owned slot instead of
+        // stepping cycle by cycle until the arbiter grants. Exactness:
+        // the per-core bound is the minimum winnable cycle, so no pick()
+        // between now and the minimum could grant anyone.
         const Cycle earliest = std::max(port.pending.ready, now);
-        next = std::min(next, rr_ != nullptr
-                                  ? earliest  // RR inherits the default
-                                  : arbiter_->next_grant_cycle(
-                                        c, port.pending.duration, earliest));
+        next = std::min(next, arbiter_.next_grant_cycle(
+                                  c, port.pending.duration, earliest));
     }
     return next;
 }
@@ -293,7 +241,7 @@ void Bus::reset() {
     pending_count_ = 0;
     has_active_ = false;
     busy_until_ = 0;
-    arbiter_->reset();
+    arbiter_.reset();
     reset_counters();
 }
 

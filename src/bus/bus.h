@@ -11,6 +11,10 @@
 //   * per-request contention delay gamma = g - R; this is the quantity the
 //     paper's ubd bounds.
 //
+// Arbitration: the bus holds one Arbiter value (bus/arbiter.h) and grants
+// through one path — whenever it is free, the arbiter's inline scan picks
+// among the ports whose request is ready, whatever the policy.
+//
 // The bus does not know cache contents: the component that posts a request
 // has already decided its `duration` (e.g. L2 hit = transfer + hit latency
 // + handover). Completions are delivered to a single BusClient attached
@@ -22,8 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "bus/arbiter.h"
@@ -88,7 +90,8 @@ struct BusCoreCounters {
 
 class Bus {
 public:
-    Bus(CoreId num_cores, std::unique_ptr<Arbiter> arbiter);
+    /// One port per core of `arbiter`.
+    explicit Bus(Arbiter arbiter);
 
     /// Attaches the completion sink all requests report to.
     void attach_client(BusClient* client) noexcept { client_ = client; }
@@ -166,7 +169,7 @@ public:
     [[nodiscard]] CoreId num_cores() const noexcept {
         return static_cast<CoreId>(ports_.size());
     }
-    [[nodiscard]] const Arbiter& arbiter() const noexcept { return *arbiter_; }
+    [[nodiscard]] const Arbiter& arbiter() const noexcept { return arbiter_; }
 
     /// PMC access.
     [[nodiscard]] const BusCoreCounters& counters(CoreId core) const;
@@ -218,7 +221,7 @@ public:
             sink(port.has_pending ? 1 : 0);
             if (port.has_pending) request(port.pending);
         }
-        sink(*arbiter_->state_word());
+        sink(*arbiter_.state_word());
     }
 
     /// Calls f(counter) on every additive PMC (max_wait and the
@@ -258,19 +261,9 @@ private:
     /// to the owner, waiters' elapsed time blamed on the owner.
     void account_completion(const BusRequest& finished, Cycle now);
 
-    std::unique_ptr<Arbiter> arbiter_;
-    /// Non-null when arbiter_ is the round-robin policy: the paper's
-    /// target arbiter and the campaign default. Arbitration then runs a
-    /// monomorphized scan over the ports in rotation order — no
-    /// candidate table, no virtual dispatch (RoundRobinArbiter is final,
-    /// so calls through this pointer devirtualize) — and next_event_cycle
-    /// skips the virtual next_grant_cycle (work-conserving: the bound is
-    /// the ready cycle itself). Purely an execution-speed monomorphization;
-    /// the generic path computes identical grants.
-    RoundRobinArbiter* rr_ = nullptr;
+    Arbiter arbiter_;
     std::vector<Port> ports_;
     std::vector<BusCoreCounters> counters_;
-    std::vector<ArbCandidate> candidates_;  ///< reused arbitration buffer
 
     BusRequest active_;
     bool has_active_ = false;

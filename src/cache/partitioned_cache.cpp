@@ -4,12 +4,14 @@
 
 namespace rrb {
 
-WayPartitionedCache::WayPartitionedCache(CacheGeometry full, CoreId num_cores,
-                                         ReplacementPolicy replacement,
-                                         WritePolicy write_policy,
-                                         AllocPolicy alloc_policy,
-                                         std::uint64_t rng_seed)
-    : base_rng_seed_(rng_seed) {
+Cache WayPartitionedCache::make_partition(const CacheGeometry& geometry,
+                                          CoreId core) {
+    return Cache(geometry, kReplacement, kWritePolicy, kAllocPolicy,
+                 1 + core);  // the victim RNG's seed
+}
+
+WayPartitionedCache::WayPartitionedCache(CacheGeometry full,
+                                         CoreId num_cores) {
     RRB_REQUIRE(num_cores >= 1, "need at least one core");
     full.validate();
     RRB_REQUIRE(full.ways % num_cores == 0,
@@ -27,8 +29,7 @@ WayPartitionedCache::WayPartitionedCache(CacheGeometry full, CoreId num_cores,
 
     partitions_.reserve(num_cores);
     for (CoreId c = 0; c < num_cores; ++c) {
-        partitions_.emplace_back(partition_geometry_, replacement,
-                                 write_policy, alloc_policy, rng_seed + c);
+        partitions_.push_back(make_partition(partition_geometry_, c));
     }
 }
 

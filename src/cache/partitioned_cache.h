@@ -20,11 +20,20 @@ namespace rrb {
 
 class WayPartitionedCache {
 public:
+    /// Every partition's policies.
+    static constexpr ReplacementPolicy kReplacement = ReplacementPolicy::kLru;
+    static constexpr WritePolicy kWritePolicy = WritePolicy::kWriteBack;
+    static constexpr AllocPolicy kAllocPolicy = AllocPolicy::kWriteAllocate;
+
+    /// Core `core`'s partition at power-on, of partition geometry
+    /// `geometry`: how the cache builds each partition, and how the replay
+    /// decoder builds its replica of one — the two cannot drift apart.
+    [[nodiscard]] static Cache make_partition(const CacheGeometry& geometry,
+                                              CoreId core);
+
     /// Builds per-core partitions from the full geometry. Requires that
     /// `full.ways` is divisible by the number of cores.
-    WayPartitionedCache(CacheGeometry full, CoreId num_cores,
-                        ReplacementPolicy replacement, WritePolicy write_policy,
-                        AllocPolicy alloc_policy, std::uint64_t rng_seed = 1);
+    WayPartitionedCache(CacheGeometry full, CoreId num_cores);
 
     CacheAccess read(CoreId core, Addr addr);
     CacheAccess write(CoreId core, Addr addr);
@@ -47,13 +56,6 @@ public:
     [[nodiscard]] std::uint32_t ways_per_core() const noexcept {
         return partition_geometry_.ways;
     }
-    /// Victim-RNG seed of `core`'s partition (base seed + core). The
-    /// replay decoder constructs its partition replica from this so a
-    /// kRandom-replacement partition evicts identically.
-    [[nodiscard]] std::uint64_t partition_rng_seed(CoreId core) const noexcept {
-        return base_rng_seed_ + core;
-    }
-
     /// Statistics-only injection for replay mode (Cache::replay_*): the
     /// replaying core re-applies the baked outcome of one partition read
     /// without touching tag/replacement state — which it never consults.
@@ -74,7 +76,6 @@ public:
 private:
     CacheGeometry partition_geometry_;
     std::vector<Cache> partitions_;
-    std::uint64_t base_rng_seed_ = 1;
 };
 
 }  // namespace rrb

@@ -204,8 +204,7 @@ Cycle InOrderCore::execute_instruction(Cycle now) {
         case OpKind::kLoad: {
             // Single AHB master port: a load miss may not overtake queued
             // stores.
-            if (config_.loads_wait_store_buffer &&
-                (drain_in_flight_ || !store_buffer_.empty())) {
+            if (drain_in_flight_ || !store_buffer_.empty()) {
                 return stall(now, stats_.load_gate_stall_cycles,
                              StallCause::kStoreGate);
             }
@@ -345,8 +344,7 @@ Cycle InOrderCore::replay_execute(Cycle now) {
             // survives stall retries through fetched_ — the interpreter
             // fetches before gating in exactly this order.
             replay_fetch(op);
-            if (config_.loads_wait_store_buffer &&
-                (drain_in_flight_ || !store_buffer_.empty())) {
+            if (drain_in_flight_ || !store_buffer_.empty()) {
                 return stall(now, stats_.load_gate_stall_cycles,
                              StallCause::kStoreGate);
             }

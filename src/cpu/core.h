@@ -83,11 +83,9 @@ struct CoreConfig {
     /// IL1 hit cost is hidden by pipelining; kept for completeness.
     std::uint32_t il1_latency = 1;
 
+    /// Store buffer depth. A load waits until the buffer has fully
+    /// drained before it issues (single AHB master port).
     std::uint32_t store_buffer_entries = 8;
-
-    /// When true (default, single AHB master port semantics) a load miss
-    /// waits until the store buffer has fully drained before issuing.
-    bool loads_wait_store_buffer = true;
 
     bool operator==(const CoreConfig&) const = default;
     void validate() const;

@@ -1,5 +1,6 @@
 #include "machine/config.h"
 
+#include "cache/partitioned_cache.h"
 #include "sim/contract.h"
 
 namespace rrb {
@@ -40,11 +41,14 @@ std::uint64_t MachineConfig::fingerprint() const {
     h.u64(core.dl1_latency);
     h.u64(core.il1_latency);
     h.u64(core.store_buffer_entries);
-    h.u64(core.loads_wait_store_buffer ? 1 : 0);
+    // Loads always wait for the store buffer, and the L2 partitions'
+    // policies are constants: their words keep the slots they had as
+    // config fields, so no lease key or checkpoint identity moves.
+    h.u64(1);
     fold_geometry(h, l2_geometry);
-    h.u64(static_cast<std::uint64_t>(l2_replacement));
-    h.u64(static_cast<std::uint64_t>(l2_write_policy));
-    h.u64(static_cast<std::uint64_t>(l2_alloc_policy));
+    h.u64(static_cast<std::uint64_t>(WayPartitionedCache::kReplacement));
+    h.u64(static_cast<std::uint64_t>(WayPartitionedCache::kWritePolicy));
+    h.u64(static_cast<std::uint64_t>(WayPartitionedCache::kAllocPolicy));
     h.u64(static_cast<std::uint64_t>(arbiter));
     h.u64(tdma_slot_cycles);
     h.u64(wrr_weights.size());

@@ -16,10 +16,9 @@ struct MachineConfig {
     CoreId num_cores = 4;
     CoreConfig core;
 
+    /// Way-partitioned across the cores; the partitions' policies are
+    /// WayPartitionedCache's.
     CacheGeometry l2_geometry{256 * 1024, 4, 32};
-    ReplacementPolicy l2_replacement = ReplacementPolicy::kLru;
-    WritePolicy l2_write_policy = WritePolicy::kWriteBack;
-    AllocPolicy l2_alloc_policy = AllocPolicy::kWriteAllocate;
 
     ArbiterKind arbiter = ArbiterKind::kRoundRobin;
     Cycle tdma_slot_cycles = 16;

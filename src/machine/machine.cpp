@@ -22,8 +22,7 @@ BusSlot tag_slot(std::uint64_t tag) noexcept {
 
 Machine::Machine(MachineConfig config)
     : config_(config),
-      l2_(config.l2_geometry, config.num_cores, config.l2_replacement,
-          config.l2_write_policy, config.l2_alloc_policy),
+      l2_(config.l2_geometry, config.num_cores),
       dram_(config.dram),
       attribution_(config.num_cores),
       // Snapshot room for every core's execution state, port queue and
@@ -35,9 +34,8 @@ Machine::Machine(MachineConfig config)
           config.num_cores) {
     config_.validate();
     bus_ = std::make_unique<Bus>(
-        config_.num_cores,
-        make_arbiter(config_.arbiter, config_.num_cores,
-                     config_.tdma_slot_cycles, config_.wrr_weights));
+        Arbiter(config_.arbiter, config_.num_cores, config_.tdma_slot_cycles,
+                config_.wrr_weights));
     bus_->attach_tracer(&tracer_);
     bus_->attach_client(this);
     dram_.attach_tracer(&tracer_);

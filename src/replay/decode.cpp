@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "cache/partitioned_cache.h"
 #include "fault/fault.h"
 #include "sim/contract.h"
 #include "sim/fnv.h"
@@ -37,9 +38,8 @@ struct Recorder {
         if (l2_spec != nullptr && program.count(OpKind::kStore) == 0) {
             // Storeless: the partition sees only this core's loads and
             // fetches, in program order — replicable.
-            l2.emplace(l2_spec->geometry, l2_spec->replacement,
-                       l2_spec->write_policy, l2_spec->alloc_policy,
-                       l2_spec->rng_seed);
+            l2.emplace(WayPartitionedCache::make_partition(l2_spec->geometry,
+                                                           core_id));
             FunctionalCore::warm_data(program, *l2);
         }
     }
@@ -163,7 +163,7 @@ bool addresses_iteration_independent(const Program& program) {
 /// kCompute/kLoadHit ops, optionally closed by one kStore. Regions are
 /// never crossed (the runtime wraps rp_ only at region boundaries).
 void build_spans(std::vector<MicroOp>& ops, std::size_t begin,
-                 std::size_t end, bool loads_wait_store_buffer) {
+                 std::size_t end) {
     std::size_t i = begin;
     while (i < end) {
         const MicroOp::Kind kind = ops[i].kind;
@@ -212,7 +212,7 @@ void build_spans(std::vector<MicroOp>& ops, std::size_t begin,
             // A merged load must never skip a gate stall the interpreter
             // would take, and a merged store must never skip a full-
             // buffer stall: both are impossible from a clean buffer.
-            if (has_store || (loads > 0 && loads_wait_store_buffer)) {
+            if (has_store || loads > 0) {
                 head.flags |= MicroOp::kSpanNeedsClean;
             }
             if (has_store) head.flags |= MicroOp::kSpanStore;
@@ -433,12 +433,10 @@ std::unique_ptr<MicroOpScript> decode_program(const Program& program,
         script->tail_start = static_cast<std::uint32_t>(ops.size());
     }
 
-    build_spans(ops, 0, script->loop_start, config.loads_wait_store_buffer);
+    build_spans(ops, 0, script->loop_start);
     if (script->looping) {
-        build_spans(ops, script->loop_start, script->tail_start,
-                    config.loads_wait_store_buffer);
-        build_spans(ops, script->tail_start, ops.size(),
-                    config.loads_wait_store_buffer);
+        build_spans(ops, script->loop_start, script->tail_start);
+        build_spans(ops, script->tail_start, ops.size());
     }
     script->ops.assign(ops.begin(), ops.end());
     build_repeats(*script, l2);

@@ -50,15 +50,11 @@ enum class Decline : std::uint8_t {
 
 /// The replica blueprint of one core's private L2 partition, for baking
 /// partition-local L2 outcomes into the script (MicroOpScript::l2_baked).
-/// Mirror of what Machine's WayPartitionedCache builds for the core:
-/// partition (not full) geometry, the shared policies, and the
-/// partition's own victim-RNG seed.
+/// The decoder builds the replica with WayPartitionedCache::make_partition
+/// — exactly as Machine's L2 builds the core's partition — from the
+/// partition (not full) geometry.
 struct L2PartitionSpec {
     CacheGeometry geometry;
-    ReplacementPolicy replacement = ReplacementPolicy::kLru;
-    WritePolicy write_policy = WritePolicy::kWriteBack;
-    AllocPolicy alloc_policy = AllocPolicy::kWriteAllocate;
-    std::uint64_t rng_seed = 1;
     /// Where the partition's misses land in DRAM: address bytes per DRAM
     /// row across all banks (DramConfig::row_bytes * num_banks), within
     /// a `dram_capacity`-byte wrap. Two misses repeat each other in the

@@ -35,13 +35,10 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
     cache.programs.assign(config.num_cores, 0);
     // Under kRandom L1 replacement the victim RNG is seeded from the
     // core id, so equal programs still decode to different outcome
-    // streams on different cores. The same applies to the L2 partition
-    // replica — but only for programs that bake L2 outcomes at all
-    // (storeless ones; see decode.h).
+    // streams on different cores. (The L2 partitions are LRU: their
+    // outcomes do not depend on the core.)
     const bool l1_random =
         config.core.l1_replacement == ReplacementPolicy::kRandom;
-    const bool l2_random =
-        config.l2_replacement == ReplacementPolicy::kRandom;
     bool injected = false;
     for (CoreId c = 0; c < config.num_cores; ++c) {
         if (!machine.has_program(c)) continue;
@@ -49,10 +46,7 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
         const std::uint64_t fp =
             programs.empty() ? fingerprint(program) : programs[c];
         cache.programs[c] = fp;
-        const bool bakes_l2 = program.count(OpKind::kStore) == 0;
-        const CoreId owner = l1_random || (l2_random && bakes_l2)
-                                 ? c
-                                 : ScriptCache::kAnyCore;
+        const CoreId owner = l1_random ? c : ScriptCache::kAnyCore;
         // A remembered decline covers every core running the program:
         // it only sends them to the bit-identical interpreter.
         auto pooled = std::find_if(
@@ -64,10 +58,6 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
         if (pooled == cache.pool.end()) {
             L2PartitionSpec l2_spec;
             l2_spec.geometry = machine.l2().partition_geometry();
-            l2_spec.replacement = config.l2_replacement;
-            l2_spec.write_policy = config.l2_write_policy;
-            l2_spec.alloc_policy = config.l2_alloc_policy;
-            l2_spec.rng_seed = machine.l2().partition_rng_seed(c);
             l2_spec.dram_row_span =
                 config.dram.row_bytes * config.dram.num_banks;
             l2_spec.dram_capacity = config.dram.capacity_bytes;

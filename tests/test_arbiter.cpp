@@ -2,149 +2,168 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace rrb {
 namespace {
 
-std::vector<ArbCandidate> ready_set(CoreId n, std::initializer_list<CoreId> ready,
-                                    Cycle duration = 2) {
-    std::vector<ArbCandidate> cs(n);
-    for (const CoreId c : ready) cs[c] = {true, duration};
-    return cs;
+/// The arbiter's pick at `now` among the cores in `ready`, each with a
+/// `duration`-cycle transaction; kNoCore leaves the bus idle.
+CoreId pick(const Arbiter& arbiter, Cycle now,
+            const std::vector<CoreId>& ready, Cycle duration = 2) {
+    return arbiter.pick(
+        now,
+        [&](CoreId c) {
+            return std::find(ready.begin(), ready.end(), c) != ready.end();
+        },
+        [&](CoreId) { return duration; });
+}
+
+Arbiter round_robin(CoreId cores) {
+    return Arbiter(ArbiterKind::kRoundRobin, cores);
+}
+Arbiter fixed_priority(CoreId cores) {
+    return Arbiter(ArbiterKind::kFixedPriority, cores);
+}
+Arbiter tdma(CoreId cores, Cycle slot) {
+    return Arbiter(ArbiterKind::kTdma, cores, slot);
 }
 
 TEST(RoundRobin, InitialPriorityIsCoreZero) {
-    RoundRobinArbiter rr(4);
-    const auto cs = ready_set(4, {0, 1, 2, 3});
-    EXPECT_EQ(rr.pick(cs, 0), CoreId{0});
+    const Arbiter rr = round_robin(4);
+    EXPECT_EQ(pick(rr, 0, {0, 1, 2, 3}), CoreId{0});
 }
 
 TEST(RoundRobin, RotationAfterGrant) {
     // Section 2: "If requester ci is granted access in a given round, the
     // priority ordering for the next round is ci+1, ci+2, ..., ci."
-    RoundRobinArbiter rr(4);
-    rr.granted(1, 0);
-    EXPECT_EQ(rr.highest_priority(), 2u);
-    const auto cs = ready_set(4, {0, 1, 2, 3});
-    EXPECT_EQ(rr.pick(cs, 1), CoreId{2});
+    Arbiter rr = round_robin(4);
+    rr.granted(1);
+    EXPECT_EQ(rr.head(), 2u);
+    EXPECT_EQ(pick(rr, 1, {0, 1, 2, 3}), CoreId{2});
 }
 
 TEST(RoundRobin, GrantedCoreBecomesLowestPriority) {
-    RoundRobinArbiter rr(4);
-    rr.granted(2, 0);
+    Arbiter rr = round_robin(4);
+    rr.granted(2);
     // 2 should only win if nobody else is ready.
-    EXPECT_EQ(rr.pick(ready_set(4, {2, 0}), 1), CoreId{0});
-    EXPECT_EQ(rr.pick(ready_set(4, {2}), 1), CoreId{2});
+    EXPECT_EQ(pick(rr, 1, {2, 0}), CoreId{0});
+    EXPECT_EQ(pick(rr, 1, {2}), CoreId{2});
 }
 
 TEST(RoundRobin, WorkConservingSkipsIdleCores) {
-    RoundRobinArbiter rr(4);
-    rr.granted(0, 0);  // priority head = 1
-    EXPECT_EQ(rr.pick(ready_set(4, {3}), 1), CoreId{3});
+    Arbiter rr = round_robin(4);
+    rr.granted(0);  // priority head = 1
+    EXPECT_EQ(pick(rr, 1, {3}), CoreId{3});
 }
 
 TEST(RoundRobin, NoReadyNoGrant) {
-    RoundRobinArbiter rr(4);
-    EXPECT_FALSE(rr.pick(ready_set(4, {}), 0).has_value());
+    EXPECT_EQ(pick(round_robin(4), 0, {}), kNoCore);
 }
 
 TEST(RoundRobin, FullRotationSequence) {
     // All saturated: grants must rotate 0,1,2,3,0,1,...
-    RoundRobinArbiter rr(4);
-    const auto cs = ready_set(4, {0, 1, 2, 3});
+    Arbiter rr = round_robin(4);
     for (int round = 0; round < 3; ++round) {
         for (CoreId expected = 0; expected < 4; ++expected) {
-            const auto winner = rr.pick(cs, 0);
-            ASSERT_TRUE(winner.has_value());
-            EXPECT_EQ(*winner, expected);
-            rr.granted(*winner, 0);
+            const CoreId winner = pick(rr, 0, {0, 1, 2, 3});
+            EXPECT_EQ(winner, expected);
+            rr.granted(winner);
         }
     }
 }
 
 TEST(RoundRobin, ResetRestoresHead) {
-    RoundRobinArbiter rr(4);
-    rr.granted(2, 0);
+    Arbiter rr = round_robin(4);
+    rr.granted(2);
     rr.reset();
-    EXPECT_EQ(rr.highest_priority(), 0u);
+    EXPECT_EQ(rr.head(), 0u);
 }
 
 TEST(RoundRobin, SingleCoreAlwaysWins) {
-    RoundRobinArbiter rr(1);
-    EXPECT_EQ(rr.pick(ready_set(1, {0}), 0), CoreId{0});
-    rr.granted(0, 0);
-    EXPECT_EQ(rr.pick(ready_set(1, {0}), 1), CoreId{0});
+    Arbiter rr = round_robin(1);
+    EXPECT_EQ(pick(rr, 0, {0}), CoreId{0});
+    rr.granted(0);
+    EXPECT_EQ(pick(rr, 1, {0}), CoreId{0});
+}
+
+TEST(RoundRobin, RejectsZeroCores) {
+    EXPECT_THROW(round_robin(0), std::invalid_argument);
 }
 
 TEST(FixedPriority, LowestIdWins) {
-    FixedPriorityArbiter fp(4);
-    EXPECT_EQ(fp.pick(ready_set(4, {3, 1, 2}), 0), CoreId{1});
-    fp.granted(1, 0);
-    EXPECT_EQ(fp.pick(ready_set(4, {3, 1, 2}), 1), CoreId{1});  // no rotation
+    Arbiter fp = fixed_priority(4);
+    EXPECT_EQ(pick(fp, 0, {3, 1, 2}), CoreId{1});
+    fp.granted(1);
+    EXPECT_EQ(pick(fp, 1, {3, 1, 2}), CoreId{1});  // no rotation
+    EXPECT_EQ(fp.head(), 0u);
 }
 
 TEST(FixedPriority, StarvationPossible) {
-    FixedPriorityArbiter fp(2);
+    Arbiter fp = fixed_priority(2);
     for (Cycle i = 0; i < 10; ++i) {
-        EXPECT_EQ(fp.pick(ready_set(2, {0, 1}), i), CoreId{0});
-        fp.granted(0, i);
+        EXPECT_EQ(pick(fp, i, {0, 1}), CoreId{0});
+        fp.granted(0);
     }
 }
 
 TEST(Tdma, OnlySlotOwnerWins) {
-    TdmaArbiter tdma(4, 10);
-    const auto cs = ready_set(4, {0, 1, 2, 3}, 2);
-    EXPECT_EQ(tdma.pick(cs, 0), CoreId{0});    // slot [0,10) -> core 0
-    EXPECT_EQ(tdma.pick(cs, 10), CoreId{1});   // slot [10,20) -> core 1
-    EXPECT_EQ(tdma.pick(cs, 35), CoreId{3});
-    EXPECT_EQ(tdma.pick(cs, 40), CoreId{0});   // wraps
+    const Arbiter bus = tdma(4, 10);
+    const std::vector<CoreId> all = {0, 1, 2, 3};
+    EXPECT_EQ(pick(bus, 0, all), CoreId{0});   // slot [0,10) -> core 0
+    EXPECT_EQ(pick(bus, 10, all), CoreId{1});  // slot [10,20) -> core 1
+    EXPECT_EQ(pick(bus, 35, all), CoreId{3});
+    EXPECT_EQ(pick(bus, 40, all), CoreId{0});  // wraps
 }
 
 TEST(Tdma, NotWorkConserving) {
-    TdmaArbiter tdma(4, 10);
     // Slot owner 0 idle, others ready: bus stays idle.
-    EXPECT_FALSE(tdma.pick(ready_set(4, {1, 2, 3}), 5).has_value());
+    EXPECT_EQ(pick(tdma(4, 10), 5, {1, 2, 3}), kNoCore);
 }
 
 TEST(Tdma, TransactionMustFitSlot) {
-    TdmaArbiter tdma(2, 10);
-    const auto cs = ready_set(2, {0}, 4);
-    EXPECT_TRUE(tdma.pick(cs, 0).has_value());
-    EXPECT_TRUE(tdma.pick(cs, 6).has_value());   // ends exactly at 10
-    EXPECT_FALSE(tdma.pick(cs, 7).has_value());  // would overrun
+    const Arbiter bus = tdma(2, 10);
+    EXPECT_EQ(pick(bus, 0, {0}, 4), CoreId{0});
+    EXPECT_EQ(pick(bus, 6, {0}, 4), CoreId{0});  // ends exactly at 10
+    EXPECT_EQ(pick(bus, 7, {0}, 4), kNoCore);    // would overrun
+}
+
+TEST(Tdma, GrantsKeepNoState) {
+    Arbiter bus = tdma(4, 10);
+    bus.granted(0);
+    EXPECT_EQ(pick(bus, 1, {0, 1}), CoreId{0});
+    EXPECT_FALSE(bus.state_word().has_value());  // absolute time
 }
 
 TEST(Tdma, RejectsZeroSlot) {
-    EXPECT_THROW(TdmaArbiter(4, 0), std::invalid_argument);
+    EXPECT_THROW(tdma(4, 0), std::invalid_argument);
 }
 
 TEST(Tdma, NextGrantCycleWaitsForOwnedSlot) {
-    TdmaArbiter tdma(4, 10);  // core c owns slots [10c, 10c+10) mod 40
+    const Arbiter bus = tdma(4, 10);  // core c owns [10c, 10c+10) mod 40
     // Core 0 in its own slot with room: granted immediately.
-    EXPECT_EQ(tdma.next_grant_cycle(0, 4, 0), 0u);
-    EXPECT_EQ(tdma.next_grant_cycle(0, 4, 6), 6u);  // ends exactly at 10
+    EXPECT_EQ(bus.next_grant_cycle(0, 4, 0), 0u);
+    EXPECT_EQ(bus.next_grant_cycle(0, 4, 6), 6u);  // ends exactly at 10
     // Core 0 in its own slot but overrunning it: next owned slot.
-    EXPECT_EQ(tdma.next_grant_cycle(0, 5, 6), 40u);
+    EXPECT_EQ(bus.next_grant_cycle(0, 5, 6), 40u);
     // Core 2 while core 0 owns the slot: start of core 2's slot.
-    EXPECT_EQ(tdma.next_grant_cycle(2, 4, 3), 20u);
+    EXPECT_EQ(bus.next_grant_cycle(2, 4, 3), 20u);
     // Core 1 just past its own slot: a full rotation away.
-    EXPECT_EQ(tdma.next_grant_cycle(1, 4, 20), 50u);
+    EXPECT_EQ(bus.next_grant_cycle(1, 4, 20), 50u);
 }
 
 TEST(Tdma, NextGrantCycleMatchesPickAtTheReturnedCycle) {
     // The bound must be exact: pick() grants at the returned cycle and
     // at no earlier one — the cycle skipper's correctness condition.
-    TdmaArbiter tdma(3, 7);
+    const Arbiter bus = tdma(3, 7);
     for (CoreId core = 0; core < 3; ++core) {
         for (Cycle duration = 1; duration <= 7; ++duration) {
             for (Cycle earliest = 0; earliest < 45; ++earliest) {
-                const Cycle g =
-                    tdma.next_grant_cycle(core, duration, earliest);
+                const Cycle g = bus.next_grant_cycle(core, duration, earliest);
                 ASSERT_NE(g, kNoCycle);
                 auto sole = [&](Cycle now) {
-                    return tdma.pick(ready_set(3, {core}, duration), now)
-                        .has_value();
+                    return pick(bus, now, {core}, duration) != kNoCore;
                 };
                 ASSERT_TRUE(sole(g))
                     << "core " << core << " dur " << duration
@@ -160,25 +179,29 @@ TEST(Tdma, NextGrantCycleMatchesPickAtTheReturnedCycle) {
 }
 
 TEST(Tdma, NextGrantCycleNeverFitsOversizedTransaction) {
-    TdmaArbiter tdma(2, 10);
-    EXPECT_EQ(tdma.next_grant_cycle(0, 11, 0), kNoCycle);
+    EXPECT_EQ(tdma(2, 10).next_grant_cycle(0, 11, 0), kNoCycle);
 }
 
 TEST(WorkConserving, NextGrantCycleIsTheReadyCycle) {
     // Work-conserving policies grant any ready sole candidate at once:
-    // the default bound is the request's own earliest cycle.
-    RoundRobinArbiter rr(4);
-    FixedPriorityArbiter fp(4);
-    EXPECT_EQ(rr.next_grant_cycle(2, 9, 17), 17u);
-    EXPECT_EQ(fp.next_grant_cycle(3, 1, 0), 0u);
+    // the bound is the request's own earliest cycle.
+    EXPECT_EQ(round_robin(4).next_grant_cycle(2, 9, 17), 17u);
+    EXPECT_EQ(fixed_priority(4).next_grant_cycle(3, 1, 0), 0u);
+    EXPECT_EQ(Arbiter(ArbiterKind::kWeightedRoundRobin, 4)
+                  .next_grant_cycle(1, 9, 5),
+              5u);
 }
 
-TEST(Factory, MakesRequestedKind) {
-    EXPECT_EQ(make_arbiter(ArbiterKind::kRoundRobin, 4)->name(),
-              "round-robin");
-    EXPECT_EQ(make_arbiter(ArbiterKind::kFixedPriority, 4)->name(),
-              "fixed-priority");
-    EXPECT_EQ(make_arbiter(ArbiterKind::kTdma, 4, 12)->name(), "tdma");
+TEST(StateWord, IsTheRotationStateOfEachWorkConservingPolicy) {
+    Arbiter rr = round_robin(4);
+    rr.granted(1);
+    EXPECT_EQ(rr.state_word(), std::uint64_t{2});  // the head
+    Arbiter fp = fixed_priority(4);
+    fp.granted(3);
+    EXPECT_EQ(fp.state_word(), std::uint64_t{0});  // stateless
+    Arbiter wrr(ArbiterKind::kWeightedRoundRobin, 3, 0, {3, 1, 1});
+    wrr.granted(0);
+    EXPECT_EQ(wrr.state_word(), std::uint64_t{0} << 32 | 2);  // head, credits
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 namespace rrb {
@@ -13,7 +12,7 @@ protected:
     static constexpr CoreId kCores = 4;
     static constexpr Cycle kLbus = 2;
 
-    BusTest() : bus_(kCores, std::make_unique<RoundRobinArbiter>(kCores)) {
+    BusTest() : bus_(Arbiter(ArbiterKind::kRoundRobin, kCores)) {
         bus_.attach_client(this);
     }
 
@@ -173,7 +172,7 @@ struct RecordingClient final : BusClient {
 };
 
 TEST(BusTdma, SlotOwnershipDelaysGrant) {
-    Bus bus(2, std::make_unique<TdmaArbiter>(2, 10));
+    Bus bus(Arbiter(ArbiterKind::kTdma, 2, 10));
     RecordingClient client;
     bus.attach_client(&client);
     bus.post({1, BusOp::kDataLoad, 0, 0, 2, 0});
@@ -187,10 +186,10 @@ TEST(BusTdma, SlotOwnershipDelaysGrant) {
 }
 
 TEST(BusTdma, SoleContenderStillWaitsForItsSlot) {
-    // The single-pending arbitration fast path must respect slot
-    // ownership: core 0 owns [0,10) but its 8-cycle transaction posted
-    // at cycle 5 no longer fits, so the grant slips to its next slot.
-    Bus bus(2, std::make_unique<TdmaArbiter>(2, 10));
+    // A sole contender must respect slot ownership too: core 0 owns
+    // [0,10) but its 8-cycle transaction posted at cycle 5 no longer
+    // fits, so the grant slips to its next slot.
+    Bus bus(Arbiter(ArbiterKind::kTdma, 2, 10));
     RecordingClient client;
     bus.attach_client(&client);
     bus.post({0, BusOp::kDataLoad, 0, 5, 8, 0});

@@ -10,8 +10,8 @@
 //   * busy-cycle accounting is exact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "bus/bus.h"
@@ -30,8 +30,7 @@ class BusFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(BusFuzz, InvariantsHoldUnderRandomTraffic) {
     const FuzzParams params = GetParam();
-    Bus bus(params.cores,
-            std::make_unique<RoundRobinArbiter>(params.cores));
+    Bus bus(Arbiter(ArbiterKind::kRoundRobin, params.cores));
     Pcg32 rng(params.seed);
 
     struct Completion {
@@ -109,7 +108,7 @@ TEST(BusFuzzFifoOrder, PerCoreCompletionsAreFifo) {
     // A single core's requests must complete in post order (one
     // outstanding at a time enforces this structurally; the delivery
     // order must agree). Tags ride BusRequest::tag.
-    Bus bus(2, std::make_unique<RoundRobinArbiter>(2));
+    Bus bus(Arbiter(ArbiterKind::kRoundRobin, 2));
     struct Client final : BusClient {
         std::vector<std::uint64_t> order;
         bool busy = false;
@@ -139,7 +138,7 @@ TEST(BusFuzzStarvation, RoundRobinServesEveryoneUnderSaturation) {
     // All cores permanently re-posting: over any window of Nc*duration
     // grants, every core is served at least once.
     constexpr CoreId kCores = 4;
-    Bus bus(kCores, std::make_unique<RoundRobinArbiter>(kCores));
+    Bus bus(Arbiter(ArbiterKind::kRoundRobin, kCores));
     struct Client final : BusClient {
         std::vector<std::uint64_t> grants;
         std::vector<bool> pending;

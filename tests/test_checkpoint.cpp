@@ -386,6 +386,41 @@ TEST(ScenarioFingerprint, IdentifiesTheCampaign) {
     EXPECT_NE(other_contenders.fingerprint(), base);  // contender policy
 }
 
+TEST(ScenarioFingerprint, PinnedAcrossRefactors) {
+    // Values written before the L2 policies and the store-buffer load
+    // gate became constants: fingerprints name every machine lease and
+    // every checkpoint, so a change that only restructures code must
+    // leave them as they are.
+    EXPECT_EQ(MachineConfig::ngmp_ref().fingerprint(),
+              0x613c2eefde768d02ULL);
+    EXPECT_EQ(MachineConfig::ngmp_var().fingerprint(),
+              0xd7b27914e046f70eULL);
+    EXPECT_EQ(MachineConfig::textbook().fingerprint(),
+              0xbceb04c8a5d5c125ULL);
+    EXPECT_EQ(MachineConfig::p4080_like().fingerprint(),
+              0xa6713cd5f82161dcULL);
+    EXPECT_EQ(MachineConfig::scaled(8, 9).fingerprint(),
+              0x4be309373b128ecaULL);
+    EXPECT_EQ(MachineConfig::scaled(6, 5).fingerprint(),
+              0xe4c9fe32ba3a04a5ULL);
+    const struct {
+        ArbiterKind kind;
+        std::uint64_t fingerprint;
+    } arbiters[] = {
+        {ArbiterKind::kRoundRobin, 0x613c2eefde768d02ULL},
+        {ArbiterKind::kTdma, 0x516343e433d26e76ULL},
+        {ArbiterKind::kWeightedRoundRobin, 0x9626a5bf3007ba06ULL},
+        {ArbiterKind::kFixedPriority, 0x5fed54b7f036c452ULL},
+    };
+    for (const auto& [kind, fingerprint] : arbiters) {
+        MachineConfig config = MachineConfig::ngmp_ref();
+        config.arbiter = kind;
+        EXPECT_EQ(config.fingerprint(), fingerprint) << short_name(kind);
+    }
+    EXPECT_EQ(build_campaign(CampaignKnobs{}).scenario.fingerprint(),
+              0x2b7aed66c826eb1fULL);
+}
+
 TEST(MergeCheckpoints, RejectsMismatchedDuplicateAndMissingSlices) {
     const PwcetCheckpoint whole = make_checkpoint(7);
     const PwcetCheckpoint other_seed = make_checkpoint(23);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -805,38 +807,71 @@ TEST(Cli, EstimateMatchesTheGoldenSweeps) {
         "estimate-c8", {"--cores", "8", "--kmax", "160", "--iterations", "20"});
 }
 
-TEST(Cli, SingleRunCommandsMatchTheirGoldens) {
-    // tests/golden/cli/*.txt hold the stdout of each single-run command
-    // as rrbtool wrote it before the interpreter and the replay decoder
-    // shared one functional core.
-    const struct {
-        std::string name;
-        std::vector<std::string> args;
-    } goldens[] = {
-        {"calibrate", {"calibrate"}},
-        {"calibrate-c8", {"calibrate", "--cores", "8"}},
-        {"baseline", {"baseline"}},
-        {"baseline-c8", {"baseline", "--cores", "8"}},
-        {"isolation", {"isolation"}},
-        {"isolation-c8", {"isolation", "--cores", "8"}},
-        {"contention", {"contention"}},
-        {"contention-c8", {"contention", "--cores", "8"}},
-        {"slowdown", {"slowdown"}},
-        {"slowdown-c8", {"slowdown", "--cores", "8"}},
-        {"sweep", {"sweep"}},
-        {"sweep-c8", {"sweep", "--cores", "8"}},
-        {"estimate-store-span",
-         {"estimate", "--store-span", "--kmax", "40", "--iterations", "20"}},
-    };
-    const std::string dir =
-        std::string(RRB_SOURCE_DIR) + "/tests/golden/cli/";
-    for (const auto& golden : goldens) {
-        const CliResult r = invoke(golden.args);
-        EXPECT_EQ(r.code, 0) << golden.name << ": " << r.err;
-        EXPECT_EQ(r.err, "") << golden.name;
-        EXPECT_EQ(r.out, read_file(dir + golden.name + ".txt"))
-            << golden.name;
+/// Every byte of `text` equal to `from` replaced by `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+    for (std::size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size())) {
+        text.replace(at, from.size(), to);
     }
+    return text;
+}
+
+TEST(Cli, ManifestCommandsMatchTheirGoldens) {
+    // tests/golden/cli/manifest.txt lists each command with its stdout
+    // golden and exit code (its header spells out the format); the
+    // single-run goldens predate the shared functional core, the
+    // policy goldens the one-value arbiter.
+    namespace fs = std::filesystem;
+    const std::string src = RRB_SOURCE_DIR;
+    const std::string dir = src + "/tests/golden/cli/";
+    const std::string out = testing::TempDir() + "rrb_cli_golden_out";
+    std::istringstream manifest(read_file(dir + "manifest.txt"));
+    std::size_t commands = 0;
+    for (std::string line; std::getline(manifest, line);) {
+        if (line.empty() || line.front() == '#') continue;
+        std::istringstream fields(line);
+        std::string golden;
+        int code = -1;
+        fields >> golden >> code;
+        std::vector<std::string> args;
+        for (std::string arg; fields >> arg;) {
+            args.push_back(
+                replace_all(replace_all(arg, "{src}", src), "{out}", out));
+        }
+        ASSERT_FALSE(args.empty()) << line;
+        ++commands;
+        fs::remove_all(out);
+        fs::create_directories(out);
+        const CliResult r = invoke(args);
+        EXPECT_EQ(r.code, code) << golden << ": " << r.err;
+        EXPECT_EQ(r.err, "") << golden;
+        EXPECT_EQ(replace_all(r.out, out, "{out}"), read_file(dir + golden))
+            << golden;
+        // The files written into {out}, against the golden directory.
+        const fs::path stem =
+            dir + golden.substr(0, golden.size() - std::string(".txt").size());
+        std::vector<std::string> written;
+        for (const fs::directory_entry& e : fs::directory_iterator(out)) {
+            written.push_back(e.path().filename().string());
+        }
+        std::vector<std::string> pinned;
+        if (fs::is_directory(stem)) {
+            for (const fs::directory_entry& e : fs::directory_iterator(stem)) {
+                pinned.push_back(e.path().filename().string());
+            }
+        }
+        std::sort(written.begin(), written.end());
+        std::sort(pinned.begin(), pinned.end());
+        EXPECT_EQ(written, pinned) << golden;
+        for (const std::string& file : written) {
+            EXPECT_EQ(read_file(out + "/" + file),
+                      read_file((stem / file).string()))
+                << golden << ": " << file;
+        }
+    }
+    EXPECT_GE(commands, 15u);
+    fs::remove_all(out);
 }
 
 TEST(Cli, InterpretedCoresReproduceTheReplayedBytes) {

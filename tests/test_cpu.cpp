@@ -243,10 +243,9 @@ TEST(InOrderCore, DoneWaitsForStoreBufferDrain) {
     EXPECT_EQ(core.stats().store_drains, 1u);
 }
 
-TEST(InOrderCore, LoadWaitsForStoreBufferWhenConfigured) {
+TEST(InOrderCore, LoadWaitsForStoreBuffer) {
     FakePort port(30);
     CoreConfig cfg = test_config();
-    cfg.loads_wait_store_buffer = true;
     InOrderCore core(0, cfg, port);
     port.attach(&core);
     Program p = ProgramBuilder("st-ld")

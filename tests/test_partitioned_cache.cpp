@@ -7,10 +7,7 @@ namespace {
 
 WayPartitionedCache make_l2(CoreId cores = 4) {
     // The paper's L2: 256KB, 4-way, 32B lines, one way per core.
-    return WayPartitionedCache({256 * 1024, 4, 32}, cores,
-                               ReplacementPolicy::kLru,
-                               WritePolicy::kWriteBack,
-                               AllocPolicy::kWriteAllocate);
+    return WayPartitionedCache({256 * 1024, 4, 32}, cores);
 }
 
 TEST(WayPartitionedCache, PartitionGeometryKeepsSets) {
@@ -21,10 +18,7 @@ TEST(WayPartitionedCache, PartitionGeometryKeepsSets) {
 }
 
 TEST(WayPartitionedCache, RejectsUnevenSplit) {
-    EXPECT_THROW(WayPartitionedCache({256 * 1024, 4, 32}, 3,
-                                     ReplacementPolicy::kLru,
-                                     WritePolicy::kWriteBack,
-                                     AllocPolicy::kWriteAllocate),
+    EXPECT_THROW(WayPartitionedCache({256 * 1024, 4, 32}, 3),
                  std::invalid_argument);
 }
 

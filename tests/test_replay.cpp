@@ -47,15 +47,9 @@ Program store_program() {
     return make_rsk(params);
 }
 
-replay::L2PartitionSpec partition_spec(Machine& machine,
-                                       const MachineConfig& config,
-                                       CoreId core) {
+replay::L2PartitionSpec partition_spec(Machine& machine) {
     replay::L2PartitionSpec spec;
     spec.geometry = machine.l2().partition_geometry();
-    spec.replacement = config.l2_replacement;
-    spec.write_policy = config.l2_write_policy;
-    spec.alloc_policy = config.l2_alloc_policy;
-    spec.rng_seed = machine.l2().partition_rng_seed(core);
     return spec;
 }
 
@@ -182,8 +176,7 @@ TEST(ScriptDecode, SpentBoundaryBudgetDeclinesOnlyWhatCannotFit) {
 TEST(ScriptDecode, BakesL2OnlyForStorelessPrograms) {
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);
-    const replay::L2PartitionSpec spec =
-        partition_spec(machine, config, 0);
+    const replay::L2PartitionSpec spec = partition_spec(machine);
 
     // Storeless program + partition spec: outcomes baked.
     const auto baked =
@@ -210,8 +203,7 @@ TEST(ScriptDecode, BakedAndUnbakedScriptsAgreeOnEverythingButL2Flags) {
     // stream itself (kinds, lines, cycles, spans) is identical.
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);
-    const replay::L2PartitionSpec spec =
-        partition_spec(machine, config, 0);
+    const replay::L2PartitionSpec spec = partition_spec(machine);
     const Program program = cacheb_program();
     const auto baked =
         replay::decode_program(program, config.core, 0, &spec);
@@ -245,7 +237,7 @@ TEST(ScriptDecode, RepeatBoundsStopWhereTheWalkChanges) {
     // walk wraps (iteration 2,048: the L2 partition starts hitting).
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);
-    replay::L2PartitionSpec spec = partition_spec(machine, config, 0);
+    replay::L2PartitionSpec spec = partition_spec(machine);
     spec.dram_row_span = config.dram.row_bytes * config.dram.num_banks;
     spec.dram_capacity = config.dram.capacity_bytes;
     const auto script = replay::decode_program(
@@ -277,7 +269,7 @@ TEST(ScriptDecode, LoopRegionRepeatBoundsWrap) {
     // nops, loop control folded in).
     const MachineConfig config = MachineConfig::scaled(8, 9);
     Machine machine(config);
-    const replay::L2PartitionSpec spec = partition_spec(machine, config, 0);
+    const replay::L2PartitionSpec spec = partition_spec(machine);
     RskParams params;
     params.dl1_geometry = config.core.dl1_geometry;
     params.il1_geometry = config.core.il1_geometry;
@@ -677,10 +669,6 @@ std::string decode_scripts_golden() {
             for (const Entry& entry : programs) {
                 replay::L2PartitionSpec spec;
                 spec.geometry = machine.l2().partition_geometry();
-                spec.replacement = config.l2_replacement;
-                spec.write_policy = config.l2_write_policy;
-                spec.alloc_policy = config.l2_alloc_policy;
-                spec.rng_seed = machine.l2().partition_rng_seed(entry.core);
                 spec.dram_row_span =
                     config.dram.row_bytes * config.dram.num_banks;
                 spec.dram_capacity = config.dram.capacity_bytes;

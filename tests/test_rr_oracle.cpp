@@ -1,21 +1,34 @@
-// An independent round-robin oracle for the bus.
+// An independent arbitration oracle for the bus.
 //
 // Every differential suite compares the optimized machine with its own
-// naive mode, and both modes share Bus and RoundRobinArbiter — an
-// arbitration bug would show in neither. This file holds a textbook
-// round-robin bus written from the protocol's definition alone (the
-// paper's Section 2 and the timing contract in bus/bus.h), sharing no
+// naive mode, and both modes share Bus and its Arbiter — an arbitration
+// bug would show in neither. This file holds a textbook bus written from
+// the protocols' definitions alone (the paper's Section 2, the timing
+// contract in bus/bus.h and each policy's definition below), sharing no
 // code with src/bus: whenever the bus is free, every request whose ready
-// cycle has come is committed as one batch, and the grant goes to the
-// first requester at or after a rotating pointer, which then moves past
-// the winner (the commit-a-batch, rotating-tie-break idiom). Random
-// traces drive both buses in lockstep; they must grant the same request
-// at the same cycle, grant by grant, and no two transactions may
-// overlap.
+// cycle has come is committed as one batch, and the policy picks the
+// winner from the batch. Random traces drive both buses in lockstep; they
+// must grant the same request at the same cycle, grant by grant, and no
+// two transactions may overlap.
+//
+// The textbook policies:
+//   * round-robin — a priority order of all cores; the first batch member
+//     in that order wins, and after core ci is granted the order becomes
+//     ci+1, ci+2, ..., ci (Section 2);
+//   * fixed priority — the order 0, 1, ..., Nc-1, never rotated;
+//   * weighted round-robin — the same priority order, whose front core may
+//     take `weight` consecutive grants before the order rotates by one; a
+//     grant to any other core (a steal: the front was not ready) leaves
+//     the order and the front's remaining grants as they are;
+//   * TDMA — time cut into slots owned by cores 0, 1, ..., Nc-1 in turn;
+//     only the slot owner may win, and only when its transaction ends by
+//     the end of the slot. Otherwise the bus stays idle.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <numeric>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "bus/bus.h"
@@ -33,9 +46,22 @@ struct Grant {
     bool operator==(const Grant&) const = default;
 };
 
-class TextbookRoundRobinBus {
+/// One arbitration policy with its parameters.
+struct Policy {
+    ArbiterKind kind = ArbiterKind::kRoundRobin;
+    Cycle tdma_slot = 0;                ///< TDMA only
+    std::vector<std::uint32_t> weights;  ///< WRR only, one per core
+};
+
+class TextbookBus {
 public:
-    explicit TextbookRoundRobinBus(CoreId cores) : waiting_(cores) {}
+    TextbookBus(CoreId cores, Policy policy)
+        : policy_(std::move(policy)), waiting_(cores), order_(cores) {
+        std::iota(order_.begin(), order_.end(), CoreId{0});
+        if (policy_.kind == ArbiterKind::kWeightedRoundRobin) {
+            front_grants_left_ = policy_.weights[order_.front()];
+        }
+    }
 
     void post(CoreId core, Cycle ready, Cycle duration, std::uint64_t tag) {
         ASSERT_FALSE(waiting_[core].has_value()) << "one request per core";
@@ -56,24 +82,19 @@ public:
     /// Commits the batch of requests ready at `now` when the bus is free.
     void arbitrate(Cycle now) {
         if (active_) return;
-        std::vector<CoreId> batch;
+        std::vector<bool> batch(waiting_.size(), false);
+        bool any = false;
         for (CoreId c = 0; c < waiting_.size(); ++c) {
-            if (waiting_[c] && waiting_[c]->ready <= now) batch.push_back(c);
+            batch[c] = waiting_[c] && waiting_[c]->ready <= now;
+            any = any || batch[c];
         }
-        if (batch.empty()) return;
-        // Rotating tie-break: the first batch member at or after the
-        // pointer, in cyclic order.
-        CoreId winner = batch.front();
-        for (const CoreId c : batch) {
-            if (c >= pointer_) {
-                winner = c;
-                break;
-            }
-        }
-        const Request r = *waiting_[winner];
-        waiting_[winner].reset();
-        active_ = Grant{winner, now, r.duration, r.tag};
-        pointer_ = (winner + 1) % static_cast<CoreId>(waiting_.size());
+        if (!any) return;
+        const std::optional<CoreId> winner = choose(batch, now);
+        if (!winner) return;
+        const Request r = *waiting_[*winner];
+        waiting_[*winner].reset();
+        active_ = Grant{*winner, now, r.duration, r.tag};
+        after_grant(*winner);
     }
 
 private:
@@ -82,9 +103,52 @@ private:
         Cycle duration = 0;
         std::uint64_t tag = 0;
     };
+
+    std::optional<CoreId> choose(const std::vector<bool>& batch,
+                                 Cycle now) const {
+        if (policy_.kind == ArbiterKind::kTdma) {
+            const Cycle slot = now / policy_.tdma_slot;
+            const auto owner =
+                static_cast<CoreId>(slot % waiting_.size());
+            const Cycle slot_end = (slot + 1) * policy_.tdma_slot;
+            if (batch[owner] && now + waiting_[owner]->duration <= slot_end) {
+                return owner;
+            }
+            return std::nullopt;
+        }
+        for (const CoreId c : order_) {
+            if (batch[c]) return c;
+        }
+        return std::nullopt;
+    }
+
+    void after_grant(CoreId winner) {
+        switch (policy_.kind) {
+            case ArbiterKind::kRoundRobin: {
+                // The winner moves to the back: ci+1, ..., ci.
+                const auto at = std::find(order_.begin(), order_.end(), winner);
+                std::rotate(order_.begin(), at + 1, order_.end());
+                break;
+            }
+            case ArbiterKind::kWeightedRoundRobin:
+                if (winner != order_.front()) break;  // a steal
+                if (--front_grants_left_ == 0) {
+                    std::rotate(order_.begin(), order_.begin() + 1,
+                                order_.end());
+                    front_grants_left_ = policy_.weights[order_.front()];
+                }
+                break;
+            case ArbiterKind::kFixedPriority:
+            case ArbiterKind::kTdma:
+                break;
+        }
+    }
+
+    Policy policy_;
     std::vector<std::optional<Request>> waiting_;
     std::optional<Grant> active_;
-    CoreId pointer_ = 0;  ///< highest priority for the next batch
+    std::vector<CoreId> order_;  ///< priority order, highest first
+    std::uint32_t front_grants_left_ = 0;  ///< WRR: order_.front()'s
 };
 
 /// Every finished transaction of the production bus, as its grant.
@@ -104,15 +168,21 @@ struct Shape {
     std::uint64_t seed;
 };
 
-class RoundRobinOracle : public ::testing::TestWithParam<Shape> {};
+const Shape kShapes[] = {
+    {2, 1, 0.5, 1}, {2, 9, 0.3, 2},  {3, 4, 0.6, 3}, {4, 9, 0.9, 4},
+    {4, 2, 0.2, 5}, {5, 7, 0.5, 6},  {6, 3, 0.8, 7}, {7, 9, 0.4, 8},
+    {8, 1, 1.0, 9}, {8, 9, 0.7, 10},
+};
 
-TEST_P(RoundRobinOracle, BusGrantsWhatTheTextbookBusGrants) {
-    const Shape shape = GetParam();
-    Bus bus(shape.cores, std::make_unique<RoundRobinArbiter>(shape.cores));
+/// Drives the production bus and the textbook bus with one random trace
+/// and asserts they grant alike, grant by grant.
+void expect_textbook_grants(const Shape& shape, const Policy& policy) {
+    Bus bus(Arbiter(policy.kind, shape.cores, policy.tdma_slot,
+                    policy.weights));
     Recorder recorder;
     recorder.busy.assign(shape.cores, false);
     bus.attach_client(&recorder);
-    TextbookRoundRobinBus oracle(shape.cores);
+    TextbookBus oracle(shape.cores, policy);
     std::vector<Grant> expected;
     Pcg32 rng(shape.seed);
 
@@ -152,13 +222,45 @@ TEST_P(RoundRobinOracle, BusGrantsWhatTheTextbookBusGrants) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Traces, RoundRobinOracle,
-    ::testing::Values(Shape{2, 1, 0.5, 1}, Shape{2, 9, 0.3, 2},
-                      Shape{3, 4, 0.6, 3}, Shape{4, 9, 0.9, 4},
-                      Shape{4, 2, 0.2, 5}, Shape{5, 7, 0.5, 6},
-                      Shape{6, 3, 0.8, 7}, Shape{7, 9, 0.4, 8},
-                      Shape{8, 1, 1.0, 9}, Shape{8, 9, 0.7, 10}));
+class PolicyOracle : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(PolicyOracle, RoundRobinGrantsWhatTheTextbookBusGrants) {
+    expect_textbook_grants(GetParam(), {ArbiterKind::kRoundRobin, 0, {}});
+}
+
+TEST_P(PolicyOracle, FixedPriorityGrantsWhatTheTextbookBusGrants) {
+    expect_textbook_grants(GetParam(), {ArbiterKind::kFixedPriority, 0, {}});
+}
+
+TEST_P(PolicyOracle, WeightedRoundRobinGrantsWhatTheTextbookBusGrants) {
+    // Unit weights (which still differ from RR: a steal keeps the head),
+    // and two non-unit vectors drawn from the shape.
+    const Shape shape = GetParam();
+    std::vector<std::vector<std::uint32_t>> vectors(3);
+    for (CoreId c = 0; c < shape.cores; ++c) {
+        vectors[0].push_back(1);
+        vectors[1].push_back(1 + (c + shape.seed) % 3);
+        vectors[2].push_back(c == 0 ? 4 : 1 + c % 2);
+    }
+    for (std::size_t i = 0; i < vectors.size(); ++i) {
+        SCOPED_TRACE("weight vector " + std::to_string(i));
+        expect_textbook_grants(
+            shape, {ArbiterKind::kWeightedRoundRobin, 0, vectors[i]});
+    }
+}
+
+TEST_P(PolicyOracle, TdmaGrantsWhatTheTextbookBusGrants) {
+    // Slots of one to three times the longest transaction: at 1x only a
+    // slot's first cycle fits the longest one.
+    const Shape shape = GetParam();
+    for (Cycle times = 1; times <= 3; ++times) {
+        SCOPED_TRACE("slot = " + std::to_string(times) + " x max duration");
+        expect_textbook_grants(
+            shape, {ArbiterKind::kTdma, times * shape.max_duration, {}});
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Traces, PolicyOracle, ::testing::ValuesIn(kShapes));
 
 }  // namespace
 }  // namespace rrb
