@@ -7,7 +7,9 @@
 #    docs/cli.md, and every command docs/cli.md's command table lists
 #    must exist in the help text — adding a command without docs (or
 #    documenting a command that was removed) fails the build.
-# 2. Every relative markdown link in README.md and docs/*.md must
+# 2. Every command `rrbtool help` lists must have a line in
+#    tests/golden/cli/manifest.txt, so its output is a committed golden.
+# 3. Every relative markdown link in README.md and docs/*.md must
 #    resolve to an existing file.
 set -u
 cd "$(dirname "$0")/.."
@@ -49,7 +51,19 @@ for cmd in $doc_commands; do
     fi
 done
 
-# --- 2. relative markdown links resolve --------------------------------
+# --- 2. every help command has a CLI golden ----------------------------
+# A manifest line is GOLDEN EXIT ARGS...: its command is the third field.
+manifest=tests/golden/cli/manifest.txt
+golden_commands=$(awk '!/^#/ && NF >= 3 {print $3}' "$manifest" | sort -u)
+for cmd in $help_commands; do
+    if ! printf '%s\n' "$golden_commands" | grep -qx -- "$cmd"; then
+        echo "$manifest: command '$cmd' (in 'rrbtool help') has no" \
+             "golden line" >&2
+        fail=1
+    fi
+done
+
+# --- 3. relative markdown links resolve --------------------------------
 for file in README.md docs/*.md; do
     dir=$(dirname "$file")
     # Markdown link targets: the (...) of ](...), minus any #fragment.
@@ -69,5 +83,5 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "docs consistency check passed:" \
-     "$(printf '%s\n' "$help_commands" | wc -l) commands cross-checked," \
-     "links in README.md + docs/*.md resolve"
+     "$(printf '%s\n' "$help_commands" | wc -l) commands cross-checked" \
+     "and pinned by a golden, links in README.md + docs/*.md resolve"

@@ -4,8 +4,9 @@
 #
 #   ./scripts/regen_goldens.sh ./build
 #
-# Each manifest line runs once: its stdout (with the scratch directory
-# spelled {out}) overwrites the golden file, and the files it wrote into
+# Each manifest line runs once, in order: its stdout (with the scratch
+# directory spelled {out} and the source tree {src}) overwrites the
+# golden file, and the files it wrote into
 # {out} replace the golden's directory. A command whose exit code
 # differs from the manifest's is reported and fails the script; the
 # manifest itself is never rewritten. A rewritten golden changes what
@@ -38,7 +39,7 @@ while read -r golden code args; do
     # ARGS split on spaces, as test_cli splits them.
     # shellcheck disable=SC2086
     "$rrbtool" $args < /dev/null > "$scratch/stdout" || got=$?
-    sed "s|$out|{out}|g" "$scratch/stdout" > "$dir/$golden"
+    sed "s|$out|{out}|g; s|$src|{src}|g" "$scratch/stdout" > "$dir/$golden"
     stem="$dir/${golden%.txt}"
     rm -rf "$stem"
     if [ -n "$(ls -A "$out")" ]; then

@@ -604,7 +604,7 @@ std::size_t shard_jobs(const ParsedFlags& flags, std::size_t runs) {
 }
 
 int cmd_estimate(const ParsedFlags& flags, std::ostream& out,
-                 std::ostream& /*err*/) {
+                 std::ostream& err) {
     const MachineConfig config = flags.knobs.config();
     const UbdEstimatorOptions options = build_options(flags);
 
@@ -647,10 +647,10 @@ int cmd_estimate(const ParsedFlags& flags, std::ostream& out,
         const std::vector<std::vector<double>> cols = {
             e.dbus, e.et_isolation, e.et_contention};
         if (!write_text_file(flags.csv_path, to_csv(names, cols))) {
-            out << "warning: could not write " << flags.csv_path << "\n";
-        } else {
-            out << "sweep written to " << flags.csv_path << "\n";
+            err << "error: could not write " << flags.csv_path << "\n";
+            return 2;
         }
+        out << "sweep written to " << flags.csv_path << "\n";
     }
     return 0;
 }
@@ -845,6 +845,31 @@ int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
     return 0;
 }
 
+/// The degenerate Gumbel fits of one report's campaigns and what to do
+/// about them. More runs or smaller blocks give a fit more block maxima,
+/// unless every run of every such campaign took the same time (a TDMA
+/// campaign is composable): no run count changes that, and there is no
+/// tail to fit. `pwcet`/`merge`, `sweep-pwcet` and `batch` share it.
+struct DegenerateFits {
+    bool any = false;
+    bool all_constant = true;
+
+    void add(const PwcetCampaignResult& r) {
+        if (r.fit.valid()) return;
+        any = true;
+        all_constant = all_constant && r.blocks >= 2 &&
+                       r.high_water_mark == r.low_water_mark;
+    }
+    /// The knobs are spelled as flags, or as batch-spec keys.
+    [[nodiscard]] const char* advice(bool spec_keys) const {
+        if (all_constant) {
+            return "execution time was constant: there is no tail to fit";
+        }
+        return spec_keys ? "raise runs or lower block-size"
+                         : "raise --runs or lower --block-size";
+    }
+};
+
 /// Everything a pWCET campaign report prints after its header line —
 /// shared verbatim by `pwcet` and a pwcet `merge`, so a distributed
 /// fan-in's report is byte-identical to the single-process reference
@@ -866,9 +891,12 @@ int report_pwcet(const PwcetCampaignResult& r, Cycle ubd,
     const bool bounded = r.high_water_mark <= etb;
     out << "etb = " << etb << ", hwm bounded: " << (bounded ? "yes" : "NO")
         << "\n";
-    if (!r.fit.valid()) {
+    DegenerateFits degenerate;
+    degenerate.add(r);
+    if (degenerate.any) {
         out << "gumbel fit: degenerate (" << r.blocks
-            << " blocks, no spread) — raise --runs or lower --block-size\n";
+            << " blocks, no spread) — "
+            << degenerate.advice(/*spec_keys=*/false) << "\n";
         return bounded ? 3 : 2;
     }
     out << "gumbel: mu = " << r.fit.mu << ", beta = " << r.fit.beta
@@ -1113,7 +1141,7 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
     out << "\n";
 
     bool any_unbounded = false;
-    bool any_degenerate = false;
+    DegenerateFits degenerate;
     for (const SweepPoint& p : sweep.points) {
         // The analytic per-request bound — and with it the ETB check —
         // is the round-robin Equation 1; other arbiters get the grid
@@ -1122,7 +1150,7 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
         const Cycle etb = p.result.etb(p.config.ubd_analytic());
         const bool bounded = p.result.high_water_mark <= etb;
         if (rr && !bounded) any_unbounded = true;
-        if (!p.result.fit.valid()) any_degenerate = true;
+        degenerate.add(p.result);
         out << p.cores << " " << p.lbus << " " << short_name(p.arbiter)
             << " " << p.result.high_water_mark << " " << etb << " "
             << (rr ? (bounded ? "yes" : "NO") : "n/a");
@@ -1135,28 +1163,10 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
         out << "bound violated on at least one round-robin config\n";
         return 2;
     }
-    if (any_degenerate) {
-        out << "degenerate fit on at least one config — raise --runs or "
-               "lower --block-size\n";
+    if (degenerate.any) {
+        out << "degenerate fit on at least one config — "
+            << degenerate.advice(/*spec_keys=*/false) << "\n";
         return 3;
-    }
-    return 0;
-}
-
-int cmd_sweep(const ParsedFlags& flags, std::ostream& out,
-              std::ostream& /*err*/) {
-    const MachineConfig config = flags.knobs.config();
-    const UbdEstimate e = estimate_ubd(config, build_options(flags));
-    const std::vector<std::string> names = {"dbus"};
-    const std::vector<std::vector<double>> cols = {e.dbus};
-    const std::string csv = to_csv(names, cols);
-    if (flags.csv_path.empty()) {
-        out << csv;
-    } else if (write_text_file(flags.csv_path, csv)) {
-        out << "sweep written to " << flags.csv_path << "\n";
-    } else {
-        out << "error: could not write " << flags.csv_path << "\n";
-        return 2;
     }
     return 0;
 }
@@ -1292,7 +1302,7 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
     // machine-diffable byte for byte.
     out << "name runs seed hwm etb bounded checkpoint status\n";
     bool any_unbounded = false;
-    bool any_degenerate = false;
+    DegenerateFits degenerate;
     std::vector<const BatchPointResult*> failed;
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const BatchPointResult& point = result.points[i];
@@ -1316,7 +1326,7 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
         const Cycle etb = point.result.etb(point.checkpoint.meta.ubd_analytic);
         const bool bounded = point.result.high_water_mark <= etb;
         if (rr && !bounded) any_unbounded = true;
-        if (!point.result.fit.valid()) any_degenerate = true;
+        degenerate.add(point.result);
         out << point.name << " " << point.result.runs << " "
             << scenario.run_protocol().seed << " "
             << point.result.high_water_mark << " " << etb << " "
@@ -1338,9 +1348,9 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
         out << "bound violated on at least one round-robin scenario\n";
         return 2;
     }
-    if (any_degenerate) {
-        out << "degenerate fit on at least one scenario — raise runs or "
-               "lower block-size\n";
+    if (degenerate.any) {
+        out << "degenerate fit on at least one scenario — "
+            << degenerate.advice(/*spec_keys=*/true) << "\n";
         return 3;
     }
     return 0;
@@ -1480,8 +1490,6 @@ const std::vector<CommandSpec>& command_specs() {
          {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
           "--iterations", "--shard", "--checkpoint-out", "--telemetry",
           "--heartbeat", "--trace"}},
-        {"sweep", cmd_sweep,
-         {"--cores", "--lbus", "--var", "--kmax", "--iterations", "--csv"}},
         {"sweep-pwcet", cmd_sweep_pwcet,
          {"--var", "--cores-axis", "--lbus-axis", "--arbiter-axis",
           "--runs", "--seed", "--jobs", "--iterations", "--block-size",
@@ -1525,7 +1533,6 @@ std::string usage() {
            "               histograms vs the analytic ubd\n"
            "  sweep-pwcet  grid of MachineConfigs, one streamed pWCET\n"
            "               campaign per point on one shared pool\n"
-           "  sweep        dump the dbus(k) series as CSV\n"
            "  telemetry-diff  counter deltas and rate regressions "
            "between\n"
            "               two --telemetry run reports\n"

@@ -1,7 +1,8 @@
 // rrbtool: command-line front end to the methodology.
 //
 //   rrbtool estimate  [--cores N] [--lbus L] [--var] [--kmax K]
-//                     [--iterations I] [--store-span] [--csv FILE]
+//                     [--iterations I] [--nop-latency L] [--store-span]
+//                     [--csv FILE]
 //   rrbtool calibrate [--cores N] [--lbus L] [--var] [--nop-latency L]
 //   rrbtool baseline  [--cores N] [--lbus L] [--var]
 //   rrbtool isolation [--cores N] [--lbus L] [--var] [--iterations I]
@@ -17,8 +18,6 @@
 //   rrbtool telemetry-diff A B [--max-regression-pct P]
 //   rrbtool sweep-pwcet [--var] [--cores-axis A,B] [--lbus-axis A,B]
 //                     [--arbiter-axis rr,tdma,...] [campaign/pwcet flags]
-//   rrbtool sweep     [--cores N] [--lbus L] [--var] [--kmax K]
-//                     [--csv FILE]
 //   rrbtool help
 //
 // The platform flags construct a MachineConfig: the NGMP reference model

@@ -58,23 +58,6 @@ struct HwmCampaignResult {
 /// (seed, i) — so every execution path produces bit-identical results
 /// at any job count. Session::hwm (core/session.h) runs one.
 
-/// A pWCET campaign streams runs into mergeable accumulators instead of
-/// materializing them: at any moment only O(runs / block_size) values
-/// are live, so 10^5+ runs cost the same memory as 10^2. The run
-/// protocol is HwmCampaignOptions itself — embedded, not copied field
-/// by field — so a streamed campaign observes exactly the execution
-/// times a materializing campaign with equal (seed, runs) would have
-/// stored, including any protocol field added later.
-struct PwcetCampaignOptions {
-    /// Seeding, release offsets and cycle caps of every run.
-    HwmCampaignOptions protocol{.runs = 100'000};
-    /// Consecutive runs per EVT block; the Gumbel is fitted to the block
-    /// maxima (classical block-maxima MBPTA).
-    std::size_t block_size = 50;
-    /// Exceedance probabilities to quote pWCET quantiles at.
-    std::vector<double> exceedance = {1e-3, 1e-6, 1e-9};
-};
-
 struct PwcetQuantile {
     double exceedance = 0.0;
     double pwcet = 0.0;  ///< NaN when the fit is degenerate

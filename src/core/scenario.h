@@ -122,12 +122,15 @@ private:
 };
 
 /// The statistical half of a pWCET campaign — everything that is not
-/// the run protocol (which the Scenario owns): EVT block size and the
-/// exceedance probabilities to quote quantiles at. Defaults come from
-/// PwcetCampaignOptions, the low-level single source of truth.
+/// the run protocol (which the Scenario owns). A pWCET campaign streams
+/// runs into mergeable accumulators instead of materializing them: at
+/// any moment only O(runs / block_size) values are live.
 struct PwcetSpec {
-    std::size_t block_size = PwcetCampaignOptions{}.block_size;
-    std::vector<double> exceedance = PwcetCampaignOptions{}.exceedance;
+    /// Consecutive runs per EVT block; the Gumbel is fitted to the block
+    /// maxima (classical block-maxima MBPTA).
+    std::size_t block_size = 50;
+    /// Exceedance probabilities to quote pWCET quantiles at.
+    std::vector<double> exceedance = {1e-3, 1e-6, 1e-9};
 };
 
 /// The knobs every campaign front end offers: the campaign commands'

@@ -1,7 +1,6 @@
 #include "dram/dram.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/contract.h"
 
@@ -10,18 +9,6 @@ namespace rrb {
 namespace {
 
 bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
-
-/// Refresh-blocked cycles in [0, x): the windows are [k*I, k*I + D) for
-/// k >= 1 with I > D (validated), so every window before the last
-/// boundary crossed is fully contained and only the final one clips.
-std::uint64_t refresh_blocked_before(Cycle x, Cycle interval,
-                                     Cycle duration) {
-    if (interval == 0 || x == 0) return 0;
-    const Cycle boundaries = (x - 1) / interval;  // k*I < x
-    if (boundaries == 0) return 0;
-    return (boundaries - 1) * duration +
-           std::min(duration, x - boundaries * interval);
-}
 
 }  // namespace
 
@@ -35,35 +22,11 @@ void DramConfig::validate() const {
     RRB_REQUIRE(capacity_bytes >= row_bytes * num_banks,
                 "capacity must cover one row per bank");
     RRB_REQUIRE(timing.t_burst >= 1, "burst must take at least one cycle");
-    if (refresh_interval > 0) {
-        RRB_REQUIRE(refresh_duration >= 1,
-                    "refresh must block for at least one cycle");
-        RRB_REQUIRE(refresh_interval > refresh_duration,
-                    "refresh interval must exceed its duration");
-    }
-}
-
-std::uint32_t DramConfig::bank_of(Addr addr) const noexcept {
-    // Line-interleaved: consecutive cache lines hit consecutive banks.
-    return static_cast<std::uint32_t>((addr / access_bytes) % num_banks);
-}
-
-std::uint64_t DramConfig::row_of(Addr addr) const noexcept {
-    // Global line index -> per-bank line index -> row within the bank.
-    const std::uint64_t line_in_bank = (addr / access_bytes) / num_banks;
-    return line_in_bank / (row_bytes / access_bytes);
 }
 
 MemoryController::MemoryController(DramConfig config)
     : config_(config), banks_(config.num_banks) {
     config_.validate();
-    access_shift_ = static_cast<std::uint32_t>(std::countr_zero(
-        static_cast<std::uint64_t>(config_.access_bytes)));
-    bank_shift_ = static_cast<std::uint32_t>(std::countr_zero(
-        static_cast<std::uint64_t>(config_.num_banks)));
-    bank_mask_ = config_.num_banks - 1;
-    row_line_shift_ = static_cast<std::uint32_t>(
-        std::countr_zero(config_.row_bytes / config_.access_bytes));
 }
 
 void MemoryController::enqueue(const DramRequest& request) {
@@ -76,23 +39,21 @@ std::optional<std::size_t> MemoryController::pick(Cycle now) const {
     if (queue_.empty()) return std::nullopt;
 
     auto issuable = [&](const DramRequest& q) {
-        const std::uint32_t bank = bank_of(q.addr);
+        const std::uint32_t bank = config_.bank_of(q.addr);
         return banks_[bank].ready_at <= now && data_bus_free_at_ <= now &&
                q.arrival <= now;
     };
 
-    if (config_.scheduling == DramScheduling::kFrFcfs) {
-        // First: oldest row hit.
-        for (std::size_t i = 0; i < queue_.size(); ++i) {
-            const DramRequest& q = queue_[i];
-            if (!issuable(q)) continue;
-            const Bank& bank = banks_[bank_of(q.addr)];
-            if (bank.open_row && *bank.open_row == row_of(q.addr)) {
-                return i;
-            }
+    // First: oldest row hit.
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const DramRequest& q = queue_[i];
+        if (!issuable(q)) continue;
+        const Bank& bank = banks_[config_.bank_of(q.addr)];
+        if (bank.open_row && *bank.open_row == config_.row_of(q.addr)) {
+            return i;
         }
     }
-    // Then: oldest issuable request (this is plain FCFS too).
+    // Then: oldest issuable request.
     for (std::size_t i = 0; i < queue_.size(); ++i) {
         if (issuable(queue_[i])) return i;
     }
@@ -101,21 +62,6 @@ std::optional<std::size_t> MemoryController::pick(Cycle now) const {
 
 bool MemoryController::tick(Cycle now) {
     bool acted = false;
-    // Refresh: at every tREFI boundary all banks go busy for tRFC.
-    if (config_.refresh_interval > 0 && now > 0 &&
-        now % config_.refresh_interval == 0) {
-        acted = true;
-        ++stats_.refreshes;
-        for (Bank& bank : banks_) {
-            bank.ready_at = std::max(bank.ready_at,
-                                     now + config_.refresh_duration);
-            bank.open_row.reset();  // refresh closes the rows
-        }
-        if (tracer_ && tracer_->enabled()) {
-            tracer_->record(now, TraceKind::kDramPrecharge, 0, ~0ULL);
-        }
-    }
-
     // Completions first so a dependent requester sees data this cycle.
     for (auto it = in_flight_.begin(); it != in_flight_.end();) {
         if (it->completion == now) {
@@ -144,8 +90,8 @@ bool MemoryController::tick(Cycle now) {
                  static_cast<std::vector<DramRequest>::difference_type>(
                      *index));
 
-    const std::uint32_t bank_id = bank_of(chosen.addr);
-    const std::uint64_t row = row_of(chosen.addr);
+    const std::uint32_t bank_id = config_.bank_of(chosen.addr);
+    const std::uint64_t row = config_.row_of(chosen.addr);
     Bank& bank = banks_[bank_id];
     const DramTiming& t = config_.timing;
 
@@ -171,32 +117,13 @@ bool MemoryController::tick(Cycle now) {
     }
     latency += t.t_cl + t.t_burst;
 
+    // Queue wait [charged-so-far, now).
     if (attr_ != nullptr && !chosen.is_write) {
-        // Queue wait [charged-so-far, now): the portion overlapping a
-        // refresh window is the refresh's fault, the rest plain queueing.
-        const Cycle start = attr_->charged_until(chosen.core);
-        if (now > start) {
-            const std::uint64_t refresh =
-                refresh_blocked_before(now, config_.refresh_interval,
-                                       config_.refresh_duration) -
-                refresh_blocked_before(start, config_.refresh_interval,
-                                       config_.refresh_duration);
-            attr_->add(chosen.core, StallCause::kDramRefresh, refresh);
-            attr_->add(chosen.core, StallCause::kDramQueue,
-                       (now - start) - refresh);
-            attr_->advance(chosen.core, now);
-        }
+        attr_->charge(chosen.core, StallCause::kDramQueue, now);
     }
 
-    if (config_.page_policy == PagePolicy::kClosedPage) {
-        // Auto-precharge: the row never stays open; the bank additionally
-        // pays tRP before it can accept the next ACT.
-        bank.open_row.reset();
-        bank.ready_at = now + latency + t.t_rp;
-    } else {
-        bank.open_row = row;
-        bank.ready_at = now + latency;
-    }
+    bank.open_row = row;
+    bank.ready_at = now + latency;
     data_bus_free_at_ = now + latency;  // burst tail occupies the data bus
 
     if (chosen.is_write) {
@@ -220,37 +147,16 @@ void MemoryController::flush_attribution(Cycle limit) {
         attr_->charge(f.request.core, f.service_class, limit);
     }
     for (const DramRequest& q : queue_) {
-        if (q.is_write) continue;
-        const Cycle start = attr_->charged_until(q.core);
-        if (limit <= start) continue;
-        const std::uint64_t refresh =
-            refresh_blocked_before(limit, config_.refresh_interval,
-                                   config_.refresh_duration) -
-            refresh_blocked_before(start, config_.refresh_interval,
-                                   config_.refresh_duration);
-        attr_->add(q.core, StallCause::kDramRefresh, refresh);
-        attr_->add(q.core, StallCause::kDramQueue, (limit - start) - refresh);
-        attr_->advance(q.core, limit);
+        if (!q.is_write) attr_->charge(q.core, StallCause::kDramQueue, limit);
     }
 }
 
 Cycle MemoryController::next_event_cycle(Cycle now) const {
     Cycle next = kNoCycle;
-    // Refresh fires at every tREFI boundary whether or not traffic is
-    // queued — a skipped boundary would drop a refresh (and its bank
-    // blocking) that the naive stepper performs.
-    if (config_.refresh_interval > 0) {
-        const Cycle boundary =
-            (now > 0 && now % config_.refresh_interval == 0)
-                ? now
-                : (now / config_.refresh_interval + 1) *
-                      config_.refresh_interval;
-        next = std::min(next, boundary);
-    }
     for (const InFlight& f : in_flight_) next = std::min(next, f.completion);
     for (const DramRequest& q : queue_) {
         // Earliest cycle this request passes pick()'s issuable() check.
-        const Bank& bank = banks_[bank_of(q.addr)];
+        const Bank& bank = banks_[config_.bank_of(q.addr)];
         Cycle at = q.arrival;
         at = std::max(at, bank.ready_at);
         at = std::max(at, data_bus_free_at_);

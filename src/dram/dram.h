@@ -7,14 +7,16 @@
 // workloads of Figure 6(a) do, and a downstream user pointing the
 // methodology at the memory controller needs this path to exist.
 //
-// Model: per-bank row-buffer state machines with open-page policy and a
-// shared data bus; timing parameters are expressed in *core* cycles with a
-// preset derived from DDR2-667 at a 200MHz core clock. tRAS/tWR are folded
-// into the precharge path (documented approximation: the arbitration
-// experiments are insensitive to DRAM microtiming, only to the fact that
-// misses are split transactions with a bank-dependent latency).
+// Model: an FR-FCFS controller over per-bank row-buffer state machines
+// with an open-page policy, no refresh and a shared data bus; timing
+// parameters are expressed in *core* cycles with a preset derived from
+// DDR2-667 at a 200MHz core clock. tRAS/tWR are folded into the precharge
+// path (documented approximation: the arbitration experiments are
+// insensitive to DRAM microtiming, only to the fact that misses are split
+// transactions with a bank-dependent latency).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -26,7 +28,9 @@
 
 namespace rrb {
 
-/// DRAM timing parameters in core clock cycles.
+/// DRAM timing parameters in core clock cycles: DDR2-667 (Kingston
+/// KVR667D2S5/2G-like) scaled to a 200MHz core, 15ns tRCD/tCL/tRP => 3
+/// cycles, 6ns burst => 2 cycles.
 struct DramTiming {
     Cycle t_rcd = 3;      ///< ACT -> column command
     Cycle t_cl = 3;       ///< column read -> first data
@@ -35,20 +39,6 @@ struct DramTiming {
     Cycle t_overhead = 2; ///< controller decode / command bus
 
     bool operator==(const DramTiming&) const = default;
-
-    /// DDR2-667 (Kingston KVR667D2S5/2G-like) timings scaled to a 200MHz
-    /// core: 15ns tRCD/tCL/tRP => 3 cycles, 6ns burst => 2 cycles.
-    [[nodiscard]] static DramTiming ddr2_667_at_200mhz() { return {}; }
-};
-
-enum class DramScheduling : std::uint8_t {
-    kFcfs,    ///< strict arrival order
-    kFrFcfs,  ///< row hits first, then oldest (open-page default)
-};
-
-enum class PagePolicy : std::uint8_t {
-    kOpenPage,    ///< rows stay open; hits are cheap, conflicts pay tRP+tRCD
-    kClosedPage,  ///< auto-precharge after every access: flat tRCD+tCL cost
 };
 
 struct DramConfig {
@@ -57,23 +47,31 @@ struct DramConfig {
     std::uint64_t row_bytes = 8 * 1024;
     std::uint32_t access_bytes = 32;  ///< one burst = one cache line
     DramTiming timing;
-    DramScheduling scheduling = DramScheduling::kFrFcfs;
-    PagePolicy page_policy = PagePolicy::kOpenPage;
-
-    /// Periodic refresh: every refresh_interval cycles all banks are
-    /// blocked for refresh_duration cycles (tREFI / tRFC). 0 disables
-    /// refresh. DDR2-667 at a 200MHz core clock: 7.8us => 1560 cycles
-    /// interval, 127.5ns => 26 cycles duration.
-    Cycle refresh_interval = 0;
-    Cycle refresh_duration = 26;
 
     bool operator==(const DramConfig&) const = default;
     void validate() const;
 
-    /// Address mapping: line-interleaved across banks
-    /// (row | bank | column | offset).
-    [[nodiscard]] std::uint32_t bank_of(Addr addr) const noexcept;
-    [[nodiscard]] std::uint64_t row_of(Addr addr) const noexcept;
+    /// Address mapping of a DRAM address: line-interleaved across banks
+    /// (row | bank | column | offset). The granules are validated powers
+    /// of two, so both are a shift and a mask.
+    [[nodiscard]] std::uint32_t bank_of(Addr addr) const noexcept {
+        return static_cast<std::uint32_t>(
+            (addr >> std::countr_zero(std::uint64_t{access_bytes})) &
+            (num_banks - 1));
+    }
+    [[nodiscard]] std::uint64_t row_of(Addr addr) const noexcept {
+        return addr >> std::countr_zero(row_bytes * num_banks);
+    }
+
+    /// Where a bus address lands in DRAM: addresses wrap at the capacity.
+    [[nodiscard]] Addr wrap(Addr bus_addr) const noexcept {
+        return bus_addr % capacity_bytes;
+    }
+    /// The row a bus address opens. The machine's fast-forward state and
+    /// the decoder's repeat bounds both decide rows here.
+    [[nodiscard]] std::uint64_t row_at(Addr bus_addr) const noexcept {
+        return row_of(wrap(bus_addr));
+    }
 };
 
 struct DramRequest {
@@ -98,7 +96,6 @@ public:
 struct DramStats {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    std::uint64_t refreshes = 0;
     std::uint64_t row_hits = 0;
     std::uint64_t row_misses = 0;    ///< bank idle / row closed
     std::uint64_t row_conflicts = 0; ///< different row open (needs PRE)
@@ -123,7 +120,6 @@ struct DramStats {
     void reset() noexcept {
         reads = 0;
         writes = 0;
-        refreshes = 0;
         row_hits = 0;
         row_misses = 0;
         row_conflicts = 0;
@@ -144,15 +140,15 @@ public:
     void enqueue(const DramRequest& request);
 
     /// Advances the controller to cycle `now` (call once per cycle,
-    /// monotonically). Returns whether anything happened: a refresh, a
-    /// completion or an issue (the machine's step-kind counters).
+    /// monotonically). Returns whether anything happened: a completion
+    /// or an issue (the machine's step-kind counters).
     bool tick(Cycle now);
 
     /// Earliest future cycle at which tick() would change state: the
-    /// next in-flight completion, the first cycle a queued request
-    /// becomes issuable (bank ready, data bus free, request arrived),
-    /// or the next refresh boundary. kNoCycle when the controller is
-    /// provably inert until new requests arrive.
+    /// next in-flight completion or the first cycle a queued request
+    /// becomes issuable (bank ready, data bus free, request arrived).
+    /// kNoCycle when the controller is idle: it acts only when a
+    /// request arrives.
     [[nodiscard]] Cycle next_event_cycle(Cycle now) const;
 
     /// Power-on restore without reallocation: queue and in-flight
@@ -163,19 +159,15 @@ public:
     [[nodiscard]] bool idle() const noexcept {
         return queue_.empty() && in_flight_.empty();
     }
-    [[nodiscard]] std::size_t queue_depth() const noexcept {
-        return queue_.size();
-    }
     [[nodiscard]] const DramStats& stats() const noexcept { return stats_; }
     [[nodiscard]] const DramConfig& config() const noexcept { return config_; }
-    void reset_stats() noexcept { stats_.reset(); }
 
     void attach_tracer(Tracer* tracer) noexcept { tracer_ = tracer; }
 
     /// Arms (non-null) or disarms (null) cycle attribution. While armed,
-    /// every *read* charges its queue wait (split into refresh overlap
-    /// vs plain queueing) at issue and its service interval by row class
-    /// at completion; writes are background traffic nobody waits on.
+    /// every *read* charges its queue wait at issue and its service
+    /// interval by row class at completion; writes are background
+    /// traffic nobody waits on.
     void attach_attribution(CycleAttribution* attribution) noexcept {
         attr_ = attribution;
     }
@@ -230,7 +222,6 @@ public:
     void visit_counters(F&& f) {
         f(stats_.reads);
         f(stats_.writes);
-        f(stats_.refreshes);
         f(stats_.row_hits);
         f(stats_.row_misses);
         f(stats_.row_conflicts);
@@ -253,25 +244,11 @@ private:
         StallCause service_class = StallCause::kDramRowHit;
     };
 
-    /// Picks the queue index to issue next under the configured policy.
+    /// Picks the queue index to issue next, FR-FCFS: the oldest issuable
+    /// row hit, else the oldest issuable request.
     [[nodiscard]] std::optional<std::size_t> pick(Cycle now) const;
 
-    // Shift/mask forms of DramConfig::bank_of / row_of, precomputed once
-    // (access_bytes, num_banks and row_bytes are validated powers of
-    // two): the scheduler evaluates these per queued request per cycle.
-    [[nodiscard]] std::uint32_t bank_of(Addr addr) const noexcept {
-        return static_cast<std::uint32_t>((addr >> access_shift_) &
-                                          bank_mask_);
-    }
-    [[nodiscard]] std::uint64_t row_of(Addr addr) const noexcept {
-        return (addr >> access_shift_) >> (bank_shift_ + row_line_shift_);
-    }
-
     DramConfig config_;
-    std::uint32_t access_shift_ = 0;    ///< log2(access_bytes)
-    std::uint32_t bank_shift_ = 0;      ///< log2(num_banks)
-    std::uint64_t bank_mask_ = 0;       ///< num_banks - 1
-    std::uint32_t row_line_shift_ = 0;  ///< log2(row_bytes / access_bytes)
     std::vector<Bank> banks_;
     // Arrival-ordered queue. A vector, not a deque: erases shift (the
     // queue is at most a few entries — one outstanding miss per core

@@ -4,7 +4,7 @@
 // from, but PMCs only expose aggregates (wait cycles, busy cycles). This
 // module closes the gap: when armed, the machine classifies every cycle
 // of every core's timeline into one of the StallCause buckets — compute,
-// arbitration wait, bus service, DRAM queue/row-class latency, refresh,
+// arbitration wait, bus service, DRAM queue/row-class latency,
 // TDMA dead slots, store-buffer stalls, idle — under a *closed
 // accounting invariant*: per core, the buckets sum exactly to the
 // machine's elapsed cycles (asserted by tests/test_attribution.cpp).
@@ -58,7 +58,8 @@ enum class StallCause : std::uint8_t {
     kBusDeadSlot,       ///< waiting while nobody held the bus (TDMA gaps)
     kBusService,        ///< holding the bus (request + fill transfers)
     kDramQueue,         ///< queued in the memory controller
-    kDramRefresh,       ///< queue time overlapping a refresh window
+    kDramRefresh,       ///< always 0: the controller has no refresh; the
+                        ///< bucket keeps its place in the cause order
     kDramRowHit,        ///< DRAM service, open-row hit class
     kDramRowMiss,       ///< DRAM service, closed-row miss class
     kDramRowConflict,   ///< DRAM service, row-conflict class

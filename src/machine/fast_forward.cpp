@@ -13,8 +13,7 @@
 // the next k periods replay the recorded one exactly — as long as no
 // core's ops in them differ from the ops a period earlier (a cursor in
 // a loop region counts modulo the region, and stops before the tail),
-// no dormant core is released, no DRAM refresh intervenes and the run
-// limit is not passed. The machine then moves every absolute cycle k·P
+// no dormant core is released and the run limit is not passed. The machine then moves every absolute cycle k·P
 // later and adds k times the period's change to every counter,
 // histogram and attribution cell: the state and statistics naive
 // stepping would reach, without the steps. When one body cannot repeat
@@ -63,10 +62,6 @@ private:
 };
 
 }  // namespace
-
-std::uint64_t Machine::dram_row(Addr addr) const noexcept {
-    return config_.dram.row_of(addr % config_.dram.capacity_bytes);
-}
 
 void Machine::begin_fast_forward(CoreId scua) {
     ff_.boundary_above = 0;
@@ -227,8 +222,9 @@ bool Machine::capture_state() {
             attribution_.timing_state(c, now_, bus_->has_pending(c), sink);
         }
     }
-    bus_->timing_state(now_, sink,
-                       [this](Addr addr) { return dram_row(addr); });
+    bus_->timing_state(now_, sink, [this](Addr addr) {
+        return config_.dram.row_at(addr);
+    });
     dram_.timing_state(now_, sink);
     if (attr_ != nullptr) {
         sink(bus_->in_service() ? attribution_.active_grant() - now_
@@ -254,35 +250,6 @@ std::uint64_t Machine::skippable_periods(Cycle period, Cycle limit) const {
     if (writes != 0 || reads > 1) return 0;
     if (reads == 1 && (!dram_.at_rest(now_) || !dram_.rows_aligned())) {
         return 0;
-    }
-
-    // Refresh fires at absolute multiples of the interval, and armed
-    // attribution splits a DRAM queue wait by refresh-window overlap. No
-    // window may touch the span from the earliest interval the recorded
-    // period could charge — its start, or an earlier demand cursor — to
-    // the landing.
-    const Cycle interval = config_.dram.refresh_interval;
-    if (interval > 0) {
-        // How far before now_ the earliest such interval may start: the
-        // recorded period, or an armed demand cursor left further back.
-        Cycle back = period;
-        if (attr_ != nullptr) {
-            for (CoreId c = 0; c < cores_.size(); ++c) {
-                if (!has_program_[c] || cores_[c]->phase(now_) !=
-                                            InOrderCore::Phase::kActive) {
-                    continue;
-                }
-                const Cycle cursor = attribution_.charged_until(c);
-                if (cursor < now_) back = std::max(back, period + now_ - cursor);
-            }
-        }
-        const Cycle from = now_ - std::min(now_, back);
-        const Cycle duration = config_.dram.refresh_duration;
-        const Cycle next_refresh =
-            from <= duration ? interval
-                             : ((from - duration) / interval + 1) * interval;
-        if (next_refresh < now_) return 0;
-        periods = std::min(periods, (next_refresh - now_) / period);
     }
 
     for (CoreId c = 0; c < cores_.size(); ++c) {

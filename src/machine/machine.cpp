@@ -51,7 +51,6 @@ Machine::Machine(MachineConfig config)
     }
     has_program_.assign(config_.num_cores, false);
     core_next_.assign(config_.num_cores, kNoCycle);
-    dram_refresh_ = config_.dram.refresh_interval > 0;
     // One slot per additive counter, attribution's included.
     std::size_t counters = 0;
     const auto count = [&counters](std::uint64_t&) { ++counters; };
@@ -189,8 +188,7 @@ void Machine::issue(CoreId core, BusOp op, Addr addr, Cycle ready,
                 if (access.dirty_eviction && access.victim_line) {
                     const Addr victim_addr =
                         *access.victim_line * config_.l2_geometry.line_bytes;
-                    dram_.enqueue({core,
-                                   victim_addr % config_.dram.capacity_bytes,
+                    dram_.enqueue({core, config_.dram.wrap(victim_addr),
                                    /*is_write=*/true, now_, 0});
                 }
             } else {
@@ -239,8 +237,7 @@ void Machine::bus_complete(const BusRequest& request, Cycle completion) {
         case BusOp::kMissRequest:
             // Address phase done; the line is fetched from DRAM and comes
             // back as a fill response carrying the same continuation tag.
-            dram_.enqueue({request.core,
-                           request.addr % config_.dram.capacity_bytes,
+            dram_.enqueue({request.core, config_.dram.wrap(request.addr),
                            /*is_write=*/false, completion, request.tag});
             return;
         case BusOp::kFillResponse:
@@ -260,11 +257,10 @@ void Machine::dram_complete(const DramRequest& request, Cycle completion) {
 Cycle Machine::step() {
     // May rewind core_next_ entries to 0.
     const CoreId completed = bus_->complete_phase(now_);
-    // The memory controller only acts when it holds work or refresh is
-    // configured; requests enqueued during the completion phase above
-    // are visible to this check, so the gate is exact.
-    const bool dram_active = dram_refresh_ || !dram_.idle();
-    const bool dram_acted = dram_active && dram_.tick(now_);
+    // The memory controller only acts when it holds work; requests
+    // enqueued during the completion phase above are visible to this
+    // check, so the gate is exact.
+    const bool dram_acted = !dram_.idle() && dram_.tick(now_);
     const Cycle after = now_ + 1;
     Cycle next = kNoCycle;
     unsigned ticked = 0;  // bit 0: the scua ticked, bit 1: a contender
@@ -294,9 +290,7 @@ Cycle Machine::step() {
     ++step_kinds_[static_cast<std::size_t>(std::countr_zero(events))];
     ++now_;
     // Core ticks may have enqueued victim writebacks: re-check activity.
-    if (dram_refresh_ || !dram_.idle()) {
-        next = std::min(next, dram_.next_event_cycle(now_));
-    }
+    if (!dram_.idle()) next = std::min(next, dram_.next_event_cycle(now_));
     quiet_until_ = next;
     return std::min(next, bus_->next_event_cycle(now_));
 }

@@ -320,7 +320,6 @@ private:
     /// cores, L1s, L2 partitions, bus, DRAM and, armed, attribution.
     template <class F>
     void visit_counters(F&& f);
-    [[nodiscard]] std::uint64_t dram_row(Addr addr) const noexcept;
 
     MachineConfig config_;
     std::unique_ptr<Bus> bus_;
@@ -353,7 +352,6 @@ private:
     /// ("unknown") when a run loop starts.
     Cycle quiet_until_ = 0;
     bool cycle_skipping_ = true;
-    bool dram_refresh_ = false;  ///< config.dram.refresh_interval > 0
     /// Attribution storage (sized at construction) and the armed flag:
     /// attr_ points at attribution_ while armed, else nullptr.
     CycleAttribution attribution_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cache/partitioned_cache.h"
+#include "dram/dram.h"
 #include "fault/fault.h"
 #include "sim/contract.h"
 #include "sim/fnv.h"
@@ -229,8 +230,8 @@ void build_spans(std::vector<MicroOp>& ops, std::size_t begin,
 /// body's end that charges loop control.
 void build_repeats(MicroOpScript& script, const L2PartitionSpec* l2) {
     const std::vector<MicroOp>& ops = script.ops;
-    const bool rows = script.l2_baked && l2 != nullptr &&
-                      l2->dram_row_span != 0;
+    const DramConfig* dram =
+        script.l2_baked && l2 != nullptr ? l2->dram : nullptr;
     // Each op's timing key plus where a bus-going miss lands — its DRAM
     // row when the L2 outcome is baked, the line itself otherwise (the
     // live L2 decides), 0 for everything else, which the kind and flags
@@ -248,13 +249,7 @@ void build_repeats(MicroOpScript& script, const L2PartitionSpec* l2) {
         const bool to_bus = op.kind == MicroOp::Kind::kLoadMiss ||
                             op.kind == MicroOp::Kind::kIfetchMiss;
         if (!to_bus || (script.l2_baked && op.l2_hit())) continue;
-        if (!rows) {
-            key.bus = op.line;
-            continue;
-        }
-        const Addr dram_addr =
-            l2->dram_capacity != 0 ? op.line % l2->dram_capacity : op.line;
-        key.bus = dram_addr / l2->dram_row_span;
+        key.bus = dram != nullptr ? dram->row_at(op.line) : op.line;
     }
     const auto extend = [](std::uint16_t next) {
         return static_cast<std::uint16_t>(next == UINT16_MAX ? next

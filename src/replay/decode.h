@@ -18,6 +18,10 @@
 #include "replay/microop.h"
 #include "sim/types.h"
 
+namespace rrb {
+struct DramConfig;
+}  // namespace rrb
+
 namespace rrb::replay {
 
 struct DecodeLimits {
@@ -55,13 +59,11 @@ enum class Decline : std::uint8_t {
 /// partition (not full) geometry.
 struct L2PartitionSpec {
     CacheGeometry geometry;
-    /// Where the partition's misses land in DRAM: address bytes per DRAM
-    /// row across all banks (DramConfig::row_bytes * num_banks), within
-    /// a `dram_capacity`-byte wrap. Two misses repeat each other in the
-    /// script's repeat bounds only when they open the same row. 0 (the
-    /// default) compares their line addresses instead.
-    std::uint64_t dram_row_span = 0;
-    std::uint64_t dram_capacity = 0;
+    /// Where the partition's misses land in DRAM: two misses repeat each
+    /// other in the script's repeat bounds only when they open the same
+    /// row (DramConfig::row_at). Null (the default) compares their line
+    /// addresses instead.
+    const DramConfig* dram = nullptr;
 };
 
 /// Decodes `program` as core `core_id` (the id fixes the L1 victim-RNG

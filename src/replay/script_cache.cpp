@@ -58,9 +58,7 @@ void prepare_scripts(ScriptCache& cache, Machine& machine,
         if (pooled == cache.pool.end()) {
             L2PartitionSpec l2_spec;
             l2_spec.geometry = machine.l2().partition_geometry();
-            l2_spec.dram_row_span =
-                config.dram.row_bytes * config.dram.num_banks;
-            l2_spec.dram_capacity = config.dram.capacity_bytes;
+            l2_spec.dram = &config.dram;
             Decline why = Decline::kNone;
             std::unique_ptr<MicroOpScript> script =
                 decode_program(program, config.core, c, &l2_spec, {}, &why);

@@ -17,6 +17,7 @@
 
 #include "core/campaign.h"
 #include "core/experiment.h"
+#include "core/scenario.h"
 #include "engine/reduce.h"
 #include "isa/program.h"
 #include "machine/config.h"
@@ -103,16 +104,17 @@ inline Measurement isolation(const MachineConfig& config, const Program& scua,
 inline PwcetCampaignResult pwcet(const MachineConfig& config,
                                  const Program& scua,
                                  const std::vector<Program>& contenders,
-                                 const PwcetCampaignOptions& options) {
+                                 const HwmCampaignOptions& protocol,
+                                 const PwcetSpec& spec) {
     const PwcetAccumulator acc = serial_fold(
-        options.protocol.runs, PwcetAccumulator(options.block_size),
+        protocol.runs, PwcetAccumulator(spec.block_size),
         [&](PwcetAccumulator& a, std::uint64_t run) {
-            a.add(run, detail::hwm_campaign_measure(
-                           config, scua, contenders, options.protocol, run));
+            a.add(run, detail::hwm_campaign_measure(config, scua, contenders,
+                                                    protocol, run));
         });
-    const Measurement isol = isolation(config, scua, options.protocol);
+    const Measurement isol = isolation(config, scua, protocol);
     return finalize_pwcet_campaign(acc, isol.exec_time, isol.bus_requests,
-                                   options.exceedance);
+                                   spec.exceedance);
 }
 
 inline engine::WhiteboxCampaignResult whitebox(

@@ -48,7 +48,7 @@ struct GridPoint {
 };
 
 /// Same platform grid as the hot-path differential suite: both NGMP
-/// variants, a scaled platform, every arbiter kind, refresh on.
+/// variants, a scaled platform, every arbiter kind.
 std::vector<GridPoint> config_grid() {
     std::vector<GridPoint> grid;
     grid.push_back({"ngmp_ref", MachineConfig::ngmp_ref()});
@@ -71,18 +71,12 @@ std::vector<GridPoint> config_grid() {
         cfg.wrr_weights = {3, 1, 1, 1};
         grid.push_back({"wrr", cfg});
     }
-    {
-        MachineConfig cfg = MachineConfig::ngmp_ref();
-        cfg.dram.refresh_interval = 1560;
-        cfg.dram.refresh_duration = 26;
-        grid.push_back({"refresh", cfg});
-    }
     return grid;
 }
 
 /// Scuas covering distinct attribution paths: L2-hit loads (bus wait +
-/// service only), the DRAM split-transaction chain (row classes, queue,
-/// refresh), and store-buffer machinery (gate / full / drain-wait).
+/// service only), the DRAM split-transaction chain (row classes and
+/// queue), and store-buffer machinery (gate / full / drain-wait).
 std::vector<Program> scua_set() {
     std::vector<Program> scuas;
     scuas.push_back(make_autobench(Autobench::kCacheb, 0x0100'0000, 12, 9));

@@ -85,8 +85,7 @@ TEST(Cli, TelemetryFlagsOnlyApplyToCampaignCommands) {
     EXPECT_NE(r.err.find("estimate"), std::string::npos);
     EXPECT_EQ(invoke({"calibrate", "--heartbeat", "2"}).code, 1);
     EXPECT_EQ(invoke({"baseline", "--telemetry", "t.json"}).code, 1);
-    EXPECT_EQ(invoke({"sweep", "--telemetry", "t.json"}).code, 1);
-    EXPECT_EQ(invoke({"sweep", "--heartbeat", "1"}).code, 1);
+    EXPECT_EQ(invoke({"estimate", "--heartbeat", "1"}).code, 1);
     // merge writes a report but has no live campaign to pulse.
     EXPECT_EQ(invoke({"merge", "--heartbeat", "1"}).code, 1);
 }
@@ -575,26 +574,30 @@ TEST(Cli, HelpListsSweepPwcet) {
     EXPECT_NE(r.out.find("--arbiter-axis"), std::string::npos);
 }
 
-TEST(Cli, SweepEmitsCsv) {
-    const CliResult r = invoke({"sweep", "--cores", "4", "--lbus", "2",
-                                "--kmax", "14", "--iterations", "15"});
-    EXPECT_EQ(r.code, 0);
-    EXPECT_EQ(r.out.rfind("index,dbus\n", 0), 0u);
-    // 15 data rows (k = 0..14).
-    EXPECT_NE(r.out.find("\n14,"), std::string::npos);
-}
-
-TEST(Cli, SweepToFile) {
-    const std::string path = "/tmp/rrbtool_sweep_test.csv";
-    const CliResult r = invoke({"sweep", "--cores", "4", "--lbus", "2",
+TEST(Cli, EstimateWritesTheSweepCsv) {
+    const std::string path = "/tmp/rrbtool_estimate_csv_test.csv";
+    const CliResult r = invoke({"estimate", "--cores", "4", "--lbus", "2",
                                 "--kmax", "14", "--iterations", "15",
                                 "--csv", path});
     EXPECT_EQ(r.code, 0);
     std::ifstream in(path);
     std::string header;
     std::getline(in, header);
-    EXPECT_EQ(header, "index,dbus");
+    EXPECT_EQ(header, "index,dbus,et_isolation,et_contention");
+    // 15 data rows (k = 0..14).
+    std::size_t rows = 0;
+    for (std::string line; std::getline(in, line);) ++rows;
+    EXPECT_EQ(rows, 15u);
     std::remove(path.c_str());
+}
+
+TEST(Cli, EstimateCsvWriteFailureExits2) {
+    const CliResult r = invoke({"estimate", "--cores", "4", "--lbus", "2",
+                                "--kmax", "14", "--iterations", "15",
+                                "--csv", "/nonexistent-dir/sweep.csv"});
+    EXPECT_EQ(r.code, 2);
+    EXPECT_NE(r.err.find("error: could not write /nonexistent-dir/sweep.csv"),
+              std::string::npos);
 }
 
 TEST(Cli, EstimateWithStoreSpanCrossCheck) {
@@ -821,7 +824,9 @@ TEST(Cli, ManifestCommandsMatchTheirGoldens) {
     // tests/golden/cli/manifest.txt lists each command with its stdout
     // golden and exit code (its header spells out the format); the
     // single-run goldens predate the shared functional core, the
-    // policy goldens the one-value arbiter.
+    // policy goldens the one-value arbiter, and the campaign, merge,
+    // estimate-flag, telemetry-diff and help goldens the constant DRAM
+    // policy.
     namespace fs = std::filesystem;
     const std::string src = RRB_SOURCE_DIR;
     const std::string dir = src + "/tests/golden/cli/";
@@ -846,7 +851,8 @@ TEST(Cli, ManifestCommandsMatchTheirGoldens) {
         const CliResult r = invoke(args);
         EXPECT_EQ(r.code, code) << golden << ": " << r.err;
         EXPECT_EQ(r.err, "") << golden;
-        EXPECT_EQ(replace_all(r.out, out, "{out}"), read_file(dir + golden))
+        EXPECT_EQ(replace_all(replace_all(r.out, out, "{out}"), src, "{src}"),
+                  read_file(dir + golden))
             << golden;
         // The files written into {out}, against the golden directory.
         const fs::path stem =
@@ -870,7 +876,7 @@ TEST(Cli, ManifestCommandsMatchTheirGoldens) {
                 << golden << ": " << file;
         }
     }
-    EXPECT_GE(commands, 15u);
+    EXPECT_GE(commands, 35u);
     fs::remove_all(out);
 }
 

@@ -92,26 +92,6 @@ TEST_F(DramTest, FrFcfsPrefersRowHit) {
     EXPECT_EQ(completions_[2].first, conflict);
 }
 
-TEST_F(DramTest, FcfsKeepsArrivalOrder) {
-    DramConfig cfg = small_config();
-    cfg.scheduling = DramScheduling::kFcfs;
-    MemoryController mc(cfg);
-    struct Client final : DramClient {
-        std::vector<Addr> order;
-        void dram_complete(const DramRequest& r, Cycle) override {
-            order.push_back(r.addr);
-        }
-    } client;
-    mc.attach_client(&client);
-    mc.enqueue({0, 0x0, false, 0, 0});
-    const Addr conflict = cfg.row_bytes * cfg.num_banks;
-    mc.enqueue({0, conflict, false, 0, 0});
-    mc.enqueue({0, 32 * 4, false, 0, 0});  // row 0 hit, arrived later
-    for (Cycle now = 0; now <= 120; ++now) mc.tick(now);
-    ASSERT_EQ(client.order.size(), 3u);
-    EXPECT_EQ(client.order[1], conflict);
-}
-
 TEST_F(DramTest, BankParallelismOverlapsButDataBusSerializes) {
     // Two requests to different banks arriving together: the second's
     // completion is pushed by the shared data bus, not a full latency.

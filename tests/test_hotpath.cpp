@@ -6,7 +6,7 @@
 // the semantics it replaced: a fresh Machine per run stepped cycle by
 // cycle. These tests run both paths over a grid of configurations
 // (ref/var platforms, 1–4 cores, every arbiter, DRAM-heavy and
-// store-heavy kernels, refresh on/off), seeds and start delays, and
+// store-heavy kernels), seeds and start delays, and
 // compare finish cycles, the full black-box/white-box Measurement
 // (PMCs and histograms), and every statistic of every core, cache, the
 // bus and the memory controller.
@@ -128,7 +128,6 @@ void expect_same_machine(Machine& hot, Machine& ref,
     const DramStats& rd = ref.dram().stats();
     EXPECT_EQ(hd.reads, rd.reads) << what;
     EXPECT_EQ(hd.writes, rd.writes) << what;
-    EXPECT_EQ(hd.refreshes, rd.refreshes) << what;
     EXPECT_EQ(hd.row_hits, rd.row_hits) << what;
     EXPECT_EQ(hd.row_misses, rd.row_misses) << what;
     EXPECT_EQ(hd.row_conflicts, rd.row_conflicts) << what;
@@ -182,12 +181,6 @@ std::vector<GridPoint> config_grid() {
         cfg.arbiter = ArbiterKind::kWeightedRoundRobin;
         cfg.wrr_weights = {3, 1, 1, 1};
         grid.push_back({"wrr", cfg});
-    }
-    {
-        MachineConfig cfg = MachineConfig::ngmp_ref();
-        cfg.dram.refresh_interval = 1560;  // refresh boundaries vs skip
-        cfg.dram.refresh_duration = 26;
-        grid.push_back({"refresh", cfg});
     }
     return grid;
 }
@@ -340,12 +333,11 @@ TEST(HotPathDifferential, LongScuasFastForwardBitIdentically) {
     std::vector<GridPoint> grid;
     for (GridPoint& point : config_grid()) {
         if (point.name == "ngmp_ref" || point.name == "scaled_2x5" ||
-            point.name == "wrr" || point.name == "refresh" ||
-            point.name == "tdma") {
+            point.name == "wrr" || point.name == "tdma") {
             grid.push_back(std::move(point));
         }
     }
-    ASSERT_EQ(grid.size(), 5u);
+    ASSERT_EQ(grid.size(), 4u);
     for (const GridPoint& point : grid) {
         const std::vector<Program> contenders =
             make_rsk_contenders(point.config, OpKind::kLoad);
@@ -388,9 +380,8 @@ TEST(HotPathDifferential, LoopingScuasFastForwardBitIdentically) {
     // not. TDMA runs and runs with store programs (a live L2 partition)
     // never skip. Every isolation run skips, and every load-contender
     // sweep on a round-robin bus, except where the design forbids it:
-    // refresh windows 1,560 cycles apart leave room for two periods only
-    // at k = 0 in isolation, and under WRR the scua's three slots a
-    // round keep a contender's 40-load pass from spanning whole periods.
+    // under WRR the scua's three slots a round keep a contender's
+    // 40-load pass from spanning whole periods.
     std::vector<GridPoint> grid = {
         {"ngmp_ref", MachineConfig::ngmp_ref()},
         {"scaled_8x9", MachineConfig::scaled(8, 9)},
@@ -398,19 +389,17 @@ TEST(HotPathDifferential, LoopingScuasFastForwardBitIdentically) {
         {"scaled_2x9", MachineConfig::scaled(2, 9)},
     };
     for (GridPoint& point : config_grid()) {
-        if (point.name == "wrr" || point.name == "refresh" ||
-            point.name == "tdma") {
+        if (point.name == "wrr" || point.name == "tdma") {
             grid.push_back(std::move(point));
         }
     }
-    ASSERT_EQ(grid.size(), 7u);
+    ASSERT_EQ(grid.size(), 6u);
     HwmCampaignOptions options;
     options.runs = 1;
     options.max_start_delay = 0;
     for (const GridPoint& point : grid) {
         const MachineConfig& config = point.config;
         const Cycle ubd = config.ubd_analytic();
-        const bool periodic_dram = point.name != "refresh";
         const bool round_robin = point.name.rfind("scaled", 0) == 0 ||
                                  point.name == "ngmp_ref";
         const struct {
@@ -445,7 +434,7 @@ TEST(HotPathDifferential, LoopingScuasFastForwardBitIdentically) {
                             expect_fast_forward_exact(lease, config, scua,
                                                       contenders, options, 0,
                                                       armed, what);
-                        if (contention == "isolation" && periodic_dram &&
+                        if (contention == "isolation" &&
                             point.name != "tdma") {
                             EXPECT_GT(run_periods, 0u) << what;
                         }

@@ -151,6 +151,44 @@ TEST(Machine, FourRskSaturateBus) {
     EXPECT_GE(m.bus().utilization(m.now()), 0.97);
 }
 
+TEST(Machine, WarmRskBusRequestsAreItsDl1Misses) {
+    // Every rsk load misses DL1 and goes to the bus; with the code
+    // warmed, nothing else does.
+    Machine m(MachineConfig::ngmp_ref());
+    RskParams p;
+    p.unroll = 4;
+    p.iterations = 20;
+    m.load_program(0, make_rsk(p));
+    m.warm_static_footprint(0);
+    m.run(1'000'000);
+    EXPECT_EQ(m.bus().counters(0).requests, m.core(0).dl1().stats().misses());
+}
+
+TEST(Machine, SaturatedBusSplitsItsBusyCyclesAcrossCores) {
+    // Four warmed rsk saturate the bus, each holds it about a quarter of
+    // the time, and the per-core busy cycles sum to the bus's total.
+    Machine m(MachineConfig::ngmp_ref());
+    for (CoreId c = 0; c < 4; ++c) {
+        RskParams p;
+        p.unroll = 4;
+        p.iterations = 50;
+        p.data_base = 0x0010'0000 + c * 0x0010'0000;
+        p.code_base = c * 0x0001'0000;
+        m.load_program(c, make_rsk(p));
+        m.warm_static_footprint(c);
+    }
+    m.run_until_core(0, 10'000'000);
+    const double cycles = static_cast<double>(m.now());
+    const double total = static_cast<double>(m.bus().total_busy_cycles());
+    const double core0 = static_cast<double>(m.bus().counters(0).busy_cycles);
+    EXPECT_GT(total / cycles, 0.97);
+    EXPECT_GT(core0 / cycles, 0.2);
+    EXPECT_LT(core0 / cycles, 0.3);
+    std::uint64_t sum = 0;
+    for (CoreId c = 0; c < 4; ++c) sum += m.bus().counters(c).busy_cycles;
+    EXPECT_EQ(sum, m.bus().total_busy_cycles());
+}
+
 TEST(Machine, CoreIdValidation) {
     Machine m(MachineConfig::ngmp_ref());
     EXPECT_THROW((void)m.core(4), std::invalid_argument);

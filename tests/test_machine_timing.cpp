@@ -143,27 +143,5 @@ TEST(MachineTiming, TraceProgramValidation) {
     EXPECT_THROW((void)make_trace_program({}), std::invalid_argument);
 }
 
-TEST(MachineTiming, DramRefreshStretchesMissLatency) {
-    MachineConfig cfg = MachineConfig::ngmp_ref();
-    cfg.dram.refresh_interval = 64;
-    cfg.dram.refresh_duration = 26;
-    Machine m(cfg);
-    // A long L2-miss stream: refreshes must inject visible stalls versus
-    // the refresh-free machine.
-    Program p = ProgramBuilder("walk")
-                    .load(AddrPattern::stride(0, 32, 256 * 1024))
-                    .iterations(512)
-                    .build();
-    m.load_program(0, p);
-    const RunResult with_refresh = m.run(10'000'000);
-
-    Machine m2(MachineConfig::ngmp_ref());
-    m2.load_program(0, p);
-    const RunResult without = m2.run(10'000'000);
-    ASSERT_FALSE(with_refresh.deadline_reached);
-    ASSERT_FALSE(without.deadline_reached);
-    EXPECT_GT(with_refresh.finish_cycle[0], without.finish_cycle[0]);
-}
-
 }  // namespace
 }  // namespace rrb

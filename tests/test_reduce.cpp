@@ -201,12 +201,17 @@ TEST(ReduceIndexedShards, ReportsProgressPerRun) {
 
 // ------------------------------------------------------ pWCET campaigns
 
-PwcetCampaignOptions small_pwcet() {
-    PwcetCampaignOptions opt;
-    opt.protocol.runs = 48;
-    opt.block_size = 8;
-    opt.protocol.seed = 7;
-    return opt;
+HwmCampaignOptions small_protocol() {
+    HwmCampaignOptions protocol;
+    protocol.runs = 48;
+    protocol.seed = 7;
+    return protocol;
+}
+
+PwcetSpec small_spec() {
+    PwcetSpec spec;
+    spec.block_size = 8;
+    return spec;
 }
 
 MachineConfig test_config() { return MachineConfig::ngmp_ref(); }
@@ -217,13 +222,9 @@ Program test_scua() {
 
 Scenario pwcet_scenario(const MachineConfig& cfg, const Program& scua,
                         const std::vector<Program>& contenders,
-                        const PwcetCampaignOptions& opt) {
+                        const HwmCampaignOptions& protocol) {
     return Scenario::on(cfg).scua(scua).contenders(contenders).protocol(
-        opt.protocol);
-}
-
-PwcetSpec pwcet_spec(const PwcetCampaignOptions& opt) {
-    return {opt.block_size, opt.exceedance};
+        protocol);
 }
 
 TEST(PwcetCampaign, BitIdenticalAtEveryJobCount) {
@@ -232,8 +233,8 @@ TEST(PwcetCampaign, BitIdenticalAtEveryJobCount) {
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
 
-    const PwcetCampaignResult serial =
-        reference::pwcet(cfg, scua, contenders, small_pwcet());
+    const PwcetCampaignResult serial = reference::pwcet(
+        cfg, scua, contenders, small_protocol(), small_spec());
 
     for (const std::size_t jobs :
          {1u, 2u, 4u, static_cast<unsigned>(
@@ -241,8 +242,8 @@ TEST(PwcetCampaign, BitIdenticalAtEveryJobCount) {
         Session session;
         session.jobs(jobs);
         const PwcetCampaignResult parallel = session.pwcet(
-            pwcet_scenario(cfg, scua, contenders, small_pwcet()),
-            pwcet_spec(small_pwcet()));
+            pwcet_scenario(cfg, scua, contenders, small_protocol()),
+            small_spec());
         EXPECT_EQ(parallel.high_water_mark, serial.high_water_mark)
             << "jobs = " << jobs;
         EXPECT_EQ(parallel.low_water_mark, serial.low_water_mark);
@@ -267,32 +268,32 @@ TEST(PwcetCampaign, StreamedFitEqualsSerialBlockMaximaFit) {
     const Program scua = test_scua();
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
-    const PwcetCampaignOptions opt = small_pwcet();
+    const HwmCampaignOptions protocol = small_protocol();
+    const PwcetSpec spec = small_spec();
 
     const PwcetCampaignResult streamed = Session().pwcet(
-        pwcet_scenario(cfg, scua, contenders, opt), pwcet_spec(opt));
+        pwcet_scenario(cfg, scua, contenders, protocol), spec);
 
     // The materializing reference: same run protocol, same seed.
     const HwmCampaignResult hwm =
-        reference::hwm(cfg, scua, contenders, opt.protocol);
+        reference::hwm(cfg, scua, contenders, protocol);
     std::vector<double> times;
     times.reserve(hwm.exec_times.size());
     for (const Cycle t : hwm.exec_times) {
         times.push_back(static_cast<double>(t));
     }
     const GumbelFit reference =
-        fit_gumbel(block_maxima(times, opt.block_size));
+        fit_gumbel(block_maxima(times, spec.block_size));
 
     EXPECT_EQ(streamed.high_water_mark, hwm.high_water_mark);
     EXPECT_EQ(streamed.low_water_mark, hwm.low_water_mark);
     EXPECT_EQ(streamed.fit.mu, reference.mu);
     EXPECT_EQ(streamed.fit.beta, reference.beta);
     EXPECT_EQ(streamed.fit.sample_size, reference.sample_size);
-    EXPECT_EQ(streamed.runs, opt.protocol.runs);
-    EXPECT_EQ(streamed.blocks, opt.protocol.runs / opt.block_size);
+    EXPECT_EQ(streamed.runs, protocol.runs);
+    EXPECT_EQ(streamed.blocks, protocol.runs / spec.block_size);
     // The memory contract: live state ~ runs/block_size, not ~ runs.
-    EXPECT_LE(streamed.live_values,
-              opt.protocol.runs / opt.block_size + 1);
+    EXPECT_LE(streamed.live_values, protocol.runs / spec.block_size + 1);
 }
 
 TEST(PwcetCampaign, Validates) {
@@ -300,21 +301,26 @@ TEST(PwcetCampaign, Validates) {
     const Program scua = test_scua();
     const std::vector<Program> contenders =
         make_rsk_contenders(cfg, OpKind::kLoad);
-    const auto run = [&](const PwcetCampaignOptions& opt,
+    const auto run = [&](const HwmCampaignOptions& protocol,
+                         const PwcetSpec& spec,
                          const std::vector<Program>& with) {
-        return Session().pwcet(pwcet_scenario(cfg, scua, with, opt),
-                               pwcet_spec(opt));
+        return Session().pwcet(pwcet_scenario(cfg, scua, with, protocol),
+                               spec);
     };
-    PwcetCampaignOptions opt = small_pwcet();
-    opt.protocol.runs = 0;
-    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
-    opt = small_pwcet();
-    opt.block_size = 0;
-    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
-    opt = small_pwcet();
-    opt.exceedance = {0.0};
-    EXPECT_THROW((void)run(opt, contenders), std::invalid_argument);
-    EXPECT_THROW((void)run(small_pwcet(), {}), std::invalid_argument);
+    HwmCampaignOptions no_runs = small_protocol();
+    no_runs.runs = 0;
+    EXPECT_THROW((void)run(no_runs, small_spec(), contenders),
+                 std::invalid_argument);
+    PwcetSpec spec = small_spec();
+    spec.block_size = 0;
+    EXPECT_THROW((void)run(small_protocol(), spec, contenders),
+                 std::invalid_argument);
+    spec = small_spec();
+    spec.exceedance = {0.0};
+    EXPECT_THROW((void)run(small_protocol(), spec, contenders),
+                 std::invalid_argument);
+    EXPECT_THROW((void)run(small_protocol(), small_spec(), {}),
+                 std::invalid_argument);
 }
 
 // -------------------------------------------------- white-box campaigns

@@ -238,8 +238,7 @@ TEST(ScriptDecode, RepeatBoundsStopWhereTheWalkChanges) {
     const MachineConfig config = MachineConfig::ngmp_ref();
     Machine machine(config);
     replay::L2PartitionSpec spec = partition_spec(machine);
-    spec.dram_row_span = config.dram.row_bytes * config.dram.num_banks;
-    spec.dram_capacity = config.dram.capacity_bytes;
+    spec.dram = &config.dram;
     const auto script = replay::decode_program(
         make_autobench(Autobench::kCacheb, 0x0100'0000, 4096, 9),
         config.core, 0, &spec);
@@ -669,9 +668,7 @@ std::string decode_scripts_golden() {
             for (const Entry& entry : programs) {
                 replay::L2PartitionSpec spec;
                 spec.geometry = machine.l2().partition_geometry();
-                spec.dram_row_span =
-                    config.dram.row_bytes * config.dram.num_banks;
-                spec.dram_capacity = config.dram.capacity_bytes;
+                spec.dram = &config.dram;
                 replay::Decline why = replay::Decline::kNone;
                 const auto script = replay::decode_program(
                     entry.program, config.core, entry.core, &spec, {}, &why);

@@ -156,13 +156,9 @@ TEST(Session, PwcetMatchesSerialReference) {
     session.jobs(4);
     const PwcetCampaignResult facade = session.pwcet(scenario, spec);
 
-    PwcetCampaignOptions options;
-    options.protocol = scenario.run_protocol();
-    options.block_size = spec.block_size;
-    options.exceedance = spec.exceedance;
     const PwcetCampaignResult engine = reference::pwcet(
         scenario.config(), scenario.scua_program(),
-        scenario.contender_programs(), options);
+        scenario.contender_programs(), scenario.run_protocol(), spec);
 
     EXPECT_EQ(facade.high_water_mark, engine.high_water_mark);
     EXPECT_EQ(facade.mean, engine.mean);

@@ -60,6 +60,28 @@ TEST(Synchrony, VarArchitectureModeGammaIsUbdMinus4) {
     EXPECT_EQ(dominant_gamma(cfg, 0), cfg.ubd_analytic() - 4);
 }
 
+TEST(Synchrony, MeanBusWaitIsUbdMinus1) {
+    // The bus's own counters tell the same story as the gamma mode:
+    // under synchrony nearly every request of the scua waits ubd - 1.
+    const MachineConfig cfg = MachineConfig::ngmp_ref();
+    Machine m(cfg);
+    for (CoreId c = 0; c < 4; ++c) {
+        RskParams p;
+        p.unroll = 4;
+        p.iterations = c == 0 ? 60 : 100'000;
+        p.data_base = 0x0010'0000 + c * 0x0010'0000;
+        p.code_base = c * 0x0001'0000;
+        m.load_program(c, make_rsk(p));
+        m.warm_static_footprint(c);
+    }
+    m.run_until_core(0, 10'000'000);
+    const BusCoreCounters& bus = m.bus().counters(0);
+    ASSERT_GT(bus.requests, 0u);
+    EXPECT_NEAR(static_cast<double>(bus.wait_cycles) /
+                    static_cast<double>(bus.requests),
+                static_cast<double>(cfg.ubd_analytic() - 1), 0.5);
+}
+
 TEST(Synchrony, SingleGammaDominates) {
     // "We observe that most of the requests, 98% of them, have the same
     // contention delay": the synchrony effect locks the rotation.
