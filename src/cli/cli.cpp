@@ -454,13 +454,12 @@ public:
     TelemetrySession(const TelemetrySession&) = delete;
     TelemetrySession& operator=(const TelemetrySession&) = delete;
 
-    void campaign(const obs::CampaignInfo& info) { info_ = info; }
+    void campaign(CheckpointMeta meta) { meta_ = std::move(meta); }
 
     /// Campaign-summed attribution for the report's "attribution"
     /// field (null unless the command ran the profiler).
-    void attribution(obs::AttributionSummary summary) {
-        attribution_ = std::move(summary);
-        has_attribution_ = true;
+    void attribution(AttributionAccumulator acc) {
+        attribution_ = std::move(acc);
     }
 
     /// Snapshots counters and spans, disables the registry, and — when
@@ -473,11 +472,10 @@ public:
             obs::TelemetryRegistry::instance();
         obs::RunReportInfo report;
         report.command = command_;
-        report.campaign = info_;
+        report.campaign = meta_;
         report.jobs = jobs;
         report.wall_ns = registry.now_ns() - begin_ns_;
-        report.has_attribution = has_attribution_;
-        report.attribution = attribution_;
+        if (attribution_) report.attribution = &*attribution_;
         const obs::CounterSnapshot counters = registry.counters();
         // The span timeline outlives finish() for write_trace().
         spans_ = registry.spans();
@@ -517,9 +515,8 @@ private:
     std::string trace_path_;
     bool active_ = false;
     std::string command_;
-    obs::CampaignInfo info_;
-    bool has_attribution_ = false;
-    obs::AttributionSummary attribution_;
+    CheckpointMeta meta_;
+    std::optional<AttributionAccumulator> attribution_;
     std::vector<obs::SpanRecord> spans_;
     std::uint64_t begin_ns_ = 0;
 };
@@ -544,25 +541,6 @@ CampaignSetup checked_campaign(
     return build_campaign(flags, default_runs);
 }
 
-/// Campaign identity for a whole (unsliced) campaign's run report:
-/// the same plan the reduce engine will derive, pinned alongside the
-/// scenario fingerprint and seed.
-obs::CampaignInfo whole_campaign_info(const Scenario& scenario,
-                                      std::uint64_t block_size) {
-    const std::size_t runs = scenario.run_protocol().runs;
-    const engine::ReducePlan plan = engine::ReducePlan::for_count(runs);
-    obs::CampaignInfo info;
-    info.scenario_fingerprint = scenario.fingerprint();
-    info.seed = scenario.run_protocol().seed;
-    info.total_runs = runs;
-    info.block_size = block_size;
-    info.shard_size = plan.shard_size;
-    info.plan_shards = plan.shards();
-    info.first_run = 0;
-    info.last_run = runs;
-    return info;
-}
-
 /// The shared run of the whole-campaign commands: `call(session,
 /// telemetry)` under the live progress line, then the telemetry run
 /// report and trace, then the header line "<command>: <runs> runs[ in
@@ -585,7 +563,7 @@ auto run_whole_campaign(const ParsedFlags& flags, const char* command,
                                         flags.heartbeat, jobs);
         result = call(session, telemetry);
     }
-    telemetry.campaign(whole_campaign_info(scenario, block_size));
+    telemetry.campaign(campaign_meta(scenario, PwcetSpec{block_size, {}}));
     telemetry.finish(jobs, err);
     telemetry.write_trace(scenario, err);
 
@@ -686,7 +664,6 @@ void report_measurement(const char* label, const Measurement& m,
         << m.bus_requests << "\n";
     out << "bus utilization = " << m.bus_utilization << ", scua share = "
         << m.scua_bus_share << "\n";
-    if (m.deadline_reached) out << "deadline reached — run invalid\n";
 }
 
 int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
@@ -696,10 +673,10 @@ int cmd_isolation(const ParsedFlags& flags, std::ostream& out,
     TelemetrySession telemetry(flags, "isolation");
     const Session session;
     const Measurement m = session.isolation(scenario);
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
+    telemetry.campaign(campaign_meta(scenario, PwcetSpec{0, {}}));
     telemetry.finish(/*jobs=*/1, err);
     report_measurement("isolation", m, out);
-    return m.deadline_reached ? 2 : 0;
+    return 0;
 }
 
 int cmd_contention(const ParsedFlags& flags, std::ostream& out,
@@ -709,14 +686,14 @@ int cmd_contention(const ParsedFlags& flags, std::ostream& out,
     TelemetrySession telemetry(flags, "contention");
     const Session session;
     const Measurement m = session.contention(scenario);
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
+    telemetry.campaign(campaign_meta(scenario, PwcetSpec{0, {}}));
     telemetry.finish(/*jobs=*/1, err);
     report_measurement("contention", m, out);
     const Cycle ubd = scenario.config().ubd_analytic();
     const bool bounded = m.max_gamma <= ubd;
     out << "max gamma = " << m.max_gamma << " (ubd = " << ubd
         << "), bounded: " << (bounded ? "yes" : "NO") << "\n";
-    return (bounded && !m.deadline_reached) ? 0 : 2;
+    return bounded ? 0 : 2;
 }
 
 int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
@@ -726,7 +703,7 @@ int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
     TelemetrySession telemetry(flags, "slowdown");
     const Session session;
     const SlowdownResult r = session.slowdown(scenario);
-    telemetry.campaign(whole_campaign_info(scenario, /*block_size=*/0));
+    telemetry.campaign(campaign_meta(scenario, PwcetSpec{0, {}}));
     telemetry.finish(/*jobs=*/1, err);
     out << "slowdown: et_isol = " << r.isolation.exec_time
         << " cycles, et_cont = " << r.contention.exec_time
@@ -741,10 +718,7 @@ int cmd_slowdown(const ParsedFlags& flags, std::ostream& out,
     const bool bounded = r.contention.max_gamma <= ubd;
     out << "max gamma = " << r.contention.max_gamma << ", bounded: "
         << (bounded ? "yes" : "NO") << "\n";
-    const bool invalid =
-        r.isolation.deadline_reached || r.contention.deadline_reached;
-    if (invalid) out << "deadline reached — run invalid\n";
-    return (bounded && !invalid) ? 0 : 2;
+    return bounded ? 0 : 2;
 }
 
 int cmd_campaign(const ParsedFlags& flags, std::ostream& out,
@@ -793,7 +767,7 @@ int cmd_attribution(const ParsedFlags& flags, std::ostream& out,
         out, err, [&](Session& session, TelemetrySession& telemetry) {
             engine::AttributionCampaignResult result =
                 session.attribution(scenario);
-            telemetry.attribution(attribution_summary(result.attribution));
+            telemetry.attribution(result.attribution);
             return result;
         });
     const AttributionAccumulator& acc = r.attribution;
@@ -942,7 +916,7 @@ int cmd_checkpoint(const ParsedFlags& flags, const char* command,
     // The shard report carries the slice's run range and plan from the
     // checkpoint metadata: collecting every shard's report reconstructs
     // the distributed campaign's timeline.
-    telemetry.campaign(telemetry_info(checkpoint.meta));
+    telemetry.campaign(checkpoint.meta);
     telemetry.finish(session.worker_budget(), err);
     telemetry.write_trace(scenario, err);
 
@@ -1072,7 +1046,7 @@ int cmd_merge(const ParsedFlags& flags, std::ostream& out,
     if (checkpoint_kind(flags.inputs[0]) == PayloadKind::kWhitebox) {
         const MergedWhiteboxCampaign merged =
             session.merge_whitebox(flags.inputs);
-        telemetry.campaign(telemetry_info(merged.meta));
+        telemetry.campaign(merged.meta);
         telemetry.finish(/*jobs=*/1, err);
         out << "merge: " << flags.inputs.size() << " checkpoints, "
             << merged.total.runs() << " runs, seed " << merged.meta.seed
@@ -1081,7 +1055,7 @@ int cmd_merge(const ParsedFlags& flags, std::ostream& out,
                                merged.total, merged.meta.ubd_analytic, out);
     }
     const MergedPwcetCampaign merged = session.merge(flags.inputs);
-    telemetry.campaign(telemetry_info(merged.meta));
+    telemetry.campaign(merged.meta);
     telemetry.finish(/*jobs=*/1, err);
     out << "merge: " << flags.inputs.size() << " checkpoints, "
         << merged.result.runs << " runs in blocks of "
@@ -1101,7 +1075,7 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
 
     const std::size_t runs = scenario.run_protocol().runs;
 
-    engine::ProgressCounter progress;  // per grid point
+    engine::ProgressCounter progress;
     Session session;
     session.jobs(flags.jobs).progress(&progress);
     const std::size_t jobs = session.worker_budget();
@@ -1109,23 +1083,18 @@ int cmd_sweep_pwcet(const ParsedFlags& flags, std::ostream& out,
     TelemetrySession telemetry(flags, "sweep-pwcet");
     SweepResult sweep;
     {
-        // Point campaigns are silent; report over the whole run volume
-        // only when it is genuinely long.
         const ProgressReporter reporter(progress, err,
                                         axes.points() * runs,
                                         flags.heartbeat, jobs);
         sweep = session.sweep(scenario, axes, spec);
     }
-    {
-        // One report for the whole grid: the base scenario's identity
-        // with the run volume scaled by the point count (each point's
-        // own timings live in the span timeline).
-        obs::CampaignInfo info =
-            whole_campaign_info(scenario, spec.block_size);
-        info.total_runs = axes.points() * runs;
-        info.last_run = info.total_runs;
-        telemetry.campaign(info);
-    }
+    // One report for the whole grid: the base scenario's identity with
+    // the run volume scaled by the point count (each point's own
+    // timings live in the span timeline).
+    CheckpointMeta meta = campaign_meta(scenario, spec);
+    meta.total_runs = axes.points() * runs;
+    meta.last_run = meta.total_runs;
+    telemetry.campaign(std::move(meta));
     telemetry.finish(jobs, err);
     telemetry.write_trace(scenario, err);
 
@@ -1284,15 +1253,13 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out,
                                         monitor.samples());
         result = session.batch(items, &monitor);
     }
-    {
-        // One report for the whole batch: the run volume summed over
-        // scenarios. Each campaign's own identity and timings live in
-        // its span and its checkpoint metadata.
-        obs::CampaignInfo info;
-        info.total_runs = total_runs;
-        info.last_run = total_runs;
-        telemetry.campaign(info);
-    }
+    // One report for the whole batch: the run volume summed over
+    // scenarios. Each campaign's own identity and timings live in its
+    // span and its checkpoint metadata.
+    CheckpointMeta meta;
+    meta.total_runs = total_runs;
+    meta.last_run = total_runs;
+    telemetry.campaign(std::move(meta));
     telemetry.finish(jobs, err);
 
     std::filesystem::create_directories(flags.out_dir);
@@ -1464,14 +1431,11 @@ const std::vector<CommandSpec>& command_specs() {
         {"baseline", cmd_baseline,
          {"--cores", "--lbus", "--var", "--iterations"}},
         {"isolation", cmd_isolation,
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry"}},
         {"contention", cmd_contention,
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry"}},
         {"slowdown", cmd_slowdown,
-         {"--cores", "--lbus", "--var", "--iterations", "--telemetry",
-          "--heartbeat"}},
+         {"--cores", "--lbus", "--var", "--iterations", "--telemetry"}},
         {"campaign", cmd_campaign,
          {"--cores", "--lbus", "--var", "--runs", "--seed", "--jobs",
           "--iterations", "--telemetry", "--heartbeat", "--trace"}},
@@ -1663,6 +1627,12 @@ int run(const std::vector<std::string>& args, std::ostream& out,
         // verdicts the campaign exit codes carry.
         err << "error: " << e.what() << "\n";
         return 1;
+    } catch (const CycleCapReached& e) {
+        // A run that outlasted its cycle cap measured nothing: the
+        // bound cannot be checked, a verdict failure like an unbounded
+        // one.
+        err << "error: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception& e) {
         // Anything else is an internal/runtime failure (a worker died,
         // an engine invariant tripped) — report it instead of letting

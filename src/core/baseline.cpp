@@ -2,7 +2,6 @@
 
 #include "core/estimator.h"
 #include "kernels/rsk.h"
-#include "sim/contract.h"
 
 namespace rrb {
 
@@ -10,10 +9,11 @@ namespace {
 
 NaiveUbdm evaluate(const MachineConfig& config, const Program& scua,
                    const std::vector<Program>& contenders) {
+    const Cycle cap = 1'000'000'000;  // run_slowdown's default
     NaiveUbdm out;
-    out.runs = run_slowdown(config, scua, contenders);
-    RRB_ENSURE(!out.runs.isolation.deadline_reached &&
-               !out.runs.contention.deadline_reached);
+    out.runs = run_slowdown(config, scua, contenders, 0, cap);
+    require_within_cap(out.runs.isolation, cap);
+    require_within_cap(out.runs.contention, cap);
     out.det = out.runs.slowdown();
     out.nr = out.runs.contention.bus_requests;
     out.ubdm_mean = out.nr == 0 ? 0.0

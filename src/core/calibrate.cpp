@@ -24,10 +24,9 @@ NopCalibration calibrate_delta_nop(const MachineConfig& config,
         std::min<std::size_t>(body_nops, il1_capacity_instrs / 2);
 
     const Program kernel = make_nop_kernel(body, iterations, nop_latency);
-    // run_isolation's default cycle cap.
-    const Measurement m =
-        backend.isolation(config, kernel, 0, 1'000'000'000);
-    RRB_ENSURE(!m.deadline_reached);
+    const Cycle cap = 1'000'000'000;  // run_isolation's default
+    const Measurement m = backend.isolation(config, kernel, 0, cap);
+    require_within_cap(m, cap);
 
     NopCalibration cal;
     cal.nops_executed = static_cast<std::uint64_t>(body) * iterations;

@@ -66,9 +66,11 @@ std::vector<std::uint64_t> per_core_fingerprints(
 /// The per-run campaign telemetry, counted once per run after the fact
 /// so every hook stays off the cycle loop. The machine's skip
 /// statistics were reset with the run, so they are exactly this run's.
+/// A run that reached its cycle cap `cap` throws CycleCapReached.
 Cycle count_campaign_run(const Machine& machine,
-                         const replay::ScriptCache& scripts, Cycle finish) {
-    RRB_ENSURE(finish != kNoCycle);
+                         const replay::ScriptCache& scripts, Cycle finish,
+                         Cycle cap) {
+    if (finish == kNoCycle) throw CycleCapReached(cap);
     // Every core hosts a program in a campaign run, so a null script is
     // a declined decode and the run at least partly interprets.
     const bool all_replay =
@@ -195,7 +197,8 @@ Cycle hwm_campaign_run(const MachineConfig& config, const Program& scua,
         lease.machine(), lease.scripts(),
         execute_campaign_run(lease.machine(), lease.campaign(), scua,
                              contenders, options, run_index,
-                             &lease.scripts(), campaign));
+                             &lease.scripts(), campaign),
+        options.max_cycles_per_run);
 }
 
 Measurement hwm_campaign_measure(const MachineConfig& config,
@@ -209,7 +212,8 @@ Measurement hwm_campaign_measure(const MachineConfig& config,
         lease.machine(), lease.scripts(),
         execute_campaign_run(lease.machine(), lease.campaign(), scua,
                              contenders, options, run_index,
-                             &lease.scripts(), campaign));
+                             &lease.scripts(), campaign),
+        options.max_cycles_per_run);
     return snapshot_measurement(lease.machine(), 0, finish,
                                 /*deadline_reached=*/false);
 }
@@ -225,7 +229,7 @@ Cycle hwm_campaign_attribute(const MachineConfig& config,
     Machine& machine = lease.machine();
     machine.arm_attribution();
     // Leased machines outlive this run — never leave one armed, even
-    // when the run throws (deadline ENSURE).
+    // when the run throws (CycleCapReached).
     struct Disarm {
         Machine& machine;
         ~Disarm() { machine.disarm_attribution(); }
@@ -234,7 +238,8 @@ Cycle hwm_campaign_attribute(const MachineConfig& config,
         machine, lease.scripts(),
         execute_campaign_run(machine, lease.campaign(), scua, contenders,
                              options, run_index, &lease.scripts(),
-                             campaign));
+                             campaign),
+        options.max_cycles_per_run);
     machine.finalize_attribution();
     acc.add(run_index, machine.attribution());
     return finish;

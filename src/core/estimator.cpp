@@ -56,8 +56,8 @@ void run_rsk_nop_sweep(
         const SlowdownResult r =
             run_slowdown(config, make_rsk_nop(params, k), contenders, 0,
                          options.max_cycles_per_run, backend);
-        RRB_ENSURE(!r.isolation.deadline_reached &&
-                   !r.contention.deadline_reached);
+        require_within_cap(r.isolation, options.max_cycles_per_run);
+        require_within_cap(r.contention, options.max_cycles_per_run);
         visit(k, r);
     }
 }

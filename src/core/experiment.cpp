@@ -1,5 +1,7 @@
 #include "core/experiment.h"
 
+#include <string>
+
 #include "core/campaign.h"
 #include "engine/machine_lease.h"
 #include "machine/machine.h"
@@ -33,6 +35,15 @@ Measurement measure(const MachineConfig& config, const Program& scua,
 }
 
 }  // namespace
+
+CycleCapReached::CycleCapReached(Cycle cap)
+    : std::runtime_error("a run reached its cycle cap of " +
+                         std::to_string(cap) +
+                         " cycles before the scua finished") {}
+
+void require_within_cap(const Measurement& m, Cycle cap) {
+    if (m.deadline_reached) throw CycleCapReached(cap);
+}
 
 namespace detail {
 

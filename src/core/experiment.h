@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "isa/program.h"
@@ -45,6 +46,19 @@ struct Measurement {
     Histogram injection_delta;      ///< delta between scua load requests
     bool deadline_reached = false;  ///< run hit the cycle cap (invalid)
 };
+
+/// A run reached its cycle cap before the scua finished, so it measured
+/// nothing: no bound, campaign or estimate may use it. Input decides
+/// whether a run fits its cap (`--iterations`, `--nop-latency`), so this
+/// is an error the caller reports, not a broken invariant; `rrbtool`
+/// exits 2 on it.
+class CycleCapReached : public std::runtime_error {
+public:
+    explicit CycleCapReached(Cycle cap);
+};
+
+/// Throws CycleCapReached(cap) when `m` reached its cycle cap `cap`.
+void require_within_cap(const Measurement& m, Cycle cap);
 
 /// Runs `scua` alone on core `scua_core` of a machine for `config`.
 [[nodiscard]] Measurement run_isolation(const MachineConfig& config,

@@ -46,26 +46,6 @@ void validate(const PwcetSpec& spec) {
     }
 }
 
-/// The campaign identity a (scenario, spec) pair stamps into its
-/// checkpoints — and the identity resume validates loaded checkpoints
-/// against. Slice, run-range and isolation fields are filled by the
-/// slice that ran.
-CheckpointMeta campaign_meta(const Scenario& scenario, const PwcetSpec& spec,
-                             const engine::ReducePlan& plan) {
-    CheckpointMeta meta;
-    meta.scenario_fingerprint = scenario.fingerprint();
-    meta.seed = scenario.run_protocol().seed;
-    meta.total_runs = scenario.run_protocol().runs;
-    meta.block_size = spec.block_size;
-    meta.shard_size = plan.shard_size;
-    meta.plan_shards = plan.shards();
-    meta.shard_plan_hash =
-        shard_plan_hash(meta.total_runs, meta.shard_size, meta.plan_shards);
-    meta.ubd_analytic = scenario.config().ubd_analytic();
-    meta.exceedance = spec.exceedance;
-    return meta;
-}
-
 engine::ReducePlan plan_of(const Scenario& scenario) {
     return engine::ReducePlan::for_count(
         static_cast<std::uint64_t>(scenario.run_protocol().runs));
@@ -156,10 +136,9 @@ Checkpoint<Acc> to_checkpoint(CheckpointMeta meta, const SliceSpec& slice,
     checkpoint.meta = std::move(meta);
     checkpoint.meta.slice_index = slice.index;
     checkpoint.meta.slice_count = slice.count;
-    if (range.size() > 0) {
-        checkpoint.meta.first_run = plan.shard_begin(range.first);
-        checkpoint.meta.last_run = checkpoint.meta.first_run + plan.runs(range);
-    }
+    checkpoint.meta.first_run =
+        range.size() > 0 ? plan.shard_begin(range.first) : 0;
+    checkpoint.meta.last_run = checkpoint.meta.first_run + plan.runs(range);
     checkpoint.meta.et_isolation = run.et_isolation;
     checkpoint.meta.nr = run.nr;
     checkpoint.first_shard = range.first;
@@ -205,6 +184,24 @@ std::vector<Checkpoint<Acc>> load_all(const std::vector<std::string>& paths) {
 
 }  // namespace
 
+CheckpointMeta campaign_meta(const Scenario& scenario,
+                             const PwcetSpec& spec) {
+    const engine::ReducePlan plan = plan_of(scenario);
+    CheckpointMeta meta;
+    meta.scenario_fingerprint = scenario.fingerprint();
+    meta.seed = scenario.run_protocol().seed;
+    meta.total_runs = plan.count;
+    meta.block_size = spec.block_size;
+    meta.shard_size = plan.shard_size;
+    meta.plan_shards = plan.shards();
+    meta.shard_plan_hash =
+        shard_plan_hash(meta.total_runs, meta.shard_size, meta.plan_shards);
+    meta.last_run = meta.total_runs;
+    meta.ubd_analytic = scenario.config().ubd_analytic();
+    meta.exceedance = spec.exceedance;
+    return meta;
+}
+
 void detail::fold_pwcet_run(PwcetAccumulator& acc,
                             const sched::CampaignInputs& in,
                             std::uint64_t run) {
@@ -240,23 +237,23 @@ engine::ThreadPool& Session::shared_pool() {
 
 Measurement Session::isolation(const Scenario& scenario) const {
     scenario.validate();
+    const Cycle cap = scenario.run_protocol().max_cycles_per_run;
     Measurement m =
-        run_isolation(scenario.config(), scenario.scua_program(), 0,
-                      scenario.run_protocol().max_cycles_per_run);
+        run_isolation(scenario.config(), scenario.scua_program(), 0, cap);
     // A capped run is not a measurement — same contract as the
     // campaign paths. Probe with the low-level run_isolation when
     // deadline_reached is the thing being asked.
-    RRB_ENSURE(!m.deadline_reached);
+    require_within_cap(m, cap);
     return m;
 }
 
 Measurement Session::contention(const Scenario& scenario) const {
     scenario.validate();
-    Measurement m =
-        run_contention(scenario.config(), scenario.scua_program(),
-                       scenario.contender_programs(), 0,
-                       scenario.run_protocol().max_cycles_per_run);
-    RRB_ENSURE(!m.deadline_reached);
+    const Cycle cap = scenario.run_protocol().max_cycles_per_run;
+    Measurement m = run_contention(scenario.config(),
+                                   scenario.scua_program(),
+                                   scenario.contender_programs(), 0, cap);
+    require_within_cap(m, cap);
     return m;
 }
 
@@ -343,16 +340,15 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
     const auto lbus = axis_values(axes.lbus);
     const auto arbiters = axis_values(axes.arbiters);
 
-    if (progress_ != nullptr) progress_->begin(axes.points());
+    const std::size_t total_runs =
+        axes.points() * scenario.run_protocol().runs;
+    if (progress_ != nullptr) progress_->begin(total_runs);
 
-    const obs::Span sweep_span(
-        "session.sweep", 0,
-        axes.points() * scenario.run_protocol().runs);
+    const obs::Span sweep_span("session.sweep", 0, total_runs);
     // Lower the whole grid up front, then drain it as one flat
     // (campaign × shard) queue — no barrier between grid points, so
     // the tail shards of one point overlap the head of the next and
-    // every worker stays busy to the end of the grid. Per-run progress
-    // stays off — the sweep reports per completed point.
+    // every worker stays busy to the end of the grid.
     sched::CampaignScheduler scheduler(shared_pool());
     const engine::ReducePlan plan = plan_of(scenario);
     SweepResult result;
@@ -376,7 +372,7 @@ SweepResult Session::sweep(const Scenario& scenario, const SweepAxes& axes,
             }
         }
     }
-    scheduler.run({.campaigns_done = progress_});
+    scheduler.run({.runs = progress_});
     for (std::size_t p = 0; p < result.points.size(); ++p) {
         engine::ShardSlice<PwcetAccumulator> run =
             scheduler.take<PwcetAccumulator>(p);
@@ -431,7 +427,7 @@ BatchResult Session::batch(const std::vector<BatchItem>& items,
         // so batch output farms through the same merge tooling.
         const engine::ReducePlan plan = plan_of(item.scenario);
         point.checkpoint = to_checkpoint(
-            campaign_meta(item.scenario, item.spec, plan), {0, 1}, plan,
+            campaign_meta(item.scenario, item.spec), {0, 1}, plan,
             {0, plan.shards()}, scheduler.take<PwcetAccumulator>(i));
         point.result = finalize_pwcet_campaign(
             engine::merge_in_order(point.checkpoint.shards),
@@ -448,9 +444,8 @@ PwcetCheckpoint Session::checkpoint(const Scenario& scenario,
     scenario.validate();
     validate(spec);
     return checkpoint_slice(
-        shared_pool(), progress_, scenario,
-        campaign_meta(scenario, spec, plan_of(scenario)), slice, path,
-        PwcetAccumulator(spec.block_size),
+        shared_pool(), progress_, scenario, campaign_meta(scenario, spec),
+        slice, path, PwcetAccumulator(spec.block_size),
         &detail::fold_pwcet_run);
 }
 
@@ -462,8 +457,8 @@ WhiteboxCheckpoint Session::checkpoint(const Scenario& scenario,
     // have no block size or exceedance list (encoded as 0 / empty).
     return checkpoint_slice(
         shared_pool(), progress_, scenario,
-        campaign_meta(scenario, PwcetSpec{0, {}}, plan_of(scenario)), slice,
-        path, WhiteboxAccumulator{}, &fold_measurement);
+        campaign_meta(scenario, PwcetSpec{0, {}}), slice, path,
+        WhiteboxAccumulator{}, &fold_measurement);
 }
 
 MergedPwcetCampaign Session::merge(
@@ -497,7 +492,7 @@ PwcetCampaignResult Session::resume_impl(
     const obs::Span span("session.resume", 0,
                          scenario.run_protocol().runs);
     const engine::ReducePlan plan = plan_of(scenario);
-    CheckpointMeta expected = campaign_meta(scenario, spec, plan);
+    CheckpointMeta expected = campaign_meta(scenario, spec);
 
     // Load and validate: every checkpoint must identify as a slice of
     // *this* campaign before any of its state is trusted. The expected

@@ -132,6 +132,16 @@ struct SliceSpec {
     std::size_t count = 1;
 };
 
+/// The identity of `scenario`'s campaign under `spec`: scenario
+/// fingerprint, seed, run count, block size, shard plan, analytic ubd
+/// and exceedance list, covering every run as slice 0 of 1. Checkpoints
+/// stamp it (narrowed to their slice, plus the isolation baseline that
+/// ran), resume validates loaded checkpoints against it, and run
+/// reports record it. Campaigns without an EVT half (hwm, whitebox,
+/// attribution) pass PwcetSpec{0, {}}.
+[[nodiscard]] CheckpointMeta campaign_meta(const Scenario& scenario,
+                                           const PwcetSpec& spec);
+
 class Session {
 public:
     Session();
@@ -158,8 +168,10 @@ public:
     /// resolution policy.
     [[nodiscard]] std::size_t worker_budget() const noexcept;
 
-    /// Optional progress sink. Campaign entry points report per run;
-    /// sweep() reports per grid point.
+    /// Optional progress sink, announced with the runs a call will
+    /// execute and ticked once per run: a sweep's total is points ×
+    /// runs, a batch's the sum of its scenarios' runs, and resume counts
+    /// its checkpointed runs as already completed.
     Session& progress(engine::ProgressCounter* sink);
 
     // ------------------------------------------------- entry points

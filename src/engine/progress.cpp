@@ -14,11 +14,11 @@ double ProgressCounter::fraction() const noexcept {
 std::string render_progress(const ProgressCounter& progress) {
     const std::size_t t = progress.total();
     // Read completed once and clamp both the count and the percentage
-    // against the announced total: when a sweep point re-begins the
-    // counter mid-campaign, stray ticks from the previous batch can
-    // overshoot the new total, and a "12/10 (120%)" line — or a 100%+
-    // percentage computed from a second, larger read — must never
-    // render.
+    // against the announced total: a reader that samples while the
+    // counter is re-announced (a Session reused for another call) can
+    // pair the old count with the new total, and a "12/10 (120%)" line
+    // — or a 100%+ percentage computed from a second, larger read —
+    // must never render.
     const std::size_t c = std::min(progress.completed(), t);
     const int percent =
         t == 0 ? 100

@@ -72,10 +72,11 @@ void ThreadPool::worker_loop() {
         queue_changed_.notify_one();
         try {
             if (obs::enabled()) {
-                // Busy-ns powers the heartbeat's worker-utilization
-                // field. Jobs are shard-sized (milliseconds), so two
-                // clock reads per job cost nothing; with telemetry off
-                // not even those happen.
+                // Busy-ns powers the run report's worker_utilization.
+                // A job lands only when it ends, so the live heartbeat
+                // reads shard_wall_ns instead. Two clock reads per job
+                // cost nothing; with telemetry off not even those
+                // happen.
                 const auto begin = std::chrono::steady_clock::now();
                 job();
                 obs::count(

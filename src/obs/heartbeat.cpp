@@ -12,7 +12,7 @@ HeartbeatMeter::HeartbeatMeter(std::size_t workers) : workers_(workers) {
     TelemetryRegistry& registry = TelemetryRegistry::instance();
     primed_ = true;
     last_ns_ = registry.now_ns();
-    last_busy_ns_ = enabled() ? registry.counters()[kWorkerBusyNs] : 0;
+    last_shard_ns_ = enabled() ? registry.counters()[kShardWallNs] : 0;
 }
 
 std::string HeartbeatMeter::sample(
@@ -22,8 +22,8 @@ std::string HeartbeatMeter::sample(
     const std::size_t completed = progress.completed();
     const std::size_t fresh = progress.fresh();
     const std::size_t total = progress.total();
-    const std::uint64_t busy =
-        enabled() ? registry.counters()[kWorkerBusyNs] : 0;
+    const std::uint64_t shard_ns =
+        enabled() ? registry.counters()[kShardWallNs] : 0;
 
     double rate = last_rate_;
     double utilization = -1.0;
@@ -32,16 +32,16 @@ std::string HeartbeatMeter::sample(
             static_cast<double>(now - last_ns_) / 1e9;
         // Rate from the *fresh* (this-process) count: a resumed
         // campaign's checkpointed baseline never counts as throughput.
-        // A sweep's counter re-begins per grid point, so the count can
-        // step backwards between samples; only a forward delta is a
-        // rate observation.
+        // A counter re-announced between samples (a Session reused for
+        // another call) steps backwards; only a forward delta is a rate
+        // observation.
         if (fresh >= last_fresh_) {
             rate = static_cast<double>(fresh - last_fresh_) /
                    window_sec;
         }
-        if (workers_ > 0 && enabled() && busy >= last_busy_ns_) {
+        if (workers_ > 0 && enabled() && shard_ns >= last_shard_ns_) {
             utilization = std::min(
-                1.0, static_cast<double>(busy - last_busy_ns_) /
+                1.0, static_cast<double>(shard_ns - last_shard_ns_) /
                          (static_cast<double>(now - last_ns_) *
                           static_cast<double>(workers_)));
         }
@@ -49,7 +49,7 @@ std::string HeartbeatMeter::sample(
     primed_ = true;
     last_ns_ = now;
     last_fresh_ = fresh;
-    last_busy_ns_ = busy;
+    last_shard_ns_ = shard_ns;
     last_rate_ = rate;
 
     std::string line = engine::render_progress(progress);

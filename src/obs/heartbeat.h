@@ -39,8 +39,12 @@ public:
     explicit HeartbeatMeter(std::size_t workers = 0);
 
     /// One sample: "c/t (pp%) | R runs/s | eta Ss[ | workers UU%]".
-    /// Percentage and ETA clamp sanely when completed overshoots the
-    /// announced total (sweep points re-begin the counter mid-batch).
+    /// Utilization is the window's growth in shard_wall_ns, which each
+    /// shard adds as it ends, over the window times `workers`; a pool
+    /// job's worker_busy_ns lands only when the job ends, and a
+    /// scheduler's drain loops end with the batch. Percentage and ETA
+    /// clamp when completed overshoots the announced total (a sample
+    /// taken while the counter is re-announced).
     /// Rates are measured over ProgressCounter::fresh() — work executed
     /// by *this* process — so a resumed campaign's checkpointed runs
     /// raise the completed/total line without inflating runs/s, and the
@@ -64,7 +68,7 @@ private:
     bool primed_ = false;
     std::uint64_t last_ns_ = 0;
     std::size_t last_fresh_ = 0;
-    std::uint64_t last_busy_ns_ = 0;
+    std::uint64_t last_shard_ns_ = 0;
     double last_rate_ = 0.0;  ///< carried over empty windows
     /// Per-campaign window state (multi-campaign form), by position.
     std::vector<std::size_t> last_campaign_fresh_;

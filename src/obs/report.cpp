@@ -15,6 +15,65 @@ std::string fmt(double v) {
     return buf;
 }
 
+/// The "attribution" object: per-core cause timelines, the blame
+/// matrix, dead-slot cycles and derived shares (each victim's stall
+/// cycles apportioned across contenders).
+std::string render_attribution_json(const AttributionAccumulator& a,
+                                    const std::string& indent) {
+    const std::size_t cores = a.num_cores();
+    std::ostringstream out;
+    out << "{\n";
+    out << indent << "  \"num_cores\": " << cores << ",\n";
+    out << indent << "  \"runs\": " << a.runs() << ",\n";
+    out << indent << "  \"machine_cycles\": " << a.machine_cycles()
+        << ",\n";
+    out << indent << "  \"causes\": [";
+    for (std::size_t c = 0; c < kStallCauseCount; ++c) {
+        out << (c == 0 ? "" : ", ") << "\""
+            << to_string(static_cast<StallCause>(c)) << "\"";
+    }
+    out << "],\n";
+    out << indent << "  \"cores\": [";
+    for (CoreId core = 0; core < cores; ++core) {
+        out << (core == 0 ? "\n" : ",\n");
+        out << indent << "    {\n";
+        out << indent << "      \"core\": " << core << ",\n";
+        out << indent << "      \"timeline\": {";
+        for (std::size_t c = 0; c < kStallCauseCount; ++c) {
+            const auto cause = static_cast<StallCause>(c);
+            out << (c == 0 ? "" : ", ") << "\"" << to_string(cause)
+                << "\": " << a.timeline(core, cause);
+        }
+        out << "},\n";
+        out << indent << "      \"dead_slot_cycles\": "
+            << a.dead_slot_cycles(core) << ",\n";
+        // The victim's bus-wait decomposition: blamed[contender] cycles
+        // plus the dead-slot remainder sum to the victim's arbitration
+        // wait; shares are quoted over that same denominator so "34% of
+        // core 0's wait is contender 2's fault" reads off directly.
+        const std::uint64_t waited =
+            a.dead_slot_cycles(core) + a.blamed_total(core);
+        out << indent << "      \"blame\": [";
+        for (CoreId w = 0; w < cores; ++w) {
+            out << (w == 0 ? "" : ", ") << a.blamed(core, w);
+        }
+        out << "],\n";
+        out << indent << "      \"blame_share\": [";
+        for (CoreId w = 0; w < cores; ++w) {
+            const double share =
+                waited == 0 ? 0.0
+                            : static_cast<double>(a.blamed(core, w)) /
+                                  static_cast<double>(waited);
+            out << (w == 0 ? "" : ", ") << fmt(share);
+        }
+        out << "]\n";
+        out << indent << "    }";
+    }
+    out << (cores == 0 ? "]\n" : "\n" + indent + "  ]\n");
+    out << indent << "}";
+    return out.str();
+}
+
 }  // namespace
 
 DerivedRates derive_rates(const RunReportInfo& info,
@@ -48,63 +107,6 @@ DerivedRates derive_rates(const RunReportInfo& info,
     return rates;
 }
 
-std::string render_attribution_json(const AttributionSummary& a,
-                                    const std::string& indent) {
-    const std::size_t cores = static_cast<std::size_t>(a.num_cores);
-    const std::size_t causes = a.causes.size();
-    std::ostringstream out;
-    out << "{\n";
-    out << indent << "  \"num_cores\": " << a.num_cores << ",\n";
-    out << indent << "  \"runs\": " << a.runs << ",\n";
-    out << indent << "  \"machine_cycles\": " << a.machine_cycles << ",\n";
-    out << indent << "  \"causes\": [";
-    for (std::size_t c = 0; c < causes; ++c) {
-        out << (c == 0 ? "" : ", ") << "\"" << a.causes[c] << "\"";
-    }
-    out << "],\n";
-    out << indent << "  \"cores\": [";
-    for (std::size_t core = 0; core < cores; ++core) {
-        out << (core == 0 ? "\n" : ",\n");
-        out << indent << "    {\n";
-        out << indent << "      \"core\": " << core << ",\n";
-        out << indent << "      \"timeline\": {";
-        for (std::size_t c = 0; c < causes; ++c) {
-            out << (c == 0 ? "" : ", ") << "\"" << a.causes[c]
-                << "\": " << a.timeline[core * causes + c];
-        }
-        out << "},\n";
-        out << indent << "      \"dead_slot_cycles\": "
-            << a.dead_slot[core] << ",\n";
-        // The victim's bus-wait decomposition: blamed[contender] cycles
-        // plus the dead-slot remainder sum to the victim's arbitration
-        // wait; shares are quoted over that same denominator so "34% of
-        // core 0's wait is contender 2's fault" reads off directly.
-        std::uint64_t waited = a.dead_slot[core];
-        for (std::size_t w = 0; w < cores; ++w) {
-            waited += a.blame[core * cores + w];
-        }
-        out << indent << "      \"blame\": [";
-        for (std::size_t w = 0; w < cores; ++w) {
-            out << (w == 0 ? "" : ", ") << a.blame[core * cores + w];
-        }
-        out << "],\n";
-        out << indent << "      \"blame_share\": [";
-        for (std::size_t w = 0; w < cores; ++w) {
-            const double share =
-                waited == 0
-                    ? 0.0
-                    : static_cast<double>(a.blame[core * cores + w]) /
-                          static_cast<double>(waited);
-            out << (w == 0 ? "" : ", ") << fmt(share);
-        }
-        out << "]\n";
-        out << indent << "    }";
-    }
-    out << (cores == 0 ? "]\n" : "\n" + indent + "  ]\n");
-    out << indent << "}";
-    return out.str();
-}
-
 std::string render_counters_json(const CounterSnapshot& counters,
                                  const std::string& indent) {
     std::ostringstream out;
@@ -122,7 +124,7 @@ std::string render_run_report(const RunReportInfo& info,
                               const CounterSnapshot& counters,
                               const std::vector<SpanRecord>& spans) {
     const DerivedRates rates = derive_rates(info, counters);
-    const CampaignInfo& c = info.campaign;
+    const CheckpointMeta& c = info.campaign;
     std::ostringstream out;
     out << "{\n";
     out << "  \"schema\": \"rrb-telemetry\",\n";
@@ -157,8 +159,8 @@ std::string render_run_report(const RunReportInfo& info,
         << fmt(rates.events_skipped_per_run) << "\n";
     out << "  },\n";
     out << "  \"attribution\": ";
-    if (info.has_attribution) {
-        out << render_attribution_json(info.attribution, "  ");
+    if (info.attribution != nullptr) {
+        out << render_attribution_json(*info.attribution, "  ");
     } else {
         out << "null";
     }

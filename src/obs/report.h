@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "obs/telemetry.h"
+#include "stats/attribution.h"
+#include "stats/checkpoint.h"
 
 namespace rrb::obs {
 
@@ -27,52 +29,19 @@ namespace rrb::obs {
 /// when armed).
 inline constexpr std::uint32_t kRunReportSchemaVersion = 2;
 
-/// Campaign identity as the telemetry layer records it — the
-/// observability twin of rrb::CheckpointMeta (stats/checkpoint.h
-/// converts one into the other), kept dependency-free so engine-level
-/// tools can fill it too.
-struct CampaignInfo {
-    std::uint64_t scenario_fingerprint = 0;
-    std::uint64_t seed = 0;
-    std::uint64_t total_runs = 0;
-    std::uint64_t block_size = 0;  ///< 0 = no EVT half (hwm/whitebox)
-    std::uint64_t shard_size = 1;
-    std::uint64_t plan_shards = 0;
-    /// Run range this process executed; [0, total_runs) when whole.
-    std::uint64_t first_run = 0;
-    std::uint64_t last_run = 0;
-    std::uint64_t slice_index = 0;
-    std::uint64_t slice_count = 1;
-};
-
-/// Campaign-summed cycle attribution as the telemetry layer records it
-/// — the observability twin of rrb::AttributionAccumulator
-/// (stats/attribution.h converts one into the other), flattened and
-/// dependency-free like CampaignInfo. All matrices are row-major:
-/// timeline[core * causes.size() + cause], blame[victim * num_cores +
-/// contender].
-struct AttributionSummary {
-    std::uint64_t num_cores = 0;
-    std::uint64_t runs = 0;
-    /// Summed Machine::now() over the campaign's runs; each core's
-    /// timeline row sums to exactly this (closed accounting).
-    std::uint64_t machine_cycles = 0;
-    std::vector<std::string> causes;      ///< cause names, enum order
-    std::vector<std::uint64_t> timeline;  ///< cores x causes
-    std::vector<std::uint64_t> blame;     ///< victims x contenders
-    std::vector<std::uint64_t> dead_slot; ///< per victim (TDMA gaps)
-};
-
 /// Everything a run report carries besides counters and spans.
 struct RunReportInfo {
     std::string command;  ///< e.g. "pwcet", "merge", "bench_hotpath"
-    CampaignInfo campaign;
+    /// The campaign identity: its fingerprint, seed and shard plan, and
+    /// the run range and slice this process executed (every run, as
+    /// slice 0 of 1, when whole). The isolation, bound and exceedance
+    /// fields are not rendered.
+    CheckpointMeta campaign;
     std::uint64_t jobs = 0;      ///< resolved worker budget
     std::uint64_t wall_ns = 0;   ///< whole-command wall time
-    /// Engaged only when the command ran with attribution armed;
-    /// renders as "attribution": null otherwise.
-    bool has_attribution = false;
-    AttributionSummary attribution;
+    /// The campaign-summed attribution when the command ran with the
+    /// profiler armed; null renders as "attribution": null.
+    const AttributionAccumulator* attribution = nullptr;
 };
 
 /// Rates computed from a counter delta + wall time; NaN-free (0 when
@@ -92,13 +61,6 @@ struct DerivedRates {
 /// embeds the same schema inside its own report).
 [[nodiscard]] std::string render_counters_json(
     const CounterSnapshot& counters, const std::string& indent);
-
-/// The JSON "attribution" object body: per-core cause timelines, the
-/// blame matrix, dead-slot cycles and derived shares (each victim's
-/// stall cycles apportioned across contenders). Shared between the run
-/// report and `rrbtool attribution`'s report output.
-[[nodiscard]] std::string render_attribution_json(
-    const AttributionSummary& a, const std::string& indent);
 
 /// The full schema-versioned run report.
 [[nodiscard]] std::string render_run_report(

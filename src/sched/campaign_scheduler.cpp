@@ -247,8 +247,8 @@ void CampaignScheduler::execute(const WorkItem& item,
     if (campaign.failed.load(std::memory_order_acquire)) {
         // The campaign already failed; its remaining queued items are
         // drained without work so `remaining` still reaches zero (the
-        // span closes, sweep progress ticks) and other campaigns' items
-        // behind them in the bucket are reached.
+        // span closes) and other campaigns' items behind them in the
+        // bucket are reached.
         obs::count(obs::kSchedItemsSkipped);
     } else {
         for (std::size_t attempt = 1;; ++attempt) {
@@ -269,13 +269,9 @@ void CampaignScheduler::execute(const WorkItem& item,
         }
     }
 
-    if (campaign.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        if (campaign.span != 0) {
-            obs::TelemetryRegistry::instance().close_span(campaign.span);
-        }
-        if (options.campaigns_done != nullptr) {
-            options.campaigns_done->tick();
-        }
+    if (campaign.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        campaign.span != 0) {
+        obs::TelemetryRegistry::instance().close_span(campaign.span);
     }
 }
 
@@ -290,7 +286,7 @@ void CampaignScheduler::run_item(const WorkItem& item,
         const CampaignInputs& in = campaign.work.inputs;
         const Measurement isol = run_isolation(
             in.config, in.scua, 0, in.protocol.max_cycles_per_run);
-        RRB_ENSURE(!isol.deadline_reached);
+        require_within_cap(isol, in.protocol.max_cycles_per_run);
         campaign.et_isolation = isol.exec_time;
         campaign.nr = isol.bus_requests;
         return;

@@ -169,9 +169,6 @@ public:
         BatchProgress* batch = nullptr;
         /// Ticked once per contention run. Pre-announced by the caller.
         engine::ProgressCounter* runs = nullptr;
-        /// Ticked once per *completed campaign* — the sweep's per-point
-        /// progress contract. Pre-announced by the caller.
-        engine::ProgressCounter* campaigns_done = nullptr;
     };
 
     /// Drains every queued item across the pool; returns when the whole

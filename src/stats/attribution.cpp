@@ -90,34 +90,4 @@ std::uint64_t AttributionAccumulator::blamed_total(CoreId victim) const {
     return sum;
 }
 
-obs::AttributionSummary attribution_summary(
-    const AttributionAccumulator& acc) {
-    obs::AttributionSummary summary;
-    summary.num_cores = acc.num_cores();
-    summary.runs = acc.runs();
-    summary.machine_cycles = acc.machine_cycles();
-    summary.causes.reserve(kStallCauseCount);
-    for (std::size_t cause = 0; cause < kStallCauseCount; ++cause) {
-        summary.causes.emplace_back(
-            to_string(static_cast<StallCause>(cause)));
-    }
-    const std::size_t cores = acc.num_cores();
-    summary.timeline.reserve(cores * kStallCauseCount);
-    summary.blame.reserve(cores * cores);
-    summary.dead_slot.reserve(cores);
-    for (CoreId c = 0; c < cores; ++c) {
-        for (std::size_t cause = 0; cause < kStallCauseCount; ++cause) {
-            summary.timeline.push_back(
-                acc.timeline(c, static_cast<StallCause>(cause)));
-        }
-    }
-    for (CoreId v = 0; v < cores; ++v) {
-        for (CoreId w = 0; w < cores; ++w) {
-            summary.blame.push_back(acc.blamed(v, w));
-        }
-        summary.dead_slot.push_back(acc.dead_slot_cycles(v));
-    }
-    return summary;
-}
-
 }  // namespace rrb

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "machine/attribution.h"
-#include "obs/report.h"
 #include "sim/types.h"
 
 namespace rrb {
@@ -73,11 +72,5 @@ private:
     std::vector<std::uint64_t> blame_;     ///< num_cores x num_cores
     std::vector<std::uint64_t> dead_;      ///< per victim
 };
-
-/// Flattens the accumulator into the telemetry layer's dependency-free
-/// AttributionSummary (cause names filled from the StallCause enum) so
-/// run reports and `rrbtool attribution` share one JSON rendering.
-[[nodiscard]] obs::AttributionSummary attribution_summary(
-    const AttributionAccumulator& acc);
 
 }  // namespace rrb

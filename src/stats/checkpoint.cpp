@@ -314,21 +314,6 @@ AttributionAccumulator CheckpointCodec::load_attribution(
 
 // -------------------------------------------------- campaign checkpoint
 
-obs::CampaignInfo telemetry_info(const CheckpointMeta& meta) {
-    obs::CampaignInfo info;
-    info.scenario_fingerprint = meta.scenario_fingerprint;
-    info.seed = meta.seed;
-    info.total_runs = meta.total_runs;
-    info.block_size = meta.block_size;
-    info.shard_size = meta.shard_size;
-    info.plan_shards = meta.plan_shards;
-    info.first_run = meta.first_run;
-    info.last_run = meta.last_run;
-    info.slice_index = meta.slice_index;
-    info.slice_count = meta.slice_count;
-    return info;
-}
-
 std::uint64_t shard_plan_hash(std::uint64_t total_runs,
                               std::uint64_t shard_size,
                               std::uint64_t plan_shards) {

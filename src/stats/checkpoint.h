@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/campaign.h"
-#include "obs/report.h"
 #include "sim/types.h"
 #include "stats/attribution.h"
 #include "stats/histogram.h"
@@ -187,12 +186,6 @@ struct CheckpointMeta {
     /// Exceedance probabilities the final quantiles are quoted at.
     std::vector<double> exceedance;
 };
-
-/// The campaign-identity half of a telemetry run report, filled from a
-/// checkpoint's metadata: the same fields `merge` validates are the
-/// ones that let a collection of shard run-reports be recognized as one
-/// distributed campaign.
-[[nodiscard]] obs::CampaignInfo telemetry_info(const CheckpointMeta& meta);
 
 /// The hash stored in CheckpointMeta::shard_plan_hash.
 [[nodiscard]] std::uint64_t shard_plan_hash(std::uint64_t total_runs,

@@ -32,6 +32,7 @@
 #include "machine/attribution.h"
 #include "machine/config.h"
 #include "machine/machine.h"
+#include "obs/report.h"
 #include "obs/telemetry.h"
 #include "replay/script_cache.h"
 #include "sched/campaign_scheduler.h"
@@ -531,8 +532,10 @@ TEST(Attribution, CheckpointCodecRoundTripsAccumulator) {
                  CheckpointError);
 }
 
-TEST(Attribution, SummaryFlattensAccumulator) {
-    const MachineConfig config = MachineConfig::scaled(2, 5);
+TEST(Attribution, RunReportRendersTheAccumulator) {
+    // TDMA, so the dead-slot column holds more than zeros.
+    MachineConfig config = MachineConfig::scaled(2, 5);
+    config.arbiter = ArbiterKind::kTdma;
     const Program scua =
         make_autobench(Autobench::kCacheb, 0x0100'0000, 10, 9);
     const std::vector<Program> contenders =
@@ -544,24 +547,49 @@ TEST(Attribution, SummaryFlattensAccumulator) {
         static_cast<void>(detail::hwm_campaign_attribute(
             config, scua, contenders, options, run, acc));
     }
-    const obs::AttributionSummary summary = attribution_summary(acc);
-    EXPECT_EQ(summary.num_cores, config.num_cores);
-    EXPECT_EQ(summary.runs, options.runs);
-    EXPECT_EQ(summary.machine_cycles, acc.machine_cycles());
-    ASSERT_EQ(summary.causes.size(), kStallCauseCount);
-    EXPECT_EQ(summary.causes.front(), "idle");
-    ASSERT_EQ(summary.timeline.size(),
-              config.num_cores * kStallCauseCount);
-    ASSERT_EQ(summary.blame.size(),
-              std::size_t{config.num_cores} * config.num_cores);
-    for (CoreId c = 0; c < config.num_cores; ++c) {
-        std::uint64_t row = 0;
-        for (std::size_t cause = 0; cause < kStallCauseCount; ++cause) {
-            row += summary.timeline[c * kStallCauseCount + cause];
-        }
-        EXPECT_EQ(row, summary.machine_cycles) << "core " << c;
-        EXPECT_EQ(summary.dead_slot[c], acc.dead_slot_cycles(c));
+    obs::RunReportInfo info;
+    info.attribution = &acc;
+    const std::string text = obs::render_run_report(info, {}, {});
+    const auto number_after = [&text](const std::string& key,
+                                      std::size_t from) {
+        const std::size_t at = text.find("\"" + key + "\": ", from);
+        EXPECT_NE(at, std::string::npos) << key;
+        return std::stoull(text.substr(at + key.size() + 4));
+    };
+    EXPECT_EQ(number_after("num_cores", 0), config.num_cores);
+    EXPECT_EQ(number_after("runs", 0), options.runs);
+    EXPECT_EQ(number_after("machine_cycles", 0), acc.machine_cycles());
+    // The cause names, in enum order.
+    std::string causes = "\"causes\": [";
+    for (std::size_t cause = 0; cause < kStallCauseCount; ++cause) {
+        causes += std::string(cause == 0 ? "\"" : ", \"") +
+                  to_string(static_cast<StallCause>(cause)) + "\"";
     }
+    EXPECT_NE(text.find(causes + "]"), std::string::npos);
+    // Each core's rendered timeline sums to the machine cycles, and its
+    // dead slots are the accumulator's.
+    std::uint64_t dead_total = 0;
+    std::size_t at = 0;
+    for (CoreId c = 0; c < config.num_cores; ++c) {
+        at = text.find("\"timeline\": {", at);
+        ASSERT_NE(at, std::string::npos) << "core " << c;
+        const std::size_t end = text.find('}', at);
+        std::uint64_t row = 0;
+        std::size_t buckets = 0;
+        for (std::size_t colon = text.find(": ", at + 13); colon < end;
+             colon = text.find(": ", colon + 2)) {
+            row += std::stoull(text.substr(colon + 2));
+            ++buckets;
+        }
+        EXPECT_EQ(buckets, kStallCauseCount) << "core " << c;
+        EXPECT_EQ(row, acc.machine_cycles()) << "core " << c;
+        EXPECT_EQ(number_after("dead_slot_cycles", end),
+                  acc.dead_slot_cycles(c))
+            << "core " << c;
+        dead_total += acc.dead_slot_cycles(c);
+        at = end;
+    }
+    EXPECT_GT(dead_total, 0u);
 }
 
 }  // namespace

@@ -108,6 +108,13 @@ TEST(Estimator, IsolationTimeGrowsWithK) {
     EXPECT_LT(e.et_isolation.front(), e.et_isolation.back());
 }
 
+TEST(Estimator, SweepRunsPastTheCycleCapThrow) {
+    UbdEstimatorOptions options = fast_options(8);
+    options.max_cycles_per_run = 1000;
+    EXPECT_THROW((void)estimate_ubd(MachineConfig::textbook(), options),
+                 CycleCapReached);
+}
+
 TEST(Estimator, OptionValidation) {
     EXPECT_THROW(estimate_ubd(MachineConfig::textbook(), [] {
                      UbdEstimatorOptions o;

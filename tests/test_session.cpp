@@ -207,6 +207,37 @@ TEST(Session, JobsBudgetIsFrozenByTheFirstCampaign) {
     EXPECT_THROW(session.jobs(4), std::invalid_argument);
 }
 
+TEST(Session, RunsPastTheCycleCapThrowCycleCapReached) {
+    // A capped run measured nothing. At a 1,000-cycle cap the isolation
+    // run itself is capped; one cycle past the isolation time, only the
+    // campaign runs are (contenders slow the scua down).
+    const Scenario tight = small_scenario().max_cycles(1000);
+    Session session;
+    session.jobs(2);
+    EXPECT_THROW((void)session.isolation(tight), CycleCapReached);
+    EXPECT_THROW((void)session.contention(tight), CycleCapReached);
+    EXPECT_THROW((void)session.pwcet(tight), CycleCapReached);
+
+    const Cycle isolation = session.isolation(small_scenario()).exec_time;
+    const Scenario past_isolation =
+        small_scenario().max_cycles(isolation + 1);
+    EXPECT_NO_THROW((void)session.isolation(past_isolation));
+    EXPECT_THROW((void)session.contention(past_isolation), CycleCapReached);
+    EXPECT_THROW((void)session.hwm(past_isolation), CycleCapReached);
+    EXPECT_THROW((void)session.attribution(past_isolation), CycleCapReached);
+
+    // In a batch the capped scenario fails alone.
+    const BatchResult batch = session.batch(
+        {{"capped", past_isolation, {}}, {"healthy", small_scenario(), {}}});
+    ASSERT_EQ(batch.points.size(), 2u);
+    EXPECT_FALSE(batch.points[0].ok);
+    EXPECT_NE(batch.points[0].error.find("cycle cap of " +
+                                         std::to_string(isolation + 1)),
+              std::string::npos)
+        << batch.points[0].error;
+    EXPECT_TRUE(batch.points[1].ok) << batch.points[1].error;
+}
+
 // ---------------------------------------------------------------- sweep
 
 TEST(Session, SweepEnumeratesTheCrossProductInAxisOrder) {
@@ -232,9 +263,9 @@ TEST(Session, SweepEnumeratesTheCrossProductInAxisOrder) {
     // Axis values landed in the derived configs.
     EXPECT_EQ(sweep.points[0].config.num_cores, 2u);
     EXPECT_EQ(sweep.points[0].config.load_hit_service(), 5u);
-    // Progress ticked per grid point.
-    EXPECT_EQ(progress.total(), 4u);
-    EXPECT_EQ(progress.completed(), 4u);
+    // Progress ticked once per run of every grid point.
+    EXPECT_EQ(progress.total(), 16u);
+    EXPECT_EQ(progress.completed(), 16u);
 }
 
 TEST(Session, SweepGridPointEqualsStandalonePwcet) {

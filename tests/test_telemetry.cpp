@@ -302,29 +302,36 @@ TEST(Telemetry, RunReportSchemaRoundTrips) {
     std::remove(path.c_str());
 }
 
-TEST(Telemetry, CheckpointMetaConvertsToCampaignInfo) {
-    CheckpointMeta meta;
-    meta.scenario_fingerprint = 0xabc;
-    meta.seed = 9;
-    meta.total_runs = 2000;
-    meta.block_size = 50;
-    meta.shard_size = 8;
-    meta.plan_shards = 250;
-    meta.slice_index = 1;
-    meta.slice_count = 4;
-    meta.first_run = 500;
-    meta.last_run = 1000;
-    const CampaignInfo info = telemetry_info(meta);
-    EXPECT_EQ(info.scenario_fingerprint, 0xabcu);
-    EXPECT_EQ(info.seed, 9u);
-    EXPECT_EQ(info.total_runs, 2000u);
-    EXPECT_EQ(info.block_size, 50u);
-    EXPECT_EQ(info.shard_size, 8u);
-    EXPECT_EQ(info.plan_shards, 250u);
-    EXPECT_EQ(info.slice_index, 1u);
-    EXPECT_EQ(info.slice_count, 4u);
-    EXPECT_EQ(info.first_run, 500u);
-    EXPECT_EQ(info.last_run, 1000u);
+TEST(Telemetry, RunReportRendersTheCheckpointMetaSlice) {
+    // A shard's report carries its slice of the campaign straight from
+    // the checkpoint's metadata.
+    RunReportInfo info;
+    info.command = "pwcet";
+    info.campaign.scenario_fingerprint = 0xabc;
+    info.campaign.seed = 9;
+    info.campaign.total_runs = 2000;
+    info.campaign.block_size = 50;
+    info.campaign.shard_size = 8;
+    info.campaign.plan_shards = 250;
+    info.campaign.slice_index = 1;
+    info.campaign.slice_count = 4;
+    info.campaign.first_run = 500;
+    info.campaign.last_run = 1000;
+    const std::string text = render_run_report(info, {}, {});
+    EXPECT_NE(text.find("  \"campaign\": {\n"
+                        "    \"scenario_fingerprint\": 2748,\n"
+                        "    \"seed\": 9,\n"
+                        "    \"total_runs\": 2000,\n"
+                        "    \"block_size\": 50,\n"
+                        "    \"shard_size\": 8,\n"
+                        "    \"plan_shards\": 250,\n"
+                        "    \"first_run\": 500,\n"
+                        "    \"last_run\": 1000,\n"
+                        "    \"slice_index\": 1,\n"
+                        "    \"slice_count\": 4\n"
+                        "  },\n"),
+              std::string::npos)
+        << text;
 }
 
 // The acceptance-criteria invocation: a sharded pwcet run with
@@ -410,8 +417,8 @@ TEST(Telemetry, ProgressRenderClampsOvershoot) {
     engine::ProgressCounter progress;
     progress.begin(10);
     for (int i = 0; i < 12; ++i) progress.tick();
-    // Sweep re-begins can leave stray ticks from the previous batch;
-    // the rendered line never overshoots the announced total.
+    // A sample taken while the counter is re-announced can pair the old
+    // count with the new total; the rendered line never overshoots it.
     EXPECT_EQ(engine::render_progress(progress), "10/10 (100%)");
 }
 
